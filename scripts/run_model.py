@@ -12,7 +12,14 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from proxdyn.cli import parse_config_dict, run_and_emit
+from proxdyn.cli import (
+    COMMON_DEFAULTS,
+    MODEL_DEFAULTS,
+    RunConfig,
+    build_problem,
+    parse_config_dict,
+    run_and_emit,
+)
 from proxdyn.core import tau_max
 from proxdyn.stepper import admissible_tau
 
@@ -30,11 +37,20 @@ def main():
 
     tau = args.tau
     if tau is None:
-        probe = parse_config_dict(
-            {"model": args.model, "tau": 1.0, "n_nodes": args.n_nodes}
+        # The probe only builds the spec to read tau_max, so it skips the
+        # config validation (whose step-bound check its tau would fail).
+        probe = RunConfig(
+            model=args.model,
+            tau=1.0,
+            halvings=0,
+            out_dir="",
+            seed=0,
+            inner_tol=COMMON_DEFAULTS["inner_tol"],
+            n_nodes=args.n_nodes,
+            horizon=COMMON_DEFAULTS["horizon"],
+            emit={},
+            params=dict(MODEL_DEFAULTS[args.model]),
         )
-        from proxdyn.cli import build_problem
-
         spec, _ = build_problem(probe)
         tau = admissible_tau(spec, min(tau_max(spec), spec.horizon) / args.frac)
         print(f"tau_max = {tau_max(spec):.6g}, using tau = {tau:.6g}")

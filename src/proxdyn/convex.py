@@ -56,48 +56,59 @@ class SeparablePotential:
         return self.a * s + (self.g / self.q) * s**self.q
 
 
-def _power_root(m, gg, q):
-    """Solve x + gg * x^(q-1) = m for x in (0, m], elementwise.
+_ROOT_RTOL = 1e-15
+_ROOT_MAX_ITER = 200
 
-    Monotone scalar equation; 60 bisections bracket to ~1e-18 relative,
-    a few Newton steps polish.  Handles q < 2 (infinite slope at 0).
+
+def _newton_bisect(fun, lo, hi):
+    """Root of an increasing function on a guaranteed bracket, elementwise.
+
+    fun(x) returns (f(x), f'(x)) with f(lo) <= 0 <= f(hi).  Starting at hi,
+    each iterate shrinks the bracket by the sign of f; the Newton step is
+    taken when f' is finite and the step stays in the bracket, the midpoint
+    otherwise.  Stops when an update moves no entry by more than _ROOT_RTOL
+    relative.  Non-finite values of f or f' (at a bracket end where a power
+    overflows, or f' at a zero with q < 2) fall back to the midpoint.
     """
-    m = np.asarray(m, dtype=float)
-    gg = np.broadcast_to(np.asarray(gg, dtype=float), m.shape)
-    lo = np.zeros_like(m)
-    hi = m.copy()
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        over = mid + gg * mid ** (q - 1.0) > m
-        hi = np.where(over, mid, hi)
-        lo = np.where(over, lo, mid)
-    x = 0.5 * (lo + hi)
-    for _ in range(4):
-        pos = x > 0
-        f = x + gg * np.where(pos, x, 1.0) ** (q - 1.0) - m
-        df = 1.0 + gg * (q - 1.0) * np.where(pos, x, 1.0) ** (q - 2.0)
-        step = np.where(pos, f / df, 0.0)
-        x = np.clip(x - step, lo, hi)
+    lo = np.array(lo, dtype=float)
+    hi = np.array(hi, dtype=float)
+    x = hi.copy()
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for _ in range(_ROOT_MAX_ITER):
+            f, df = fun(x)
+            lo = np.where(f <= 0.0, x, lo)
+            hi = np.where(f >= 0.0, x, hi)
+            newton = x - f / df
+            ok = np.isfinite(df) & (newton >= lo) & (newton <= hi)
+            x_new = np.where(ok, newton, 0.5 * (lo + hi))
+            if np.all(np.abs(x_new - x) <= _ROOT_RTOL * np.abs(x_new)):
+                return x_new
+            x = x_new
     return x
 
 
-def prox_core(a, g, q, gamma, s):
-    """Vectorized argmin_x (1/(2 gamma))(x-s)^2 + a|x| + (g/q)|x|^q."""
-    s = np.asarray(s, dtype=float)
-    a = np.broadcast_to(np.asarray(a, dtype=float), s.shape)
-    g = np.broadcast_to(np.asarray(g, dtype=float), s.shape)
-    m = np.abs(s) - gamma * a
-    active = m > 0.0
-    x = np.zeros_like(s)
-    if np.any(active):
-        ma = m[active]
-        ga = g[active]
-        if q == 2.0:
-            xa = ma / (1.0 + gamma * ga)
-        else:
-            xa = _power_root(ma, gamma * ga, q)
-        x[active] = np.sign(s[active]) * xa
-    return x
+def _power_solve(w, g, q, t):
+    """Root s >= 0 of w s + g s^(q-1) = t for t > 0, elementwise.
+
+    Closed forms when g = 0 or w = 0 (infinite when both vanish); otherwise
+    the Newton-bisection on [0, min(t/w, (t/g)^(1/(q-1)))], whose upper end
+    bounds the root because either term alone reaches t there.
+    """
+    w, g, t = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in (w, g, t)))
+    with np.errstate(divide="ignore", over="ignore"):
+        s = np.minimum(t / w, (t / g) ** (1.0 / (q - 1.0)))
+    both = (w > 0.0) & (g > 0.0)
+    if np.any(both):
+        wb, gb, tb = w[both], g[both], t[both]
+
+        def fun(x):
+            return (
+                wb * x + gb * x ** (q - 1.0) - tb,
+                wb + gb * (q - 1.0) * x ** (q - 2.0),
+            )
+
+        s[both] = _newton_bisect(fun, np.zeros_like(tb), s[both])
+    return s
 
 
 def prox_separable(pot: SeparablePotential, gamma: float, s: float) -> float:
@@ -110,7 +121,8 @@ def prox_separable(pot: SeparablePotential, gamma: float, s: float) -> float:
         raise EvalError(f"prox input must be finite, got {s}")
     if not gamma > 0:
         raise EvalError(f"prox parameter must be positive, got {gamma}")
-    return float(prox_core(pot.a, pot.g, pot.q, gamma, np.asarray([s]))[0])
+    site = SitePotential([pot.a], [pot.g], pot.q, 0.0, 0.0)
+    return float(site.prox(gamma, np.asarray([s]))[0])
 
 
 def conj_separable(pot: SeparablePotential, xi: float) -> float:
@@ -119,28 +131,8 @@ def conj_separable(pot: SeparablePotential, xi: float) -> float:
     Closed form (g^(1-q*)/q*) max(|xi| - a, 0)^q* with q* = q/(q-1);
     for g = 0 the conjugate is the indicator of [-a, a].
     """
-    t = max(abs(xi) - pot.a, 0.0)
-    if t == 0.0:
-        return 0.0
-    if pot.g == 0.0:
-        return float("inf")
-    qs = pot.q / (pot.q - 1.0)
-    return float(pot.g ** (1.0 - qs) / qs * t**qs)
-
-
-def conj_core(a, g, q, xi):
-    """Vectorized conjugate; inf where a g = 0 potential is exceeded."""
-    xi = np.asarray(xi, dtype=float)
-    a = np.broadcast_to(np.asarray(a, dtype=float), xi.shape)
-    g = np.broadcast_to(np.asarray(g, dtype=float), xi.shape)
-    t = np.maximum(np.abs(xi) - a, 0.0)
-    qs = q / (q - 1.0)
-    out = np.zeros_like(xi)
-    pos = t > 0.0
-    gpos = pos & (g > 0.0)
-    out[gpos] = g[gpos] ** (1.0 - qs) / qs * t[gpos] ** qs
-    out[pos & (g == 0.0)] = np.inf
-    return out
+    val, _ = edge_conjugate_pair(pot.a, 0.0, pot.g, pot.q, [xi])
+    return float(val[0])
 
 
 def fenchel_young_gap(psi_val: float, conj_val: float, pairing: float) -> float:
@@ -182,9 +174,11 @@ class SitePotential:
 
     Sites are nodes (separable dissipation) or edges (gradient-composite);
     coefficient arrays are per-site, k4 is a scalar.  The w2 quadratic
-    absorbs exactly solvable curvature (viscosity, q = 2 power parts); the
-    unshifted quartic absorbs the convex part of double-well energies, so
-    the stiff smooth terms never enter an explicit gradient step.
+    absorbs exactly solvable curvature: viscosity, and the power weight g
+    when q = 2, which construction moves into w2 (leaving g = 0), so no
+    kernel below has a q = 2 case.  The unshifted quartic absorbs the
+    convex part of double-well energies, so the stiff smooth terms never
+    enter an explicit gradient step.
     """
 
     def __init__(self, a, g, q, w2, shift, k4: float = 0.0):
@@ -196,31 +190,22 @@ class SitePotential:
         self.k4 = float(k4)
         if np.any(self.a < 0) or np.any(self.g < 0) or not self.q > 1.0 or self.k4 < 0:
             raise EvalError("site potential needs a >= 0, g >= 0, q > 1, k4 >= 0")
+        if self.q == 2.0:
+            self.w2 = self.w2 + self.g
+            self.g = np.zeros_like(self.g)
 
     @property
     def is_quadratic(self) -> bool:
-        """True when f has no kink, no quartic, and no q != 2 power."""
-        no_kink = np.all(self.a == 0.0) and self.k4 == 0.0
-        return bool(no_kink and (self.q == 2.0 or np.all(self.g == 0.0)))
+        """True when f has no kink, no quartic, and no power part."""
+        return bool(self.k4 == 0.0 and np.all(self.a == 0.0) and np.all(self.g == 0.0))
 
     @property
     def is_zero(self) -> bool:
-        return bool(
-            self.k4 == 0.0
-            and np.all(self.a == 0.0)
-            and np.all(self.g == 0.0)
-            and np.all(self.w2 == 0.0)
-        )
-
-    def quad_weights(self) -> np.ndarray:
-        """Effective quadratic weights when is_quadratic holds."""
-        extra = self.g if self.q == 2.0 else np.zeros_like(self.g)
-        return self.w2 + extra
+        return self.is_quadratic and bool(np.all(self.w2 == 0.0))
 
     def strong_modulus(self) -> float:
-        """Certified strong convexity in y: w2 plus the q = 2 power weight."""
-        extra = self.g if self.q == 2.0 else np.zeros_like(self.g)
-        return float(np.min(self.w2 + extra))
+        """Certified strong convexity in y: the smallest quadratic weight."""
+        return float(np.min(self.w2))
 
     def value(self, y) -> float:
         y = np.asarray(y, dtype=float)
@@ -245,13 +230,8 @@ class SitePotential:
             d = np.zeros_like(d_in)
             active = m > 0.0
             if np.any(active):
-                ma = m[active]
                 gg = (sig_eff * self.g)[active]
-                if self.q == 2.0:
-                    da = ma / (1.0 + gg)
-                else:
-                    da = _power_root(ma, gg, self.q)
-                d[active] = np.sign(d_in[active]) * da
+                d[active] = np.sign(d_in[active]) * _power_solve(1.0, gg, self.q, m[active])
             return self.shift + d
         return self._prox_quartic(sigma, z)
 
@@ -274,8 +254,8 @@ class SitePotential:
             d_pos = self._cubic_root(sigma, z, +1.0)
             d_neg = self._cubic_root(sigma, z, -1.0)
         else:
-            d_pos = self._monotone_root(sigma, z, +1.0)
-            d_neg = self._monotone_root(sigma, z, -1.0)
+            d_pos = self._branch_root(sigma, z, +1.0)
+            d_neg = self._branch_root(sigma, z, -1.0)
         d = np.where(take_pos, d_pos, np.where(take_neg, d_neg, 0.0))
         return c + d
 
@@ -305,39 +285,34 @@ class SitePotential:
             d = d - f / df
         return d
 
-    def _monotone_root(self, sigma: float, z, sgn: float):
-        """Root of the branch derivative in sgn*d > 0 (monotone).
+    def _branch_root(self, sigma: float, z, sgn: float):
+        """Root d of the branch derivative with sgn*d >= 0.
 
-        Doubling bracket, coarse bisection, then Newton polish (the branch
-        derivative is smooth there for q >= 2; pure bisection otherwise).
+        In x = sgn*d the branch derivative times sgn increases from its
+        value at 0.  Where that value is negative a doubling search brackets
+        the root in [0, hi], elsewhere the branch is not taken and hi = 0;
+        the Newton-bisection solves on the bracket.
         """
-        lo = np.zeros_like(z)
-        hi = sgn * np.ones_like(z)
+
+        def branch(x):
+            return sgn * self._branch_deriv(sgn * x, z, sigma, sgn)
+
+        def fun(x):
+            curv = (
+                1.0 / sigma
+                + self.w2
+                + 12.0 * self.k4 * (self.shift + sgn * x) ** 2
+                + self.g * (self.q - 1.0) * x ** (self.q - 2.0)
+            )
+            return branch(x), curv
+
+        hi = np.where(branch(np.zeros_like(z)) < 0.0, 1.0, 0.0)
         for _ in range(60):
-            grow = sgn * self._branch_deriv(hi, z, sigma, sgn) < 0.0
+            grow = branch(hi) < 0.0
             if not np.any(grow):
                 break
             hi = np.where(grow, 2.0 * hi, hi)
-        newton_ok = self.q >= 2.0 or np.all(self.g == 0.0)
-        n_bis = 20 if newton_ok else 90
-        for _ in range(n_bis):
-            mid = 0.5 * (lo + hi)
-            over = sgn * self._branch_deriv(mid, z, sigma, sgn) > 0.0
-            hi = np.where(over, mid, hi)
-            lo = np.where(over, lo, mid)
-        d = 0.5 * (lo + hi)
-        if newton_ok:
-            for _ in range(8):
-                y = self.shift + d
-                f = self._branch_deriv(d, z, sigma, sgn)
-                df = (
-                    1.0 / sigma
-                    + self.w2
-                    + 12.0 * self.k4 * y**2
-                    + self.g * (self.q - 1.0) * np.abs(d) ** (self.q - 2.0)
-                )
-                d = np.clip(d - f / df, np.minimum(lo, hi), np.maximum(lo, hi))
-        return d
+        return sgn * _newton_bisect(fun, np.zeros_like(z), hi)
 
     def subgrad_project(self, y, p):
         """Project p onto the subdifferential of f at y, elementwise.
@@ -358,14 +333,14 @@ class SitePotential:
     def conjugate_sum(self, p) -> float:
         """Sum of per-site conjugates f_e*(p_e); used for gap verification.
 
-        Only valid for the plain separable form (w2 = 0, k4 = 0); the shift
-        c adds the linear term <p, c> by the conjugate shift rule.
+        Only valid without the quartic (k4 = 0); the shift c adds the linear
+        term <p, c> by the conjugate shift rule.
         """
-        if np.any(self.w2 != 0.0) or self.k4 != 0.0:
-            raise EvalError("closed-form conjugate requires w2 = 0 and k4 = 0")
+        if self.k4 != 0.0:
+            raise EvalError("exact conjugate requires k4 = 0")
         p = np.asarray(p, dtype=float)
-        core = conj_core(self.a, self.g, self.q, p)
-        return float(np.sum(core + p * self.shift))
+        val, _ = edge_conjugate_pair(self.a, self.w2, self.g, self.q, p)
+        return float(np.sum(val + p * self.shift))
 
 
 @dataclass
@@ -385,41 +360,28 @@ def edge_conjugate_pair(a, w2, g, q, lam):
     """Conjugate value and maximizer of psi(s) = a|s| + (w2/2)s^2 + (g/q)|s|^q.
 
     Returns (psi*(lam), s*(lam)) elementwise, the latter being the
-    conjugate's derivative.  Closed form for pure-quadratic tails, a
-    monotone root solve otherwise; infinite where the potential is
-    degenerate (a-only) and |lam| exceeds a.
+    conjugate's derivative.  With t = |lam| - a > 0 the maximizer solves
+    w2 s + g s^(q-1) = t: closed forms when g = 0 or w2 = 0, the
+    Newton-bisection otherwise; infinite where the potential is degenerate
+    (a-only) and |lam| exceeds a.
     """
     lam = np.asarray(lam, dtype=float)
     a = np.broadcast_to(np.asarray(a, dtype=float), lam.shape)
     w2 = np.broadcast_to(np.asarray(w2, dtype=float), lam.shape)
     g = np.broadcast_to(np.asarray(g, dtype=float), lam.shape)
     t = np.maximum(np.abs(lam) - a, 0.0)
-    w_eff = w2 + (g if q == 2.0 else np.zeros_like(g))
     s = np.zeros_like(lam)
     val = np.zeros_like(lam)
     active = t > 0.0
     if np.any(active):
-        ta = t[active]
-        wa = w_eff[active]
-        if q == 2.0 or np.all(g[active] == 0.0):
-            with np.errstate(divide="ignore", invalid="ignore"):
-                sa = np.where(wa > 0.0, ta / np.where(wa > 0, wa, 1.0), np.inf)
-            va = np.where(wa > 0.0, 0.5 * ta**2 / np.where(wa > 0, wa, 1.0), np.inf)
-        else:
-            # Solve w_eff*s + g*s^(q-1) = t on s > 0 (monotone).
-            ga = g[active]
-            lo = np.zeros_like(ta)
-            hi = np.maximum(ta / np.maximum(wa, 1e-300), ta ** (1.0 / (q - 1.0)) / np.maximum(ga, 1e-300) ** (1.0 / (q - 1.0)))
-            hi = np.minimum(hi, np.maximum(ta, 1.0) * 1e6) + 1.0
-            for _ in range(90):
-                mid = 0.5 * (lo + hi)
-                over = wa * mid + ga * mid ** (q - 1.0) > ta
-                hi = np.where(over, mid, hi)
-                lo = np.where(over, lo, mid)
-            sa = 0.5 * (lo + hi)
-            va = (np.abs(lam[active])) * sa - (
-                a[active] * sa + 0.5 * w2[active] * sa**2 + (ga / q) * sa**q
-            )
+        ta, wa, ga = t[active], w2[active], g[active]
+        sa = _power_solve(wa, ga, q, ta)
+        # psi* = t s - (w2/2) s^2 - (g/q) s^q; substituting t from the
+        # stationarity equation leaves a sum without cancellation.  An
+        # infinite maximizer (a-only potential) gives an infinite value.
+        with np.errstate(over="ignore", invalid="ignore"):
+            va = sa * (wa * sa / 2.0 + ga * sa ** (q - 1.0) * (1.0 - 1.0 / q))
+        va[np.isinf(sa)] = np.inf
         s[active] = np.sign(lam[active]) * sa
         val[active] = va
     return val, s
@@ -431,65 +393,24 @@ def composite_conjugate(a, w2, g, q, h, eta):
     Uses the dual characterization Psi*(eta) = h * min over edge fields
     lam with D^T lam = eta of sum psi_e*(lam_e); in 1D the constraint set
     is a one-parameter family lam0 + t (ker D^T is the constants), so the
-    minimization is a scalar convex problem.  Its derivative is
-    sum_e s*(lam0_e + t): for quadratic tails this is piecewise linear and
-    solved exactly by breakpoint search, otherwise by bisection.
+    minimization is a scalar convex problem.  Its derivative
+    sum_e s*(lam0_e + t) increases in t, with slope sum_e 1/psi_e''(s*_e)
+    over the edges where |lam0_e + t| > a_e; every s* is <= 0 at
+    t = min(-lam0 - a) and >= 0 at t = max(-lam0 + a), which brackets the
+    root for the Newton-bisection.
     """
     eta = np.asarray(eta, dtype=float)
     lam0 = np.concatenate([[0.0], -np.cumsum(h * eta)])
-    a_arr = np.broadcast_to(np.asarray(a, dtype=float), lam0.shape)
-    w_arr = np.broadcast_to(np.asarray(w2, dtype=float), lam0.shape)
-    g_arr = np.broadcast_to(np.asarray(g, dtype=float), lam0.shape)
-    w_eff = w_arr + (g_arr if q == 2.0 else 0.0)
+    pot = SitePotential(a, g, q, w2, 0.0)
 
-    if (q == 2.0 or np.all(g_arr == 0.0)) and np.all(w_eff > 0.0):
-        # Derivative sum_e max(|lam0_e + t| - a_e, 0) sign(.) / w_e is
-        # piecewise linear and increasing: locate the root between sorted
-        # breakpoints -lam0 +/- a by prefix slopes.
-        bps = np.sort(np.concatenate([-lam0 - a_arr, -lam0 + a_arr]))
+    def slope(t):
+        lam = lam0 + t
+        _, s = edge_conjugate_pair(pot.a, pot.w2, pot.g, pot.q, lam)
+        curv = pot.w2 + pot.g * (pot.q - 1.0) * np.abs(s) ** (pot.q - 2.0)
+        return np.sum(s), np.sum(np.where(np.abs(lam) > pot.a, 1.0 / curv, 0.0))
 
-        def deriv(t):
-            s = np.maximum(np.abs(lam0 + t) - a_arr, 0.0) / w_eff
-            return float(np.sum(np.sign(lam0 + t) * s))
-
-        vals = np.array([deriv(t) for t in bps])
-        idx = int(np.searchsorted(vals, 0.0))
-        if idx == 0:
-            lo_t, hi_t = bps[0] - 1.0, bps[0]
-            while deriv(lo_t) > 0.0:
-                lo_t -= 2.0 * (hi_t - lo_t)
-        elif idx == len(bps):
-            lo_t, hi_t = bps[-1], bps[-1] + 1.0
-            while deriv(hi_t) < 0.0:
-                hi_t += 2.0 * (hi_t - lo_t)
-        else:
-            lo_t, hi_t = bps[idx - 1], bps[idx]
-        d_lo, d_hi = deriv(lo_t), deriv(hi_t)
-        t_star = lo_t if d_hi == d_lo else lo_t - d_lo * (hi_t - lo_t) / (d_hi - d_lo)
-        val, _ = edge_conjugate_pair(a_arr, w_arr, g_arr, q, lam0 + t_star)
-        return h * float(np.sum(val))
-
-    def deriv(t):
-        _, s = edge_conjugate_pair(a_arr, w_arr, g_arr, q, lam0 + t)
-        return float(np.sum(s))
-
-    lo, hi = -1.0, 1.0
-    for _ in range(80):
-        if deriv(lo) <= 0.0:
-            break
-        lo *= 2.0
-    for _ in range(80):
-        if deriv(hi) >= 0.0:
-            break
-        hi *= 2.0
-    for _ in range(120):
-        mid = 0.5 * (lo + hi)
-        if deriv(mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    t_star = 0.5 * (lo + hi)
-    val, _ = edge_conjugate_pair(a_arr, w_arr, g_arr, q, lam0 + t_star)
+    t_star = _newton_bisect(slope, np.min(-lam0 - pot.a), np.max(-lam0 + pot.a))
+    val, _ = edge_conjugate_pair(pot.a, pot.w2, pot.g, pot.q, lam0 + t_star)
     return h * float(np.sum(val))
 
 
@@ -571,11 +492,10 @@ def solve_pd(prob: PDProblem, init, p0=None, check_every: int = 4, sched=None):
     dtd = d_mat.T @ d_mat
 
     if pot.is_quadratic and prob.smooth_grad is None:
-        w2 = pot.quad_weights()
-        mat = prob.quad_op + d_mat.T @ (w2[:, None] * d_mat)
-        rhs = -prob.lin + d_mat.T @ (w2 * pot.shift)
+        mat = prob.quad_op + d_mat.T @ (pot.w2[:, None] * d_mat)
+        rhs = -prob.lin + d_mat.T @ (pot.w2 * pot.shift)
         u = scipy.linalg.cho_solve(scipy.linalg.cho_factor(mat), rhs)
-        p_exact = w2 * (d_mat @ u - pot.shift)
+        p_exact = pot.w2 * (d_mat @ u - pot.shift)
         y = d_mat @ u
         gap, r_h, breg_h = _certify_admm(prob, u, y, p_exact)
         return u, p_exact, PDReport(1, gap, r_h, True, bregman=breg_h)
@@ -694,7 +614,7 @@ class ProxGradProblem:
 def solve_prox_gradient(prob: ProxGradProblem, init):
     """Proximal gradient with exact nodewise prox and Lipschitz backtracking.
 
-    When the nonsmooth part is purely quadratic (no kinks, no q != 2 power)
+    When the nonsmooth part is purely quadratic (no kinks, no power part)
     and there is no smooth remainder, the minimizer is a single linear
     solve; this covers the linear benchmark exactly.
     """
@@ -702,9 +622,8 @@ def solve_prox_gradient(prob: ProxGradProblem, init):
     pot = prob.nonsmooth
 
     if pot.is_quadratic and prob.smooth_grad is None:
-        w2 = pot.quad_weights()
-        mat = prob.quad_op + np.diag(w2)
-        rhs = -prob.lin + w2 * pot.shift
+        mat = prob.quad_op + np.diag(pot.w2)
+        rhs = -prob.lin + pot.w2 * pot.shift
         u = scipy.linalg.cho_solve(scipy.linalg.cho_factor(mat), rhs)
         grad = prob.smooth_full_grad(u)
         p_hat = pot.subgrad_project(u, -grad)

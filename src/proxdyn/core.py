@@ -227,15 +227,6 @@ class ProblemSpec:
     def psi_value(self, state: Field, v: np.ndarray) -> float:
         return self.dissipation.value(state, v, self.ops.grad)
 
-    def psi_strong_modulus(self, a: np.ndarray, g: np.ndarray) -> float:
-        """Certified strong convexity of Psi_state in |.|_h, 0 if none."""
-        if self.dissipation.kind == "separable":
-            return float(np.min(g)) if self.dissipation.q == 2.0 else 0.0
-        site_quad = self.dissipation.visc
-        if self.dissipation.q == 2.0:
-            site_quad += float(np.min(g))
-        return site_quad * self.ops.lap_min_eig
-
 
 def tau_max(spec: ProblemSpec) -> float:
     """Largest step with a guaranteed unique minimizer, 1/(2*lambda)."""

@@ -36,9 +36,7 @@ class EDIRecord:
     """Both sides of the discrete energy-dissipation inequality at step n.
 
     slack_h is the lambda*tau * sum tau |V|_h^2 term entering the right
-    side; slack_v records the variant measured in the dissipation kind's
-    natural norm (it appears in one derivation line and is kept for
-    reference, not used in the inequality).
+    side.
     """
 
     n: int
@@ -47,7 +45,6 @@ class EDIRecord:
     residual: float
     tol: float
     slack_h: float = 0.0
-    slack_v: float = 0.0
 
     @property
     def passed(self) -> bool:
@@ -61,8 +58,6 @@ def _step_terms(spec: ProblemSpec, traj: Trajectory):
     h = spec.grid.h
     tau = traj.tau
     lam = spec.energy.lambda_conv
-    q = spec.dissipation.q
-    grad = spec.ops.grad
     terms = []
     for k in range(1, traj.n_steps + 1):
         state = traj.U[k - 1]
@@ -79,11 +74,7 @@ def _step_terms(spec: ProblemSpec, traj: Trajectory):
         )
         work = tau * h_inner(traj.forcing[k - 1].values, v_k, h)
         slack = lam * tau * tau * h_norm(v_k, h) ** 2
-        if spec.dissipation.kind == "grad_composite":
-            slack_v = lam * tau * tau * q_norm(grad @ v_k, h, q) ** 2
-        else:
-            slack_v = lam * tau * tau * q_norm(v_k, h, q) ** 2
-        terms.append((psi, psi_star, dt_e, work, slack, fy, slack_v))
+        terms.append((psi, psi_star, dt_e, work, slack, fy))
     return terms
 
 
@@ -99,13 +90,12 @@ def edi_scan(spec: ProblemSpec, traj: Trajectory) -> list[EDIRecord]:
     tau = traj.tau
     base = 0.5 * h_norm(traj.V[0].values, h) ** 2 + energy_total(spec, 0.0, traj.U[0])
     records = []
-    diss_acc = dt_acc = work_acc = slack_acc = fy_acc = slack_v_acc = 0.0
-    for k, (psi, psi_star, dt_e, work, slack, fy, slack_v) in enumerate(terms, start=1):
+    diss_acc = dt_acc = work_acc = slack_acc = fy_acc = 0.0
+    for k, (psi, psi_star, dt_e, work, slack, fy) in enumerate(terms, start=1):
         diss_acc += tau * (psi + psi_star)
         dt_acc += dt_e
         work_acc += work
         slack_acc += slack
-        slack_v_acc += slack_v
         fy_acc += fy
         lhs = (
             0.5 * h_norm(traj.V[k].values, h) ** 2
@@ -114,9 +104,7 @@ def edi_scan(spec: ProblemSpec, traj: Trajectory) -> list[EDIRecord]:
         )
         rhs = base + dt_acc + work_acc + slack_acc
         tol = fy_acc + EDI_FLOOR * (1.0 + abs(rhs))
-        records.append(
-            EDIRecord(k, lhs, rhs, lhs - rhs, tol, slack_acc, slack_v_acc)
-        )
+        records.append(EDIRecord(k, lhs, rhs, lhs - rhs, tol, slack_acc))
     return records
 
 

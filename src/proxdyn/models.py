@@ -40,6 +40,11 @@ def _default_grid(n_nodes: int, bc: str = "dirichlet0") -> SpatialGrid:
     return SpatialGrid(n_nodes, 1.0 / (n_nodes - 1), bc)
 
 
+def _nodal(out) -> np.ndarray:
+    """Values of a user-supplied Field or array as a float ndarray."""
+    return np.asarray(getattr(out, "values", out), dtype=float)
+
+
 # ---------------------------------------------------------------------------
 # P1: visco-elasto-plastic phase transformation
 
@@ -134,7 +139,7 @@ def build_p1(params: P1Params) -> ProblemSpec:
     force = None
     if p.force is not None:
         user_force = p.force
-        force = lambda t: Field(np.asarray(getattr(user_force(t), "values", user_force(t)), dtype=float) * inv_rho, grid)
+        force = lambda t: Field(_nodal(user_force(t)) * inv_rho, grid)
 
     return ProblemSpec(
         grid=grid,
@@ -240,7 +245,7 @@ def build_p2(params: P2Params) -> ProblemSpec:
     force = None
     if p.force is not None:
         user_force = p.force
-        force = lambda t: Field(np.asarray(getattr(user_force(t), "values", user_force(t)), dtype=float), grid)
+        force = lambda t: Field(_nodal(user_force(t)), grid)
 
     return ProblemSpec(
         grid=grid,
@@ -313,8 +318,8 @@ def build_p3(params: P3Params) -> ProblemSpec:
     scale = p.well_scale
     if p.force is not None:
         user_f, user_fdt = p.force, p.force_dt
-        f_vals = lambda t: np.asarray(getattr(user_f(t), "values", user_f(t)), dtype=float)
-        fdt_vals = lambda t: np.asarray(getattr(user_fdt(t), "values", user_fdt(t)), dtype=float)
+        f_vals = lambda t: _nodal(user_f(t))
+        fdt_vals = lambda t: _nodal(user_fdt(t))
     else:
         amp, om = p.force_amplitude, p.force_frequency
         profile = np.sin(np.pi * x / big_l)

@@ -157,7 +157,7 @@ def _phi_smooth_parts(spec: ProblemSpec, inp: StepInput):
     The quadratic block always contains the inertia and the energy
     operator; with a structured smooth part, its matrix piece folds in and
     its quartic piece moves into the site potential, leaving no explicit
-    остаток.  Returns (Q, b, rho_value, rho_grad, k4).
+    remainder.  Returns (Q, b, rho_value, rho_grad, k4).
     """
     tau = inp.tau
     t_next = inp.t_prev + tau
@@ -216,13 +216,10 @@ def phi_value(spec: ProblemSpec, inp: StepInput, u: Field) -> float:
 
 
 def _fy_gap_separable(spec, a, g, v_vel, eta, m_psi, resid_h):
-    """Fenchel-Young gap at (V^n, eta^n) via the closed-form conjugate."""
+    """Fenchel-Young gap at (V^n, eta^n) via the exact nodewise conjugate."""
     h = spec.grid.h
-    q = spec.dissipation.q
-    s = np.abs(v_vel)
-    psi_terms = a * s + (g / q) * s**q
-    conj_terms = convex.conj_core(a, g, q, eta)
-    gap = float(h * np.sum(psi_terms + conj_terms - eta * v_vel))
+    psi = convex.SitePotential(a, g, spec.dissipation.q, 0.0, 0.0)
+    gap = h * (psi.value(v_vel) + psi.conjugate_sum(eta) - float(eta @ v_vel))
     if np.isfinite(gap):
         return gap
     if m_psi > 0.0:
@@ -284,7 +281,12 @@ def _minimize_with_dual(
     disp = spec.dissipation
     a, g = disp.coefficients(inp.state_for_psi)
     pot = _site_potential(spec, inp, k4)
-    m_psi = spec.psi_strong_modulus(a, g)
+    # Certified strong convexity of Psi_state in |.|_h, 0 if none: the site
+    # potential carries Psi's quadratic weights over tau, and on edges
+    # |Dv|_h^2 >= lap_min_eig |v|_h^2.
+    m_psi = tau * pot.strong_modulus()
+    if disp.kind == "grad_composite":
+        m_psi *= spec.ops.lap_min_eig
     fy_budget = 5.0 * inner_tol
     resid_target = np.sqrt(2.0 * m_psi * fy_budget) if m_psi > 0.0 else np.inf
 

@@ -1,8 +1,10 @@
 """Config parsing, serialization, exit codes, and determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +16,19 @@ from proxdyn.cli import (
     run_and_emit,
 )
 from proxdyn.errors import ParseError, ValidationError
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def src_env():
+    """Environment for subprocesses that import proxdyn from src/ uninstalled.
+
+    pytest's `pythonpath` setting reaches only this process, not children.
+    """
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return env
 
 
 def write_cfg(tmp_path, payload, name="cfg.json"):
@@ -230,5 +245,19 @@ class TestMainEntry:
             [sys.executable, "-m", "proxdyn.cli", "solve", "--config", str(cfg),
              "--out", str(tmp_path / "o3")],
             capture_output=True,
+            env=src_env(),
         )
         assert proc.returncode == 0
+
+    def test_run_model_script_without_tau(self, tmp_path):
+        # The probe config that finds tau_max must not itself trip the
+        # step bound (p3 has tau_max = 1/8 < 1).
+        script = ROOT / "scripts" / "run_model.py"
+        proc = subprocess.run(
+            [sys.executable, str(script), "p3", "--n-nodes", "9",
+             "--out", str(tmp_path / "p3")],
+            capture_output=True, text=True, env=src_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "tau_max = 0.125, using tau = 0.015625" in proc.stdout
+        assert (tmp_path / "p3" / "summary.json").exists()

@@ -8,7 +8,7 @@ are asserted against frozen oracle outputs.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from proxdyn.convex import (
     PDProblem,
@@ -18,6 +18,7 @@ from proxdyn.convex import (
     composite_conjugate,
     conj_separable,
     conjugate_numeric,
+    edge_conjugate_pair,
     fenchel_young_gap,
     prox_separable,
     solve_pd,
@@ -386,3 +387,100 @@ class TestProxGradient:
         )
         u2, _, _ = solve_pd(pd, np.zeros(m))
         np.testing.assert_allclose(u, u2, atol=1e-7)
+
+
+class TestEdgeConjugatePair:
+    @pytest.mark.parametrize("q", [1.05, 1.5, 3.0, 6.0])
+    def test_pure_power_closed_form(self, q):
+        # psi = (g/q)|s|^q: psi*(lam) = g^(1-q*)|lam|^q*/q*, s* = (|lam|/g)^(1/(q-1)).
+        qs = q / (q - 1.0)
+        for g in (0.3, 1.0, 7.0):
+            lam = np.array([-3.0, -0.2, 0.0, 0.5, 3.0])
+            val, s = edge_conjugate_pair(0.0, 0.0, g, q, lam)
+            want_val = g ** (1.0 - qs) * np.abs(lam) ** qs / qs
+            want_s = np.sign(lam) * (np.abs(lam) / g) ** (1.0 / (q - 1.0))
+            np.testing.assert_allclose(val, want_val, rtol=1e-12, atol=0.0)
+            np.testing.assert_allclose(s, want_s, rtol=1e-12, atol=0.0)
+
+    def test_large_maximizer_is_not_truncated(self):
+        # q = 1.05 at lam = 3: s* = 3^20 and psi* = 3^21/21, far beyond 1e6.
+        val, s = edge_conjugate_pair(0.0, 0.0, 1.0, 1.05, np.array([3.0]))
+        assert val[0] == pytest.approx(3.0**21 / 21.0, rel=1e-12)
+        assert s[0] == pytest.approx(3.0**20, rel=1e-12)
+
+    @pytest.mark.parametrize("q", [1.05, 1.5, 3.0, 6.0])
+    def test_mixed_potential_solves_stationarity(self, q):
+        a, w2, g = 0.4, 0.7, 1.3
+        lam = np.linspace(-5.0, 5.0, 41)
+        val, s = edge_conjugate_pair(a, w2, g, q, lam)
+        t = np.maximum(np.abs(lam) - a, 0.0)
+        np.testing.assert_allclose(
+            w2 * np.abs(s) + g * np.abs(s) ** (q - 1.0), t, rtol=1e-13, atol=1e-15
+        )
+        psi = a * np.abs(s) + 0.5 * w2 * s**2 + g / q * np.abs(s) ** q
+        np.testing.assert_allclose(val, lam * s - psi, rtol=1e-12, atol=1e-15)
+
+
+# Parameter ranges of the kernel properties: weights up to 1e3, exponents
+# from just above 1 to 6, arguments up to 1e8 in magnitude.
+_weights = st.floats(0.0, 1e3)
+_exponents = st.floats(1.01, 6.0, exclude_min=True)
+_arguments = st.floats(-1e8, 1e8)
+_gammas = st.floats(1e-3, 1e3)
+# Subnormal results carry no relative precision.
+_TINY = np.finfo(float).tiny
+
+
+class TestKernelProperties:
+    @given(a=_weights, g=_weights, w2=_weights, q=_exponents, x=_arguments, gamma=_gammas)
+    @settings(max_examples=500, deadline=None)
+    def test_fenchel_young_equality_at_prox_outputs(self, a, g, w2, q, x, gamma):
+        pot = SitePotential([a], [g], q, w2, [0.0])
+        y = pot.prox(gamma, np.array([x]))
+        p = (x - y) / gamma
+        # Rounding y to a float moves p by up to delta, and the gap by at
+        # most the change of the conjugate and of the pairing over delta
+        # (this dominates when a tiny quadratic weight makes psi* steep).
+        delta = 4.0 * np.finfo(float).eps * (abs(x) + abs(y[0])) / gamma
+        with np.errstate(over="ignore"):
+            conj = pot.conjugate_sum(p)
+            conj_moved = pot.conjugate_sum(np.abs(p) + delta)
+        assume(np.isfinite(conj_moved))
+        val = pot.value(y)
+        pair = float(p[0] * y[0])
+        gap = val + conj - pair
+        rounding = conj_moved - conj + delta * abs(y[0])
+        assert abs(gap) <= 1e-9 * (abs(val) + abs(conj) + abs(pair)) + rounding + _TINY
+
+    @given(a=_weights, g=_weights, w2=_weights, q=_exponents, lam=_arguments)
+    @settings(max_examples=500, deadline=None)
+    def test_conjugate_dominates_grid_oracle(self, a, g, w2, q, lam):
+        with np.errstate(over="ignore"):
+            val, s = edge_conjugate_pair(a, w2, g, q, np.array([lam]))
+        assume(np.isfinite(val[0]) and np.isfinite(s[0]))
+
+        def psi(v):
+            # Factored so that subnormal weights do not underflow first.
+            v = np.abs(v)
+            return v * (a + w2 * v / 2.0 + g * v ** (q - 1.0) / q)
+
+        # Search a grid around the maximizer, where psi must be finite.
+        box = 2.0 * abs(s[0]) + 1.0
+        with np.errstate(over="ignore", invalid="ignore"):
+            assume(np.isfinite(psi(box)))
+        # The maximizer attains the value ...
+        attained = lam * s[0] - float(psi(s[0]))
+        assert abs(val[0] - attained) <= 1e-12 * (abs(lam * s[0]) + abs(val[0])) + _TINY
+        # ... and no grid point does better.
+        oracle = conjugate_numeric(psi, lam, search_box=box, steps=10**5)
+        assert oracle <= val[0] + 1e-12 * (abs(lam) * box + abs(val[0])) + _TINY
+
+    @given(
+        a=_weights, g=_weights, w2=_weights, q=_exponents,
+        x1=_arguments, x2=_arguments, gamma=_gammas,
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_prox_monotone_in_input(self, a, g, w2, q, x1, x2, gamma):
+        pot = SitePotential([a, a], [g, g], q, w2, [0.0, 0.0])
+        lo, hi = pot.prox(gamma, np.array([min(x1, x2), max(x1, x2)]))
+        assert lo <= hi + 1e-14 * (abs(lo) + abs(hi))

@@ -356,6 +356,28 @@ class TestP3:
         assert max(r.fy_gap for r in traj.reports) < 1e-4
 
 
+class TestUserForce:
+    def test_each_evaluation_calls_the_user_force_once(self):
+        calls = []
+
+        def force(t):
+            calls.append(t)
+            return np.full(7, t)
+
+        for spec in (
+            build_p1(P1Params(n_nodes=9, force=force)),
+            build_p2(P2Params(n_nodes=9, force=force)),
+        ):
+            calls.clear()
+            np.testing.assert_array_equal(spec.force_values(0.5) != 0.0, True)
+            assert calls == [0.5]
+        spec = build_p3(P3Params(n_nodes=9, force=force, force_dt=force))
+        calls.clear()
+        spec.energy.lin_part(0.25)
+        spec.energy.time_deriv(0.75, np.ones(7))
+        assert calls == [0.25, 0.75]
+
+
 class TestLinearWave:
     def test_periodicity_without_damping(self):
         spec, exact = build_linear_wave(0.0, n_nodes=33)
