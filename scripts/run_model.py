@@ -7,6 +7,7 @@ Usage:
 """
 
 import argparse
+import json
 import sys
 from pathlib import Path
 
@@ -67,6 +68,16 @@ def main():
     code = run_and_emit(cfg)
     summary = Path(cfg.out_dir) / "summary.json"
     print(f"exit {code}; outputs in {cfg.out_dir} (see {summary})")
+    if code == 2:  # configuration error: no summary was written
+        return code
+    s = json.loads(summary.read_text(encoding="utf-8"))
+    fields = [f"invariants_passed {s['invariants_passed']}"]
+    if "max_fy_gap" in s:  # absent when the run itself failed
+        fields += [
+            f"max_fy_gap {s['max_fy_gap']:.3e}",
+            f"max_edi_residual/tol {s['max_edi_residual']:.3e}/{s['max_edi_tol']:.3e}",
+        ]
+    print("; ".join(fields))
     return code
 
 

@@ -17,13 +17,13 @@ import difflib
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import diagnostics, models, stepper
-from .core import tau_max, validate_assumptions
+from .core import energy_total, tau_max, validate_assumptions
 from .errors import ConfigError, ParseError, ProxdynError, ValidationError
 from .grid import h_norm
 
@@ -35,7 +35,6 @@ COMMON_DEFAULTS = {
     "n_nodes": 65,
     "horizon": 1.0,
     "emit_trajectory": True,
-    "emit_edi": True,
     "emit_convergence": True,
     "emit_snapshots": True,
 }
@@ -162,7 +161,6 @@ def parse_config_dict(raw: dict) -> RunConfig:
         horizon=float(pick("horizon")),
         emit={
             "trajectory": bool(pick("emit_trajectory")),
-            "edi": bool(pick("emit_edi")),
             "convergence": bool(pick("emit_convergence")),
             "snapshots": bool(pick("emit_snapshots")),
         },
@@ -275,27 +273,22 @@ def run_and_emit(cfg: RunConfig) -> int:
         names = ", ".join(c.name for c in report.failures())
         failures.append(f"assumption validation failed: {names}")
 
-    h = spec.grid.h
     if cfg.emit["trajectory"]:
-        rows = []
-        kin0 = 0.5 * h_norm(traj.V[0].values, h) ** 2
-        from .core import energy_total
-
-        rows.append([0, 0.0, kin0, energy_total(spec, 0.0, traj.U[0]), 0.0, 0.0, 0.0, 0.0])
-        psi_acc = psi_star_acc = 0.0
-        terms = diagnostics._step_terms(spec, traj)
-        for k, rec in enumerate(records, start=1):
-            psi_acc += traj.tau * terms[k - 1][0]
-            psi_star_acc += traj.tau * terms[k - 1][1]
-            rep = traj.reports[k - 1]
+        kin0 = 0.5 * h_norm(traj.V[0].values, spec.grid.h) ** 2
+        rows = [[0, 0.0, kin0, energy_total(spec, 0.0, traj.U[0]), 0.0, 0.0, 0.0, 0.0]]
+        # Summed as apriori_monitor sums them, so the last row matches it.
+        psi_sum = psi_star_sum = 0.0
+        for rep, rec in zip(traj.reports, records):
+            psi_sum += rep.psi
+            psi_star_sum += rep.psi_star
             rows.append(
                 [
-                    k,
-                    traj.times[k],
+                    rec.n,
+                    traj.times[rec.n],
                     rep.kinetic_after,
                     rep.energy_after,
-                    psi_acc,
-                    psi_star_acc,
+                    traj.tau * psi_sum,
+                    traj.tau * psi_star_sum,
                     rep.fy_gap,
                     rec.residual,
                 ]
@@ -336,13 +329,7 @@ def run_and_emit(cfg: RunConfig) -> int:
     summary.update(
         {
             "n_steps": traj.n_steps,
-            "monitors": {
-                "sup_velocity": monitors.sup_velocity,
-                "sup_energy": monitors.sup_energy,
-                "psi_accum": monitors.psi_accum,
-                "psi_star_accum": monitors.psi_star_accum,
-                "all_finite": monitors.all_finite,
-            },
+            "monitors": asdict(monitors),
             "max_edi_residual": max(r.residual for r in records),
             "max_edi_tol": max(r.tol for r in records),
             "max_fy_gap": max(r.fy_gap for r in traj.reports),

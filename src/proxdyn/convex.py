@@ -67,8 +67,10 @@ def _newton_bisect(fun, lo, hi):
     each iterate shrinks the bracket by the sign of f; the Newton step is
     taken when f' is finite and the step stays in the bracket, the midpoint
     otherwise.  Stops when an update moves no entry by more than _ROOT_RTOL
-    relative.  Non-finite values of f or f' (at a bracket end where a power
-    overflows, or f' at a zero with q < 2) fall back to the midpoint.
+    relative, or leaves it in place (an entry at inf, where both bracket
+    ends overflow, is a fixed point).  Non-finite values of f or f' (at a
+    bracket end where a power overflows, or f' at a zero with q < 2) fall
+    back to the midpoint.
     """
     lo = np.array(lo, dtype=float)
     hi = np.array(hi, dtype=float)
@@ -81,7 +83,8 @@ def _newton_bisect(fun, lo, hi):
             newton = x - f / df
             ok = np.isfinite(df) & (newton >= lo) & (newton <= hi)
             x_new = np.where(ok, newton, 0.5 * (lo + hi))
-            if np.all(np.abs(x_new - x) <= _ROOT_RTOL * np.abs(x_new)):
+            done = (x_new == x) | (np.abs(x_new - x) <= _ROOT_RTOL * np.abs(x_new))
+            if np.all(done):
                 return x_new
             x = x_new
     return x

@@ -9,10 +9,11 @@ step n,
 
     S^k = f_avg^k - B(t_k, U^{k-1}, V^{k-1}).
 
-The conjugate term is evaluated through the Fenchel-Young identity at the
-stored subgradient, Psi*(eta^k) = <eta^k, V^k>_h - Psi(V^k) + fy_gap_k, so
-no closed-form conjugate is ever needed; the inequality is exact for exact
-minimizers and the entire tolerance budget is the accumulated per-step
+The stepper records each step's terms once, in its StepReport; the scan
+and the monitors here only sum them.  Psi*_k is the Fenchel-Young identity
+at the stored subgradient, <eta^k, V^k>_h - Psi(V^k) + fy_gap_k, so no
+closed-form conjugate is needed; the inequality is exact for exact
+minimizers, and the tolerance budget is the accumulated per-step
 Fenchel-Young gaps plus a relative floor.
 """
 
@@ -23,10 +24,10 @@ from math import log2
 
 import numpy as np
 
-from .core import ProblemSpec, energy_time_deriv, energy_total, tau_max
+from .core import ProblemSpec, energy_total, tau_max
 from .errors import ConfigError, IncompleteTrajectory
-from .grid import h_inner, h_norm, q_norm
-from .stepper import Trajectory, gauss5, run
+from .grid import h_norm, q_norm
+from .stepper import Trajectory, run
 
 EDI_FLOOR = 1e-8
 
@@ -51,31 +52,10 @@ class EDIRecord:
         return self.residual <= self.tol
 
 
-def _step_terms(spec: ProblemSpec, traj: Trajectory):
-    """Per-step dissipation, forcing, and time-derivative contributions."""
-    if len(traj.eta) != traj.n_steps:
-        raise IncompleteTrajectory("trajectory lacks stored subgradients")
-    h = spec.grid.h
-    tau = traj.tau
-    lam = spec.energy.lambda_conv
-    terms = []
-    for k in range(1, traj.n_steps + 1):
-        state = traj.U[k - 1]
-        v_k = traj.V[k].values
-        eta_k = traj.eta[k - 1].values
-        fy = traj.reports[k - 1].fy_gap
-        psi = spec.psi_value(state, v_k)
-        pair = h_inner(eta_k, v_k, h)
-        psi_star = pair - psi + fy
-        dt_e = gauss5(
-            lambda r: energy_time_deriv(spec, r, state.values),
-            traj.times[k - 1],
-            traj.times[k],
-        )
-        work = tau * h_inner(traj.forcing[k - 1].values, v_k, h)
-        slack = lam * tau * tau * h_norm(v_k, h) ** 2
-        terms.append((psi, psi_star, dt_e, work, slack, fy))
-    return terms
+def _reports(traj: Trajectory) -> tuple:
+    if len(traj.reports) != traj.n_steps:
+        raise IncompleteTrajectory("trajectory lacks step reports")
+    return traj.reports
 
 
 def edi_scan(spec: ProblemSpec, traj: Trajectory) -> list[EDIRecord]:
@@ -85,23 +65,21 @@ def edi_scan(spec: ProblemSpec, traj: Trajectory) -> list[EDIRecord]:
     relative floor; the inequality direction is a theorem for exact
     minimizers, so all slack is attributable to the inner solver.
     """
-    terms = _step_terms(spec, traj)
-    h = spec.grid.h
+    reports = _reports(traj)
     tau = traj.tau
+    lam = spec.energy.lambda_conv
+    h = spec.grid.h
     base = 0.5 * h_norm(traj.V[0].values, h) ** 2 + energy_total(spec, 0.0, traj.U[0])
     records = []
     diss_acc = dt_acc = work_acc = slack_acc = fy_acc = 0.0
-    for k, (psi, psi_star, dt_e, work, slack, fy) in enumerate(terms, start=1):
-        diss_acc += tau * (psi + psi_star)
-        dt_acc += dt_e
-        work_acc += work
-        slack_acc += slack
-        fy_acc += fy
-        lhs = (
-            0.5 * h_norm(traj.V[k].values, h) ** 2
-            + energy_total(spec, traj.times[k], traj.U[k])
-            + diss_acc
-        )
+    for k, rep in enumerate(reports, start=1):
+        diss_acc += tau * (rep.psi + rep.psi_star)
+        dt_acc += rep.energy_rate
+        work_acc += rep.work
+        # lambda tau^2 |V^k|_h^2, with kinetic_after = |V^k|_h^2 / 2.
+        slack_acc += 2.0 * lam * tau * tau * rep.kinetic_after
+        fy_acc += rep.fy_gap
+        lhs = rep.kinetic_after + rep.energy_after + diss_acc
         rhs = base + dt_acc + work_acc + slack_acc
         tol = fy_acc + EDI_FLOOR * (1.0 + abs(rhs))
         records.append(EDIRecord(k, lhs, rhs, lhs - rhs, tol, slack_acc))
@@ -122,18 +100,8 @@ def energy_balance_residual(spec: ProblemSpec, traj: Trajectory, t: float) -> fl
         raise ConfigError(f"t = {t} is not a trajectory node")
     if n == 0:
         return 0.0
-    terms = _step_terms(spec, traj)[:n]
-    h = spec.grid.h
-    tau = traj.tau
-    base = 0.5 * h_norm(traj.V[0].values, h) ** 2 + energy_total(spec, 0.0, traj.U[0])
-    diss = tau * sum(psi + psi_star for psi, psi_star, *_ in terms)
-    lhs = (
-        0.5 * h_norm(traj.V[n].values, h) ** 2
-        + energy_total(spec, traj.times[n], traj.U[n])
-        + diss
-    )
-    rhs = base + sum(t[2] for t in terms) + sum(t[3] for t in terms)
-    return abs(lhs - rhs)
+    rec = edi_scan(spec, traj)[n - 1]
+    return abs(rec.residual + rec.slack_h)
 
 
 @dataclass(frozen=True)
@@ -153,15 +121,14 @@ def apriori_monitor(spec: ProblemSpec, traj: Trajectory) -> BoundsReport:
     Across a tau-halving family these stay bounded by a tau-independent
     constant; the family check lives with the caller (acceptance suite).
     """
-    h = spec.grid.h
+    reports = _reports(traj)
     tau = traj.tau
-    sup_v = max(h_norm(v.values, h) for v in traj.V)
+    sup_v = max(h_norm(v.values, spec.grid.h) for v in traj.V)
     sup_e = max(
-        energy_total(spec, traj.times[k], traj.U[k]) for k in range(traj.n_steps + 1)
+        [energy_total(spec, 0.0, traj.U[0])] + [r.energy_after for r in reports]
     )
-    terms = _step_terms(spec, traj)
-    psi_acc = tau * sum(p for p, *_ in terms)
-    psi_star_acc = tau * sum(ps for _, ps, *_ in terms)
+    psi_acc = tau * sum(r.psi for r in reports)
+    psi_star_acc = tau * sum(r.psi_star for r in reports)
     finite = all(
         np.isfinite(x) for x in (sup_v, sup_e, psi_acc, psi_star_acc)
     )

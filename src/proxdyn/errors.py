@@ -44,7 +44,7 @@ class InnerSolverFailed(ProxdynError):
 
 
 class IncompleteTrajectory(ProxdynError):
-    """Trajectory lacks data (e.g. subgradients) required by a diagnostic."""
+    """Trajectory lacks data (e.g. step reports) required by a diagnostic."""
 
 
 class ParseError(ProxdynError):

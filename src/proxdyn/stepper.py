@@ -29,6 +29,7 @@ from . import convex
 from .core import (
     ProblemSpec,
     energy_grad,
+    energy_time_deriv,
     energy_total,
     tau_max,
 )
@@ -118,18 +119,27 @@ class StepInput:
 
 @dataclass(frozen=True)
 class StepReport:
+    """Solver telemetry and the energy-dissipation terms of step n:
+    psi = Psi_{U^{n-1}}(V^n), psi_star = <eta^n, V^n>_h - psi + fy_gap,
+    energy_rate = int dE_t(U^{n-1})/dt over the step, work = tau <S^n, V^n>_h.
+    """
+
     fy_gap: float
     el_residual: float
     inner_iters: int
     phi_value: float
     energy_after: float
     kinetic_after: float
+    psi: float
+    psi_star: float
+    energy_rate: float
+    work: float
     solver_gap: float = 0.0
 
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Per-step records of a run plus the data needed by diagnostics.
+    """Per-step records of a run; the reports carry the energy ledger.
 
     U and V have N+1 entries (including the initial data); eta, forcing
     (S^n = f_avg^n - B^n) and reports have N entries for steps 1..N.
@@ -341,6 +351,7 @@ def _minimize_with_dual(
             fy = abs(h_inner(eta_vals, v_vel, h))
         else:
             fy = _fy_gap_separable(spec, a, g, v_vel, eta_vals, m_psi, resid_h)
+        psi = spec.psi_value(inp.state_for_psi, v_vel)
     else:
         prob = convex.PDProblem(
             quad_op=q_mat,
@@ -371,15 +382,15 @@ def _minimize_with_dual(
             eta_vals = rearranged_eta(u_vals)
             v_vel = (u_vals - inp.v.values) / tau
             resid_h = rep.resid_h
+            psi = spec.psi_value(inp.state_for_psi, v_vel)
             if pot.is_zero:
                 fy = abs(h_inner(eta_vals, v_vel, h))
                 break
             # Exact conjugate through the 1D dual characterization: the
             # Fenchel-Young gap of the stored (V^n, eta^n) pair, honest to
             # the accuracy of a scalar convex minimization.
-            psi_v = spec.psi_value(inp.state_for_psi, v_vel)
             conj_v = convex.composite_conjugate(a, disp.visc, g, disp.q, h, eta_vals)
-            fy = psi_v + conj_v - h_inner(eta_vals, v_vel, h)
+            fy = psi + conj_v - h_inner(eta_vals, v_vel, h)
             if fy <= fy_cap or not np.isfinite(fy):
                 break
             prob.tol *= 0.1
@@ -395,6 +406,13 @@ def _minimize_with_dual(
         phi_value=phi_value(spec, inp, u_field),
         energy_after=energy_total(spec, t_next, u_field),
         kinetic_after=0.5 * h_norm(v_vel, h) ** 2,
+        psi=psi,
+        psi_star=h_inner(eta_vals, v_vel, h) - psi + fy,
+        energy_rate=gauss5(
+            lambda r: energy_time_deriv(spec, r, inp.v.values), inp.t_prev, t_next
+        ),
+        # S^n = f_avg^n - B^n = -zeta.
+        work=tau * h_inner(-inp.zeta.values, v_vel, h),
         solver_gap=rep.gap,
     )
     carry = (p_hat, rep.sched) if disp.kind == "grad_composite" else None

@@ -120,6 +120,12 @@ class TestRunAndEmit:
         # LF endings, no CR
         raw = (out / "trajectory.csv").read_bytes()
         assert b"\r" not in raw
+        # The accumulators of the last row are the summary's monitors.
+        header, *_, last = raw.decode().splitlines()
+        row = dict(zip(header.split(","), map(float, last.split(","))))
+        monitors = json.loads((out / "summary.json").read_text())["monitors"]
+        assert row["psi_accum"] == monitors["psi_accum"]
+        assert row["psi_star_accum"] == monitors["psi_star_accum"]
 
     def test_seventeen_digit_serialization(self, tmp_path):
         cfg = parse_config_dict(
@@ -260,4 +266,6 @@ class TestMainEntry:
         )
         assert proc.returncode == 0, proc.stderr
         assert "tau_max = 0.125, using tau = 0.015625" in proc.stdout
+        assert "invariants_passed True" in proc.stdout
+        assert "max_fy_gap" in proc.stdout and "max_edi_residual/tol" in proc.stdout
         assert (tmp_path / "p3" / "summary.json").exists()

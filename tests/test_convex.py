@@ -15,6 +15,7 @@ from proxdyn.convex import (
     ProxGradProblem,
     SeparablePotential,
     SitePotential,
+    _newton_bisect,
     composite_conjugate,
     conj_separable,
     conjugate_numeric,
@@ -419,6 +420,22 @@ class TestEdgeConjugatePair:
         )
         psi = a * np.abs(s) + 0.5 * w2 * s**2 + g / q * np.abs(s) ** q
         np.testing.assert_allclose(val, lam * s - psi, rtol=1e-12, atol=1e-15)
+
+
+class TestNewtonBisect:
+    def test_stops_at_once_on_an_overflowing_root(self):
+        # The root 1e310 overflows: the iterate starts at hi = inf, which the
+        # midpoint of [lo, inf] maps to itself, so the iteration must stop
+        # there instead of spinning to its cap.
+        calls = []
+
+        def fun(x):
+            calls.append(x.copy())
+            return 1e-300 * x - 1e10, np.full_like(x, 1e-300)
+
+        x = _newton_bisect(fun, np.array([0.0]), np.array([np.inf]))
+        assert x[0] == np.inf
+        assert len(calls) <= 2
 
 
 # Parameter ranges of the kernel properties: weights up to 1e3, exponents

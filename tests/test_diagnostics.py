@@ -1,5 +1,7 @@
 """Energy-dissipation inequality scan, monitors, deviations, refinement."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from proxdyn.core import (
     EnergySpec,
     PerturbationSpec,
     ProblemSpec,
+    energy_time_deriv,
 )
 from proxdyn.diagnostics import (
     apriori_monitor,
@@ -17,9 +20,9 @@ from proxdyn.diagnostics import (
     energy_balance_residual,
 )
 from proxdyn.errors import ConfigError, IncompleteTrajectory
-from proxdyn.grid import Field, SpatialGrid, laplacian_matrix
+from proxdyn.grid import Field, SpatialGrid, h_inner, laplacian_matrix
 from proxdyn.models import P2Params, P3Params, build_linear_wave, build_p2, build_p3
-from proxdyn.stepper import Trajectory, run
+from proxdyn.stepper import gauss5, run
 
 
 def zero_spec(n=9):
@@ -68,29 +71,68 @@ class TestEDIScan:
         )
         traj = run(spec, 0.01)
         k_bad = 0
-        eta = list(traj.eta)
-        eta[k_bad] = Field(eta[k_bad].values * 1.1, spec.grid)
-        bad = Trajectory(
-            spec=spec, tau=traj.tau, times=traj.times, U=traj.U, V=traj.V,
-            eta=tuple(eta), forcing=traj.forcing, reports=traj.reports,
+        # Scaling eta^k by 1.1 raises Psi*_k = <eta^k, V^k>_h - Psi_k + fy_k
+        # by 0.1 <eta^k, V^k>_h; the ledger carries Psi*_k, so corrupt it.
+        pair = h_inner(traj.eta[k_bad].values, traj.V[k_bad + 1].values, spec.grid.h)
+        reports = list(traj.reports)
+        reports[k_bad] = replace(
+            reports[k_bad], psi_star=reports[k_bad].psi_star + 0.1 * pair
         )
+        bad = replace(traj, reports=tuple(reports))
         records = edi_scan(spec, bad)
         assert not records[k_bad].passed
 
-    def test_missing_eta_rejected(self):
+    def test_missing_report_rejected(self):
         spec, _ = build_linear_wave(1.0, n_nodes=17)
         traj = run(spec, 0.1)
-        broken = Trajectory(
-            spec=spec, tau=traj.tau, times=traj.times, U=traj.U, V=traj.V,
-            eta=traj.eta[:-1], forcing=traj.forcing, reports=traj.reports,
-        )
+        broken = replace(traj, reports=traj.reports[:-1])
         with pytest.raises(IncompleteTrajectory):
             edi_scan(spec, broken)
+        with pytest.raises(IncompleteTrajectory):
+            apriori_monitor(spec, broken)
 
     def test_p3_with_time_dependent_energy(self):
         spec = build_p3(P3Params(n_nodes=33))
         traj = run(spec, 1.0 / 64)
         assert all(r.passed for r in edi_scan(spec, traj))
+
+
+class TestLedger:
+    """The stepper's per-step terms against a recomputation from the stored
+    trajectory (state U^{n-1}, velocity V^n, subgradient eta^n, forcing S^n)."""
+
+    @pytest.mark.parametrize(
+        "spec, tau, live",
+        [
+            # separable; the force enters a time-dependent energy
+            (build_p3(P3Params(n_nodes=17)), 1 / 32, "energy_rate"),
+            # composite, non-quadratic; the perturbation does work
+            (build_p2(P2Params(q=1.5, n_nodes=17, horizon=1 / 8)), 1 / 64, "work"),
+        ],
+        ids=["p3", "p2_q1.5"],
+    )
+    def test_reports_match_recomputed_terms(self, spec, tau, live):
+        traj = run(spec, tau)
+        assert any(getattr(rep, live) != 0.0 for rep in traj.reports)
+        h = spec.grid.h
+        for k, rep in enumerate(traj.reports, start=1):
+            state = traj.U[k - 1]
+            v_k = traj.V[k].values
+            psi = spec.psi_value(state, v_k)
+            psi_star = h_inner(traj.eta[k - 1].values, v_k, h) - psi + rep.fy_gap
+            energy_rate = gauss5(
+                lambda r: energy_time_deriv(spec, r, state.values),
+                traj.times[k - 1],
+                traj.times[k],
+            )
+            work = tau * h_inner(traj.forcing[k - 1].values, v_k, h)
+            for got, want in (
+                (rep.psi, psi),
+                (rep.psi_star, psi_star),
+                (rep.energy_rate, energy_rate),
+                (rep.work, work),
+            ):
+                assert abs(got - want) <= 1e-12 * (1.0 + abs(want))
 
 
 class TestEnergyBalance:
