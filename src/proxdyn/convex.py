@@ -21,6 +21,7 @@ the iteration); reported norms and gaps are h-weighted energies.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -29,6 +30,58 @@ import scipy.linalg
 from .errors import EvalError, MaxIterExceeded, NonFiniteIterate
 
 _PROX_TOL = 1e-12
+
+
+def _band_rows(diagonal, bw: int) -> np.ndarray:
+    """LAPACK upper band form from diagonal(k) for k = 0..bw: row bw - k
+    holds the k-th superdiagonal, right-aligned."""
+    return np.array([np.pad(diagonal(k), (k, 0)) for k in range(bw, -1, -1)])
+
+
+def _gram_band(d_mat, w) -> np.ndarray:
+    """Upper band form of D^T diag(w) D, with the bandwidth that D's
+    nonzero diagonals allow."""
+    rows, cols = np.nonzero(d_mat)
+    m = d_mat.shape[1]
+    bw = min(int(np.ptp(rows - cols)), m - 1) if rows.size else 0
+    wd = np.asarray(w, dtype=float)[:, None] * d_mat
+    return _band_rows(lambda k: np.einsum("ei,ei->i", d_mat[:, : m - k], wd[:, k:]), bw)
+
+
+class SymBand:
+    """Symmetric matrix held dense, for products, and in LAPACK upper band
+    form, for O(m b^2) eigenvalues and factorizations (b the exact
+    bandwidth, read from the nonzeros)."""
+
+    def __init__(self, dense):
+        self.dense = np.asarray(dense, dtype=float)
+        rows, cols = np.nonzero(self.dense)
+        bw = int(np.max(np.abs(cols - rows), initial=0))
+        self.band = _band_rows(lambda k: np.diagonal(self.dense, k), bw)
+
+    def __matmul__(self, x):
+        return self.dense @ x
+
+    @property
+    def bandwidth(self) -> int:
+        return self.band.shape[0] - 1
+
+    def eigenvalue(self, i: int) -> float:
+        """The i-th smallest eigenvalue."""
+        return float(scipy.linalg.eigvals_banded(self.band, select="i", select_range=(i, i))[0])
+
+    @cached_property
+    def max_eig(self) -> float:
+        return self.eigenvalue(self.dense.shape[0] - 1)
+
+    def solve_plus(self, extra, rhs) -> np.ndarray:
+        """Solve (self + E) x = rhs by a banded Cholesky factorization;
+        extra is the upper band form of the symmetric matrix E."""
+        rows = max(len(self.band), len(extra))
+        band = np.zeros((rows, self.dense.shape[0]))
+        band[rows - len(self.band):] += self.band
+        band[rows - len(extra):] += extra
+        return scipy.linalg.cho_solve_banded((scipy.linalg.cholesky_banded(band), False), rhs)
 
 
 @dataclass(frozen=True)
@@ -156,11 +209,13 @@ def conjugate_numeric(psi: Callable, xi, search_box: float, steps: int):
     """
     arr = np.atleast_1d(np.asarray(getattr(xi, "values", xi), dtype=float))
     coarse_n = min(steps, 20001)
-    grid = np.linspace(-search_box, search_box, coarse_n)
+    # Scaled from [-1, 1]: the width 2*search_box overflows for boxes
+    # above half the largest float.
+    grid = search_box * np.linspace(-1.0, 1.0, coarse_n)
     vals = arr[:, None] * grid[None, :] - psi(grid)[None, :]
     best = np.argmax(vals, axis=1)
     out = np.empty(arr.shape)
-    fine_res = 2.0 * search_box / steps
+    fine_res = 2.0 * (search_box / steps)
     for i, b in enumerate(best):
         lo = grid[max(b - 1, 0)]
         hi = grid[min(b + 1, coarse_n - 1)]
@@ -422,12 +477,13 @@ class PDProblem:
     """Strongly convex composite problem min_u G(u) + sum_e f_e((D u)_e).
 
     G(u) = 0.5 u^T Q u + b^T u + rho(u) with Q symmetric positive definite
-    (handled implicitly through factorized solves) and rho an optional
-    smooth remainder treated by linearization with backtracking.
-    smooth_lips seeds the backtracking estimate for grad rho.
+    (handled implicitly through factorized solves; a dense Q is wrapped in
+    a SymBand) and rho an optional smooth remainder treated by
+    linearization with backtracking.  smooth_lips seeds the backtracking
+    estimate for grad rho.
     """
 
-    quad_op: np.ndarray
+    quad_op: SymBand
     lin: np.ndarray
     lin_op: np.ndarray
     nonsmooth: SitePotential
@@ -441,6 +497,10 @@ class PDProblem:
     resid_target: float = np.inf
     fy_slack: float = np.inf
     max_iter: int = 50_000
+
+    def __post_init__(self):
+        if not isinstance(self.quad_op, SymBand):
+            self.quad_op = SymBand(self.quad_op)
 
     def smooth_full_grad(self, u):
         g = self.quad_op @ u + self.lin
@@ -480,7 +540,8 @@ def solve_pd(prob: PDProblem, init, p0=None, check_every: int = 4, sched=None):
     scaled multiplier p = beta*lam is an exact subgradient of F at y.  An
     extra smooth term rho is linearized with a proximal damping term and
     backtracking.  Residual balancing adapts beta; sched carries beta
-    between warm-started solves.
+    between warm-started solves.  A purely quadratic F without rho is one
+    banded Cholesky solve of Q + D^T diag(w2) D.
 
     Stops when the certified gap falls below tol, the stationarity residual
     below resid_target, and the Bregman feasibility term below fy_slack.
@@ -492,19 +553,16 @@ def solve_pd(prob: PDProblem, init, p0=None, check_every: int = 4, sched=None):
     gamma_g = prob.strong_convexity
     lop = max(prob.op_norm, 1e-30)
     d_mat = prob.lin_op
-    dtd = d_mat.T @ d_mat
 
     if pot.is_quadratic and prob.smooth_grad is None:
-        mat = prob.quad_op + d_mat.T @ (pot.w2[:, None] * d_mat)
         rhs = -prob.lin + d_mat.T @ (pot.w2 * pot.shift)
-        u = scipy.linalg.cho_solve(scipy.linalg.cho_factor(mat), rhs)
+        u = prob.quad_op.solve_plus(_gram_band(d_mat, pot.w2), rhs)
         p_exact = pot.w2 * (d_mat @ u - pot.shift)
         y = d_mat @ u
         gap, r_h, breg_h = _certify_admm(prob, u, y, p_exact)
         return u, p_exact, PDReport(1, gap, r_h, True, bregman=breg_h)
 
-    quad_norm = float(np.linalg.eigvalsh(prob.quad_op)[-1])
-    beta = sched[0] if sched is not None else np.sqrt(gamma_g * quad_norm) / lop**2
+    beta = sched[0] if sched is not None else np.sqrt(gamma_g * prob.quad_op.max_eig) / lop**2
     lips = max(prob.smooth_lips, 1e-12)
     has_rho = prob.smooth_grad is not None
     s = 0.9 / lips if has_rho else np.inf
@@ -516,9 +574,10 @@ def solve_pd(prob: PDProblem, init, p0=None, check_every: int = 4, sched=None):
     if gap <= prob.tol and r_h <= prob.resid_target and breg_h <= prob.fy_slack:
         return u, p, PDReport(0, gap, r_h, True, bregman=breg_h, sched=(beta,))
     lam = lam + d_mat @ u - y
+    dtd = d_mat.T @ d_mat
 
     def factor(beta_val, s_val):
-        mat = prob.quad_op + beta_val * dtd
+        mat = prob.quad_op.dense + beta_val * dtd
         if has_rho:
             mat = mat + np.eye(m) / s_val
         return scipy.linalg.cho_factor(mat)
@@ -583,20 +642,29 @@ def solve_pd(prob: PDProblem, init, p0=None, check_every: int = 4, sched=None):
 
 @dataclass
 class ProxGradProblem:
-    """min_u 0.5 u^T Q u + b^T u + rho(u) + sum_i f_i(u_i), f_i nodewise."""
+    """min_u 0.5 u^T Q u + b^T u + rho(u) + sum_i f_i(u_i), f_i nodewise.
 
-    quad_op: np.ndarray
+    A dense Q is wrapped in a SymBand, whose largest eigenvalue sets the
+    step size.  accept(u), if given, is a further stopping test, checked
+    once the gap and residual tests pass.
+    """
+
+    quad_op: SymBand
     lin: np.ndarray
     nonsmooth: SitePotential
     h: float
     strong_convexity: float
-    quad_norm: float
     smooth_value: Optional[Callable] = None
     smooth_grad: Optional[Callable] = None
     smooth_lips: float = 0.0
     tol: float = 1e-9
     resid_target: float = np.inf
     max_iter: int = 50_000
+    accept: Optional[Callable[[np.ndarray], bool]] = None
+
+    def __post_init__(self):
+        if not isinstance(self.quad_op, SymBand):
+            self.quad_op = SymBand(self.quad_op)
 
     def smooth_val(self, u):
         val = 0.5 * float(u @ (self.quad_op @ u)) + float(self.lin @ u)
@@ -618,16 +686,16 @@ def solve_prox_gradient(prob: ProxGradProblem, init):
     """Proximal gradient with exact nodewise prox and Lipschitz backtracking.
 
     When the nonsmooth part is purely quadratic (no kinks, no power part)
-    and there is no smooth remainder, the minimizer is a single linear
-    solve; this covers the linear benchmark exactly.
+    and there is no smooth remainder, the minimizer is a single banded
+    Cholesky solve of Q + diag(w2); this covers the linear benchmark
+    exactly.
     """
     u = np.asarray(getattr(init, "values", init), dtype=float).copy()
     pot = prob.nonsmooth
 
     if pot.is_quadratic and prob.smooth_grad is None:
-        mat = prob.quad_op + np.diag(pot.w2)
         rhs = -prob.lin + pot.w2 * pot.shift
-        u = scipy.linalg.cho_solve(scipy.linalg.cho_factor(mat), rhs)
+        u = prob.quad_op.solve_plus(pot.w2[None, :], rhs)
         grad = prob.smooth_full_grad(u)
         p_hat = pot.subgrad_project(u, -grad)
         r = grad + p_hat
@@ -635,7 +703,7 @@ def solve_prox_gradient(prob: ProxGradProblem, init):
         gap = prob.h * float(r @ r) / (2.0 * prob.strong_convexity)
         return u, p_hat, PDReport(1, gap, r_h, True)
 
-    lips = prob.quad_norm + max(prob.smooth_lips, 0.0)
+    lips = prob.quad_op.max_eig + max(prob.smooth_lips, 0.0)
     s = 1.0 / lips
     backtracks = 0
     grad = prob.smooth_full_grad(u)
@@ -663,7 +731,11 @@ def solve_prox_gradient(prob: ProxGradProblem, init):
         r = grad + p_hat
         r_h = float(np.sqrt(prob.h * (r @ r)))
         gap = prob.h * float(r @ r) / (2.0 * prob.strong_convexity)
-        if gap <= prob.tol and r_h <= prob.resid_target:
+        if (
+            gap <= prob.tol
+            and r_h <= prob.resid_target
+            and (prob.accept is None or prob.accept(u))
+        ):
             return u, p_hat, PDReport(k, gap, r_h, True, backtracks)
 
     raise MaxIterExceeded(

@@ -16,6 +16,7 @@ from typing import Callable, Literal, Optional
 
 import numpy as np
 
+from .convex import SymBand
 from .errors import ConfigError, EvalError
 from .grid import (
     Field,
@@ -313,7 +314,8 @@ def validate_assumptions(
         CheckResult("quad_op_symmetry", asym <= sym_tol, asym, f"tolerance {sym_tol:.3e}")
     )
 
-    mu = float(np.linalg.eigvalsh(0.5 * (a_mat + a_mat.T))[0])
+    # Smallest eigenvalue of the exact band of the symmetric part.
+    mu = SymBand(0.5 * (a_mat + a_mat.T)).eigenvalue(0)
     checks.append(
         CheckResult("quad_op_positivity", mu > 0.0, max(0.0, -mu), f"mu = {mu:.6e}")
     )

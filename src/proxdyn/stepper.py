@@ -161,26 +161,35 @@ class Trajectory:
         return len(self.U) - 1
 
 
-def _phi_smooth_parts(spec: ProblemSpec, inp: StepInput):
-    """Quadratic matrix, linear vector, and leftover smooth callables of Phi.
+def step_operator(spec: ProblemSpec, tau: float) -> convex.SymBand:
+    """Quadratic block Q = A + I/tau^2 (+ quad_shift) of Phi.
 
-    The quadratic block always contains the inertia and the energy
-    operator; with a structured smooth part, its matrix piece folds in and
-    its quartic piece moves into the site potential, leaving no explicit
-    remainder.  Returns (Q, b, rho_value, rho_grad, k4).
+    It holds the inertia and the energy operator, and with a structured
+    smooth part its matrix piece; it depends on tau only, so a run builds
+    it once.
+    """
+    en = spec.energy
+    q_mat = en.quad_op + np.eye(spec.grid.n_interior) / tau**2
+    if en.smooth_structured and en.quad_shift is not None:
+        q_mat = q_mat + en.quad_shift
+    return convex.SymBand(q_mat)
+
+
+def _phi_smooth_parts(spec: ProblemSpec, inp: StepInput):
+    """Linear vector and leftover smooth callables of Phi beside Q.
+
+    With a structured smooth part, its linear piece folds into the vector
+    and its quartic piece moves into the site potential, leaving no
+    explicit remainder.  Returns (b, rho_value, rho_grad, k4).
     """
     tau = inp.tau
     t_next = inp.t_prev + tau
-    m = spec.grid.n_interior
     en = spec.energy
-    q_mat = en.quad_op + np.eye(m) / tau**2
     b = inp.zeta.values - (2.0 * inp.v.values - inp.w.values) / tau**2
     k4 = 0.0
     rho_value = rho_grad = None
     if en.smooth_value is not None:
         if en.smooth_structured:
-            if en.quad_shift is not None:
-                q_mat = q_mat + en.quad_shift
             if en.lin_part is not None:
                 b = b + en.lin_part(t_next)
             k4 = en.site_quartic
@@ -190,7 +199,7 @@ def _phi_smooth_parts(spec: ProblemSpec, inp: StepInput):
             inv_h = 1.0 / spec.grid.h
             rho_value = lambda u: en.smooth_value(t_next, u) * inv_h
             rho_grad = lambda u: en.smooth_grad(t_next, u)
-    return q_mat, b, rho_value, rho_grad, k4
+    return b, rho_value, rho_grad, k4
 
 
 def _site_potential(spec: ProblemSpec, inp: StepInput, k4: float) -> convex.SitePotential:
@@ -225,16 +234,11 @@ def phi_value(spec: ProblemSpec, inp: StepInput, u: Field) -> float:
     return inertia + diss + energy_total(spec, t_next, u) + h_inner(inp.zeta.values, u.values, h)
 
 
-def _fy_gap_separable(spec, a, g, v_vel, eta, m_psi, resid_h):
-    """Fenchel-Young gap at (V^n, eta^n) via the exact nodewise conjugate."""
-    h = spec.grid.h
+def _fy_gap_separable(spec, a, g, v_vel, eta):
+    """Fenchel-Young gap at (V^n, eta^n) via the exact nodewise conjugate;
+    infinite where the conjugate is (dry friction alone, |eta| > a)."""
     psi = convex.SitePotential(a, g, spec.dissipation.q, 0.0, 0.0)
-    gap = h * (psi.value(v_vel) + psi.conjugate_sum(eta) - float(eta @ v_vel))
-    if np.isfinite(gap):
-        return gap
-    if m_psi > 0.0:
-        return resid_h**2 / (2.0 * m_psi)
-    return abs(float(h * np.sum(eta * v_vel)))
+    return spec.grid.h * (psi.value(v_vel) + psi.conjugate_sum(eta) - float(eta @ v_vel))
 
 
 def incremental_minimize(
@@ -249,15 +253,16 @@ def incremental_minimize(
 
     The stored eta^n is the rearrangement of the discrete inclusion (it
     satisfies the equation identically); the Fenchel-Young gap measures its
-    distance from an exact subgradient.  For separable dissipation the gap
-    is evaluated in closed form; for the composite kind it is the certified
-    bound |eta - eta_hat|_h^2 / (2 m) with m the strong convexity modulus
-    of Psi, and eta_hat the projected solver dual (an exact subgradient).
+    distance from an exact subgradient, through the exact conjugate of Psi
+    (nodewise in closed form for separable dissipation, by the 1D dual
+    characterization for the composite kind).  A gap above 9 inner_tol
+    re-solves with tighter tolerances, at most twice.
     Raises StepSizeTooLarge beyond tau <= 1/(2 lambda) and InnerSolverFailed
     (carrying the best iterate) if the inner solve stalls.
     """
     u_field, eta_field, report, _ = _minimize_with_dual(
-        spec, inp, warm, inner_tol=inner_tol, max_iter=max_iter, dual_warm=None
+        spec, inp, warm, step_operator(spec, inp.tau),
+        inner_tol=inner_tol, max_iter=max_iter, dual_warm=None,
     )
     return u_field, eta_field, report
 
@@ -266,10 +271,11 @@ def _minimize_with_dual(
     spec: ProblemSpec,
     inp: StepInput,
     warm: Optional[Field],
+    q_op: convex.SymBand,
     *,
     inner_tol: float,
     max_iter: int,
-    dual_warm: Optional[np.ndarray],
+    dual_warm: Optional[tuple],
 ):
     tau = inp.tau
     lam = spec.energy.lambda_conv
@@ -287,15 +293,16 @@ def _minimize_with_dual(
     grid = spec.grid
     h = grid.h
     t_next = inp.t_prev + tau
-    q_mat, b, rho_value, rho_grad, k4 = _phi_smooth_parts(spec, inp)
+    b, rho_value, rho_grad, k4 = _phi_smooth_parts(spec, inp)
     disp = spec.dissipation
+    separable = disp.kind == "separable"
     a, g = disp.coefficients(inp.state_for_psi)
     pot = _site_potential(spec, inp, k4)
     # Certified strong convexity of Psi_state in |.|_h, 0 if none: the site
     # potential carries Psi's quadratic weights over tau, and on edges
     # |Dv|_h^2 >= lap_min_eig |v|_h^2.
     m_psi = tau * pot.strong_modulus()
-    if disp.kind == "grad_composite":
+    if not separable:
         m_psi *= spec.ops.lap_min_eig
     fy_budget = 5.0 * inner_tol
     resid_target = np.sqrt(2.0 * m_psi * fy_budget) if m_psi > 0.0 else np.inf
@@ -322,39 +329,36 @@ def _minimize_with_dual(
             + inp.zeta.values
         )
 
-    if disp.kind == "separable":
+    # Where Psi is strongly convex the residual target certifies the gap;
+    # elsewhere (separable dissipation with q != 2) the prox-gradient also
+    # stops on the closed-form gap itself.
+    fy_cap = 9.0 * inner_tol
+    accept = None
+    if separable and m_psi == 0.0 and not pot.is_zero:
+        def accept(u_vals):
+            fy = _fy_gap_separable(
+                spec, a, g, (u_vals - inp.v.values) / tau, rearranged_eta(u_vals)
+            )
+            return fy <= fy_cap or not np.isfinite(fy)
+
+    if separable:
         prob = convex.ProxGradProblem(
-            quad_op=q_mat,
+            quad_op=q_op,
             lin=b,
             nonsmooth=pot,
             h=h,
             strong_convexity=gamma,
-            quad_norm=float(np.linalg.norm(q_mat, 2)),
             smooth_value=rho_value,
             smooth_grad=rho_grad,
             smooth_lips=rho_lips,
             tol=inner_tol,
             resid_target=resid_target,
             max_iter=max_iter,
+            accept=accept,
         )
-        try:
-            u_vals, p_hat, rep = convex.solve_prox_gradient(prob, warm_vals)
-        except MaxIterExceeded as exc:
-            raise InnerSolverFailed(str(exc), best=exc.best) from exc
-        eta_vals = rearranged_eta(u_vals)
-        v_vel = (u_vals - inp.v.values) / tau
-        eta_hat = p_hat - pot.quartic_grad(u_vals)
-        resid_h = h_norm(eta_vals - eta_hat, h)
-        if pot.is_zero:
-            # Zero dissipation: Psi* is the indicator of {0}; charge the
-            # dual infeasibility through the pairing term.
-            fy = abs(h_inner(eta_vals, v_vel, h))
-        else:
-            fy = _fy_gap_separable(spec, a, g, v_vel, eta_vals, m_psi, resid_h)
-        psi = spec.psi_value(inp.state_for_psi, v_vel)
     else:
         prob = convex.PDProblem(
-            quad_op=q_mat,
+            quad_op=q_op,
             lin=b,
             lin_op=spec.ops.grad,
             nonsmooth=pot,
@@ -371,40 +375,60 @@ def _minimize_with_dual(
             fy_slack=2.5 * inner_tol * min(tau, 1.0),
             max_iter=max_iter,
         )
-        fy_cap = 9.0 * inner_tol
-        p_hat, sched = (dual_warm if dual_warm is not None else (None, None))
-        for attempt in range(3):
-            try:
+    # Each attempt checks the exact gap of the stored (V^n, eta^n) pair and
+    # re-solves with tighter tolerances while it exceeds fy_cap.
+    p_hat, sched = dual_warm if dual_warm is not None else (None, None)
+    for _ in range(3):
+        try:
+            if separable:
+                u_vals, p_hat, rep = convex.solve_prox_gradient(prob, warm_vals)
+            else:
                 u_vals, p_hat, rep = convex.solve_pd(prob, warm_vals, p0=p_hat, sched=sched)
-            except MaxIterExceeded as exc:
-                raise InnerSolverFailed(str(exc), best=exc.best) from exc
-            sched = rep.sched
-            eta_vals = rearranged_eta(u_vals)
-            v_vel = (u_vals - inp.v.values) / tau
+        except MaxIterExceeded as exc:
+            raise InnerSolverFailed(str(exc), best=exc.best) from exc
+        sched = rep.sched
+        eta_vals = rearranged_eta(u_vals)
+        v_vel = (u_vals - inp.v.values) / tau
+        psi = spec.psi_value(inp.state_for_psi, v_vel)
+        if separable:
+            resid_h = h_norm(eta_vals - (p_hat - pot.quartic_grad(u_vals)), h)
+        else:
             resid_h = rep.resid_h
-            psi = spec.psi_value(inp.state_for_psi, v_vel)
-            if pot.is_zero:
-                fy = abs(h_inner(eta_vals, v_vel, h))
-                break
-            # Exact conjugate through the 1D dual characterization: the
-            # Fenchel-Young gap of the stored (V^n, eta^n) pair, honest to
-            # the accuracy of a scalar convex minimization.
+        if pot.is_zero:
+            # Zero dissipation: Psi* is the indicator of {0}; charge the
+            # dual infeasibility through the pairing term.
+            fy = abs(h_inner(eta_vals, v_vel, h))
+            break
+        if separable:
+            fy = _fy_gap_separable(spec, a, g, v_vel, eta_vals)
+            if not np.isfinite(fy):
+                fy = (
+                    resid_h**2 / (2.0 * m_psi) if m_psi > 0.0
+                    else abs(h_inner(eta_vals, v_vel, h))
+                )
+        else:
+            # Exact conjugate through the 1D dual characterization, honest
+            # to the accuracy of a scalar convex minimization.
             conj_v = convex.composite_conjugate(a, disp.visc, g, disp.q, h, eta_vals)
             fy = psi + conj_v - h_inner(eta_vals, v_vel, h)
-            if fy <= fy_cap or not np.isfinite(fy):
-                break
-            prob.tol *= 0.1
-            prob.resid_target *= 0.2
+        if fy <= fy_cap or not np.isfinite(fy):
+            break
+        prob.tol *= 0.1
+        prob.resid_target *= 0.2
+        if not separable:
             prob.fy_slack *= 0.1
-            warm_vals = u_vals
+        warm_vals = u_vals
 
     u_field = Field(u_vals, grid)
+    energy_after = energy_total(spec, t_next, u_field)
+    inertia = 0.5 / tau**2 * h_norm(u_vals - 2 * inp.v.values + inp.w.values, h) ** 2
     report = StepReport(
         fy_gap=fy,
         el_residual=resid_h,
         inner_iters=rep.iterations,
-        phi_value=phi_value(spec, inp, u_field),
-        energy_after=energy_total(spec, t_next, u_field),
+        # Phi(U^n), summed as phi_value sums it.
+        phi_value=inertia + tau * psi + energy_after + h_inner(inp.zeta.values, u_vals, h),
+        energy_after=energy_after,
         kinetic_after=0.5 * h_norm(v_vel, h) ** 2,
         psi=psi,
         psi_star=h_inner(eta_vals, v_vel, h) - psi + fy,
@@ -415,7 +439,7 @@ def _minimize_with_dual(
         work=tau * h_inner(-inp.zeta.values, v_vel, h),
         solver_gap=rep.gap,
     )
-    carry = (p_hat, rep.sched) if disp.kind == "grad_composite" else None
+    carry = (p_hat, sched) if not separable else None
     return u_field, Field(eta_vals, grid), report, carry
 
 
@@ -451,6 +475,7 @@ def run(
     u_prev = spec.u0
     u_prev2 = Field(spec.u0.values - tau * spec.v0.values, grid)
     v_prev = spec.v0
+    q_op = step_operator(spec, tau)
     dual = None
     for n in range(1, n_steps + 1):
         t_prev = (n - 1) * tau
@@ -468,7 +493,7 @@ def run(
         )
         try:
             u_n, eta_n, report, dual = _minimize_with_dual(
-                spec, inp, u_prev, inner_tol=inner_tol,
+                spec, inp, u_prev, q_op, inner_tol=inner_tol,
                 max_iter=max_iter, dual_warm=dual,
             )
         except InnerSolverFailed as exc:

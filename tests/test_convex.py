@@ -377,8 +377,7 @@ class TestProxGradient:
         pot = SitePotential(np.full(m, 0.6), np.full(m, 1.0), 2.0, np.zeros(m),
                             rng.standard_normal(m) * 0.2)
         prob = ProxGradProblem(
-            quad_op=q_mat, lin=b, nonsmooth=pot, h=0.1, strong_convexity=10.0,
-            quad_norm=float(np.linalg.eigvalsh(q_mat)[-1]), tol=1e-14,
+            quad_op=q_mat, lin=b, nonsmooth=pot, h=0.1, strong_convexity=10.0, tol=1e-14,
         )
         u, p_hat, rep = solve_prox_gradient(prob, np.zeros(m))
         assert rep.converged
@@ -388,6 +387,51 @@ class TestProxGradient:
         )
         u2, _, _ = solve_pd(pd, np.zeros(m))
         np.testing.assert_allclose(u, u2, atol=1e-7)
+
+
+class TestBandedClosedForms:
+    """The quadratic-potential branches solve in band form; dense solves of
+    the same systems are the oracle."""
+
+    def test_prox_gradient_matches_dense_solve(self):
+        m = 40
+        rng = np.random.default_rng(11)
+        # Pentadiagonal, like the clamped biharmonic block of p1.
+        q_mat = (
+            np.eye(m) * 30.0
+            + np.diag(np.full(m - 1, -4.0), 1) + np.diag(np.full(m - 1, -4.0), -1)
+            + np.diag(np.full(m - 2, 1.0), 2) + np.diag(np.full(m - 2, 1.0), -2)
+        )
+        w2 = rng.uniform(0.5, 2.0, m)
+        shift = rng.standard_normal(m)
+        b = rng.standard_normal(m)
+        pot = SitePotential(np.zeros(m), np.zeros(m), 2.0, w2, shift)
+        prob = ProxGradProblem(
+            quad_op=q_mat, lin=b, nonsmooth=pot, h=0.1, strong_convexity=20.0,
+        )
+        assert prob.quad_op.bandwidth == 2
+        u, _, rep = solve_prox_gradient(prob, np.zeros(m))
+        want = np.linalg.solve(q_mat + np.diag(w2), -b + w2 * shift)
+        assert rep.iterations == 1
+        np.testing.assert_allclose(u, want, rtol=1e-12, atol=1e-13 * np.max(np.abs(want)))
+
+    def test_pd_matches_dense_solve(self):
+        m, h = 40, 1.0 / 41
+        d = _edge_grad(m, h)
+        rng = np.random.default_rng(12)
+        q_mat = np.eye(m) * 50.0 + d.T @ d
+        w2 = rng.uniform(0.5, 2.0, m + 1)
+        shift = rng.standard_normal(m + 1)
+        b = rng.standard_normal(m)
+        pot = SitePotential(np.zeros(m + 1), np.zeros(m + 1), 2.0, w2, shift)
+        prob = PDProblem(
+            quad_op=q_mat, lin=b, lin_op=d, nonsmooth=pot, h=h,
+            strong_convexity=50.0, op_norm=np.sqrt(np.linalg.eigvalsh(d.T @ d)[-1]),
+        )
+        u, _, rep = solve_pd(prob, np.zeros(m))
+        want = np.linalg.solve(q_mat + d.T @ (w2[:, None] * d), -b + d.T @ (w2 * shift))
+        assert rep.iterations == 1
+        np.testing.assert_allclose(u, want, rtol=1e-12, atol=1e-13 * np.max(np.abs(want)))
 
 
 class TestEdgeConjugatePair:
@@ -491,6 +535,26 @@ class TestKernelProperties:
         # ... and no grid point does better.
         oracle = conjugate_numeric(psi, lam, search_box=box, steps=10**5)
         assert oracle <= val[0] + 1e-12 * (abs(lam) * box + abs(val[0])) + _TINY
+
+    @given(a=_weights, g=_weights, w2=_weights, q=_exponents, x=_arguments, sigma=_gammas)
+    @settings(max_examples=500, deadline=None)
+    def test_moreau_identity(self, a, g, w2, q, x, sigma):
+        # prox_{sigma f}(x) + sigma prox_{f*/sigma}(x/sigma) = x: with
+        # y = prox_{sigma f}(x), p = (x - y)/sigma is a subgradient of f at
+        # y, so y is the conjugate's maximizer at p.  f* is differentiable
+        # unless f is dry friction alone.
+        assume(g > 0.0 or w2 > 0.0)
+        pot = SitePotential([a], [g], q, w2, [0.0])
+        y = pot.prox(sigma, np.array([x]))[0]
+        p = (x - y) / sigma
+        # Rounding y to a float moves p by up to delta, and the maximizer,
+        # which increases with p, by at most its change over delta.
+        delta = 4.0 * np.finfo(float).eps * (abs(x) + abs(y)) / sigma
+        with np.errstate(over="ignore", divide="ignore"):
+            _, s = edge_conjugate_pair(a, w2, g, q, np.array([p - delta, p, p + delta]))
+            spread = s[2] - s[0]
+        assume(np.all(np.isfinite(s)))
+        assert abs(s[1] - y) <= spread + 1e-12 * abs(y) + _TINY
 
     @given(
         a=_weights, g=_weights, w2=_weights, q=_exponents,

@@ -345,15 +345,15 @@ class TestP3:
         assert report.passed
 
     def test_general_exponent_runs(self):
-        # q = 3 exercises the monotone power-root prox; the exact gap has
-        # no quadratic certificate there but the inequality budget already
-        # contains it.
+        # q = 3 exercises the power-root prox; Psi is not strongly convex
+        # there, so the prox-gradient stops on the closed-form gap itself.
         from proxdyn.diagnostics import edi_scan
+        from proxdyn.stepper import DEFAULT_INNER_TOL
 
         spec = build_p3(P3Params(n_nodes=17, q=3.0))
         traj = run(spec, 1 / 32)
         assert all(r.passed for r in edi_scan(spec, traj))
-        assert max(r.fy_gap for r in traj.reports) < 1e-4
+        assert max(r.fy_gap for r in traj.reports) <= 10 * DEFAULT_INNER_TOL
 
 
 class TestUserForce:

@@ -11,7 +11,15 @@ from proxdyn.core import (
 )
 from proxdyn.errors import ConfigError, DomainError, StepSizeTooLarge
 from proxdyn.grid import Field, SpatialGrid, laplacian_matrix
-from proxdyn.models import build_linear_wave, build_p1
+from proxdyn.models import (
+    P1Params,
+    P2Params,
+    P3Params,
+    build_linear_wave,
+    build_p1,
+    build_p2,
+    build_p3,
+)
 from proxdyn.stepper import (
     StepInput,
     admissible_tau,
@@ -20,6 +28,7 @@ from proxdyn.stepper import (
     interpolants,
     phi_value,
     run,
+    step_operator,
 )
 
 
@@ -329,6 +338,90 @@ class TestRun:
         traj = run(spec, 0.5)
         assert traj.forcing[0].values == pytest.approx(np.full(m, 0.25), abs=1e-15)
         assert traj.forcing[1].values == pytest.approx(np.full(m, 0.75), abs=1e-15)
+
+
+def _step_input(traj, n):
+    """The StepInput of step n of a run, rebuilt from its records."""
+    g = traj.spec.grid
+    w = traj.U[n - 2] if n >= 2 else Field(traj.U[0].values - traj.tau * traj.V[0].values, g)
+    return StepInput(
+        tau=traj.tau, t_prev=traj.times[n - 1], v=traj.U[n - 1], w=w,
+        zeta=Field(-traj.forcing[n - 1].values, g), state_for_psi=traj.U[n - 1],
+    )
+
+
+class TestReportPhi:
+    @pytest.mark.parametrize(
+        "spec, tau",
+        [
+            (build_p3(P3Params(n_nodes=17)), 1 / 32),
+            (build_p2(P2Params(q=1.5, n_nodes=17, horizon=1 / 8)), 1 / 64),
+        ],
+        ids=["p3", "p2_q1.5"],
+    )
+    def test_report_phi_matches_phi_value(self, spec, tau):
+        # The report sums Phi(U^n) from the step's own terms; phi_value
+        # evaluates it independently.
+        traj = run(spec, tau)
+        for n, rep in enumerate(traj.reports, start=1):
+            want = phi_value(spec, _step_input(traj, n), traj.U[n])
+            assert abs(rep.phi_value - want) <= 1e-12 * (1.0 + abs(want))
+
+
+class TestStepOperator:
+    """Q = A + I/tau^2 (+ quad_shift), dense and in band form."""
+
+    @pytest.mark.parametrize(
+        "spec, bandwidth",
+        [
+            (build_p1(P1Params(n_nodes=17)), 2),
+            (build_p2(P2Params(q=1.5, n_nodes=17)), 1),
+            (build_p3(P3Params(n_nodes=17)), 1),
+            (build_linear_wave(1.0, n_nodes=17, damping="mass")[0], 1),
+            (build_linear_wave(1.0, n_nodes=17, damping="gradient")[0], 1),
+        ],
+        ids=["p1", "p2", "p3", "wave_mass", "wave_gradient"],
+    )
+    def test_band_matches_dense(self, spec, bandwidth):
+        tau = 1 / 64
+        en = spec.energy
+        want = en.quad_op + np.eye(spec.grid.n_interior) / tau**2
+        if en.quad_shift is not None:
+            want = want + en.quad_shift
+        q = step_operator(spec, tau)
+        assert q.bandwidth == bandwidth
+        np.testing.assert_array_equal(q.dense, want)
+        unpacked = np.zeros_like(want)
+        for k in range(bandwidth + 1):
+            diag = q.band[bandwidth - k, k:]
+            unpacked += np.diag(diag, k) + (np.diag(diag, -k) if k else 0.0)
+        np.testing.assert_array_equal(unpacked, want)
+        top = np.linalg.eigvalsh(want)[-1]
+        assert abs(q.max_eig - top) <= 1e-12 * top
+
+    @pytest.mark.parametrize("damping", ["mass", "gradient"])
+    def test_run_does_no_dense_factorization(self, damping, monkeypatch):
+        # After the build, a run and the assumption checks need no dense
+        # SVD, eigendecomposition or Cholesky factorization.
+        import importlib
+
+        import scipy.linalg
+
+        from proxdyn.core import validate_assumptions
+
+        spec, _ = build_linear_wave(1.0, n_nodes=1025, horizon=0.25, damping=damping)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("dense O(m^3) factorization after the build")
+
+        # np.linalg.norm(mat, 2) calls svd inside numpy.linalg._linalg.
+        for mod in (np.linalg, importlib.import_module("numpy.linalg._linalg")):
+            for name in ("svd", "eigh", "eigvalsh"):
+                monkeypatch.setattr(mod, name, forbidden)
+        monkeypatch.setattr(scipy.linalg, "cho_factor", forbidden)
+        traj = run(spec, 1 / 32)
+        assert traj.n_steps == 8
+        assert validate_assumptions(spec, samples=2).passed
 
 
 class TestAdmissibleTau:
