@@ -18,14 +18,7 @@ from .core import (
     tau_max,
     validate_assumptions,
 )
-from .convex import (
-    SeparablePotential,
-    conj_separable,
-    conjugate_numeric,
-    fenchel_young_gap,
-    prox_separable,
-    solve_pd,
-)
+from .convex import conjugate_numeric, solve_pd
 from .grid import Field, SpatialGrid
 from .stepper import (
     StepInput,
@@ -43,20 +36,16 @@ __all__ = [
     "Field",
     "PerturbationSpec",
     "ProblemSpec",
-    "SeparablePotential",
     "SpatialGrid",
     "StepInput",
     "StepReport",
     "Trajectory",
     "ValidationReport",
     "average_force",
-    "conj_separable",
     "conjugate_numeric",
     "energy_total",
-    "fenchel_young_gap",
     "incremental_minimize",
     "interpolants",
-    "prox_separable",
     "run",
     "solve_pd",
     "tau_max",

@@ -89,41 +89,16 @@ class RunConfig:
 
 
 def build_problem(cfg: RunConfig):
-    """Instantiate the ProblemSpec (and exact solution, if any) for a config."""
-    p = cfg.params
-    if cfg.model == "p1":
-        spec = models.build_p1(
-            models.P1Params(
-                rho=p["rho"], nu=p["nu"], mu=p["mu"], alpha=p["alpha"],
-                n_nodes=cfg.n_nodes, horizon=cfg.horizon,
-                u0_amplitude=p["u0_amplitude"],
-            )
-        )
-        return spec, None
-    if cfg.model == "p2":
-        spec = models.build_p2(
-            models.P2Params(
-                q=p["q"], p=p["p"], n_nodes=cfg.n_nodes, horizon=cfg.horizon,
-                u0_amplitude=p["u0_amplitude"],
-            )
-        )
-        return spec, None
-    if cfg.model == "p3":
-        spec = models.build_p3(
-            models.P3Params(
-                q=p["q"], n_nodes=cfg.n_nodes, horizon=cfg.horizon,
-                stiffness=p["stiffness"], well_scale=p["well_scale"],
-                force_amplitude=p["force_amplitude"],
-                force_frequency=p["force_frequency"],
-                u0_amplitude=p["u0_amplitude"],
-            )
-        )
-        return spec, None
+    """Instantiate the ProblemSpec (and exact solution, if any) for a config:
+    models.build_<model>, looked up at call time, with the model keys as
+    the fields of its P*Params (the keywords of build_linear_wave)."""
+    if cfg.model not in MODEL_DEFAULTS:
+        raise ConfigError(f"unknown model {cfg.model!r}")
+    build = getattr(models, f"build_{cfg.model}")
+    kwargs = dict(cfg.params, n_nodes=cfg.n_nodes, horizon=cfg.horizon)
     if cfg.model == "linear_wave":
-        return models.build_linear_wave(
-            p["nu"], n_nodes=cfg.n_nodes, horizon=cfg.horizon, damping=p["damping"]
-        )
-    raise ConfigError(f"unknown model {cfg.model!r}")
+        return build(**kwargs)
+    return build(getattr(models, f"{cfg.model.upper()}Params")(**kwargs)), None
 
 
 def parse_config_dict(raw: dict) -> RunConfig:
@@ -170,8 +145,9 @@ def parse_config_dict(raw: dict) -> RunConfig:
     return cfg
 
 
-def parse_config(path) -> RunConfig:
-    """Parse and validate a JSON config file (see module docstring)."""
+def _read_config(path) -> dict:
+    """The raw mapping of a JSON config file; ParseError (naming the path
+    for a missing file or malformed JSON) if there is none."""
     p = Path(path)
     if not p.exists():
         raise ParseError(f"config file {p} does not exist")
@@ -181,7 +157,12 @@ def parse_config(path) -> RunConfig:
         raise ParseError(f"malformed JSON in {p}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ParseError(f"config root must be an object, got {type(raw).__name__}")
-    return parse_config_dict(raw)
+    return raw
+
+
+def parse_config(path) -> RunConfig:
+    """Parse and validate a JSON config file (see module docstring)."""
+    return parse_config_dict(_read_config(path))
 
 
 def _validate(cfg: RunConfig) -> None:
@@ -370,9 +351,7 @@ def main(argv=None) -> int:
 
     if args.command == "solve":
         try:
-            raw = json.loads(Path(args.config).read_text(encoding="utf-8"))
-            if not isinstance(raw, dict):
-                raise ParseError("config root must be an object")
+            raw = _read_config(args.config)
             if args.tau is not None:
                 raw["tau"] = args.tau
             if args.halvings is not None:
@@ -380,7 +359,7 @@ def main(argv=None) -> int:
             if args.out is not None:
                 raw["out_dir"] = args.out
             cfg = parse_config_dict(raw)
-        except (OSError, json.JSONDecodeError, ParseError, ValidationError) as exc:
+        except (OSError, ParseError, ValidationError) as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 2
         return run_and_emit(cfg)

@@ -1,8 +1,8 @@
 """Nonsmooth convex toolbox.
 
-Proximal maps and exact conjugates for scalar potentials of the form
-a|s| + (g/q)|s|^q, grid-search conjugate oracles for testing, and the two
-inner solvers used by the time stepper:
+The per-site kernel `SitePotential` with its exact prox and conjugate
+(`edge_conjugate_pair`), a grid-search conjugate oracle for testing, and
+the two inner solvers used by the time stepper:
 
 * a proximal-gradient loop with exact nodewise prox (separable dissipation),
 * a primal-dual splitting with the discrete gradient as linear operator
@@ -28,9 +28,6 @@ import numpy as np
 import scipy.linalg
 
 from .errors import EvalError, MaxIterExceeded, NonFiniteIterate
-
-_PROX_TOL = 1e-12
-
 
 def _band_rows(diagonal, bw: int) -> np.ndarray:
     """LAPACK upper band form from diagonal(k) for k = 0..bw: row bw - k
@@ -82,31 +79,6 @@ class SymBand:
         band[rows - len(self.band):] += self.band
         band[rows - len(extra):] += extra
         return scipy.linalg.cho_solve_banded((scipy.linalg.cholesky_banded(band), False), rhs)
-
-
-@dataclass(frozen=True)
-class SeparablePotential:
-    """Scalar potential s -> a|s| + (g/q)|s|^q per component.
-
-    a >= 0 weighs the 1-homogeneous (dry friction) part, g >= 0 the
-    superlinear power part with exponent q > 1.  g = 0 degenerates to pure
-    dry friction (finite conjugate only on |xi| <= a).
-    """
-
-    a: float
-    g: float
-    q: float
-
-    def __post_init__(self):
-        if self.a < 0 or self.g < 0 or not self.q > 1.0:
-            raise EvalError(
-                f"invalid potential (a={self.a}, g={self.g}, q={self.q}); "
-                "need a >= 0, g >= 0, q > 1"
-            )
-
-    def value(self, s):
-        s = np.abs(np.asarray(s, dtype=float))
-        return self.a * s + (self.g / self.q) * s**self.q
 
 
 _ROOT_RTOL = 1e-15
@@ -165,37 +137,6 @@ def _power_solve(w, g, q, t):
 
         s[both] = _newton_bisect(fun, np.zeros_like(tb), s[both])
     return s
-
-
-def prox_separable(pot: SeparablePotential, gamma: float, s: float) -> float:
-    """Exact scalar prox of a|.| + (g/q)|.|^q with parameter gamma > 0.
-
-    Unique by strict convexity of the quadratic term; satisfies
-    sign(result) = sign(s) or result = 0, and |result| <= |s|.
-    """
-    if not np.isfinite(s):
-        raise EvalError(f"prox input must be finite, got {s}")
-    if not gamma > 0:
-        raise EvalError(f"prox parameter must be positive, got {gamma}")
-    site = SitePotential([pot.a], [pot.g], pot.q, 0.0, 0.0)
-    return float(site.prox(gamma, np.asarray([s]))[0])
-
-
-def conj_separable(pot: SeparablePotential, xi: float) -> float:
-    """Legendre-Fenchel conjugate of a|.| + (g/q)|.|^q at xi.
-
-    Closed form (g^(1-q*)/q*) max(|xi| - a, 0)^q* with q* = q/(q-1);
-    for g = 0 the conjugate is the indicator of [-a, a].
-    """
-    val, _ = edge_conjugate_pair(pot.a, 0.0, pot.g, pot.q, [xi])
-    return float(val[0])
-
-
-def fenchel_young_gap(psi_val: float, conj_val: float, pairing: float) -> float:
-    """psi(v) + psi*(xi) - <xi, v>; nonnegative, zero iff xi is a subgradient."""
-    if not (np.isfinite(psi_val) and np.isfinite(pairing)):
-        raise EvalError("Fenchel-Young gap needs finite primal value and pairing")
-    return psi_val + conj_val - pairing
 
 
 def conjugate_numeric(psi: Callable, xi, search_box: float, steps: int):
@@ -304,21 +245,20 @@ class SitePotential:
         )
 
     def _prox_quartic(self, sigma: float, z):
-        """Branch-wise monotone root find for the quartic-augmented prox."""
-        c = self.shift
+        """Branch-wise monotone root find for the quartic-augmented prox;
+        at most one branch is taken per site, so one root solve serves both."""
         take_pos = self._branch_deriv(np.zeros_like(z), z, sigma, +1.0) < 0.0
         take_neg = self._branch_deriv(np.zeros_like(z), z, sigma, -1.0) > 0.0
+        sgn = np.where(take_pos, 1.0, -1.0)
         if np.all(self.g == 0.0):
-            d_pos = self._cubic_root(sigma, z, +1.0)
-            d_neg = self._cubic_root(sigma, z, -1.0)
+            d = self._cubic_root(sigma, z, sgn)
         else:
-            d_pos = self._branch_root(sigma, z, +1.0)
-            d_neg = self._branch_root(sigma, z, -1.0)
-        d = np.where(take_pos, d_pos, np.where(take_neg, d_neg, 0.0))
-        return c + d
+            d = self._branch_root(sigma, z, sgn)
+        return self.shift + np.where(take_pos | take_neg, d, 0.0)
 
-    def _cubic_root(self, sigma: float, z, sgn: float):
-        """Closed-form root of the g = 0 branch derivative (monotone cubic).
+    def _cubic_root(self, sigma: float, z, sgn):
+        """Closed-form root of the g = 0 branch derivative (monotone cubic)
+        on the branch sign(d) = sgn, with sgn = +-1 per site.
 
         The cubic 4 k4 d^3 + 12 k4 c d^2 + (1/sigma + w2 + 12 k4 c^2) d + A0
         is strictly increasing, so its depressed form t^3 + p t + q has
@@ -343,8 +283,9 @@ class SitePotential:
             d = d - f / df
         return d
 
-    def _branch_root(self, sigma: float, z, sgn: float):
-        """Root d of the branch derivative with sgn*d >= 0.
+    def _branch_root(self, sigma: float, z, sgn):
+        """Root d of the branch derivative with sgn*d >= 0 (sgn = +-1 per
+        site).
 
         In x = sgn*d the branch derivative times sgn increases from its
         value at 0.  Where that value is negative a doubling search brackets

@@ -11,7 +11,7 @@ step n,
 
 The stepper records each step's terms once, in its StepReport; the scan
 and the monitors here only sum them.  Psi*_k is the Fenchel-Young identity
-at the stored subgradient, <eta^k, V^k>_h - Psi(V^k) + fy_gap_k, so no
+at the step's subgradient, <eta^k, V^k>_h - Psi(V^k) + fy_gap_k, so no
 closed-form conjugate is needed; the inequality is exact for exact
 minimizers, and the tolerance budget is the accumulated per-step
 Fenchel-Young gaps plus a relative floor.

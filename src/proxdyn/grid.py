@@ -77,14 +77,6 @@ class Field:
         if not np.all(np.isfinite(v)):
             raise ConfigError("field contains non-finite entries")
 
-    def h_norm(self) -> float:
-        """|u|_h = sqrt(h * sum u_i^2), the discrete L2 norm."""
-        return float(np.sqrt(self.grid.h * np.dot(self.values, self.values)))
-
-    def q_norm(self, q: float) -> float:
-        """||u||_{q,h} = (h * sum |u_i|^q)^(1/q)."""
-        return float((self.grid.h * np.sum(np.abs(self.values) ** q)) ** (1.0 / q))
-
     def padded(self) -> np.ndarray:
         """Nodal values on all nodes, boundary zeros included."""
         out = np.zeros(self.grid.n_nodes)
@@ -98,10 +90,12 @@ def h_inner(a: np.ndarray, b: np.ndarray, h: float) -> float:
 
 
 def h_norm(a: np.ndarray, h: float) -> float:
+    """|a|_h = sqrt(h * sum a_i^2), the discrete L2 norm."""
     return float(np.sqrt(h * np.dot(a, a)))
 
 
 def q_norm(a: np.ndarray, h: float, q: float) -> float:
+    """||a||_{q,h} = (h * sum |a_i|^q)^(1/q)."""
     return float((h * np.sum(np.abs(a) ** q)) ** (1.0 / q))
 
 

@@ -13,6 +13,9 @@ Its stationarity reproduces the discrete inclusion
 
 and the subgradient is recovered by rearrangement:
 eta^n = f_avg - B - (V^n - V^{n-1})/tau - DE_{t_n}(U^n) = -grad(smooth Phi).
+So eta^n and the forcing S^n = f_avg - B are functions of the stored U: a
+Trajectory keeps U, V and the per-step reports, whose energy ledger holds
+every term of the energy-dissipation inequality.
 
 Runs are sequential in n; distinct runs are independent, and the returned
 Trajectory is immutable.
@@ -101,8 +104,8 @@ def average_force(f: Callable, t_lo: float, t_hi: float):
 class StepInput:
     """Data of one incremental minimization.
 
-    v = U^{n-1}, w = U^{n-2}; zeta = B(t_n, U^{n-1}, V^{n-1}) - f_avg^n,
-    state_for_psi = U^{n-1} freezes the dissipation state.
+    v = U^{n-1}, w = U^{n-2}; zeta = B(t_n, U^{n-1}, V^{n-1}) - f_avg^n.
+    v also freezes the dissipation state.
     """
 
     tau: float
@@ -110,7 +113,6 @@ class StepInput:
     v: Field
     w: Field
     zeta: Field
-    state_for_psi: Field
 
     def __post_init__(self):
         if not self.tau > 0:
@@ -134,17 +136,17 @@ class StepReport:
     psi_star: float
     energy_rate: float
     work: float
-    solver_gap: float = 0.0
 
 
 @dataclass(frozen=True)
 class Trajectory:
     """Per-step records of a run; the reports carry the energy ledger.
 
-    U and V have N+1 entries (including the initial data); eta, forcing
-    (S^n = f_avg^n - B^n) and reports have N entries for steps 1..N.
-    V is reconstructed from stored U, so V[n] equals (U[n]-U[n-1])/tau
-    identically.
+    U and V have N+1 entries (including the initial data), reports N
+    entries for steps 1..N.  V is reconstructed from stored U, so V[n]
+    equals (U[n]-U[n-1])/tau identically.  The subgradient eta^n and the
+    forcing S^n = f_avg^n - B^n are not stored; both follow from U (see
+    the module docstring).
     """
 
     spec: ProblemSpec
@@ -152,8 +154,6 @@ class Trajectory:
     times: np.ndarray
     U: tuple
     V: tuple
-    eta: tuple
-    forcing: tuple
     reports: tuple
 
     @property
@@ -212,7 +212,7 @@ def _site_potential(spec: ProblemSpec, inp: StepInput, k4: float) -> convex.Site
     quartic energy coefficient, which carries it explicitly.
     """
     disp = spec.dissipation
-    a, g = disp.coefficients(inp.state_for_psi)
+    a, g = disp.coefficients(inp.v)
     g_scaled = g * inp.tau ** (1.0 - disp.q)
     if disp.kind == "separable":
         shift = inp.v.values
@@ -221,17 +221,6 @@ def _site_potential(spec: ProblemSpec, inp: StepInput, k4: float) -> convex.Site
         shift = spec.ops.grad @ inp.v.values
         w2 = np.full_like(a, disp.visc / inp.tau)
     return convex.SitePotential(a, g_scaled, disp.q, w2, shift, k4=k4)
-
-
-def phi_value(spec: ProblemSpec, inp: StepInput, u: Field) -> float:
-    """Evaluate Phi at a candidate u (used for the per-step decrease check)."""
-    tau = inp.tau
-    t_next = inp.t_prev + tau
-    h = spec.grid.h
-    inertia = 0.5 / tau**2 * h_norm(u.values - 2 * inp.v.values + inp.w.values, h) ** 2
-    vel = (u.values - inp.v.values) / tau
-    diss = tau * spec.psi_value(inp.state_for_psi, vel)
-    return inertia + diss + energy_total(spec, t_next, u) + h_inner(inp.zeta.values, u.values, h)
 
 
 def _fy_gap_separable(spec, a, g, v_vel, eta):
@@ -244,39 +233,29 @@ def _fy_gap_separable(spec, a, g, v_vel, eta):
 def incremental_minimize(
     spec: ProblemSpec,
     inp: StepInput,
+    q_op: convex.SymBand,
     warm: Optional[Field] = None,
+    dual_warm: Optional[tuple] = None,
     *,
     inner_tol: float = DEFAULT_INNER_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ):
-    """One incremental minimization step: returns (U^n, eta^n, StepReport).
+    """One incremental minimization step: returns (U^n, eta^n, StepReport,
+    carry).
 
-    The stored eta^n is the rearrangement of the discrete inclusion (it
-    satisfies the equation identically); the Fenchel-Young gap measures its
-    distance from an exact subgradient, through the exact conjugate of Psi
-    (nodewise in closed form for separable dissipation, by the 1D dual
-    characterization for the composite kind).  A gap above 9 inner_tol
-    re-solves with tighter tolerances, at most twice.
+    q_op is step_operator(spec, inp.tau); warm starts the inner solve
+    (U^{n-1} if None).  For composite dissipation, carry is the solver's
+    final (multiplier, penalty) and dual_warm the previous step's carry;
+    for separable dissipation carry is None.  eta^n is the rearrangement
+    of the discrete inclusion (it satisfies the equation identically); the
+    Fenchel-Young gap measures its distance from an exact subgradient,
+    through the exact conjugate of Psi (nodewise in closed form for
+    separable dissipation, by the 1D dual characterization for the
+    composite kind).  A gap above 9 inner_tol re-solves with tighter
+    tolerances, at most twice.
     Raises StepSizeTooLarge beyond tau <= 1/(2 lambda) and InnerSolverFailed
     (carrying the best iterate) if the inner solve stalls.
     """
-    u_field, eta_field, report, _ = _minimize_with_dual(
-        spec, inp, warm, step_operator(spec, inp.tau),
-        inner_tol=inner_tol, max_iter=max_iter, dual_warm=None,
-    )
-    return u_field, eta_field, report
-
-
-def _minimize_with_dual(
-    spec: ProblemSpec,
-    inp: StepInput,
-    warm: Optional[Field],
-    q_op: convex.SymBand,
-    *,
-    inner_tol: float,
-    max_iter: int,
-    dual_warm: Optional[tuple],
-):
     tau = inp.tau
     lam = spec.energy.lambda_conv
     tmax = tau_max(spec)
@@ -296,7 +275,7 @@ def _minimize_with_dual(
     b, rho_value, rho_grad, k4 = _phi_smooth_parts(spec, inp)
     disp = spec.dissipation
     separable = disp.kind == "separable"
-    a, g = disp.coefficients(inp.state_for_psi)
+    a, g = disp.coefficients(inp.v)
     pot = _site_potential(spec, inp, k4)
     # Certified strong convexity of Psi_state in |.|_h, 0 if none: the site
     # potential carries Psi's quadratic weights over tau, and on edges
@@ -375,7 +354,7 @@ def _minimize_with_dual(
             fy_slack=2.5 * inner_tol * min(tau, 1.0),
             max_iter=max_iter,
         )
-    # Each attempt checks the exact gap of the stored (V^n, eta^n) pair and
+    # Each attempt checks the exact gap of the returned (V^n, eta^n) pair and
     # re-solves with tighter tolerances while it exceeds fy_cap.
     p_hat, sched = dual_warm if dual_warm is not None else (None, None)
     for _ in range(3):
@@ -389,7 +368,7 @@ def _minimize_with_dual(
         sched = rep.sched
         eta_vals = rearranged_eta(u_vals)
         v_vel = (u_vals - inp.v.values) / tau
-        psi = spec.psi_value(inp.state_for_psi, v_vel)
+        psi = spec.psi_value(inp.v, v_vel)
         if separable:
             resid_h = h_norm(eta_vals - (p_hat - pot.quartic_grad(u_vals)), h)
         else:
@@ -426,7 +405,7 @@ def _minimize_with_dual(
         fy_gap=fy,
         el_residual=resid_h,
         inner_iters=rep.iterations,
-        # Phi(U^n), summed as phi_value sums it.
+        # Phi(U^n) from the step's own terms.
         phi_value=inertia + tau * psi + energy_after + h_inner(inp.zeta.values, u_vals, h),
         energy_after=energy_after,
         kinetic_after=0.5 * h_norm(v_vel, h) ** 2,
@@ -437,7 +416,6 @@ def _minimize_with_dual(
         ),
         # S^n = f_avg^n - B^n = -zeta.
         work=tau * h_inner(-inp.zeta.values, v_vel, h),
-        solver_gap=rep.gap,
     )
     carry = (p_hat, sched) if not separable else None
     return u_field, Field(eta_vals, grid), report, carry
@@ -469,8 +447,6 @@ def run(
     grid = spec.grid
     u_list = [spec.u0]
     v_list = [spec.v0]
-    eta_list = []
-    forcing_list = []
     reports = []
     u_prev = spec.u0
     u_prev2 = Field(spec.u0.values - tau * spec.v0.values, grid)
@@ -482,19 +458,16 @@ def run(
         t_n = n * tau
         f_avg = average_force(spec.force_values, t_prev, t_n) if spec.force else np.zeros(grid.n_interior)
         b_vals = spec.perturbation(t_n, u_prev, v_prev)
-        zeta = Field(b_vals - f_avg, grid)
         inp = StepInput(
             tau=tau,
             t_prev=t_prev,
             v=u_prev,
             w=u_prev2,
-            zeta=zeta,
-            state_for_psi=u_prev,
+            zeta=Field(b_vals - f_avg, grid),
         )
         try:
-            u_n, eta_n, report, dual = _minimize_with_dual(
-                spec, inp, u_prev, q_op, inner_tol=inner_tol,
-                max_iter=max_iter, dual_warm=dual,
+            u_n, _, report, dual = incremental_minimize(
+                spec, inp, q_op, u_prev, dual, inner_tol=inner_tol, max_iter=max_iter
             )
         except InnerSolverFailed as exc:
             exc.step_index = n
@@ -504,8 +477,6 @@ def run(
         v_n = Field((u_n.values - u_prev.values) / tau, grid)
         u_list.append(u_n)
         v_list.append(v_n)
-        eta_list.append(eta_n)
-        forcing_list.append(Field(-zeta.values, grid))
         reports.append(report)
         u_prev2, u_prev, v_prev = u_prev, u_n, v_n
 
@@ -515,8 +486,6 @@ def run(
         times=tau * np.arange(n_steps + 1),
         U=tuple(u_list),
         V=tuple(v_list),
-        eta=tuple(eta_list),
-        forcing=tuple(forcing_list),
         reports=tuple(reports),
     )
 

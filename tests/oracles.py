@@ -1,0 +1,61 @@
+"""Independent evaluators that the tests check the program against.
+
+* `phi_value` evaluates the step functional Phi from the model's own
+  dissipation and energy, with no solver splitting.
+* `step_input` and `step_subgradient` rebuild the data of step n of a run
+  from its stored U: the scheme's subgradient eta^n and forcing S^n are
+  functions of U, so a trajectory does not store them.
+* `scalar_potential` is a|s| + (g/q)|s|^q, elementwise, for grid-search
+  oracles of the per-site kernel.
+"""
+
+import numpy as np
+
+from proxdyn.core import energy_grad, energy_total
+from proxdyn.grid import Field, h_inner, h_norm
+from proxdyn.stepper import StepInput, average_force
+
+
+def scalar_potential(a, g, q):
+    """s -> a|s| + (g/q)|s|^q, elementwise."""
+
+    def value(s):
+        s = np.abs(np.asarray(s, dtype=float))
+        return a * s + (g / q) * s**q
+
+    return value
+
+
+def phi_value(spec, inp, u):
+    """Phi of the step described by inp at a candidate u (a Field)."""
+    tau = inp.tau
+    t_next = inp.t_prev + tau
+    h = spec.grid.h
+    inertia = 0.5 / tau**2 * h_norm(u.values - 2 * inp.v.values + inp.w.values, h) ** 2
+    vel = (u.values - inp.v.values) / tau
+    diss = tau * spec.psi_value(inp.v, vel)
+    return inertia + diss + energy_total(spec, t_next, u) + h_inner(inp.zeta.values, u.values, h)
+
+
+def step_input(traj, n):
+    """The StepInput of step n of a run: v = U^{n-1}, w = U^{n-2} (u0 - tau v0
+    for n = 1) and zeta = B(t_n, U^{n-1}, V^{n-1}) - f_avg^n."""
+    spec, tau = traj.spec, traj.tau
+    g = spec.grid
+    t_prev, t_n = traj.times[n - 1], traj.times[n]
+    w = traj.U[n - 2] if n >= 2 else Field(traj.U[0].values - tau * traj.V[0].values, g)
+    f_avg = average_force(spec.force_values, t_prev, t_n) if spec.force else np.zeros(g.n_interior)
+    b = spec.perturbation(t_n, traj.U[n - 1], traj.V[n - 1])
+    return StepInput(tau=tau, t_prev=t_prev, v=traj.U[n - 1], w=w, zeta=Field(b - f_avg, g))
+
+
+def step_subgradient(traj, n):
+    """(eta^n, S^n) of step n, from the discrete inclusion rearranged:
+    S^n = f_avg^n - B^n and
+    eta^n = S^n - (U^n - 2 U^{n-1} + U^{n-2})/tau^2 - DE_{t_n}(U^n)."""
+    inp = step_input(traj, n)
+    u = traj.U[n].values
+    forcing = -inp.zeta.values
+    accel = (u - 2.0 * inp.v.values + inp.w.values) / inp.tau**2
+    eta = forcing - accel - energy_grad(traj.spec, inp.t_prev + inp.tau, u)
+    return eta, forcing

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from proxdyn.cli import parse_config_dict, run_and_emit
-from proxdyn.convex import SeparablePotential, conj_separable, prox_separable
+from proxdyn.convex import SitePotential, edge_conjugate_pair
 from proxdyn.core import energy_total, tau_max, validate_assumptions
 from proxdyn.diagnostics import apriori_monitor, deviation_norms, edi_scan
 from proxdyn.grid import Field, SpatialGrid, h_norm, laplacian_matrix
@@ -27,6 +27,8 @@ from proxdyn.models import (
     build_p3,
 )
 from proxdyn.stepper import admissible_tau, run
+
+from oracles import scalar_potential
 
 INNER_TOL = 1e-9
 
@@ -134,27 +136,29 @@ def test_criterion_03_prox_conjugate_oracles():
         q = rng.uniform(1.5, 4.0)
         gamma = rng.uniform(0.05, 10.0)
         s = rng.uniform(-8.0, 8.0)
-        pot = SeparablePotential(a, g, q)
+        psi = scalar_potential(a, g, q)
 
         box = abs(s) + 1.0
         coarse = np.linspace(-box, box, 20001)
-        obj = 0.5 / gamma * (coarse - s) ** 2 + pot.value(coarse)
+        obj = 0.5 / gamma * (coarse - s) ** 2 + psi(coarse)
         i = int(np.argmin(obj))
         lo, hi = coarse[max(i - 1, 0)], coarse[min(i + 1, 20000)]
         fine = np.linspace(lo, hi, max(int((hi - lo) / 1e-6) + 2, 3))
-        obj = 0.5 / gamma * (fine - s) ** 2 + pot.value(fine)
+        obj = 0.5 / gamma * (fine - s) ** 2 + psi(fine)
         oracle_prox = float(fine[np.argmin(obj)])
-        worst_prox = max(worst_prox, abs(prox_separable(pot, gamma, s) - oracle_prox))
+        prox = SitePotential([a], [g], q, 0.0, 0.0).prox(gamma, np.array([s]))[0]
+        worst_prox = max(worst_prox, abs(prox - oracle_prox))
 
         xi = rng.uniform(-6.0, 6.0)
         reach = (max(abs(xi) - a, 0.0) / g) ** (1.0 / (q - 1.0)) + 1.0
         coarse = np.linspace(-reach, reach, 20001)
-        vals = xi * coarse - pot.value(coarse)
+        vals = xi * coarse - psi(coarse)
         i = int(np.argmax(vals))
         lo, hi = coarse[max(i - 1, 0)], coarse[min(i + 1, 20000)]
         fine = np.linspace(lo, hi, max(int((hi - lo) / 1e-6) + 2, 3))
-        oracle_conj = float(np.max(xi * fine - pot.value(fine)))
-        worst_conj = max(worst_conj, abs(conj_separable(pot, xi) - oracle_conj))
+        oracle_conj = float(np.max(xi * fine - psi(fine)))
+        conj, _ = edge_conjugate_pair(a, 0.0, g, q, np.array([xi]))
+        worst_conj = max(worst_conj, abs(conj[0] - oracle_conj))
 
     elapsed = time.perf_counter() - t0
     ok = worst_prox <= 1e-5 and worst_conj <= 1e-4 and elapsed < 30.0

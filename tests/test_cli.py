@@ -228,6 +228,19 @@ class TestMainEntry:
         cfg = write_cfg(tmp_path, {"model": "p3", "tau": 0.5})
         assert main(["solve", "--config", str(cfg)]) == 2
 
+    @pytest.mark.parametrize(
+        "name, text, message",
+        [("missing.json", None, "does not exist"), ("bad.json", "{not json", "malformed JSON in")],
+    )
+    def test_unreadable_config_exit_two_names_the_file(self, tmp_path, capsys, name, text, message):
+        # main reads --config as parse_config does: the error names the path.
+        path = tmp_path / name
+        if text is not None:
+            path.write_text(text)
+        assert main(["solve", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert message in err and str(path) in err
+
     def test_run_failure_exit_one_still_writes_summary(self, tmp_path, monkeypatch):
         from proxdyn import cli as cli_mod
         from proxdyn.errors import InnerSolverFailed

@@ -13,78 +13,79 @@ from hypothesis import assume, given, settings, strategies as st
 from proxdyn.convex import (
     PDProblem,
     ProxGradProblem,
-    SeparablePotential,
     SitePotential,
     _newton_bisect,
     composite_conjugate,
-    conj_separable,
     conjugate_numeric,
     edge_conjugate_pair,
-    fenchel_young_gap,
-    prox_separable,
     solve_pd,
     solve_prox_gradient,
 )
-from proxdyn.errors import EvalError
+
+from oracles import scalar_potential
 
 
-def prox_oracle(pot, gamma, s, box=None, step=1e-6):
-    """Two-stage grid search for argmin (1/(2g))(x-s)^2 + pot(x).
+def prox1(a, g, q, gamma, s):
+    """The kernel's prox of a|.| + (g/q)|.|^q with parameter gamma at s."""
+    return float(SitePotential([a], [g], q, 0.0, 0.0).prox(gamma, np.array([s]))[0])
+
+
+def conj1(a, g, q, xi):
+    """The kernel's conjugate of a|.| + (g/q)|.|^q at xi."""
+    val, _ = edge_conjugate_pair(a, 0.0, g, q, np.array([xi]))
+    return float(val[0])
+
+
+def prox_oracle(psi, gamma, s, box=None, step=1e-6):
+    """Two-stage grid search for argmin (1/(2g))(x-s)^2 + psi(x).
 
     The objective is strictly convex, so a coarse scan brackets the
     minimizer and a fine scan inside the bracket equals the full fine grid.
     """
     box = box if box is not None else abs(s) + 1.0
     coarse = np.linspace(-box, box, 20001)
-    obj = 0.5 / gamma * (coarse - s) ** 2 + pot.value(coarse)
+    obj = 0.5 / gamma * (coarse - s) ** 2 + psi(coarse)
     i = int(np.argmin(obj))
     lo, hi = coarse[max(i - 1, 0)], coarse[min(i + 1, len(coarse) - 1)]
     fine = np.linspace(lo, hi, max(int((hi - lo) / step) + 1, 3))
-    obj = 0.5 / gamma * (fine - s) ** 2 + pot.value(fine)
+    obj = 0.5 / gamma * (fine - s) ** 2 + psi(fine)
     return float(fine[np.argmin(obj)])
 
 
-def conj_oracle(pot, xi, box=6.0, step=1e-7):
-    """Two-stage grid search for sup_s (xi*s - pot(s)) (concave scan)."""
+def conj_oracle(psi, xi, box=6.0, step=1e-7):
+    """Two-stage grid search for sup_s (xi*s - psi(s)) (concave scan)."""
     coarse = np.linspace(-box, box, 20001)
-    vals = xi * coarse - pot.value(coarse)
+    vals = xi * coarse - psi(coarse)
     i = int(np.argmax(vals))
     lo, hi = coarse[max(i - 1, 0)], coarse[min(i + 1, len(coarse) - 1)]
     fine = np.linspace(lo, hi, max(int((hi - lo) / step) + 1, 3))
-    return float(np.max(xi * fine - pot.value(fine)))
+    return float(np.max(xi * fine - psi(fine)))
 
 
 class TestProxSeparable:
+    """SitePotential.prox of the nodewise potential a|.| + (g/q)|.|^q."""
+
     def test_shrinks_past_threshold(self):
-        pot = SeparablePotential(a=1.0, g=1.0, q=2.0)
-        assert prox_separable(pot, 1.0, 3.0) == pytest.approx(1.0, abs=1e-12)
-        assert abs(prox_oracle(pot, 1.0, 3.0) - 1.0) < 5e-6
+        assert prox1(1.0, 1.0, 2.0, 1.0, 3.0) == pytest.approx(1.0, abs=1e-12)
+        assert abs(prox_oracle(scalar_potential(1.0, 1.0, 2.0), 1.0, 3.0) - 1.0) < 5e-6
 
     def test_sticks_below_threshold(self):
-        pot = SeparablePotential(a=1.0, g=1.0, q=2.0)
-        assert prox_separable(pot, 1.0, 0.5) == 0.0
-        assert prox_oracle(pot, 1.0, 0.5) == pytest.approx(0.0, abs=5e-6)
+        assert prox1(1.0, 1.0, 2.0, 1.0, 0.5) == 0.0
+        assert prox_oracle(scalar_potential(1.0, 1.0, 2.0), 1.0, 0.5) == pytest.approx(0.0, abs=5e-6)
 
     def test_zero_input(self):
-        for pot in (SeparablePotential(0.3, 2.0, 3.0), SeparablePotential(0.0, 1.0, 1.5)):
-            assert prox_separable(pot, 0.7, 0.0) == 0.0
+        for a, g, q in ((0.3, 2.0, 3.0), (0.0, 1.0, 1.5)):
+            assert prox1(a, g, q, 0.7, 0.0) == 0.0
 
     def test_general_exponent_matches_oracle(self):
         rng = np.random.default_rng(0)
         for _ in range(25):
-            pot = SeparablePotential(
-                a=rng.uniform(0, 2), g=rng.uniform(0.1, 3), q=rng.uniform(1.2, 4)
-            )
+            a, g, q = rng.uniform(0, 2), rng.uniform(0.1, 3), rng.uniform(1.2, 4)
             gamma = rng.uniform(0.05, 5)
             s = rng.uniform(-6, 6)
-            got = prox_separable(pot, gamma, s)
-            want = prox_oracle(pot, gamma, s)
+            got = prox1(a, g, q, gamma, s)
+            want = prox_oracle(scalar_potential(a, g, q), gamma, s)
             assert abs(got - want) < 1e-5
-
-    def test_non_finite_rejected(self):
-        pot = SeparablePotential(1.0, 1.0, 2.0)
-        with pytest.raises(EvalError):
-            prox_separable(pot, 1.0, float("nan"))
 
     @given(
         s1=st.floats(-20, 20),
@@ -96,116 +97,100 @@ class TestProxSeparable:
     )
     @settings(max_examples=80, deadline=None)
     def test_nonexpansive(self, s1, s2, a, g, q, gamma):
-        pot = SeparablePotential(a, g, q)
-        p1 = prox_separable(pot, gamma, s1)
-        p2 = prox_separable(pot, gamma, s2)
+        p1 = prox1(a, g, q, gamma, s1)
+        p2 = prox1(a, g, q, gamma, s2)
         assert abs(p1 - p2) <= abs(s1 - s2) + 1e-10
 
     @given(s=st.floats(-10, 10), a=st.floats(0, 2), g=st.floats(0.1, 3))
     @settings(max_examples=50, deadline=None)
     def test_sign_and_magnitude(self, s, a, g):
-        pot = SeparablePotential(a, g, 2.0)
-        p = prox_separable(pot, 1.0, s)
+        p = prox1(a, g, 2.0, 1.0, s)
         assert p == 0.0 or np.sign(p) == np.sign(s)
         assert abs(p) <= abs(s) + 1e-12
 
 
 class TestConjSeparable:
+    """edge_conjugate_pair of the nodewise potential a|.| + (g/q)|.|^q."""
+
     def test_quadratic_case(self):
-        pot = SeparablePotential(1.0, 1.0, 2.0)
         # sup_s (3s - s - s^2/2) attained at s = 2.
-        assert conj_separable(pot, 3.0) == pytest.approx(2.0, abs=1e-12)
-        assert conj_oracle(pot, 3.0) == pytest.approx(2.0, abs=1e-6)
+        assert conj1(1.0, 1.0, 2.0, 3.0) == pytest.approx(2.0, abs=1e-12)
+        assert conj_oracle(scalar_potential(1.0, 1.0, 2.0), 3.0) == pytest.approx(2.0, abs=1e-6)
 
     def test_threshold_case(self):
-        pot = SeparablePotential(1.0, 1.0, 2.0)
-        assert conj_separable(pot, 1.0) == 0.0
-        assert conj_oracle(pot, 1.0) == pytest.approx(0.0, abs=1e-6)
+        assert conj1(1.0, 1.0, 2.0, 1.0) == 0.0
+        assert conj_oracle(scalar_potential(1.0, 1.0, 2.0), 1.0) == pytest.approx(0.0, abs=1e-6)
 
     def test_zero_argument(self):
-        for pot in (SeparablePotential(0.5, 2.0, 3.0), SeparablePotential(0.0, 1.0, 2.0)):
-            assert conj_separable(pot, 0.0) == 0.0
+        for a, g, q in ((0.5, 2.0, 3.0), (0.0, 1.0, 2.0)):
+            assert conj1(a, g, q, 0.0) == 0.0
 
     def test_general_exponent_matches_oracle(self):
         rng = np.random.default_rng(1)
         for _ in range(25):
-            pot = SeparablePotential(
-                a=rng.uniform(0, 1.5), g=rng.uniform(0.2, 3), q=rng.uniform(1.3, 4)
-            )
+            a, g, q = rng.uniform(0, 1.5), rng.uniform(0.2, 3), rng.uniform(1.3, 4)
             xi = rng.uniform(-4, 4)
-            want = conj_oracle(pot, xi, box=10.0)
-            assert abs(conj_separable(pot, xi) - want) < 1e-4
+            want = conj_oracle(scalar_potential(a, g, q), xi, box=10.0)
+            assert abs(conj1(a, g, q, xi) - want) < 1e-4
 
     def test_degenerate_friction_only(self):
-        pot = SeparablePotential(1.0, 0.0, 2.0)
-        assert conj_separable(pot, 0.5) == 0.0
-        assert conj_separable(pot, 1.5) == float("inf")
+        assert conj1(1.0, 0.0, 2.0, 0.5) == 0.0
+        assert conj1(1.0, 0.0, 2.0, 1.5) == float("inf")
 
     @given(xi=st.floats(-8, 8), a=st.floats(0, 2), g=st.floats(0.1, 3), q=st.floats(1.2, 4))
     @settings(max_examples=60, deadline=None)
     def test_fenchel_young_inequality(self, xi, a, g, q):
-        pot = SeparablePotential(a, g, q)
+        psi = scalar_potential(a, g, q)
         rng = np.random.default_rng(int(abs(xi * 1000)) + 1)
         for v in rng.uniform(-5, 5, size=4):
-            gap = pot.value(v) + conj_separable(pot, xi) - xi * v
+            gap = psi(v) + conj1(a, g, q, xi) - xi * v
             assert gap >= -1e-10
 
     def test_convex_even_monotone(self):
-        pot = SeparablePotential(0.7, 1.3, 2.5)
+        a, g, q = 0.7, 1.3, 2.5
         xs = np.linspace(0.0, 6.0, 50)
-        vals = np.array([conj_separable(pot, x) for x in xs])
+        vals = np.array([conj1(a, g, q, x) for x in xs])
         assert np.all(np.diff(vals) >= -1e-12)
         assert np.all(np.diff(vals, 2) >= -1e-9)
         for x in xs:
-            assert conj_separable(pot, -x) == pytest.approx(conj_separable(pot, x))
+            assert conj1(a, g, q, -x) == pytest.approx(conj1(a, g, q, x))
 
     def test_moreau_decomposition_q2(self):
         # prox of the potential and a conjugate-prox oracle reconstruct s.
-        pot = SeparablePotential(0.8, 1.7, 2.0)
+        a, g = 0.8, 1.7
         rng = np.random.default_rng(2)
         for s in rng.uniform(-5, 5, size=10):
             gamma = rng.uniform(0.2, 3)
-            p = prox_separable(pot, gamma, s)
+            p = prox1(a, g, 2.0, gamma, s)
             # grid-search prox of f* (closed form for q = 2) at s/gamma
             xs = np.linspace(-8, 8, 400001)
-            t = np.maximum(np.abs(xs) - pot.a, 0.0)
-            conj_vals = t**2 / (2.0 * pot.g)
+            t = np.maximum(np.abs(xs) - a, 0.0)
+            conj_vals = t**2 / (2.0 * g)
             obj = 0.5 * gamma * (xs - s / gamma) ** 2 + conj_vals
             p_star = xs[np.argmin(obj)]
             assert p + gamma * p_star == pytest.approx(s, abs=5e-5)
 
 
-class TestFenchelYoungGap:
-    def test_subgradient_pair(self):
-        assert fenchel_young_gap(1.5, 0.5, 2.0) == pytest.approx(0.0)
-
-    def test_zero_pair(self):
-        assert fenchel_young_gap(0.0, 0.0, 0.0) == 0.0
-
-    def test_non_subgradient_pair(self):
-        assert fenchel_young_gap(1.5, 0.0, 0.0) == pytest.approx(1.5)
-
-
 class TestConjugateNumeric:
     def test_matches_closed_form(self):
-        pot = SeparablePotential(1.0, 1.0, 2.0)
-        got = conjugate_numeric(pot.value, 3.0, search_box=5.0, steps=10**6)
+        psi = scalar_potential(1.0, 1.0, 2.0)
+        got = conjugate_numeric(psi, 3.0, search_box=5.0, steps=10**6)
         assert got == pytest.approx(2.0, abs=1e-5)
 
     def test_zero(self):
-        pot = SeparablePotential(1.0, 1.0, 2.0)
-        assert conjugate_numeric(pot.value, 0.0, 5.0, 10**5) == pytest.approx(0.0, abs=1e-9)
+        psi = scalar_potential(1.0, 1.0, 2.0)
+        assert conjugate_numeric(psi, 0.0, 5.0, 10**5) == pytest.approx(0.0, abs=1e-9)
 
     def test_dual_pair_of_oracles(self):
-        pot = SeparablePotential(0.5, 2.0, 3.0)
-        got = conjugate_numeric(pot.value, 2.0, search_box=5.0, steps=10**6)
+        a, g = 0.5, 2.0
+        got = conjugate_numeric(scalar_potential(a, g, 3.0), 2.0, search_box=5.0, steps=10**6)
         qs = 1.5
-        want = pot.g ** (1 - qs) / qs * max(2.0 - pot.a, 0.0) ** qs
+        want = g ** (1 - qs) / qs * max(2.0 - a, 0.0) ** qs
         assert got == pytest.approx(want, abs=1e-4)
 
     def test_arrays_coordinatewise(self):
-        pot = SeparablePotential(1.0, 1.0, 2.0)
-        out = conjugate_numeric(pot.value, np.array([3.0, 0.0, -3.0]), 5.0, 10**5)
+        psi = scalar_potential(1.0, 1.0, 2.0)
+        out = conjugate_numeric(psi, np.array([3.0, 0.0, -3.0]), 5.0, 10**5)
         assert out == pytest.approx([2.0, 0.0, 2.0], abs=1e-4)
 
 
@@ -248,7 +233,7 @@ class TestSolvePD:
             tol=1e-14,
         )
         u, p, rep = solve_pd(prob, np.zeros(m))
-        want = [prox_separable(SeparablePotential(a, g, 2.0), gamma, si) for si in s]
+        want = [prox1(a, g, 2.0, gamma, si) for si in s]
         np.testing.assert_allclose(u, want, atol=1e-7)
 
     def test_transpose_consistency(self):
@@ -303,6 +288,25 @@ class TestSolvePD:
             vals = 0.5 / sig * (xs - z) ** 2 + k4 * xs**4 + a * np.abs(xs - c) + 0.5 * w2 * (xs - c) ** 2
             want = xs[np.argmin(vals)]
             assert abs(got - want) < 2e-5
+
+    @pytest.mark.parametrize(
+        "root, g, q", [("_cubic_root", 0.0, 2.0), ("_branch_root", 1.3, 3.0)]
+    )
+    def test_quartic_prox_solves_one_branch(self, root, g, q, monkeypatch):
+        # Each site takes at most one sign branch, so one root solve per
+        # prox call serves sites of both signs and stuck sites alike.
+        calls = []
+        solve = getattr(SitePotential, root)
+
+        def counting(self, *args):
+            calls.append(args)
+            return solve(self, *args)
+
+        monkeypatch.setattr(SitePotential, root, counting)
+        pot = SitePotential(np.full(3, 0.5), np.full(3, g), q, 1.0, 0.0, k4=1.0)
+        y = pot.prox(0.5, np.array([-3.0, 0.1, 3.0]))
+        assert len(calls) == 1
+        assert y[0] < 0.0 and y[1] == 0.0 and y[2] > 0.0
 
 
 class TestCompositeConjugate:

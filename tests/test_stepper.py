@@ -10,7 +10,7 @@ from proxdyn.core import (
     ProblemSpec,
 )
 from proxdyn.errors import ConfigError, DomainError, StepSizeTooLarge
-from proxdyn.grid import Field, SpatialGrid, laplacian_matrix
+from proxdyn.grid import Field, SpatialGrid, h_inner, laplacian_matrix
 from proxdyn.models import (
     P1Params,
     P2Params,
@@ -26,10 +26,11 @@ from proxdyn.stepper import (
     average_force,
     incremental_minimize,
     interpolants,
-    phi_value,
     run,
     step_operator,
 )
+
+from oracles import phi_value, step_input, step_subgradient
 
 
 def scalar_spec(psi_g=1.0):
@@ -89,9 +90,9 @@ class TestIncrementalMinimize:
         g = spec.grid
         inp = StepInput(
             tau=1.0, t_prev=0.0, v=Field(np.zeros(1), g), w=Field(np.zeros(1), g),
-            zeta=Field(np.array([-1.0]), g), state_for_psi=Field(np.zeros(1), g),
+            zeta=Field(np.array([-1.0]), g),
         )
-        u, eta, rep = incremental_minimize(spec, inp)
+        u, eta, rep, _ = incremental_minimize(spec, inp, step_operator(spec, inp.tau))
         assert u.values == pytest.approx([1.0 / 3.0], abs=1e-9)
         assert eta.values == pytest.approx([1.0 / 3.0], abs=1e-9)
         assert rep.fy_gap <= 1e-8
@@ -113,9 +114,8 @@ class TestIncrementalMinimize:
             u0=Field(np.zeros(m), g), v0=Field(np.zeros(m), g),
         )
         u0 = Field(np.zeros(m), g)
-        inp = StepInput(tau=0.1, t_prev=0.0, v=u0, w=u0,
-                        zeta=Field(np.zeros(m), g), state_for_psi=u0)
-        u, eta, rep = incremental_minimize(spec, inp)
+        inp = StepInput(tau=0.1, t_prev=0.0, v=u0, w=u0, zeta=Field(np.zeros(m), g))
+        u, eta, rep, _ = incremental_minimize(spec, inp, step_operator(spec, inp.tau))
         assert np.all(u.values == 0.0)
         assert eta.values == pytest.approx(np.zeros(m), abs=1e-12)
 
@@ -156,25 +156,15 @@ class TestIncrementalMinimize:
         )
         g = spec.grid
         inp = StepInput(tau=0.25, t_prev=0.0, v=Field(np.zeros(1), g),
-                        w=Field(np.zeros(1), g), zeta=Field(np.zeros(1), g),
-                        state_for_psi=Field(np.zeros(1), g))
+                        w=Field(np.zeros(1), g), zeta=Field(np.zeros(1), g))
         with pytest.raises(StepSizeTooLarge):
-            incremental_minimize(spec, inp)
+            incremental_minimize(spec, inp, step_operator(spec, inp.tau))
 
     def test_phi_decrease_vs_stay_put(self):
         spec, _ = build_linear_wave(1.0, n_nodes=17)
         traj = run(spec, 0.05)
-        g = spec.grid
         for n in range(1, traj.n_steps + 1):
-            inp = StepInput(
-                tau=traj.tau, t_prev=traj.times[n - 1],
-                v=traj.U[n - 1],
-                w=traj.U[n - 2] if n >= 2 else Field(
-                    traj.U[0].values - traj.tau * traj.V[0].values, g),
-                zeta=Field(np.zeros(g.n_interior), g),
-                state_for_psi=traj.U[n - 1],
-            )
-            stay = phi_value(spec, inp, traj.U[n - 1])
+            stay = phi_value(spec, step_input(traj, n), traj.U[n - 1])
             assert traj.reports[n - 1].phi_value <= stay + 1e-12 * (1 + abs(stay))
 
     def test_p1_type_composite_step_fy_gap(self):
@@ -189,9 +179,9 @@ class TestIncrementalMinimize:
         inp = StepInput(
             tau=tau, t_prev=0.0, v=spec.u0,
             w=Field(spec.u0.values - tau * 0.3 * np.ones(m), g),
-            zeta=Field(np.zeros(m), g), state_for_psi=spec.u0,
+            zeta=Field(np.zeros(m), g),
         )
-        u, eta, rep = incremental_minimize(spec, inp, inner_tol=1e-9)
+        u, eta, rep, _ = incremental_minimize(spec, inp, step_operator(spec, tau), inner_tol=1e-9)
         assert rep.fy_gap <= 1e-8
         assert rep.el_residual <= 1e-3
 
@@ -230,8 +220,8 @@ class TestStepOracle:
         v = Field(0.3 * rng.standard_normal(m), g)
         w = Field(v.values - tau * 0.2 * rng.standard_normal(m), g)
         inp = StepInput(tau=tau, t_prev=0.0, v=v, w=w,
-                        zeta=Field(0.1 * rng.standard_normal(m), g), state_for_psi=v)
-        u, eta, rep = incremental_minimize(spec, inp)
+                        zeta=Field(0.1 * rng.standard_normal(m), g))
+        u, eta, rep, _ = incremental_minimize(spec, inp, step_operator(spec, tau))
         best = self._oracle_step(spec, inp, u.values)
         assert phi_value(spec, inp, u) <= best.fun + 1e-9
         assert np.max(np.abs(u.values - best.x)) < 1e-4
@@ -247,8 +237,8 @@ class TestStepOracle:
         v = Field(0.4 * rng.standard_normal(m), g)
         w = Field(v.values - tau * 0.3 * rng.standard_normal(m), g)
         inp = StepInput(tau=tau, t_prev=0.1, v=v, w=w,
-                        zeta=Field(0.2 * rng.standard_normal(m), g), state_for_psi=v)
-        u, eta, rep = incremental_minimize(spec, inp)
+                        zeta=Field(0.2 * rng.standard_normal(m), g))
+        u, eta, rep, _ = incremental_minimize(spec, inp, step_operator(spec, tau))
         best = self._oracle_step(spec, inp, u.values)
         assert phi_value(spec, inp, u) <= best.fun + 1e-9
         assert np.max(np.abs(u.values - best.x)) < 1e-4
@@ -260,8 +250,9 @@ class TestRun:
         traj = run(spec, 0.1)
         for n in range(traj.n_steps + 1):
             assert np.all(traj.U[n].values == 0.0)
-        for eta in traj.eta:
-            assert np.all(eta.values == 0.0)
+        for n in range(1, traj.n_steps + 1):
+            eta, _ = step_subgradient(traj, n)
+            assert np.all(eta == 0.0)
 
     def test_linear_wave_tracks_modal_solution(self):
         errs = []
@@ -335,19 +326,14 @@ class TestRun:
             horizon=1.0,
             u0=Field(np.zeros(m), g), v0=Field(np.zeros(m), g),
         )
-        traj = run(spec, 0.5)
-        assert traj.forcing[0].values == pytest.approx(np.full(m, 0.25), abs=1e-15)
-        assert traj.forcing[1].values == pytest.approx(np.full(m, 0.75), abs=1e-15)
-
-
-def _step_input(traj, n):
-    """The StepInput of step n of a run, rebuilt from its records."""
-    g = traj.spec.grid
-    w = traj.U[n - 2] if n >= 2 else Field(traj.U[0].values - traj.tau * traj.V[0].values, g)
-    return StepInput(
-        tau=traj.tau, t_prev=traj.times[n - 1], v=traj.U[n - 1], w=w,
-        zeta=Field(-traj.forcing[n - 1].values, g), state_for_psi=traj.U[n - 1],
-    )
+        tau = 0.5
+        traj = run(spec, tau)
+        # work = tau <S^n, V^n>_h; S^n within 1e-15 of the average per node.
+        for rep, v, avg in zip(traj.reports, traj.V[1:], (0.25, 0.75)):
+            assert np.any(v.values != 0.0)
+            want = tau * h_inner(np.full(m, avg), v.values, g.h)
+            slack = tau * g.h * 1e-15 * np.sum(np.abs(v.values))
+            assert abs(rep.work - want) <= slack + 1e-15 * abs(want)
 
 
 class TestReportPhi:
@@ -364,7 +350,7 @@ class TestReportPhi:
         # evaluates it independently.
         traj = run(spec, tau)
         for n, rep in enumerate(traj.reports, start=1):
-            want = phi_value(spec, _step_input(traj, n), traj.U[n])
+            want = phi_value(spec, step_input(traj, n), traj.U[n])
             assert abs(rep.phi_value - want) <= 1e-12 * (1.0 + abs(want))
 
 
