@@ -1,0 +1,81 @@
+#!/usr/bin/env python3
+"""Run the four benchmark workloads through `proxdyn solve` and compare.
+
+Usage:
+    python scripts/workload_outputs.py OUT [--against OTHER]
+
+Each config of `bench/workloads.py` (imported read-only) runs through
+`cli.run_and_emit` into OUT/<workload>/, which also gets `U.npy` (every
+U^n of the run).  Per workload the script prints the inner-iteration
+total and the max Fenchel-Young gap.  With --against, OTHER is the OUT of
+an earlier run of this script (say, from a checkout of another commit);
+it adds the max |U^n - U^n_other| and whether trajectory.csv and
+snapshots.csv are byte-identical.  The proxdyn imported is the one in
+this script's own checkout.
+"""
+
+import argparse
+import sys
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "bench"))
+
+from proxdyn import cli, stepper  # noqa: E402
+from workloads import WORKLOADS  # noqa: E402
+
+
+def run_workload(config: dict, out: Path):
+    """run_and_emit on one config; returns (exit code, trajectory)."""
+    runs = []
+    original = stepper.run
+
+    def keep(*args, **kwargs):
+        runs.append(original(*args, **kwargs))
+        return runs[-1]
+
+    stepper.run = keep
+    try:
+        code = cli.run_and_emit(cli.parse_config_dict({**config, "seed": 0, "out_dir": str(out)}))
+    finally:
+        stepper.run = original
+    return code, runs[0]
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("out", help="output directory")
+    ap.add_argument("--against", default=None, help="OUT of an earlier run to compare with")
+    args = ap.parse_args()
+    out = Path(args.out)
+    other = Path(args.against) if args.against else None
+
+    header = f"{'workload':<12} {'exit':>4} {'inner_iters':>11} {'max_fy_gap':>10}"
+    if other:
+        header += f" {'max_dU':>9}  trajectory.csv  snapshots.csv"
+    print(header)
+    for name, work in WORKLOADS.items():
+        wdir = out / name
+        code, traj = run_workload(work.config, wdir)
+        u = np.array([f.values for f in traj.U])
+        np.save(wdir / "U.npy", u)
+        iters = sum(r.inner_iters for r in traj.reports)
+        fy = max(r.fy_gap for r in traj.reports)
+        line = f"{name:<12} {code:>4} {iters:>11} {fy:>10.3e}"
+        if other:
+            u_other = np.load(other / name / "U.npy")
+            du = float(np.max(np.abs(u - u_other))) if u.shape == u_other.shape else float("nan")
+            same = [
+                (wdir / f).read_bytes() == (other / name / f).read_bytes()
+                for f in ("trajectory.csv", "snapshots.csv")
+            ]
+            line += f" {du:>9.2e}  {'identical' if same[0] else 'differs':<14}  "
+            line += "identical" if same[1] else "differs"
+        print(line, flush=True)
+
+
+if __name__ == "__main__":
+    main()

@@ -18,7 +18,7 @@ from .core import (
     tau_max,
     validate_assumptions,
 )
-from .convex import conjugate_numeric, solve_pd
+from .convex import StepProblem, solve_pd
 from .grid import Field, SpatialGrid
 from .stepper import (
     StepInput,
@@ -38,11 +38,11 @@ __all__ = [
     "ProblemSpec",
     "SpatialGrid",
     "StepInput",
+    "StepProblem",
     "StepReport",
     "Trajectory",
     "ValidationReport",
     "average_force",
-    "conjugate_numeric",
     "energy_total",
     "incremental_minimize",
     "interpolants",

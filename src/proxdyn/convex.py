@@ -1,17 +1,24 @@
 """Nonsmooth convex toolbox.
 
-The per-site kernel `SitePotential` with its exact prox and conjugate
-(`edge_conjugate_pair`), a grid-search conjugate oracle for testing, and
-the two inner solvers used by the time stepper:
+A time step is one strongly convex problem, `StepProblem`:
 
-* a proximal-gradient loop with exact nodewise prox (separable dissipation),
-* a primal-dual splitting with the discrete gradient as linear operator
-  (gradient-composite dissipation).
+    min_u 0.5 u^T Q u + b^T u + rho(u) + sum_sites f((M u)_site),
 
-Both solvers certify optimality through the stationarity residual
-r = grad(smooth) + D^T p_hat, where p_hat is the dual iterate projected
-onto the subdifferential of the nonsmooth part at the current point: for a
-gamma-strongly convex objective, obj(u) - obj* <= |r|_h^2 / (2 gamma).
+with Q a `SymBand` (symmetric, held only in LAPACK upper band form), rho an
+optional smooth remainder, f the per-site kernel `SitePotential` (exact prox,
+and exact conjugate through `edge_conjugate_pair`), and M the identity
+(sites are nodes, separable dissipation) or the discrete gradient (sites
+are edges, gradient-composite dissipation).  Two inner solvers take it:
+
+* a proximal-gradient loop with exact nodewise prox (sites are nodes),
+* a primal-dual splitting with M as linear operator (either kind).
+
+When f is quadratic and there is no rho, both solve it in closed form: one
+banded Cholesky solve of Q + M^T diag(w2) M.  Every solve certifies
+optimality through the stationarity residual r = grad(smooth) + M^T p_hat,
+where p_hat is the dual iterate projected onto the subdifferential of the
+nonsmooth part at the current point: for a gamma-strongly convex
+objective, obj(u) - obj* <= |r|_h^2 / (2 gamma).
 
 Solvers work on plain ndarrays in the h-cancelled representation (the
 h-weighted pairing makes plain transposes adjoint, so h never appears in
@@ -26,6 +33,7 @@ from typing import Callable, Optional
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.blas
 
 from .errors import EvalError, MaxIterExceeded, NonFiniteIterate
 
@@ -46,18 +54,23 @@ def _gram_band(d_mat, w) -> np.ndarray:
 
 
 class SymBand:
-    """Symmetric matrix held dense, for products, and in LAPACK upper band
-    form, for O(m b^2) eigenvalues and factorizations (b the exact
-    bandwidth, read from the nonzeros)."""
+    """Symmetric matrix in LAPACK upper band form: products by dsbmv,
+    eigenvalues and Cholesky factorizations in O(m b^2), b the bandwidth."""
 
-    def __init__(self, dense):
-        self.dense = np.asarray(dense, dtype=float)
-        rows, cols = np.nonzero(self.dense)
+    def __init__(self, band):
+        self.band = np.asarray(band, dtype=float)
+
+    @classmethod
+    def from_dense(cls, mat) -> "SymBand":
+        """The exact band of a symmetric matrix, its bandwidth read from the
+        nonzeros; the matrix is not kept."""
+        mat = np.asarray(mat, dtype=float)
+        rows, cols = np.nonzero(mat)
         bw = int(np.max(np.abs(cols - rows), initial=0))
-        self.band = _band_rows(lambda k: np.diagonal(self.dense, k), bw)
+        return cls(_band_rows(lambda k: np.diagonal(mat, k), bw))
 
     def __matmul__(self, x):
-        return self.dense @ x
+        return scipy.linalg.blas.dsbmv(self.bandwidth, 1.0, self.band, x)
 
     @property
     def bandwidth(self) -> int:
@@ -69,16 +82,16 @@ class SymBand:
 
     @cached_property
     def max_eig(self) -> float:
-        return self.eigenvalue(self.dense.shape[0] - 1)
+        return self.eigenvalue(self.band.shape[1] - 1)
 
-    def solve_plus(self, extra, rhs) -> np.ndarray:
-        """Solve (self + E) x = rhs by a banded Cholesky factorization;
-        extra is the upper band form of the symmetric matrix E."""
-        rows = max(len(self.band), len(extra))
-        band = np.zeros((rows, self.dense.shape[0]))
-        band[rows - len(self.band):] += self.band
-        band[rows - len(extra):] += extra
-        return scipy.linalg.cho_solve_banded((scipy.linalg.cholesky_banded(band), False), rhs)
+    def factor_plus(self, *extras):
+        """Banded Cholesky factor of self + E_1 + ..., each E_i symmetric and
+        given in upper band form; cho_solve_banded takes it."""
+        parts = (self.band, *extras)
+        band = np.zeros((max(len(b) for b in parts), self.band.shape[1]))
+        for b in parts:
+            band[len(band) - len(b):] += b
+        return scipy.linalg.cholesky_banded(band), False
 
 
 _ROOT_RTOL = 1e-15
@@ -139,35 +152,6 @@ def _power_solve(w, g, q, t):
     return s
 
 
-def conjugate_numeric(psi: Callable, xi, search_box: float, steps: int):
-    """Grid-search lower bound of the scalar conjugate sup_s (xi*s - psi(s)).
-
-    Test oracle only.  psi is applied elementwise over the search grid; xi
-    may be a scalar or an array (coordinatewise sup).  Two-stage search:
-    a coarse pass brackets the concave maximand, a fine pass resolves it
-    at resolution 2*search_box/steps, which is equivalent to the full fine
-    grid because s -> xi*s - psi(s) is concave for convex psi.
-    """
-    arr = np.atleast_1d(np.asarray(getattr(xi, "values", xi), dtype=float))
-    coarse_n = min(steps, 20001)
-    # Scaled from [-1, 1]: the width 2*search_box overflows for boxes
-    # above half the largest float.
-    grid = search_box * np.linspace(-1.0, 1.0, coarse_n)
-    vals = arr[:, None] * grid[None, :] - psi(grid)[None, :]
-    best = np.argmax(vals, axis=1)
-    out = np.empty(arr.shape)
-    fine_res = 2.0 * (search_box / steps)
-    for i, b in enumerate(best):
-        lo = grid[max(b - 1, 0)]
-        hi = grid[min(b + 1, coarse_n - 1)]
-        n_fine = max(int(np.ceil((hi - lo) / fine_res)) + 1, 3)
-        fine = np.linspace(lo, hi, n_fine)
-        out[i] = np.max(arr[i] * fine - psi(fine))
-    if np.isscalar(xi) or np.ndim(xi) == 0:
-        return float(out[0])
-    return out
-
-
 class SitePotential:
     """Per-site potential f(y) = k4 y^4 + a|y-c| + (g/q)|y-c|^q + (w2/2)(y-c)^2.
 
@@ -206,11 +190,21 @@ class SitePotential:
         """Certified strong convexity in y: the smallest quadratic weight."""
         return float(np.min(self.w2))
 
+    def step_copy(self, tau: float, shift, k4: float = 0.0) -> "SitePotential":
+        """Per-site potential of tau * f((y - shift)/tau) + k4 y^4 for an
+        unshifted f: the 1-homogeneous weight survives the scaling, the
+        power weight becomes g tau^(1-q) and the quadratic one w2/tau."""
+        return SitePotential(
+            self.a, self.g * tau ** (1.0 - self.q), self.q, self.w2 / tau, shift, k4
+        )
+
     def value(self, y) -> float:
         y = np.asarray(y, dtype=float)
         d = np.abs(y - self.shift)
+        # Each weight meets its power before the constant, so a subnormal
+        # weight keeps its digits.
         out = float(
-            np.sum(self.a * d + (self.g / self.q) * d**self.q + 0.5 * self.w2 * d**2)
+            np.sum(self.a * d + self.g * d**self.q / self.q + self.w2 * d**2 / 2.0)
         )
         if self.k4 > 0.0:
             out += self.k4 * float(np.sum(y**4))
@@ -247,8 +241,11 @@ class SitePotential:
     def _prox_quartic(self, sigma: float, z):
         """Branch-wise monotone root find for the quartic-augmented prox;
         at most one branch is taken per site, so one root solve serves both."""
-        take_pos = self._branch_deriv(np.zeros_like(z), z, sigma, +1.0) < 0.0
-        take_neg = self._branch_deriv(np.zeros_like(z), z, sigma, -1.0) > 0.0
+        # The branch derivative at d = 0, where the power term vanishes, is
+        # base + sgn * a.
+        base = -(z - self.shift) / sigma + 4.0 * self.k4 * self.shift**3
+        take_pos = base + self.a < 0.0
+        take_neg = base - self.a > 0.0
         sgn = np.where(take_pos, 1.0, -1.0)
         if np.all(self.g == 0.0):
             d = self._cubic_root(sigma, z, sgn)
@@ -386,21 +383,21 @@ def edge_conjugate_pair(a, w2, g, q, lam):
     return val, s
 
 
-def composite_conjugate(a, w2, g, q, h, eta):
-    """Exact conjugate of Psi(v) = h * sum_e psi_e((Dv)_e) at a nodal eta.
+def composite_conjugate(pot: SitePotential, h: float, eta):
+    """Exact conjugate of Psi(v) = h * sum_e f_e((Dv)_e) at a nodal eta, for
+    an unshifted edge potential pot without quartic.
 
     Uses the dual characterization Psi*(eta) = h * min over edge fields
-    lam with D^T lam = eta of sum psi_e*(lam_e); in 1D the constraint set
+    lam with D^T lam = eta of sum f_e*(lam_e); in 1D the constraint set
     is a one-parameter family lam0 + t (ker D^T is the constants), so the
     minimization is a scalar convex problem.  Its derivative
-    sum_e s*(lam0_e + t) increases in t, with slope sum_e 1/psi_e''(s*_e)
+    sum_e s*(lam0_e + t) increases in t, with slope sum_e 1/f_e''(s*_e)
     over the edges where |lam0_e + t| > a_e; every s* is <= 0 at
     t = min(-lam0 - a) and >= 0 at t = max(-lam0 + a), which brackets the
     root for the Newton-bisection.
     """
     eta = np.asarray(eta, dtype=float)
     lam0 = np.concatenate([[0.0], -np.cumsum(h * eta)])
-    pot = SitePotential(a, g, q, w2, 0.0)
 
     def slope(t):
         lam = lam0 + t
@@ -414,23 +411,26 @@ def composite_conjugate(a, w2, g, q, h, eta):
 
 
 @dataclass
-class PDProblem:
-    """Strongly convex composite problem min_u G(u) + sum_e f_e((D u)_e).
+class StepProblem:
+    """Strongly convex problem min_u G(u) + sum_sites f((M u)_site), with
+    G(u) = 0.5 u^T Q u + b^T u + rho(u).
 
-    G(u) = 0.5 u^T Q u + b^T u + rho(u) with Q symmetric positive definite
-    (handled implicitly through factorized solves; a dense Q is wrapped in
-    a SymBand) and rho an optional smooth remainder treated by
-    linearization with backtracking.  smooth_lips seeds the backtracking
-    estimate for grad rho.
+    Sites are nodes (M the identity) when lin_op is None and the rows of
+    lin_op, with operator norm op_norm, otherwise.  rho is an optional
+    smooth remainder treated by linearization with backtracking;
+    smooth_lips seeds the backtracking estimate for grad rho.  A solve
+    stops once the certified gap is below tol, the stationarity residual
+    below resid_target, the splitting's Bregman feasibility term below
+    fy_slack, and accept(u), if given, holds (proximal gradient only).
     """
 
     quad_op: SymBand
     lin: np.ndarray
-    lin_op: np.ndarray
     nonsmooth: SitePotential
     h: float
     strong_convexity: float
-    op_norm: float
+    lin_op: Optional[np.ndarray] = None
+    op_norm: float = 1.0
     smooth_value: Optional[Callable] = None
     smooth_grad: Optional[Callable] = None
     smooth_lips: float = 0.0
@@ -438,10 +438,25 @@ class PDProblem:
     resid_target: float = np.inf
     fy_slack: float = np.inf
     max_iter: int = 50_000
+    accept: Optional[Callable[[np.ndarray], bool]] = None
 
-    def __post_init__(self):
-        if not isinstance(self.quad_op, SymBand):
-            self.quad_op = SymBand(self.quad_op)
+    def sites(self, u):
+        """M u."""
+        return u if self.lin_op is None else self.lin_op @ u
+
+    def adjoint(self, p):
+        """M^T p."""
+        return p if self.lin_op is None else self.lin_op.T @ p
+
+    def gram(self, w):
+        """M^T diag(w) M in upper band form."""
+        return w[None, :] if self.lin_op is None else _gram_band(self.lin_op, w)
+
+    def smooth_val(self, u):
+        val = 0.5 * float(u @ (self.quad_op @ u)) + float(self.lin @ u)
+        if self.smooth_value is not None:
+            val += self.smooth_value(u)
+        return val
 
     def smooth_full_grad(self, u):
         g = self.quad_op @ u + self.lin
@@ -450,118 +465,120 @@ class PDProblem:
         return g
 
     def objective(self, u):
-        val = 0.5 * float(u @ (self.quad_op @ u)) + float(self.lin @ u)
-        if self.smooth_value is not None:
-            val += self.smooth_value(u)
-        return val + self.nonsmooth.value(self.lin_op @ u)
+        return self.smooth_val(u) + self.nonsmooth.value(self.sites(u))
 
 
-def _certify_admm(prob: PDProblem, u, y, p):
-    """Certified optimality data at (u, y, p) with p in dF(y) exactly.
-
-    obj(u) - obj* <= |r|_h^2/(2 gamma) + h*[F(Du) - F(y) - <p, Du - y>],
-    r = grad G(u) + D^T p; the Bregman term is nonnegative by convexity
-    and vanishes with the splitting feasibility gap Du - y.
-    """
-    du = prob.lin_op @ u
-    r = prob.smooth_full_grad(u) + prob.lin_op.T @ p
-    r_h = float(np.sqrt(prob.h * (r @ r)))
-    breg = prob.nonsmooth.value(du) - prob.nonsmooth.value(y) - float(p @ (du - y))
+def _certificate(prob: StepProblem, r, breg: float = 0.0):
+    """(gap, |r|_h, h*breg) for the stationarity residual r = grad G(u) +
+    M^T p: obj(u) - obj* <= |r|_h^2/(2 gamma) + h*breg, with breg the
+    splitting's Bregman term (0 when p is a subgradient of F at M u)."""
+    rr = float(r @ r)
     breg_h = prob.h * max(breg, 0.0)
-    gap = prob.h * float(r @ r) / (2.0 * prob.strong_convexity) + breg_h
-    return gap, r_h, breg_h
+    gap = prob.h * rr / (2.0 * prob.strong_convexity) + breg_h
+    return gap, float(np.sqrt(prob.h * rr)), breg_h
 
 
-def solve_pd(prob: PDProblem, init, p0=None, check_every: int = 4, sched=None):
-    """Primal-dual splitting for gradient-composite dissipation.
+def _certify_admm(prob: StepProblem, u, y, p):
+    """Certificate at (u, y, p) with p in dF(y) exactly: the Bregman term
+    F(Mu) - F(y) - <p, Mu - y> is nonnegative by convexity and vanishes
+    with the splitting feasibility gap Mu - y."""
+    mu = prob.sites(u)
+    breg = prob.nonsmooth.value(mu) - prob.nonsmooth.value(y) - float(p @ (mu - y))
+    return _certificate(prob, prob.smooth_full_grad(u) + prob.adjoint(p), breg)
 
-    Douglas-Rachford / ADMM form on min_u G(u) + F(y), Du = y: the u-update
-    is a Cholesky solve of Q + beta D^T D (factored once per solve), the
-    y-update the exact per-edge prox (so kinks are hit exactly), and the
-    scaled multiplier p = beta*lam is an exact subgradient of F at y.  An
-    extra smooth term rho is linearized with a proximal damping term and
-    backtracking.  Residual balancing adapts beta; sched carries beta
-    between warm-started solves.  A purely quadratic F without rho is one
-    banded Cholesky solve of Q + D^T diag(w2) D.
 
-    Stops when the certified gap falls below tol, the stationarity residual
-    below resid_target, and the Bregman feasibility term below fy_slack.
+def _solve_quadratic(prob: StepProblem):
+    """The minimizer when f is quadratic and there is no rho: one banded
+    Cholesky solve of Q + M^T diag(w2) M, with the exact subgradient
+    p = w2 (M u - shift)."""
+    pot = prob.nonsmooth
+    rhs = -prob.lin + prob.adjoint(pot.w2 * pot.shift)
+    u = scipy.linalg.cho_solve_banded(prob.quad_op.factor_plus(prob.gram(pot.w2)), rhs)
+    p = pot.w2 * (prob.sites(u) - pot.shift)
+    gap, r_h, breg_h = _certificate(prob, prob.smooth_full_grad(u) + prob.adjoint(p))
+    return u, p, PDReport(1, gap, r_h, True, bregman=breg_h)
+
+
+_CHECK_EVERY = 4
+
+
+def solve_pd(prob: StepProblem, init, p0=None, sched=None):
+    """Primal-dual splitting, meant for gradient-composite dissipation.
+
+    Douglas-Rachford / ADMM form on min_u G(u) + F(y), Mu = y: the u-update
+    is a banded Cholesky solve of Q + beta M^T M (+ I/s), factored once
+    per penalty, the y-update the exact per-site prox (so kinks are hit
+    exactly), and the scaled multiplier p = beta*lam is an exact
+    subgradient of F at y.  An extra smooth term rho is linearized with a
+    proximal damping term and backtracking.  Residual balancing adapts
+    beta; sched carries beta between warm-started solves.  The stopping
+    tests run every _CHECK_EVERY iterations.
     Returns (u, p, PDReport).
     """
     u = np.asarray(getattr(init, "values", init), dtype=float).copy()
-    m = u.shape[0]
     pot = prob.nonsmooth
-    gamma_g = prob.strong_convexity
-    lop = max(prob.op_norm, 1e-30)
-    d_mat = prob.lin_op
-
     if pot.is_quadratic and prob.smooth_grad is None:
-        rhs = -prob.lin + d_mat.T @ (pot.w2 * pot.shift)
-        u = prob.quad_op.solve_plus(_gram_band(d_mat, pot.w2), rhs)
-        p_exact = pot.w2 * (d_mat @ u - pot.shift)
-        y = d_mat @ u
-        gap, r_h, breg_h = _certify_admm(prob, u, y, p_exact)
-        return u, p_exact, PDReport(1, gap, r_h, True, bregman=breg_h)
+        return _solve_quadratic(prob)
 
-    beta = sched[0] if sched is not None else np.sqrt(gamma_g * prob.quad_op.max_eig) / lop**2
+    lop = max(prob.op_norm, 1e-30)
+    beta = sched[0] if sched is not None else np.sqrt(prob.strong_convexity * prob.quad_op.max_eig) / lop**2
     lips = max(prob.smooth_lips, 1e-12)
     has_rho = prob.smooth_grad is not None
     s = 0.9 / lips if has_rho else np.inf
 
-    lam = np.zeros(d_mat.shape[0]) if p0 is None else np.asarray(p0, dtype=float) / beta
-    y = pot.prox(1.0 / beta, d_mat @ u + lam)
-    p = beta * (d_mat @ u + lam - y)
+    mu = prob.sites(u)
+    lam = np.zeros(mu.shape) if p0 is None else np.asarray(p0, dtype=float) / beta
+    y = pot.prox(1.0 / beta, mu + lam)
+    p = beta * (mu + lam - y)
     gap, r_h, breg_h = _certify_admm(prob, u, y, p)
     if gap <= prob.tol and r_h <= prob.resid_target and breg_h <= prob.fy_slack:
         return u, p, PDReport(0, gap, r_h, True, bregman=breg_h, sched=(beta,))
-    lam = lam + d_mat @ u - y
-    dtd = d_mat.T @ d_mat
+    lam = lam + mu - y
+    mtm = prob.gram(np.ones(mu.shape))
+    ones = np.ones((1, u.shape[0]))
 
     def factor(beta_val, s_val):
-        mat = prob.quad_op.dense + beta_val * dtd
-        if has_rho:
-            mat = mat + np.eye(m) / s_val
-        return scipy.linalg.cho_factor(mat)
+        return prob.quad_op.factor_plus(beta_val * mtm, *((ones / s_val,) if has_rho else ()))
 
     fac = factor(beta, s)
     backtracks = 0
     for k in range(1, prob.max_iter + 1):
-        rhs = -prob.lin + beta * (d_mat.T @ (y - lam))
+        rhs = -prob.lin + beta * prob.adjoint(y - lam)
         if has_rho:
             rho_grad = prob.smooth_grad(u)
             rhs = rhs - rho_grad + u / s
-            u_new = scipy.linalg.cho_solve(fac, rhs)
+            u_new = scipy.linalg.cho_solve_banded(fac, rhs)
             du_vec = u_new - u
             bound = prob.smooth_value(u) + float(rho_grad @ du_vec) + 0.5 / s * float(du_vec @ du_vec)
             while prob.smooth_value(u_new) > bound + 1e-14 * max(1.0, abs(bound)):
                 backtracks += 1
                 s *= 0.5
                 fac = factor(beta, s)
-                rhs = -prob.lin + beta * (d_mat.T @ (y - lam)) - rho_grad + u / s
-                u_new = scipy.linalg.cho_solve(fac, rhs)
+                rhs = -prob.lin + beta * prob.adjoint(y - lam) - rho_grad + u / s
+                u_new = scipy.linalg.cho_solve_banded(fac, rhs)
                 du_vec = u_new - u
                 bound = prob.smooth_value(u) + float(rho_grad @ du_vec) + 0.5 / s * float(du_vec @ du_vec)
                 if backtracks > 200:
                     raise MaxIterExceeded("backtracking failed to stabilize", best=u)
             u = u_new
         else:
-            u = scipy.linalg.cho_solve(fac, rhs)
+            u = scipy.linalg.cho_solve_banded(fac, rhs)
         if not np.all(np.isfinite(u)):
             raise NonFiniteIterate(f"non-finite iterate at inner iteration {k}")
 
-        du = d_mat @ u
+        mu = prob.sites(u)
         y_old = y
-        y = pot.prox(1.0 / beta, du + lam)
-        lam = lam + du - y
+        y = pot.prox(1.0 / beta, mu + lam)
+        lam = lam + mu - y
 
-        if k % check_every == 0 or k == prob.max_iter:
+        if k % _CHECK_EVERY == 0 or k == prob.max_iter:
             p = beta * lam
             gap, r_h, breg_h = _certify_admm(prob, u, y, p)
             if gap <= prob.tol and r_h <= prob.resid_target and breg_h <= prob.fy_slack:
                 return u, p, PDReport(k, gap, r_h, True, backtracks, breg_h, sched=(beta,))
             # Residual balancing keeps primal and dual progress comparable.
-            r_prim = float(np.linalg.norm(du - y))
-            r_dual = beta * float(np.linalg.norm(d_mat.T @ (y - y_old)))
+            r_prim = float(np.linalg.norm(mu - y))
+            r_dual = beta * float(np.linalg.norm(prob.adjoint(y - y_old)))
             if r_prim > 10.0 * r_dual and beta < 1e12:
                 beta *= 2.0
                 lam /= 2.0
@@ -581,68 +598,16 @@ def solve_pd(prob: PDProblem, init, p0=None, check_every: int = 4, sched=None):
     )
 
 
-@dataclass
-class ProxGradProblem:
-    """min_u 0.5 u^T Q u + b^T u + rho(u) + sum_i f_i(u_i), f_i nodewise.
-
-    A dense Q is wrapped in a SymBand, whose largest eigenvalue sets the
-    step size.  accept(u), if given, is a further stopping test, checked
-    once the gap and residual tests pass.
-    """
-
-    quad_op: SymBand
-    lin: np.ndarray
-    nonsmooth: SitePotential
-    h: float
-    strong_convexity: float
-    smooth_value: Optional[Callable] = None
-    smooth_grad: Optional[Callable] = None
-    smooth_lips: float = 0.0
-    tol: float = 1e-9
-    resid_target: float = np.inf
-    max_iter: int = 50_000
-    accept: Optional[Callable[[np.ndarray], bool]] = None
-
-    def __post_init__(self):
-        if not isinstance(self.quad_op, SymBand):
-            self.quad_op = SymBand(self.quad_op)
-
-    def smooth_val(self, u):
-        val = 0.5 * float(u @ (self.quad_op @ u)) + float(self.lin @ u)
-        if self.smooth_value is not None:
-            val += self.smooth_value(u)
-        return val
-
-    def smooth_full_grad(self, u):
-        g = self.quad_op @ u + self.lin
-        if self.smooth_grad is not None:
-            g = g + self.smooth_grad(u)
-        return g
-
-    def objective(self, u):
-        return self.smooth_val(u) + self.nonsmooth.value(u)
-
-
-def solve_prox_gradient(prob: ProxGradProblem, init):
-    """Proximal gradient with exact nodewise prox and Lipschitz backtracking.
-
-    When the nonsmooth part is purely quadratic (no kinks, no power part)
-    and there is no smooth remainder, the minimizer is a single banded
-    Cholesky solve of Q + diag(w2); this covers the linear benchmark
-    exactly.
-    """
+def solve_prox_gradient(prob: StepProblem, init):
+    """Proximal gradient with exact nodewise prox and Lipschitz
+    backtracking, for sites that are nodes (lin_op None); Q's largest
+    eigenvalue sets the first step size."""
+    if prob.lin_op is not None:
+        raise EvalError("the proximal gradient needs nodal sites (lin_op None)")
     u = np.asarray(getattr(init, "values", init), dtype=float).copy()
     pot = prob.nonsmooth
-
     if pot.is_quadratic and prob.smooth_grad is None:
-        rhs = -prob.lin + pot.w2 * pot.shift
-        u = prob.quad_op.solve_plus(pot.w2[None, :], rhs)
-        grad = prob.smooth_full_grad(u)
-        p_hat = pot.subgrad_project(u, -grad)
-        r = grad + p_hat
-        r_h = float(np.sqrt(prob.h * (r @ r)))
-        gap = prob.h * float(r @ r) / (2.0 * prob.strong_convexity)
-        return u, p_hat, PDReport(1, gap, r_h, True)
+        return _solve_quadratic(prob)
 
     lips = prob.quad_op.max_eig + max(prob.smooth_lips, 0.0)
     s = 1.0 / lips
@@ -669,9 +634,7 @@ def solve_prox_gradient(prob: ProxGradProblem, init):
         sval = sval_new
         grad = prob.smooth_full_grad(u)
         p_hat = pot.subgrad_project(u, -grad)
-        r = grad + p_hat
-        r_h = float(np.sqrt(prob.h * (r @ r)))
-        gap = prob.h * float(r @ r) / (2.0 * prob.strong_convexity)
+        gap, r_h, _ = _certificate(prob, grad + p_hat)
         if (
             gap <= prob.tol
             and r_h <= prob.resid_target

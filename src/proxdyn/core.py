@@ -4,6 +4,9 @@ A ProblemSpec collects the discretized quadruple (E_t, Psi_u, B, f) together
 with the grid and initial data.  All abstract spaces collapse onto the
 single nodal vector space with h-weighted norms; dual elements are stored
 as nodal vectors through the h-pairing (discrete Riesz representation).
+The dissipation Psi_u is one per-site kernel: DissipationSpec.potential(u)
+returns its `convex.SitePotential`, which every evaluation of Psi_u, of its
+conjugate and of the step potential uses.
 
 Specs are immutable after construction and safe to share across runs; all
 operations here are pure.
@@ -16,7 +19,7 @@ from typing import Callable, Literal, Optional
 
 import numpy as np
 
-from .convex import SymBand
+from .convex import SitePotential, SymBand
 from .errors import ConfigError, EvalError
 from .grid import (
     Field,
@@ -42,7 +45,7 @@ class EnergySpec:
 
     It gates the unique-minimizer step bound tau <= 1/(2*lambda_conv).
     The smooth callables take (t, values) with values over interior nodes;
-    time_deriv evaluates d/dt E2_t(u) and c1 is its control constant.
+    time_deriv evaluates d/dt E2_t(u).
     """
 
     quad_op: np.ndarray
@@ -50,7 +53,6 @@ class EnergySpec:
     smooth_value: Optional[Callable[[float, np.ndarray], float]] = None
     smooth_grad: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
     time_deriv: Optional[Callable[[float, np.ndarray], float]] = None
-    c1: float = 0.0
     # Optional solver-facing decomposition of E2 (exact, consistency-tested):
     # E2_t(u) = site_quartic * h * sum_site (M u)_site^4
     #           + 0.5 <quad_shift u, u>_h + <lin_part(t), u>_h + const(t),
@@ -134,18 +136,12 @@ class DissipationSpec:
             raise ConfigError("dissipation coefficients must be nonnegative")
         return a, g
 
-    def value(self, state: Field, v: np.ndarray, grad_op: np.ndarray) -> float:
+    def potential(self, state: Field) -> SitePotential:
+        """Psi_state as its per-site potential f = a|.| + (g/q)|.|^q +
+        (visc/2)(.)^2, unshifted: Psi_state(v) = h * sum_site f((Mv)_site)
+        with M the identity or D (ProblemSpec.site_op)."""
         a, g = self.coefficients(state)
-        h = state.grid.h
-        if self.kind == "separable":
-            z = np.asarray(v, dtype=float)
-        else:
-            z = grad_op @ np.asarray(v, dtype=float)
-        s = np.abs(z)
-        total = float(h * np.sum(a * s + (g / self.q) * s**self.q))
-        if self.visc > 0.0:
-            total += 0.5 * self.visc * h * float(z @ z)
-        return total
+        return SitePotential(a, g, self.q, self.visc, 0.0)
 
 
 @dataclass(frozen=True)
@@ -225,8 +221,18 @@ class ProblemSpec:
             raise EvalError(f"force produced non-finite values at t={t}")
         return vals
 
+    @property
+    def site_op(self) -> Optional[np.ndarray]:
+        """M of Psi: None (the identity) for the separable kind, D else."""
+        return None if self.dissipation.kind == "separable" else self.ops.grad
+
+    def sites(self, v: np.ndarray) -> np.ndarray:
+        """M v, the site values of a nodal vector."""
+        return v if self.site_op is None else self.site_op @ v
+
     def psi_value(self, state: Field, v: np.ndarray) -> float:
-        return self.dissipation.value(state, v, self.ops.grad)
+        z = self.sites(np.asarray(v, dtype=float))
+        return self.grid.h * self.dissipation.potential(state).value(z)
 
 
 def tau_max(spec: ProblemSpec) -> float:
@@ -315,7 +321,7 @@ def validate_assumptions(
     )
 
     # Smallest eigenvalue of the exact band of the symmetric part.
-    mu = SymBand(0.5 * (a_mat + a_mat.T)).eigenvalue(0)
+    mu = SymBand.from_dense(0.5 * (a_mat + a_mat.T)).eigenvalue(0)
     checks.append(
         CheckResult("quad_op_positivity", mu > 0.0, max(0.0, -mu), f"mu = {mu:.6e}")
     )
@@ -353,10 +359,7 @@ def validate_assumptions(
         scale = 10.0 ** rng.uniform(-1, 1)
         v = scale * rng.standard_normal(m)
         psi = spec.psi_value(state, v)
-        if spec.dissipation.kind == "separable":
-            nrm = q_norm(v, h, q)
-        else:
-            nrm = q_norm(spec.ops.grad @ v, h, q)
+        nrm = q_norm(spec.sites(v), h, q)
         lower = spec.dissipation.growth_c * (nrm**q - 1.0)
         upper = spec.dissipation.growth_C * (nrm**q + 1.0)
         worst_growth = max(worst_growth, lower - psi, psi - upper)

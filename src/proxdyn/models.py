@@ -358,7 +358,6 @@ def build_p3(params: P3Params) -> ProblemSpec:
             smooth_value=smooth_value,
             smooth_grad=smooth_grad,
             time_deriv=time_deriv,
-            c1=1.0,
             smooth_structured=True,
             quad_shift=-4.0 * scale * np.eye(m),
             site_quartic=scale,

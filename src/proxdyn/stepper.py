@@ -162,7 +162,7 @@ class Trajectory:
 
 
 def step_operator(spec: ProblemSpec, tau: float) -> convex.SymBand:
-    """Quadratic block Q = A + I/tau^2 (+ quad_shift) of Phi.
+    """Quadratic block Q = A + I/tau^2 (+ quad_shift) of Phi, in band form.
 
     It holds the inertia and the energy operator, and with a structured
     smooth part its matrix piece; it depends on tau only, so a run builds
@@ -172,7 +172,7 @@ def step_operator(spec: ProblemSpec, tau: float) -> convex.SymBand:
     q_mat = en.quad_op + np.eye(spec.grid.n_interior) / tau**2
     if en.smooth_structured and en.quad_shift is not None:
         q_mat = q_mat + en.quad_shift
-    return convex.SymBand(q_mat)
+    return convex.SymBand.from_dense(q_mat)
 
 
 def _phi_smooth_parts(spec: ProblemSpec, inp: StepInput):
@@ -202,32 +202,10 @@ def _phi_smooth_parts(spec: ProblemSpec, inp: StepInput):
     return b, rho_value, rho_grad, k4
 
 
-def _site_potential(spec: ProblemSpec, inp: StepInput, k4: float) -> convex.SitePotential:
-    """Per-site potential of tau * Psi_state((u-v)/tau) plus quartic energy.
-
-    The 1-homogeneous weight survives the tau scaling unchanged, the
-    q-power weight becomes g * tau^(1-q), and the quadratic viscosity
-    becomes visc/tau; shifts are v (nodes) or Dv (edges).  The h factor of
-    the dissipation integral cancels against the h-pairing except in the
-    quartic energy coefficient, which carries it explicitly.
-    """
-    disp = spec.dissipation
-    a, g = disp.coefficients(inp.v)
-    g_scaled = g * inp.tau ** (1.0 - disp.q)
-    if disp.kind == "separable":
-        shift = inp.v.values
-        w2 = np.zeros_like(a)
-    else:
-        shift = spec.ops.grad @ inp.v.values
-        w2 = np.full_like(a, disp.visc / inp.tau)
-    return convex.SitePotential(a, g_scaled, disp.q, w2, shift, k4=k4)
-
-
-def _fy_gap_separable(spec, a, g, v_vel, eta):
+def _fy_gap_separable(h, psi_pot, v_vel, eta):
     """Fenchel-Young gap at (V^n, eta^n) via the exact nodewise conjugate;
     infinite where the conjugate is (dry friction alone, |eta| > a)."""
-    psi = convex.SitePotential(a, g, spec.dissipation.q, 0.0, 0.0)
-    return spec.grid.h * (psi.value(v_vel) + psi.conjugate_sum(eta) - float(eta @ v_vel))
+    return h * (psi_pot.value(v_vel) + psi_pot.conjugate_sum(eta) - float(eta @ v_vel))
 
 
 def incremental_minimize(
@@ -246,13 +224,17 @@ def incremental_minimize(
     q_op is step_operator(spec, inp.tau); warm starts the inner solve
     (U^{n-1} if None).  For composite dissipation, carry is the solver's
     final (multiplier, penalty) and dual_warm the previous step's carry;
-    for separable dissipation carry is None.  eta^n is the rearrangement
-    of the discrete inclusion (it satisfies the equation identically); the
-    Fenchel-Young gap measures its distance from an exact subgradient,
-    through the exact conjugate of Psi (nodewise in closed form for
-    separable dissipation, by the 1D dual characterization for the
-    composite kind).  A gap above 9 inner_tol re-solves with tighter
-    tolerances, at most twice.
+    for separable dissipation carry is None.  The step is one
+    convex.StepProblem, whose site potential is the tau-scaled copy of
+    Psi_{U^{n-1}}'s, shifted by v (nodes) or Dv (edges); the h factor of
+    the dissipation integral cancels against the h-pairing except in the
+    quartic energy coefficient, which carries it explicitly.  eta^n is the
+    rearrangement of the discrete inclusion (it satisfies the equation
+    identically); the Fenchel-Young gap measures its distance from an
+    exact subgradient, through the exact conjugate of Psi (nodewise in
+    closed form for separable dissipation, by the 1D dual characterization
+    for the composite kind).  A gap above 9 inner_tol re-solves with
+    tighter tolerances, at most twice.
     Raises StepSizeTooLarge beyond tau <= 1/(2 lambda) and InnerSolverFailed
     (carrying the best iterate) if the inner solve stalls.
     """
@@ -273,10 +255,9 @@ def incremental_minimize(
     h = grid.h
     t_next = inp.t_prev + tau
     b, rho_value, rho_grad, k4 = _phi_smooth_parts(spec, inp)
-    disp = spec.dissipation
-    separable = disp.kind == "separable"
-    a, g = disp.coefficients(inp.v)
-    pot = _site_potential(spec, inp, k4)
+    separable = spec.site_op is None
+    psi_pot = spec.dissipation.potential(inp.v)
+    pot = psi_pot.step_copy(tau, spec.sites(inp.v.values), k4)
     # Certified strong convexity of Psi_state in |.|_h, 0 if none: the site
     # potential carries Psi's quadratic weights over tau, and on edges
     # |Dv|_h^2 >= lap_min_eig |v|_h^2.
@@ -316,44 +297,29 @@ def incremental_minimize(
     if separable and m_psi == 0.0 and not pot.is_zero:
         def accept(u_vals):
             fy = _fy_gap_separable(
-                spec, a, g, (u_vals - inp.v.values) / tau, rearranged_eta(u_vals)
+                h, psi_pot, (u_vals - inp.v.values) / tau, rearranged_eta(u_vals)
             )
             return fy <= fy_cap or not np.isfinite(fy)
 
-    if separable:
-        prob = convex.ProxGradProblem(
-            quad_op=q_op,
-            lin=b,
-            nonsmooth=pot,
-            h=h,
-            strong_convexity=gamma,
-            smooth_value=rho_value,
-            smooth_grad=rho_grad,
-            smooth_lips=rho_lips,
-            tol=inner_tol,
-            resid_target=resid_target,
-            max_iter=max_iter,
-            accept=accept,
-        )
-    else:
-        prob = convex.PDProblem(
-            quad_op=q_op,
-            lin=b,
-            lin_op=spec.ops.grad,
-            nonsmooth=pot,
-            h=h,
-            strong_convexity=gamma,
-            op_norm=spec.ops.grad_norm,
-            smooth_value=rho_value,
-            smooth_grad=rho_grad,
-            smooth_lips=rho_lips,
-            tol=inner_tol,
-            resid_target=resid_target,
-            # The Fenchel-Young gap lives at velocity scale (u - v)/tau, so
-            # the splitting-feasibility budget must shrink with tau.
-            fy_slack=2.5 * inner_tol * min(tau, 1.0),
-            max_iter=max_iter,
-        )
+    prob = convex.StepProblem(
+        quad_op=q_op,
+        lin=b,
+        nonsmooth=pot,
+        h=h,
+        strong_convexity=gamma,
+        lin_op=spec.site_op,
+        op_norm=1.0 if separable else spec.ops.grad_norm,
+        smooth_value=rho_value,
+        smooth_grad=rho_grad,
+        smooth_lips=rho_lips,
+        tol=inner_tol,
+        resid_target=resid_target,
+        # The Fenchel-Young gap lives at velocity scale (u - v)/tau, so the
+        # composite splitting's feasibility budget must shrink with tau.
+        fy_slack=np.inf if separable else 2.5 * inner_tol * min(tau, 1.0),
+        max_iter=max_iter,
+        accept=accept,
+    )
     # Each attempt checks the exact gap of the returned (V^n, eta^n) pair and
     # re-solves with tighter tolerances while it exceeds fy_cap.
     p_hat, sched = dual_warm if dual_warm is not None else (None, None)
@@ -368,7 +334,7 @@ def incremental_minimize(
         sched = rep.sched
         eta_vals = rearranged_eta(u_vals)
         v_vel = (u_vals - inp.v.values) / tau
-        psi = spec.psi_value(inp.v, v_vel)
+        psi = h * psi_pot.value(spec.sites(v_vel))
         if separable:
             resid_h = h_norm(eta_vals - (p_hat - pot.quartic_grad(u_vals)), h)
         else:
@@ -379,7 +345,7 @@ def incremental_minimize(
             fy = abs(h_inner(eta_vals, v_vel, h))
             break
         if separable:
-            fy = _fy_gap_separable(spec, a, g, v_vel, eta_vals)
+            fy = _fy_gap_separable(h, psi_pot, v_vel, eta_vals)
             if not np.isfinite(fy):
                 fy = (
                     resid_h**2 / (2.0 * m_psi) if m_psi > 0.0
@@ -388,14 +354,13 @@ def incremental_minimize(
         else:
             # Exact conjugate through the 1D dual characterization, honest
             # to the accuracy of a scalar convex minimization.
-            conj_v = convex.composite_conjugate(a, disp.visc, g, disp.q, h, eta_vals)
+            conj_v = convex.composite_conjugate(psi_pot, h, eta_vals)
             fy = psi + conj_v - h_inner(eta_vals, v_vel, h)
         if fy <= fy_cap or not np.isfinite(fy):
             break
         prob.tol *= 0.1
         prob.resid_target *= 0.2
-        if not separable:
-            prob.fy_slack *= 0.1
+        prob.fy_slack *= 0.1
         warm_vals = u_vals
 
     u_field = Field(u_vals, grid)

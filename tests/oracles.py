@@ -6,7 +6,8 @@
   from its stored U: the scheme's subgradient eta^n and forcing S^n are
   functions of U, so a trajectory does not store them.
 * `scalar_potential` is a|s| + (g/q)|s|^q, elementwise, for grid-search
-  oracles of the per-site kernel.
+  oracles of the per-site kernel, and `conjugate_numeric` is such an
+  oracle for the scalar conjugate.
 """
 
 import numpy as np
@@ -24,6 +25,35 @@ def scalar_potential(a, g, q):
         return a * s + (g / q) * s**q
 
     return value
+
+
+def conjugate_numeric(psi, xi, search_box: float, steps: int):
+    """Grid-search lower bound of the scalar conjugate sup_s (xi*s - psi(s)).
+
+    psi is applied elementwise over the search grid; xi may be a scalar or
+    an array (coordinatewise sup).  Two-stage search: a coarse pass
+    brackets the concave maximand, a fine pass resolves it at resolution
+    2*search_box/steps, which is equivalent to the full fine grid because
+    s -> xi*s - psi(s) is concave for convex psi.
+    """
+    arr = np.atleast_1d(np.asarray(getattr(xi, "values", xi), dtype=float))
+    coarse_n = min(steps, 20001)
+    # Scaled from [-1, 1]: the width 2*search_box overflows for boxes
+    # above half the largest float.
+    grid = search_box * np.linspace(-1.0, 1.0, coarse_n)
+    vals = arr[:, None] * grid[None, :] - psi(grid)[None, :]
+    best = np.argmax(vals, axis=1)
+    out = np.empty(arr.shape)
+    fine_res = 2.0 * (search_box / steps)
+    for i, b in enumerate(best):
+        lo = grid[max(b - 1, 0)]
+        hi = grid[min(b + 1, coarse_n - 1)]
+        n_fine = max(int(np.ceil((hi - lo) / fine_res)) + 1, 3)
+        fine = np.linspace(lo, hi, n_fine)
+        out[i] = np.max(arr[i] * fine - psi(fine))
+    if np.isscalar(xi) or np.ndim(xi) == 0:
+        return float(out[0])
+    return out
 
 
 def phi_value(spec, inp, u):

@@ -11,18 +11,17 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from proxdyn.convex import (
-    PDProblem,
-    ProxGradProblem,
     SitePotential,
+    StepProblem,
+    SymBand,
     _newton_bisect,
     composite_conjugate,
-    conjugate_numeric,
     edge_conjugate_pair,
     solve_pd,
     solve_prox_gradient,
 )
 
-from oracles import scalar_potential
+from oracles import conjugate_numeric, scalar_potential
 
 
 def prox1(a, g, q, gamma, s):
@@ -210,8 +209,8 @@ class TestSolvePD:
         d = _edge_grad(m, h)
         pot = SitePotential(np.full(m + 1, 0.5), np.full(m + 1, 1.0), 2.0,
                             np.zeros(m + 1), np.zeros(m + 1))
-        prob = PDProblem(
-            quad_op=np.eye(m) * 10, lin=np.zeros(m), lin_op=d, nonsmooth=pot,
+        prob = StepProblem(
+            quad_op=SymBand.from_dense(np.eye(m) * 10), lin=np.zeros(m), lin_op=d, nonsmooth=pot,
             h=h, strong_convexity=10.0, op_norm=np.sqrt(np.linalg.eigvalsh(d.T @ d)[-1]),
         )
         u, p, rep = solve_pd(prob, np.zeros(m))
@@ -227,8 +226,8 @@ class TestSolvePD:
         gamma = 0.8
         a, g = 0.9, 1.4
         pot = SitePotential(np.full(m, a), np.full(m, g), 2.0, np.zeros(m), np.zeros(m))
-        prob = PDProblem(
-            quad_op=np.eye(m) / gamma, lin=-s / gamma, lin_op=np.eye(m),
+        prob = StepProblem(
+            quad_op=SymBand.from_dense(np.eye(m) / gamma), lin=-s / gamma, lin_op=np.eye(m),
             nonsmooth=pot, h=1.0, strong_convexity=1.0 / gamma, op_norm=1.0,
             tol=1e-14,
         )
@@ -258,8 +257,8 @@ class TestSolvePD:
         g = np.full(m + 1, 2.0)
         shift = rng.standard_normal(m + 1) * 0.2
         pot = SitePotential(a, g, 2.0, np.zeros(m + 1), shift)
-        prob = PDProblem(
-            quad_op=q_mat, lin=b, lin_op=d, nonsmooth=pot, h=h,
+        prob = StepProblem(
+            quad_op=SymBand.from_dense(q_mat), lin=b, lin_op=d, nonsmooth=pot, h=h,
             strong_convexity=30.0, op_norm=np.sqrt(np.linalg.eigvalsh(d.T @ d)[-1]),
             tol=1e-12,
         )
@@ -309,6 +308,37 @@ class TestSolvePD:
         assert y[0] < 0.0 and y[1] == 0.0 and y[2] > 0.0
 
 
+    def test_quartic_prox_picks_branches_without_branch_calls(self, monkeypatch):
+        # With g = 0 the branch pick reads the derivative at d = 0 from one
+        # evaluation, and the cubic needs no branch derivative at all.
+        calls = []
+        deriv = SitePotential._branch_deriv
+
+        def counting(self, *args):
+            calls.append(args)
+            return deriv(self, *args)
+
+        monkeypatch.setattr(SitePotential, "_branch_deriv", counting)
+        pot = SitePotential(np.full(3, 0.5), np.zeros(3), 2.0, 1.0, 0.0, k4=1.0)
+        y = pot.prox(0.5, np.array([-3.0, 0.1, 3.0]))
+        assert calls == []
+        assert y[0] < 0.0 and y[1] == 0.0 and y[2] > 0.0
+
+
+class TestSiteValue:
+    """SitePotential.value multiplies each weight by its power before the
+    constant, so subnormal weights keep their digits."""
+
+    def test_subnormal_quadratic_weight(self):
+        pot = SitePotential([0.0], [0.0], 3.0, 5e-324, [0.0])
+        assert pot.value([5e51]) == pytest.approx(6.18e-221, rel=1e-2)
+
+    def test_subnormal_power_weight(self):
+        # (g/q) d^q with g = 5e-324, q = 3, d = 1e40: g/q underflows to 0.
+        pot = SitePotential([0.0], [5e-324], 3.0, 0.0, [0.0])
+        assert pot.value([1e40]) == pytest.approx(5e-324 * 1e120 / 3.0, rel=1e-2)
+
+
 class TestCompositeConjugate:
     def test_matches_bruteforce_sup(self):
         m, h = 5, 0.2
@@ -323,7 +353,8 @@ class TestCompositeConjugate:
                 y = d @ v
                 return h * np.sum(a * np.abs(y) + 0.5 * visc * y**2)
 
-            got = composite_conjugate(a, visc, np.zeros(m + 1), 2.0, h, eta)
+            pot = SitePotential(a, np.zeros(m + 1), 2.0, visc, 0.0)
+            got = composite_conjugate(pot, h, eta)
             # brute force over a fine random search refined by the smooth
             # unconstrained maximum of the differentiable majorant
             import scipy.optimize
@@ -356,7 +387,7 @@ class TestCompositeConjugate:
             y = d @ v
             return h * np.sum(a * np.abs(y) + g / q * np.abs(y) ** q)
 
-        got = composite_conjugate(a, 0.0, g, q, h, eta)
+        got = composite_conjugate(SitePotential(a, g, q, 0.0, 0.0), h, eta)
         import scipy.optimize
 
         best = None
@@ -380,13 +411,14 @@ class TestProxGradient:
         b = rng.standard_normal(m)
         pot = SitePotential(np.full(m, 0.6), np.full(m, 1.0), 2.0, np.zeros(m),
                             rng.standard_normal(m) * 0.2)
-        prob = ProxGradProblem(
-            quad_op=q_mat, lin=b, nonsmooth=pot, h=0.1, strong_convexity=10.0, tol=1e-14,
+        prob = StepProblem(
+            quad_op=SymBand.from_dense(q_mat), lin=b, nonsmooth=pot, h=0.1,
+            strong_convexity=10.0, tol=1e-14,
         )
         u, p_hat, rep = solve_prox_gradient(prob, np.zeros(m))
         assert rep.converged
-        pd = PDProblem(
-            quad_op=q_mat, lin=b, lin_op=np.eye(m), nonsmooth=pot, h=0.1,
+        pd = StepProblem(
+            quad_op=SymBand.from_dense(q_mat), lin=b, lin_op=np.eye(m), nonsmooth=pot, h=0.1,
             strong_convexity=10.0, op_norm=1.0, tol=1e-14,
         )
         u2, _, _ = solve_pd(pd, np.zeros(m))
@@ -410,8 +442,9 @@ class TestBandedClosedForms:
         shift = rng.standard_normal(m)
         b = rng.standard_normal(m)
         pot = SitePotential(np.zeros(m), np.zeros(m), 2.0, w2, shift)
-        prob = ProxGradProblem(
-            quad_op=q_mat, lin=b, nonsmooth=pot, h=0.1, strong_convexity=20.0,
+        prob = StepProblem(
+            quad_op=SymBand.from_dense(q_mat), lin=b, nonsmooth=pot, h=0.1,
+            strong_convexity=20.0,
         )
         assert prob.quad_op.bandwidth == 2
         u, _, rep = solve_prox_gradient(prob, np.zeros(m))
@@ -428,8 +461,8 @@ class TestBandedClosedForms:
         shift = rng.standard_normal(m + 1)
         b = rng.standard_normal(m)
         pot = SitePotential(np.zeros(m + 1), np.zeros(m + 1), 2.0, w2, shift)
-        prob = PDProblem(
-            quad_op=q_mat, lin=b, lin_op=d, nonsmooth=pot, h=h,
+        prob = StepProblem(
+            quad_op=SymBand.from_dense(q_mat), lin=b, lin_op=d, nonsmooth=pot, h=h,
             strong_convexity=50.0, op_norm=np.sqrt(np.linalg.eigvalsh(d.T @ d)[-1]),
         )
         u, _, rep = solve_pd(prob, np.zeros(m))

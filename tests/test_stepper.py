@@ -1,5 +1,7 @@
 """Per-step minimization, trajectory runs, and interpolants."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -355,7 +357,7 @@ class TestReportPhi:
 
 
 class TestStepOperator:
-    """Q = A + I/tau^2 (+ quad_shift), dense and in band form."""
+    """Q = A + I/tau^2 (+ quad_shift) in band form."""
 
     @pytest.mark.parametrize(
         "spec, bandwidth",
@@ -376,12 +378,13 @@ class TestStepOperator:
             want = want + en.quad_shift
         q = step_operator(spec, tau)
         assert q.bandwidth == bandwidth
-        np.testing.assert_array_equal(q.dense, want)
         unpacked = np.zeros_like(want)
         for k in range(bandwidth + 1):
             diag = q.band[bandwidth - k, k:]
             unpacked += np.diag(diag, k) + (np.diag(diag, -k) if k else 0.0)
         np.testing.assert_array_equal(unpacked, want)
+        x = np.random.default_rng(0).standard_normal(spec.grid.n_interior)
+        np.testing.assert_allclose(q @ x, want @ x, rtol=0.0, atol=1e-13 * np.abs(want).max() * np.abs(x).sum())
         top = np.linalg.eigvalsh(want)[-1]
         assert abs(q.max_eig - top) <= 1e-12 * top
 
@@ -408,6 +411,48 @@ class TestStepOperator:
         traj = run(spec, 1 / 32)
         assert traj.n_steps == 8
         assert validate_assumptions(spec, samples=2).passed
+
+
+    def test_composite_solve_does_no_dense_cholesky(self, monkeypatch):
+        # The ADMM's Q + beta D^T D (+ I/s) is factored and solved in band
+        # form: a composite run needs no dense Cholesky factor or solve.
+        import scipy.linalg
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("dense Cholesky in the inner solve")
+
+        tau = 1 / 64
+        spec = build_p2(P2Params(q=1.5, n_nodes=513, horizon=2 * tau))
+        monkeypatch.setattr(scipy.linalg, "cho_factor", forbidden)
+        monkeypatch.setattr(scipy.linalg, "cho_solve", forbidden)
+        traj = run(spec, tau)
+        assert traj.n_steps == 2
+        assert max(r.inner_iters for r in traj.reports) > 1
+
+
+class TestOnePsiPerStep:
+    @pytest.mark.parametrize(
+        "spec",
+        [build_p2(P2Params(q=1.5, n_nodes=17, horizon=0.125)), build_p3(P3Params(n_nodes=17, horizon=0.125))],
+        ids=["composite", "separable"],
+    )
+    def test_state_dep_runs_once_per_step(self, spec):
+        # Psi_{U^{n-1}} is built once per step and serves the step
+        # potential, the ledger's psi and the Fenchel-Young gap.
+        calls = []
+        state_dep = spec.dissipation.state_dep
+
+        def counting(state):
+            calls.append(state)
+            return state_dep(state)
+
+        spec = dataclasses.replace(
+            spec, dissipation=dataclasses.replace(spec.dissipation, state_dep=counting)
+        )
+        traj = run(spec, 1 / 64)
+        assert len(calls) == traj.n_steps == 8
+        for n, state in enumerate(calls, start=1):
+            assert state is traj.U[n - 1]
 
 
 class TestAdmissibleTau:
