@@ -9,9 +9,15 @@ Each config of `bench/workloads.py` (imported read-only) runs through
 U^n of the run).  Per workload the script prints the inner-iteration
 total and the max Fenchel-Young gap.  With --against, OTHER is the OUT of
 an earlier run of this script (say, from a checkout of another commit);
-it adds the max |U^n - U^n_other| and whether trajectory.csv and
-snapshots.csv are byte-identical.  The proxdyn imported is the one in
-this script's own checkout.
+it adds the max |U^n - U^n_other| and, for trajectory.csv and
+snapshots.csv, `identical` when the files are byte-identical and the max
+relative difference over their numeric cells otherwise (`shape` when the
+two differ in rows or columns).  A cell's difference is taken relative to
+the largest magnitude in its column; the worst column is named with its
+largest absolute difference, since a column of rounding-level values
+(the FY gap of a closed-form solve, ~1e-16) shows a large relative
+difference for a change of one rounding error.  The proxdyn imported is
+the one in this script's own checkout.
 """
 
 import argparse
@@ -45,6 +51,23 @@ def run_workload(config: dict, out: Path):
     return code, runs[0]
 
 
+def csv_drift(path: Path, other: Path) -> str:
+    """`identical`, or the max over the numeric cells of two CSV files (one
+    header row) of |a - b| relative to the largest |a|, |b| in the cell's
+    column, with that column's name and max |a - b|."""
+    if path.read_bytes() == other.read_bytes():
+        return "identical"
+    a, b = (np.loadtxt(p, delimiter=",", skiprows=1, ndmin=2) for p in (path, other))
+    if a.shape != b.shape:
+        return "shape"
+    diff = np.max(np.abs(a - b), axis=0)
+    scale = np.maximum(np.max(np.abs(a), axis=0), np.max(np.abs(b), axis=0))
+    rel = np.divide(diff, scale, out=np.zeros_like(diff), where=scale > 0)
+    col = int(np.argmax(rel))
+    name = path.read_text().split("\n", 1)[0].split(",")[col]
+    return f"rel {rel[col]:.2e} ({name}, abs {diff[col]:.1e})"
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("out", help="output directory")
@@ -55,7 +78,7 @@ def main():
 
     header = f"{'workload':<12} {'exit':>4} {'inner_iters':>11} {'max_fy_gap':>10}"
     if other:
-        header += f" {'max_dU':>9}  trajectory.csv  snapshots.csv"
+        header += f" {'max_dU':>9}  {'trajectory.csv':<38}  snapshots.csv"
     print(header)
     for name, work in WORKLOADS.items():
         wdir = out / name
@@ -68,12 +91,11 @@ def main():
         if other:
             u_other = np.load(other / name / "U.npy")
             du = float(np.max(np.abs(u - u_other))) if u.shape == u_other.shape else float("nan")
-            same = [
-                (wdir / f).read_bytes() == (other / name / f).read_bytes()
+            drift = [
+                csv_drift(wdir / f, other / name / f)
                 for f in ("trajectory.csv", "snapshots.csv")
             ]
-            line += f" {du:>9.2e}  {'identical' if same[0] else 'differs':<14}  "
-            line += "identical" if same[1] else "differs"
+            line += f" {du:>9.2e}  {drift[0]:<38}  {drift[1]}"
         print(line, flush=True)
 
 

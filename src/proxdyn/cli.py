@@ -6,6 +6,11 @@ row, UTF-8, LF) with 17 significant digits plus a summary.json; repeated
 runs of the same config produce byte-identical data files (the wall-time
 entry of summary.json is the one volatile field).
 
+A config is built into its ProblemSpec once: `parse_config_dict`
+validates the config by building the spec, keeps it as `RunConfig.spec`,
+and `run_and_emit` steps that spec.  A RunConfig made by hand or by
+`dataclasses.replace` carries no spec, and `run_and_emit` builds one.
+
 Exit codes: 0 all asserted invariants held, 1 invariant violation (details
 in summary.json), 2 configuration error.
 """
@@ -19,11 +24,12 @@ import sys
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 
 from . import diagnostics, models, stepper
-from .core import energy_total, tau_max, validate_assumptions
+from .core import ProblemSpec, energy_total, tau_max, validate_assumptions
 from .errors import ConfigError, ParseError, ProxdynError, ValidationError
 from .grid import h_norm
 
@@ -58,7 +64,12 @@ REQUIRED_KEYS = ("model", "tau")
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run description; round-trips losslessly through to_dict."""
+    """Validated run description; round-trips losslessly through to_dict.
+
+    spec is the ProblemSpec that parse_config_dict built while validating,
+    None for a config made any other way; it takes no part in to_dict,
+    equality or repr, and dataclasses.replace does not copy it.
+    """
 
     model: str
     tau: float
@@ -70,6 +81,7 @@ class RunConfig:
     horizon: float
     emit: dict
     params: dict = field(default_factory=dict)
+    spec: Optional[ProblemSpec] = field(default=None, init=False, compare=False, repr=False)
 
     def to_dict(self) -> dict:
         out = {
@@ -141,7 +153,7 @@ def parse_config_dict(raw: dict) -> RunConfig:
         },
         params=params,
     )
-    _validate(cfg)
+    object.__setattr__(cfg, "spec", _validate(cfg))
     return cfg
 
 
@@ -165,7 +177,9 @@ def parse_config(path) -> RunConfig:
     return parse_config_dict(_read_config(path))
 
 
-def _validate(cfg: RunConfig) -> None:
+def _validate(cfg: RunConfig) -> ProblemSpec:
+    """The config's ProblemSpec, built to check the step bound; raises
+    ValidationError listing every violation."""
     violations = []
     if not cfg.tau > 0:
         violations.append(f"tau must be positive, got {cfg.tau}")
@@ -198,6 +212,7 @@ def _validate(cfg: RunConfig) -> None:
             )
     if violations:
         raise ValidationError(violations)
+    return spec
 
 
 def _fmt(x) -> str:
@@ -212,7 +227,10 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
 
 
 def run_and_emit(cfg: RunConfig) -> int:
-    """Execute a configured run and serialize everything; returns exit code."""
+    """Execute a configured run and serialize everything; returns exit code.
+
+    Steps cfg.spec, and builds the spec only for a config that has none.
+    """
     t_start = time.perf_counter()
     out = Path(cfg.out_dir)
     try:
@@ -220,11 +238,13 @@ def run_and_emit(cfg: RunConfig) -> int:
     except OSError as exc:
         print(f"config error: cannot create output directory: {exc}", file=sys.stderr)
         return 2
-    try:
-        spec, _ = build_problem(cfg)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
+    spec = cfg.spec
+    if spec is None:
+        try:
+            spec, _ = build_problem(cfg)
+        except ConfigError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return 2
 
     summary = {"config": cfg.to_dict(), "tau_max": tau_max(spec)}
     failures = []

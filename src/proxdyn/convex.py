@@ -43,16 +43,6 @@ def _band_rows(diagonal, bw: int) -> np.ndarray:
     return np.array([np.pad(diagonal(k), (k, 0)) for k in range(bw, -1, -1)])
 
 
-def _gram_band(d_mat, w) -> np.ndarray:
-    """Upper band form of D^T diag(w) D, with the bandwidth that D's
-    nonzero diagonals allow."""
-    rows, cols = np.nonzero(d_mat)
-    m = d_mat.shape[1]
-    bw = min(int(np.ptp(rows - cols)), m - 1) if rows.size else 0
-    wd = np.asarray(w, dtype=float)[:, None] * d_mat
-    return _band_rows(lambda k: np.einsum("ei,ei->i", d_mat[:, : m - k], wd[:, k:]), bw)
-
-
 class SymBand:
     """Symmetric matrix in LAPACK upper band form: products by dsbmv,
     eigenvalues and Cholesky factorizations in O(m b^2), b the bandwidth."""
@@ -62,12 +52,13 @@ class SymBand:
 
     @classmethod
     def from_dense(cls, mat) -> "SymBand":
-        """The exact band of a symmetric matrix, its bandwidth read from the
-        nonzeros; the matrix is not kept."""
+        """The exact band of a square matrix's symmetric part (the matrix
+        itself when it is symmetric), read from its diagonals k and -k with
+        the bandwidth taken from the nonzeros; the matrix is not kept."""
         mat = np.asarray(mat, dtype=float)
         rows, cols = np.nonzero(mat)
         bw = int(np.max(np.abs(cols - rows), initial=0))
-        return cls(_band_rows(lambda k: np.diagonal(mat, k), bw))
+        return cls(_band_rows(lambda k: 0.5 * (np.diagonal(mat, k) + np.diagonal(mat, -k)), bw))
 
     def __matmul__(self, x):
         return scipy.linalg.blas.dsbmv(self.bandwidth, 1.0, self.band, x)
@@ -84,14 +75,19 @@ class SymBand:
     def max_eig(self) -> float:
         return self.eigenvalue(self.band.shape[1] - 1)
 
-    def factor_plus(self, *extras):
-        """Banded Cholesky factor of self + E_1 + ..., each E_i symmetric and
-        given in upper band form; cho_solve_banded takes it."""
+    def plus(self, *extras) -> "SymBand":
+        """self + E_1 + ..., each E_i symmetric and given in upper band
+        form, summed in that order."""
         parts = (self.band, *extras)
         band = np.zeros((max(len(b) for b in parts), self.band.shape[1]))
         for b in parts:
             band[len(band) - len(b):] += b
-        return scipy.linalg.cholesky_banded(band), False
+        return SymBand(band)
+
+    def factor_plus(self, *extras):
+        """Banded Cholesky factor of self.plus(*extras); cho_solve_banded
+        takes it."""
+        return scipy.linalg.cholesky_banded(self.plus(*extras).band), False
 
 
 _ROOT_RTOL = 1e-15
@@ -416,8 +412,11 @@ class StepProblem:
     G(u) = 0.5 u^T Q u + b^T u + rho(u).
 
     Sites are nodes (M the identity) when lin_op is None and the rows of
-    lin_op, with operator norm op_norm, otherwise.  rho is an optional
-    smooth remainder treated by linearization with backtracking;
+    lin_op, with operator norm op_norm, otherwise.  lin_op is an operator,
+    not a matrix: `lin_op @ u` gives M u, `lin_op.T @ p` gives M^T p, and
+    `lin_op.gram_band(w)` the upper band form of M^T diag(w) M (the
+    discrete gradient `grid.ForwardDifference` in the stepper).  rho is an
+    optional smooth remainder treated by linearization with backtracking;
     smooth_lips seeds the backtracking estimate for grad rho.  A solve
     stops once the certified gap is below tol, the stationarity residual
     below resid_target, the splitting's Bregman feasibility term below
@@ -429,7 +428,7 @@ class StepProblem:
     nonsmooth: SitePotential
     h: float
     strong_convexity: float
-    lin_op: Optional[np.ndarray] = None
+    lin_op: Optional[object] = None
     op_norm: float = 1.0
     smooth_value: Optional[Callable] = None
     smooth_grad: Optional[Callable] = None
@@ -450,7 +449,7 @@ class StepProblem:
 
     def gram(self, w):
         """M^T diag(w) M in upper band form."""
-        return w[None, :] if self.lin_op is None else _gram_band(self.lin_op, w)
+        return w[None, :] if self.lin_op is None else self.lin_op.gram_band(w)
 
     def smooth_val(self, u):
         val = 0.5 * float(u @ (self.quad_op @ u)) + float(self.lin @ u)

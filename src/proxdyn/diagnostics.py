@@ -147,15 +147,11 @@ def deviation_norms(traj: Trajectory) -> tuple[float, float]:
     spec = traj.spec
     h = spec.grid.h
     q = spec.dissipation.q
-    grad = spec.ops.grad
     sup_u = 0.0
     sup_v = 0.0
     for n in range(1, traj.n_steps + 1):
         du = traj.U[n].values - traj.U[n - 1].values
-        if spec.dissipation.kind == "grad_composite":
-            sup_u = max(sup_u, q_norm(grad @ du, h, q))
-        else:
-            sup_u = max(sup_u, q_norm(du, h, q))
+        sup_u = max(sup_u, q_norm(spec.sites(du), h, q))
         sup_v = max(sup_v, h_norm(traj.V[n].values - traj.V[n - 1].values, h))
     return sup_u, sup_v
 

@@ -9,6 +9,11 @@ Inner products are h-weighted throughout: <u, v>_h = h * sum(u_i v_i).
 With that convention the plain matrix transpose is the adjoint for every
 operator mapping nodal vectors to nodal or edge vectors, since the h
 factors on both sides cancel.
+
+The stepping applies the discrete gradient as `ForwardDifference`, an
+O(m) operator (`D @ u`, `D.T @ p`, and the band of D^T diag(w) D); the
+dense builders below (`gradient_matrix` and the matrices made from it)
+serve the model assembly only.
 """
 
 from __future__ import annotations
@@ -97,6 +102,52 @@ def h_norm(a: np.ndarray, h: float) -> float:
 def q_norm(a: np.ndarray, h: float, q: float) -> float:
     """||a||_{q,h} = (h * sum |a_i|^q)^(1/q)."""
     return float((h * np.sum(np.abs(a) ** q)) ** (1.0 / q))
+
+
+class ForwardDifference:
+    """The forward-difference operator D of `gradient_matrix`, applied in
+    O(m): edge e holds (u_e - u_{e-1})/h on the padded vector, so the
+    implicit zero boundary values enter the first and last edge.
+
+    `D @ u` maps m nodal values to m + 1 edge values, `D.T @ p` is the
+    adjoint, (p_i - p_{i+1})/h, and `gram_band(w)` the upper band form of
+    D^T diag(w) D.
+    """
+
+    def __init__(self, m: int, h: float):
+        self.m = m
+        self.inv_h = 1.0 / h
+        # Both products are one np.correlate with the two-point stencil
+        # (-1/h, 1/h): a single C call, no slower than the dense product
+        # on the smallest grids.  The entries are gradient_matrix's, so a
+        # power-of-two h gives its products bit for bit.
+        self._stencil = np.array([-self.inv_h, self.inv_h])
+        self.T = _Adjoint(self._stencil[::-1].copy())
+
+    def __matmul__(self, u: np.ndarray) -> np.ndarray:
+        return np.correlate(u, self._stencil, "full")
+
+    def gram_band(self, w) -> np.ndarray:
+        """Upper band form (bandwidth 1) of the tridiagonal D^T diag(w) D:
+        (w_e + w_{e+1})/h^2 on the diagonal, -w_e/h^2 beside it."""
+        w = np.asarray(w, dtype=float)
+        inv2 = self.inv_h**2
+        band = np.empty((2, self.m))
+        band[0, 0] = 0.0
+        band[0, 1:] = -w[1:-1] * inv2
+        band[1] = (w[:-1] + w[1:]) * inv2
+        return band
+
+
+class _Adjoint:
+    """D.T of a `ForwardDifference` D, so that `D.T @ p` reads as for a
+    matrix: (p_i - p_{i+1})/h, the reversed stencil over the m + 1 edges."""
+
+    def __init__(self, stencil: np.ndarray):
+        self._stencil = stencil
+
+    def __matmul__(self, p: np.ndarray) -> np.ndarray:
+        return np.correlate(p, self._stencil, "valid")
 
 
 def gradient_matrix(grid: SpatialGrid) -> np.ndarray:

@@ -166,13 +166,13 @@ def step_operator(spec: ProblemSpec, tau: float) -> convex.SymBand:
 
     It holds the inertia and the energy operator, and with a structured
     smooth part its matrix piece; it depends on tau only, so a run builds
-    it once.
+    it once, from A's band, the inertia diagonal and quad_shift's band.
     """
     en = spec.energy
-    q_mat = en.quad_op + np.eye(spec.grid.n_interior) / tau**2
+    parts = [np.full((1, spec.grid.n_interior), 1.0 / tau**2)]
     if en.smooth_structured and en.quad_shift is not None:
-        q_mat = q_mat + en.quad_shift
-    return convex.SymBand.from_dense(q_mat)
+        parts.append(convex.SymBand.from_dense(en.quad_shift).band)
+    return spec.quad_band.plus(*parts)
 
 
 def _phi_smooth_parts(spec: ProblemSpec, inp: StepInput):

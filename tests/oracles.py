@@ -8,6 +8,8 @@
 * `scalar_potential` is a|s| + (g/q)|s|^q, elementwise, for grid-search
   oracles of the per-site kernel, and `conjugate_numeric` is such an
   oracle for the scalar conjugate.
+* `DenseSiteOp` hands a dense matrix M to `convex.StepProblem` as its
+  `lin_op`, with the band of M^T diag(w) M read from the matrix.
 """
 
 import numpy as np
@@ -15,6 +17,29 @@ import numpy as np
 from proxdyn.core import energy_grad, energy_total
 from proxdyn.grid import Field, h_inner, h_norm
 from proxdyn.stepper import StepInput, average_force
+
+
+class DenseSiteOp:
+    """A dense site matrix M in the operator form `StepProblem.lin_op`
+    takes: `@`, `.T @`, and `gram_band(w)`, the upper band form of
+    M^T diag(w) M with the bandwidth that M's nonzero diagonals allow."""
+
+    def __init__(self, mat):
+        self.mat = np.asarray(mat, dtype=float)
+        self.T = self.mat.T
+
+    def __matmul__(self, u):
+        return self.mat @ u
+
+    def gram_band(self, w):
+        rows, cols = np.nonzero(self.mat)
+        m = self.mat.shape[1]
+        bw = min(int(np.ptp(rows - cols)), m - 1) if rows.size else 0
+        wd = np.asarray(w, dtype=float)[:, None] * self.mat
+        return np.array([
+            np.pad(np.einsum("ei,ei->i", self.mat[:, : m - k], wd[:, k:]), (k, 0))
+            for k in range(bw, -1, -1)
+        ])
 
 
 def scalar_potential(a, g, q):

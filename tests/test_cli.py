@@ -1,9 +1,11 @@
 """Config parsing, serialization, exit codes, and determinism."""
 
+import dataclasses
 import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -206,6 +208,65 @@ class TestRunAndEmit:
         run_and_emit(cfg)
         rows = (tmp_path / "out" / "snapshots.csv").read_text().splitlines()
         assert len(rows) - 1 <= 200
+
+
+class TestBuildOnce:
+    """run_and_emit steps the spec that parse_config_dict built."""
+
+    def test_parsed_config_runs_without_a_build(self, tmp_path, monkeypatch):
+        from proxdyn import cli as cli_mod
+        from proxdyn import models
+
+        raw = {"model": "p3", "tau": 0.0625, "n_nodes": 17, "horizon": 0.25, "halvings": 1}
+        reference = parse_config_dict({**raw, "out_dir": str(tmp_path / "ref")})
+        assert run_and_emit(reference) == 0
+        cfg = parse_config_dict({**raw, "out_dir": str(tmp_path / "out")})
+        assert cfg.spec is not None
+
+        def boom(*args, **kwargs):
+            raise AssertionError("the spec was built again after parsing")
+
+        monkeypatch.setattr(cli_mod, "build_problem", boom)
+        for name in dir(models):
+            if name.startswith("build_"):
+                monkeypatch.setattr(models, name, boom)
+        assert run_and_emit(cfg) == 0
+        for name in ("trajectory.csv", "convergence.csv"):
+            assert (tmp_path / "out" / name).read_bytes() == (tmp_path / "ref" / name).read_bytes()
+
+    def test_spec_is_not_config_data(self):
+        cfg = parse_config_dict({"model": "linear_wave", "tau": 0.25, "n_nodes": 9})
+        bare = dataclasses.replace(cfg)
+        assert bare.spec is None
+        assert bare == cfg and repr(bare) == repr(cfg)
+        assert "spec" not in cfg.to_dict()
+
+    def test_replaced_config_builds_its_own_spec(self, tmp_path):
+        cfg = parse_config_dict(
+            {"model": "linear_wave", "tau": 0.25, "n_nodes": 9, "out_dir": str(tmp_path / "out")}
+        )
+        finer = dataclasses.replace(cfg, n_nodes=17)
+        assert finer.spec is None
+        assert run_and_emit(finer) == 0
+        header = (tmp_path / "out" / "snapshots.csv").read_text().splitlines()[0]
+        assert header.split(",") == ["t"] + [f"x{j}" for j in range(17)]
+
+    @pytest.mark.parametrize("damping", ["mass", "gradient"])
+    def test_stepping_holds_no_dense_matrix(self, tmp_path, damping):
+        # At 2049 nodes one dense m x m array is 33.5 MB; everything a run
+        # allocates after the parse (the stepping, the checks and the
+        # output) stays under half of that.
+        cfg = parse_config_dict(
+            {"model": "linear_wave", "damping": damping, "n_nodes": 2049,
+             "tau": 1 / 32, "horizon": 1.0, "out_dir": str(tmp_path / "out")}
+        )
+        tracemalloc.start()
+        try:
+            assert run_and_emit(cfg) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6, f"traced peak {peak / 1e6:.1f} MB"
 
 
 class TestMainEntry:

@@ -21,7 +21,7 @@ from proxdyn.convex import (
     solve_prox_gradient,
 )
 
-from oracles import conjugate_numeric, scalar_potential
+from oracles import DenseSiteOp, conjugate_numeric, scalar_potential
 
 
 def prox1(a, g, q, gamma, s):
@@ -210,7 +210,7 @@ class TestSolvePD:
         pot = SitePotential(np.full(m + 1, 0.5), np.full(m + 1, 1.0), 2.0,
                             np.zeros(m + 1), np.zeros(m + 1))
         prob = StepProblem(
-            quad_op=SymBand.from_dense(np.eye(m) * 10), lin=np.zeros(m), lin_op=d, nonsmooth=pot,
+            quad_op=SymBand.from_dense(np.eye(m) * 10), lin=np.zeros(m), lin_op=DenseSiteOp(d), nonsmooth=pot,
             h=h, strong_convexity=10.0, op_norm=np.sqrt(np.linalg.eigvalsh(d.T @ d)[-1]),
         )
         u, p, rep = solve_pd(prob, np.zeros(m))
@@ -227,7 +227,7 @@ class TestSolvePD:
         a, g = 0.9, 1.4
         pot = SitePotential(np.full(m, a), np.full(m, g), 2.0, np.zeros(m), np.zeros(m))
         prob = StepProblem(
-            quad_op=SymBand.from_dense(np.eye(m) / gamma), lin=-s / gamma, lin_op=np.eye(m),
+            quad_op=SymBand.from_dense(np.eye(m) / gamma), lin=-s / gamma, lin_op=DenseSiteOp(np.eye(m)),
             nonsmooth=pot, h=1.0, strong_convexity=1.0 / gamma, op_norm=1.0,
             tol=1e-14,
         )
@@ -258,7 +258,7 @@ class TestSolvePD:
         shift = rng.standard_normal(m + 1) * 0.2
         pot = SitePotential(a, g, 2.0, np.zeros(m + 1), shift)
         prob = StepProblem(
-            quad_op=SymBand.from_dense(q_mat), lin=b, lin_op=d, nonsmooth=pot, h=h,
+            quad_op=SymBand.from_dense(q_mat), lin=b, lin_op=DenseSiteOp(d), nonsmooth=pot, h=h,
             strong_convexity=30.0, op_norm=np.sqrt(np.linalg.eigvalsh(d.T @ d)[-1]),
             tol=1e-12,
         )
@@ -418,7 +418,7 @@ class TestProxGradient:
         u, p_hat, rep = solve_prox_gradient(prob, np.zeros(m))
         assert rep.converged
         pd = StepProblem(
-            quad_op=SymBand.from_dense(q_mat), lin=b, lin_op=np.eye(m), nonsmooth=pot, h=0.1,
+            quad_op=SymBand.from_dense(q_mat), lin=b, lin_op=DenseSiteOp(np.eye(m)), nonsmooth=pot, h=0.1,
             strong_convexity=10.0, op_norm=1.0, tol=1e-14,
         )
         u2, _, _ = solve_pd(pd, np.zeros(m))
@@ -462,7 +462,7 @@ class TestBandedClosedForms:
         b = rng.standard_normal(m)
         pot = SitePotential(np.zeros(m + 1), np.zeros(m + 1), 2.0, w2, shift)
         prob = StepProblem(
-            quad_op=SymBand.from_dense(q_mat), lin=b, lin_op=d, nonsmooth=pot, h=h,
+            quad_op=SymBand.from_dense(q_mat), lin=b, lin_op=DenseSiteOp(d), nonsmooth=pot, h=h,
             strong_convexity=50.0, op_norm=np.sqrt(np.linalg.eigvalsh(d.T @ d)[-1]),
         )
         u, _, rep = solve_pd(prob, np.zeros(m))

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from proxdyn.core import (
     DissipationSpec,
@@ -16,6 +17,7 @@ from proxdyn.core import (
 from proxdyn.errors import ConfigError
 from proxdyn.grid import (
     Field,
+    ForwardDifference,
     SpatialGrid,
     gradient_matrix,
     h_norm,
@@ -85,6 +87,89 @@ class TestGrid:
         u = rng.standard_normal(7)
         p = rng.standard_normal(8)
         assert np.dot(d @ u, p) == pytest.approx(np.dot(u, d.T @ p), rel=1e-13)
+
+
+_EPS = np.finfo(float).eps
+_SUBNORMAL = np.finfo(float).smallest_subnormal
+
+
+class TestForwardDifference:
+    """The O(m) operator D against gradient_matrix's dense D."""
+
+    @staticmethod
+    def _draw(m, h, seed):
+        g = SpatialGrid(m + 2, h)
+        rng = np.random.default_rng(seed)
+        return ForwardDifference(m, h), gradient_matrix(g), rng
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        m=st.integers(1, 64),
+        h=st.floats(1e-4, 1e3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_products_match_dense(self, m, h, seed):
+        d, dense, rng = self._draw(m, h, seed)
+        u = rng.standard_normal(m)
+        p = rng.standard_normal(m + 1)
+        inv = 1.0 / h
+        np.testing.assert_allclose(
+            d @ u, dense @ u, rtol=0.0, atol=4 * _EPS * inv * np.max(np.abs(u))
+        )
+        np.testing.assert_allclose(
+            d.T @ p, dense.T @ p, rtol=0.0, atol=4 * _EPS * inv * np.max(np.abs(p))
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        m=st.integers(1, 64),
+        h=st.floats(1e-4, 1e3),
+        w_scale=st.floats(0.0, 1e6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_gram_band_matches_dense(self, m, h, w_scale, seed):
+        d, dense, rng = self._draw(m, h, seed)
+        w = w_scale * rng.uniform(0.0, 1.0, m + 1)
+        w[rng.uniform(size=m + 1) < 0.2] = 0.0
+        want = dense.T @ (w[:, None] * dense)
+        band = d.gram_band(w)
+        assert band.shape == (2, m)
+        got = np.diag(band[1]) + np.diag(band[0, 1:], 1) + np.diag(band[0, 1:], -1)
+        assert band[0, 0] == 0.0
+        np.testing.assert_allclose(
+            got, want, rtol=0.0,
+            # Subnormal weights: the dense product rounds w_e/h to the
+            # subnormal grid before the second 1/h scales that error up.
+            atol=8 * _EPS * np.max(w, initial=0.0) / h**2 + 8 * _SUBNORMAL * (1.0 + 1.0 / h) ** 2,
+        )
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        m=st.integers(1, 64),
+        h=st.floats(1e-4, 1e3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_adjoint_pairing(self, m, h, seed):
+        d, _, rng = self._draw(m, h, seed)
+        u = rng.standard_normal(m)
+        p = rng.standard_normal(m + 1)
+        lhs = float(np.dot(d @ u, p))
+        rhs = float(np.dot(u, d.T @ p))
+        scale = 2.0 * np.max(np.abs(u)) * np.sum(np.abs(p)) / h
+        assert abs(lhs - rhs) <= 4 * (m + 2) * _EPS * scale
+
+
+class TestQuadBand:
+    def test_band_of_the_symmetric_part_on_first_use(self):
+        g = SpatialGrid(11, 0.1)
+        for a in (laplacian_matrix(g), laplacian_matrix(g) + np.diag(np.full(8, 1e-3), 1)):
+            spec = make_spec(g, a)
+            assert "quad_band" not in vars(spec)
+            band = spec.quad_band
+            assert band.bandwidth == 1
+            got = np.diag(band.band[1]) + np.diag(band.band[0, 1:], 1) + np.diag(band.band[0, 1:], -1)
+            np.testing.assert_array_equal(got, 0.5 * (a + a.T))
+            assert spec.quad_band is band
 
 
 class TestEnergyTotal:
