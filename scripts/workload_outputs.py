@@ -18,6 +18,10 @@ largest absolute difference, since a column of rounding-level values
 (the FY gap of a closed-form solve, ~1e-16) shows a large relative
 difference for a change of one rounding error.  The proxdyn imported is
 the one in this script's own checkout.
+
+The exit status is 0 when every run exits 0 and 1 otherwise, so the
+script serves as a drift gate; a run that fails before it steps (a
+config error, exit 2) prints its exit code and no figures.
 """
 
 import argparse
@@ -31,11 +35,13 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "bench"))
 
 from proxdyn import cli, stepper  # noqa: E402
+from proxdyn.errors import ParseError, ValidationError  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 
 def run_workload(config: dict, out: Path):
-    """run_and_emit on one config; returns (exit code, trajectory)."""
+    """run_and_emit on one config; returns (exit code, trajectory), the
+    trajectory None when the run failed before it stepped."""
     runs = []
     original = stepper.run
 
@@ -45,10 +51,14 @@ def run_workload(config: dict, out: Path):
 
     stepper.run = keep
     try:
-        code = cli.run_and_emit(cli.parse_config_dict({**config, "seed": 0, "out_dir": str(out)}))
+        cfg = cli.parse_config_dict({**config, "seed": 0, "out_dir": str(out)})
+        code = cli.run_and_emit(cfg)
+    except (ParseError, ValidationError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        code = 2
     finally:
         stepper.run = original
-    return code, runs[0]
+    return code, runs[0] if runs else None
 
 
 def csv_drift(path: Path, other: Path) -> str:
@@ -80,15 +90,22 @@ def main():
     if other:
         header += f" {'max_dU':>9}  {'trajectory.csv':<38}  snapshots.csv"
     print(header)
+    failed = False
     for name, work in WORKLOADS.items():
         wdir = out / name
         code, traj = run_workload(work.config, wdir)
+        failed = failed or code != 0
+        if traj is None:
+            print(f"{name:<12} {code:>4} {'-':>11} {'-':>10}", flush=True)
+            continue
         u = np.array([f.values for f in traj.U])
         np.save(wdir / "U.npy", u)
         iters = sum(r.inner_iters for r in traj.reports)
         fy = max(r.fy_gap for r in traj.reports)
         line = f"{name:<12} {code:>4} {iters:>11} {fy:>10.3e}"
-        if other:
+        if other and not (other / name / "U.npy").exists():
+            line += "  (no stepped run in OTHER)"
+        elif other:
             u_other = np.load(other / name / "U.npy")
             du = float(np.max(np.abs(u - u_other))) if u.shape == u_other.shape else float("nan")
             drift = [
@@ -97,7 +114,8 @@ def main():
             ]
             line += f" {du:>9.2e}  {drift[0]:<38}  {drift[1]}"
         print(line, flush=True)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -1,7 +1,10 @@
 """Config ingestion, run orchestration, and bit-stable serialization.
 
 Configs are flat JSON: a model tag, a step size, and optional overrides of
-the per-model defaults below.  Outputs are plot-ready CSV (comma, header
+the per-model defaults below.  Each value must have its default's JSON
+type, with no coercion: integers for the integer keys, true/false for the
+emit_* keys, numbers (not strings or booleans) for the real-valued keys,
+and strings for out_dir and damping.  Outputs are plot-ready CSV (comma, header
 row, UTF-8, LF) with 17 significant digits plus a summary.json; repeated
 runs of the same config produce byte-identical data files (the wall-time
 entry of summary.json is the one volatile field).
@@ -20,6 +23,7 @@ from __future__ import annotations
 import argparse
 import difflib
 import json
+import numbers
 import sys
 import time
 from dataclasses import asdict, dataclass, field
@@ -59,7 +63,18 @@ MODEL_DEFAULTS = {
     "linear_wave": {"nu": 1.0, "damping": "mass"},
 }
 
-REQUIRED_KEYS = ("model", "tau")
+def _check_type(key: str, value, default) -> None:
+    """ParseError unless value has the JSON type of the key's default."""
+    if isinstance(default, bool):
+        kind, ok = "true or false", isinstance(value, bool)
+    elif isinstance(default, int):
+        kind, ok = "an integer", isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    elif isinstance(default, float):
+        kind, ok = "a number", isinstance(value, numbers.Real) and not isinstance(value, bool)
+    else:
+        kind, ok = "a string", isinstance(value, str)
+    if not ok:
+        raise ParseError(f"key {key!r} must be {kind}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -114,20 +129,23 @@ def build_problem(cfg: RunConfig):
 
 
 def parse_config_dict(raw: dict) -> RunConfig:
-    """Strict parse of a flat config mapping; unknown keys are errors."""
+    """Strict parse of a flat config mapping; unknown keys and values of
+    the wrong type are errors."""
     if "model" not in raw:
         raise ParseError("missing required key 'model'")
     model = raw["model"]
-    if model not in MODEL_DEFAULTS:
+    if not isinstance(model, str) or model not in MODEL_DEFAULTS:
         raise ParseError(
             f"unknown model {model!r}; choose from {sorted(MODEL_DEFAULTS)}"
         )
-    legal = set(REQUIRED_KEYS) | set(COMMON_DEFAULTS) | set(MODEL_DEFAULTS[model])
-    for key in raw:
+    # A key's default gives its type; the required tau is a number.
+    legal = {"model": model, "tau": 0.0, **COMMON_DEFAULTS, **MODEL_DEFAULTS[model]}
+    for key, value in raw.items():
         if key not in legal:
             hint = difflib.get_close_matches(key, sorted(legal), n=1)
             suffix = f"; did you mean {hint[0]!r}?" if hint else ""
             raise ParseError(f"unknown key {key!r} for model {model!r}{suffix}")
+        _check_type(key, value, legal[key])
     if "tau" not in raw:
         raise ParseError("missing required key 'tau'")
 
@@ -141,16 +159,12 @@ def parse_config_dict(raw: dict) -> RunConfig:
         model=model,
         tau=float(raw["tau"]),
         halvings=int(pick("halvings")),
-        out_dir=str(pick("out_dir")),
+        out_dir=pick("out_dir"),
         seed=int(pick("seed")),
         inner_tol=float(pick("inner_tol")),
         n_nodes=int(pick("n_nodes")),
         horizon=float(pick("horizon")),
-        emit={
-            "trajectory": bool(pick("emit_trajectory")),
-            "convergence": bool(pick("emit_convergence")),
-            "snapshots": bool(pick("emit_snapshots")),
-        },
+        emit={k: pick(f"emit_{k}") for k in ("trajectory", "convergence", "snapshots")},
         params=params,
     )
     object.__setattr__(cfg, "spec", _validate(cfg))

@@ -128,13 +128,24 @@ def _power_solve(w, g, q, t):
     """Root s >= 0 of w s + g s^(q-1) = t for t > 0, elementwise.
 
     Closed forms when g = 0 or w = 0 (infinite when both vanish); otherwise
-    the Newton-bisection on [0, min(t/w, (t/g)^(1/(q-1)))], whose upper end
-    bounds the root because either term alone reaches t there.
+    the Newton-bisection on [0, min(t/w, k)], k = (t/g)^(1/(q-1)), whose
+    upper end bounds the root because either term alone reaches t there.
+    Where t/g overflows (a subnormal g), k is taken in logs, and if it is
+    finite the root is k y, with y the root of (w k/t) y + y^(q-1) = 1.
     """
     w, g, t = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in (w, g, t)))
+    r = 1.0 / (q - 1.0)
     with np.errstate(divide="ignore", over="ignore"):
-        s = np.minimum(t / w, (t / g) ** (1.0 / (q - 1.0)))
-    both = (w > 0.0) & (g > 0.0)
+        k = (t / g) ** r
+        over = np.isinf(k) & (g > 0.0)
+        if np.any(over):
+            k[over] = np.exp(r * (np.log(t[over]) - np.log(g[over])))
+        s = np.minimum(t / w, k)
+    tiny = over & np.isfinite(k)
+    if np.any(tiny):
+        kt = k[tiny]
+        s[tiny] = kt * _power_solve(w[tiny] * (kt / t[tiny]), 1.0, q, 1.0)
+    both = (w > 0.0) & (g > 0.0) & ~tiny
     if np.any(both):
         wb, gb, tb = w[both], g[both], t[both]
 
@@ -372,7 +383,11 @@ def edge_conjugate_pair(a, w2, g, q, lam):
         # stationarity equation leaves a sum without cancellation.  An
         # infinite maximizer (a-only potential) gives an infinite value.
         with np.errstate(over="ignore", invalid="ignore"):
-            va = sa * (wa * sa / 2.0 + ga * sa ** (q - 1.0) * (1.0 - 1.0 / q))
+            # g s^(q-1) overflows at a huge s before a subnormal g scales
+            # it down; the stationarity equation gives it as t - w2 s.
+            gs = ga * sa ** (q - 1.0)
+            gs = np.where(np.isfinite(gs), gs, ta - wa * sa)
+            va = sa * (wa * sa / 2.0 + gs * (1.0 - 1.0 / q))
         va[np.isinf(sa)] = np.inf
         s[active] = np.sign(lam[active]) * sa
         val[active] = va

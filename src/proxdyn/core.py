@@ -4,6 +4,9 @@ A ProblemSpec collects the discretized quadruple (E_t, Psi_u, B, f) together
 with the grid and initial data.  All abstract spaces collapse onto the
 single nodal vector space with h-weighted norms; dual elements are stored
 as nodal vectors through the h-pairing (discrete Riesz representation).
+The energy's operators are `convex.SymBand`s, which the builders assemble
+as bands; a dense matrix from a caller is converted once, in
+`EnergySpec.__post_init__`.
 The dissipation Psi_u is one per-site kernel: DissipationSpec.potential(u)
 returns its `convex.SitePotential`, which every evaluation of Psi_u, of its
 conjugate and of the step potential uses.
@@ -15,7 +18,6 @@ operations here are pure.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Callable, Literal, Optional
 
 import numpy as np
@@ -39,8 +41,11 @@ class EnergySpec:
     """Energy E_t(u) = 0.5 <A u, u>_h + E2_t(u).
 
     quad_op is the h-representation of the symmetric strongly positive
-    operator; lambda_conv is a certified convexity defect: the full energy
-    satisfies the interpolation inequality
+    operator, a SymBand.  A square matrix is accepted and replaced by the
+    band of its symmetric part; its asymmetry max |A_ij - A_ji|/2 is kept
+    as quad_asymmetry for validate_assumptions.  lambda_conv is a
+    certified convexity defect: the full energy satisfies the
+    interpolation inequality
 
         E_t(th*u + (1-th)*v) <= th*E_t(u) + (1-th)*E_t(v)
                                 + th*(1-th)*lambda_conv*|u-v|_h^2.
@@ -50,7 +55,7 @@ class EnergySpec:
     time_deriv evaluates d/dt E2_t(u).
     """
 
-    quad_op: np.ndarray
+    quad_op: SymBand
     lambda_conv: float
     smooth_value: Optional[Callable[[float, np.ndarray], float]] = None
     smooth_grad: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
@@ -59,31 +64,43 @@ class EnergySpec:
     # E2_t(u) = site_quartic * h * sum_site (M u)_site^4
     #           + 0.5 <quad_shift u, u>_h + <lin_part(t), u>_h + const(t),
     # with M the identity (separable dissipation) or the discrete gradient
-    # (composite).  Lets the stepper fold stiff smooth terms into exactly
-    # solvable blocks instead of explicit gradient steps.
-    smooth_structured: bool = False
-    quad_shift: Optional[np.ndarray] = None
+    # (composite), and quad_shift a SymBand (or a square matrix, whose
+    # symmetric part is kept).  Lets the stepper fold stiff smooth terms
+    # into exactly solvable blocks instead of explicit gradient steps.
+    quad_shift: Optional[SymBand] = None
     site_quartic: float = 0.0
     lin_part: Optional[Callable[[float], np.ndarray]] = None
+    quad_asymmetry: float = field(default=0.0, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        a = np.asarray(self.quad_op, dtype=float)
-        object.__setattr__(self, "quad_op", a)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise ConfigError("quad_op must be a square matrix")
+        for name in ("quad_op", "quad_shift"):
+            op = getattr(self, name)
+            if op is None or isinstance(op, SymBand):
+                continue
+            mat = np.asarray(op, dtype=float)
+            if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+                raise ConfigError(f"{name} must be a SymBand or a square matrix")
+            object.__setattr__(self, name, SymBand.from_dense(mat))
+            if name == "quad_op":
+                asym = 0.5 * float(np.max(np.abs(mat - mat.T), initial=0.0))
+                object.__setattr__(self, "quad_asymmetry", asym)
+        order = self.quad_op.band.shape[1]
+        if self.quad_shift is not None and self.quad_shift.band.shape[1] != order:
+            raise ConfigError("quad_shift must match quad_op in order")
         if self.lambda_conv < 0:
             raise ConfigError("lambda_conv must be nonnegative")
         if (self.smooth_value is None) != (self.smooth_grad is None):
             raise ConfigError("smooth value and gradient must be supplied together")
         if self.smooth_structured and self.smooth_value is None:
             raise ConfigError("structured smooth part still needs value/grad callables")
-        if self.quad_shift is not None:
-            qs = np.asarray(self.quad_shift, dtype=float)
-            object.__setattr__(self, "quad_shift", qs)
-            if qs.shape != a.shape:
-                raise ConfigError("quad_shift must match quad_op shape")
         if self.site_quartic < 0:
             raise ConfigError("site_quartic must be nonnegative")
+
+    @property
+    def smooth_structured(self) -> bool:
+        """Whether E2 carries the decomposition above (any of quad_shift,
+        site_quartic > 0, lin_part)."""
+        return self.quad_shift is not None or self.site_quartic > 0 or self.lin_part is not None
 
 
 DissipationKind = Literal["separable", "grad_composite"]
@@ -196,10 +213,9 @@ class ProblemSpec:
 
     def __post_init__(self):
         m = self.grid.n_interior
-        if self.energy.quad_op.shape != (m, m):
-            raise ConfigError(
-                f"quad_op is {self.energy.quad_op.shape}, expected ({m}, {m})"
-            )
+        order = self.energy.quad_op.band.shape[1]
+        if order != m:
+            raise ConfigError(f"quad_op has order {order}, expected {m}")
         if self.u0.values.shape != (m,) or self.v0.values.shape != (m,):
             raise ConfigError("initial data incompatible with grid interior size")
         if not self.horizon > 0:
@@ -224,14 +240,6 @@ class ProblemSpec:
             raise EvalError(f"force produced non-finite values at t={t}")
         return vals
 
-    @cached_property
-    def quad_band(self) -> SymBand:
-        """A's symmetric part in band form, read from A's diagonals (no
-        m x m temporary); it equals A for every spec that passes the
-        quad_op_symmetry check.  Built on first use, so a spec that is
-        only validated never pays for it."""
-        return SymBand.from_dense(self.energy.quad_op)
-
     @property
     def site_op(self) -> Optional[ForwardDifference]:
         """M of Psi: None (the identity) for the separable kind, D else."""
@@ -255,7 +263,7 @@ def tau_max(spec: ProblemSpec) -> float:
 def energy_total(spec: ProblemSpec, t: float, u: Field) -> float:
     """E_t(u) = 0.5 <A u, u>_h + E2_t(u)."""
     vals = u.values
-    quad = 0.5 * spec.grid.h * float(vals @ (spec.quad_band @ vals))
+    quad = 0.5 * spec.grid.h * float(vals @ (spec.energy.quad_op @ vals))
     smooth = 0.0
     if spec.energy.smooth_value is not None:
         smooth = float(spec.energy.smooth_value(t, vals))
@@ -267,7 +275,7 @@ def energy_total(spec: ProblemSpec, t: float, u: Field) -> float:
 
 def energy_grad(spec: ProblemSpec, t: float, values: np.ndarray) -> np.ndarray:
     """h-representation of D E_t(u) = A u + D E2_t(u)."""
-    g = spec.quad_band @ values
+    g = spec.energy.quad_op @ values
     if spec.energy.smooth_grad is not None:
         g = g + np.asarray(spec.energy.smooth_grad(t, values), dtype=float)
     if not np.all(np.isfinite(g)):
@@ -324,22 +332,15 @@ def validate_assumptions(
     h = grid.h
     checks = []
 
-    # A vanishes outside its band, so its diagonals k and -k up to the
-    # bandwidth give the symmetry defect and the largest entry exactly.
-    a_mat = spec.energy.quad_op
-    bw = spec.quad_band.bandwidth
-    asym = 0.5 * max(
-        (float(np.max(np.abs(np.diagonal(a_mat, k) - np.diagonal(a_mat, -k))))
-         for k in range(1, bw + 1)),
-        default=0.0,
-    )
-    a_max = max(float(np.max(np.abs(np.diagonal(a_mat, k)))) for k in range(-bw, bw + 1))
-    sym_tol = 1e-12 * (1.0 + a_max)
+    # A band is symmetric; a dense quad_op left its defect on the spec.
+    a_op = spec.energy.quad_op
+    asym = spec.energy.quad_asymmetry
+    sym_tol = 1e-12 * (1.0 + float(np.max(np.abs(a_op.band))))
     checks.append(
         CheckResult("quad_op_symmetry", asym <= sym_tol, asym, f"tolerance {sym_tol:.3e}")
     )
 
-    mu = spec.quad_band.eigenvalue(0)
+    mu = a_op.eigenvalue(0)
     checks.append(
         CheckResult("quad_op_positivity", mu > 0.0, max(0.0, -mu), f"mu = {mu:.6e}")
     )

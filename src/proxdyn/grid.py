@@ -10,10 +10,12 @@ With that convention the plain matrix transpose is the adjoint for every
 operator mapping nodal vectors to nodal or edge vectors, since the h
 factors on both sides cancel.
 
-The stepping applies the discrete gradient as `ForwardDifference`, an
-O(m) operator (`D @ u`, `D.T @ p`, and the band of D^T diag(w) D); the
-dense builders below (`gradient_matrix` and the matrices made from it)
-serve the model assembly only.
+The discrete gradient is `ForwardDifference`, an O(m) operator (`D @ u`,
+`D.T @ p`, and the band of D^T diag(w) D); with `biharmonic_band`, the
+clamped fourth difference in closed form, it gives every operator of the
+models in band form.  The one dense matrix, `laplacian_matrix`, serves the
+spectral constants only (`ProblemSpec`'s eigenvalues and the p2/linear_wave
+initial mode).
 """
 
 from __future__ import annotations
@@ -105,9 +107,10 @@ def q_norm(a: np.ndarray, h: float, q: float) -> float:
 
 
 class ForwardDifference:
-    """The forward-difference operator D of `gradient_matrix`, applied in
-    O(m): edge e holds (u_e - u_{e-1})/h on the padded vector, so the
-    implicit zero boundary values enter the first and last edge.
+    """The forward-difference operator D from the m interior nodes to the
+    m + 1 edges, applied in O(m): edge e holds (u_e - u_{e-1})/h on the
+    padded vector, so the implicit zero boundary values enter the first and
+    last edge.
 
     `D @ u` maps m nodal values to m + 1 edge values, `D.T @ p` is the
     adjoint, (p_i - p_{i+1})/h, and `gram_band(w)` the upper band form of
@@ -119,8 +122,8 @@ class ForwardDifference:
         self.inv_h = 1.0 / h
         # Both products are one np.correlate with the two-point stencil
         # (-1/h, 1/h): a single C call, no slower than the dense product
-        # on the smallest grids.  The entries are gradient_matrix's, so a
-        # power-of-two h gives its products bit for bit.
+        # on the smallest grids.  The entries are +-1/h, so a power-of-two
+        # h gives the dense matrix's products bit for bit.
         self._stencil = np.array([-self.inv_h, self.inv_h])
         self.T = _Adjoint(self._stencil[::-1].copy())
 
@@ -150,65 +153,32 @@ class _Adjoint:
         return np.correlate(p, self._stencil, "valid")
 
 
-def gradient_matrix(grid: SpatialGrid) -> np.ndarray:
-    """Forward-difference operator D from interior nodes to the m+1 edges.
-
-    Edge e sits between nodes e and e+1 of the padded vector, so the
-    boundary zeros contribute to the first and last edge.
-    """
+def biharmonic_band(grid: SpatialGrid) -> np.ndarray:
+    """Upper band form (bandwidth 2) of the clamped fourth difference
+    D2^T D2, with D2 the second difference at every node and the ghost
+    reflection u_{-1} = u_1, u_n = u_{n-2} for u = u' = 0 at both ends:
+    6/h^4 on the diagonal (9/h^4 at both ends, 12/h^4 for one unknown),
+    -4/h^4 on the first off-diagonal and 1/h^4 on the second."""
     m = grid.n_interior
-    d = np.zeros((m + 1, m))
-    inv = 1.0 / grid.h
-    for e in range(m + 1):
-        if e - 1 >= 0:
-            d[e, e - 1] -= inv
-        if e < m:
-            d[e, e] += inv
-    return d
+    c = (1.0 / grid.h**2) ** 2
+    band = np.array([np.full(m, c), np.full(m, -4.0 * c), np.full(m, 6.0 * c)])
+    band[0, :2] = band[1, 0] = 0.0
+    band[2, [0, -1]] = 9.0 * c if m > 1 else 12.0 * c
+    return band
+
+
+def laplacian_band(grid: SpatialGrid) -> np.ndarray:
+    """Upper band form of the Dirichlet -d^2/dx^2, D^T D with the
+    (-1, 2, -1)/h^2 stencil."""
+    m = grid.n_interior
+    return ForwardDifference(m, grid.h).gram_band(np.ones(m + 1))
 
 
 def laplacian_matrix(grid: SpatialGrid) -> np.ndarray:
-    """Discrete -d^2/dx^2 with Dirichlet ends: D^T D, the (-1, 2, -1)/h^2 stencil."""
-    d = gradient_matrix(grid)
-    return d.T @ d
-
-
-def stiffness_matrix(grid: SpatialGrid, edge_coeff: np.ndarray) -> np.ndarray:
-    """Discrete -d/dx (a(x) d/dx .) with coefficients given per edge."""
-    d = gradient_matrix(grid)
-    a = np.asarray(edge_coeff, dtype=float)
-    if a.shape != (grid.n_interior + 1,):
-        raise ConfigError("edge coefficient vector must have one entry per edge")
-    return d.T @ (a[:, None] * d)
-
-
-def second_diff_clamped(grid: SpatialGrid) -> np.ndarray:
-    """Second-difference operator for clamped ends (u = u' = 0 at the boundary).
-
-    Returns the (m+2) x m map from interior unknowns to second differences
-    at every node; the zero boundary values and ghost reflection
-    u_{-1} = u_1, u_{n} = u_{n-2} encode the clamping.
-    """
-    m = grid.n_interior
-    n = m + 2
-    d2 = np.zeros((n, m))
-    inv2 = 1.0 / grid.h**2
-    for i in range(n):
-        for j, w in ((i - 1, 1.0), (i, -2.0), (i + 1, 1.0)):
-            jj = j
-            if jj == -1:
-                jj = 1
-            elif jj == n:
-                jj = n - 2
-            if 1 <= jj <= m:
-                d2[i, jj - 1] += w * inv2
-    return d2
-
-
-def biharmonic_clamped(grid: SpatialGrid) -> np.ndarray:
-    """Fourth-difference operator D2^T D2 for clamped boundary conditions."""
-    d2 = second_diff_clamped(grid)
-    return d2.T @ d2
+    """D^T D as a dense matrix, for the eigensolvers of the spectral
+    constants."""
+    band = laplacian_band(grid)
+    return np.diag(band[1]) + np.diag(band[0, 1:], 1) + np.diag(band[0, 1:], -1)
 
 
 def edge_average(grid: SpatialGrid, values: np.ndarray) -> np.ndarray:
@@ -216,11 +186,6 @@ def edge_average(grid: SpatialGrid, values: np.ndarray) -> np.ndarray:
     padded = np.zeros(grid.n_nodes)
     padded[1:-1] = values
     return 0.5 * (padded[:-1] + padded[1:])
-
-
-def min_eigenvalue(mat: np.ndarray) -> float:
-    """Smallest eigenvalue of a symmetric matrix (dense; desk-scale grids)."""
-    return float(np.linalg.eigvalsh(mat)[0])
 
 
 def operator_norm(mat: np.ndarray) -> float:

@@ -11,7 +11,9 @@
   modal solution (degenerate damping cases of the above).
 
 Builders are pure; outputs are immutable ProblemSpec instances that pass
-validate_assumptions by construction.
+validate_assumptions by construction.  Every operator is assembled in band
+form: the stiffness operators as `ForwardDifference.gram_band`, the clamped
+biharmonic as `biharmonic_band`.
 """
 
 from __future__ import annotations
@@ -21,18 +23,18 @@ from typing import Callable, Literal, Optional
 
 import numpy as np
 
+from .convex import SymBand
 from .core import DissipationSpec, EnergySpec, PerturbationSpec, ProblemSpec
 from .errors import ConfigError
 from .grid import (
     Field,
+    ForwardDifference,
     SpatialGrid,
-    biharmonic_clamped,
+    biharmonic_band,
     edge_average,
     first_eigenpair,
-    gradient_matrix,
+    laplacian_band,
     laplacian_matrix,
-    min_eigenvalue,
-    stiffness_matrix,
 )
 
 
@@ -85,8 +87,9 @@ def build_p1(params: P1Params) -> ProblemSpec:
     The equation is divided through by the constant density, so all
     operators carry a 1/rho factor.  The convexity defect of the total
     energy is certified numerically: the double-well curvature is bounded
-    below by -4, so the worst-case Hessian is mu*A4/rho - 4*L/rho; the
-    smallest shift making it nonnegative is doubled for safety.
+    below by -4, so the worst-case Hessian is mu*A4/rho - 4*L/rho (L the
+    Laplacian D^T D); the smallest shift making it nonnegative is doubled
+    for safety.
     """
     p = params
     if min(p.rho, p.nu, p.mu) <= 0 or p.alpha < 0:
@@ -95,13 +98,11 @@ def build_p1(params: P1Params) -> ProblemSpec:
     h = grid.h
     m = grid.n_interior
     inv_rho = 1.0 / p.rho
-    a4 = biharmonic_clamped(grid)
-    lap = laplacian_matrix(grid)
-    d = gradient_matrix(grid)
-    quad = p.mu * inv_rho * a4
-    quad_shift = -4.0 * inv_rho * lap
+    d = ForwardDifference(m, h)
+    quad = SymBand(p.mu * inv_rho * biharmonic_band(grid))
+    quad_shift = SymBand(-4.0 * inv_rho * laplacian_band(grid))
 
-    lam_raw = max(0.0, -min_eigenvalue(quad + quad_shift) / 2.0)
+    lam_raw = max(0.0, -quad.plus(quad_shift.band).eigenvalue(0) / 2.0)
     lambda_conv = 2.0 * lam_raw
 
     def smooth_value(t, u):
@@ -148,7 +149,6 @@ def build_p1(params: P1Params) -> ProblemSpec:
             lambda_conv=lambda_conv,
             smooth_value=smooth_value,
             smooth_grad=smooth_grad,
-            smooth_structured=True,
             quad_shift=quad_shift,
             site_quartic=inv_rho,
         ),
@@ -211,7 +211,6 @@ def build_p2(params: P2Params) -> ProblemSpec:
         raise ConfigError("P2 requires g1 bounded below by g1_min > 0")
     grid = _default_grid(p.n_nodes)
     m = grid.n_interior
-    lap = laplacian_matrix(grid)
 
     g1, g2 = p.g1, p.g2
 
@@ -239,7 +238,7 @@ def build_p2(params: P2Params) -> ProblemSpec:
     if p.u0 is not None:
         u0 = np.asarray(p.u0, dtype=float)
     else:
-        _, phi1 = first_eigenpair(lap, grid.h)
+        _, phi1 = first_eigenpair(laplacian_matrix(grid), grid.h)
         u0 = p.u0_amplitude * phi1
     v0 = np.zeros(m) if p.v0 is None else np.asarray(p.v0, dtype=float)
     force = None
@@ -249,7 +248,7 @@ def build_p2(params: P2Params) -> ProblemSpec:
 
     return ProblemSpec(
         grid=grid,
-        energy=EnergySpec(quad_op=lap, lambda_conv=0.0),
+        energy=EnergySpec(quad_op=SymBand(laplacian_band(grid)), lambda_conv=0.0),
         dissipation=dissipation,
         perturbation=perturbation,
         force=force,
@@ -311,9 +310,11 @@ def build_p3(params: P3Params) -> ProblemSpec:
         e_edge = np.asarray(p.stiffness(edge_x), dtype=float)
     else:
         e_edge = np.full(m + 1, float(p.stiffness))
+    if e_edge.shape != (m + 1,):
+        raise ConfigError("P3 stiffness must give one value per edge")
     if np.any(e_edge <= 0):
         raise ConfigError("P3 stiffness must be uniformly positive")
-    quad = stiffness_matrix(grid, e_edge)
+    quad = SymBand(ForwardDifference(m, h).gram_band(e_edge))
 
     scale = p.well_scale
     if p.force is not None:
@@ -358,8 +359,7 @@ def build_p3(params: P3Params) -> ProblemSpec:
             smooth_value=smooth_value,
             smooth_grad=smooth_grad,
             time_deriv=time_deriv,
-            smooth_structured=True,
-            quad_shift=-4.0 * scale * np.eye(m),
+            quad_shift=SymBand(np.full((1, m), -4.0 * scale)),
             site_quartic=scale,
             lin_part=lambda t: -f_vals(t),
         ),
@@ -425,8 +425,7 @@ def build_linear_wave(
     if grid is None:
         grid = _default_grid(n_nodes)
     m = grid.n_interior
-    lap = laplacian_matrix(grid)
-    omega_sq, phi1 = first_eigenpair(lap, grid.h)
+    omega_sq, phi1 = first_eigenpair(laplacian_matrix(grid), grid.h)
 
     if damping == "mass":
         dissipation = DissipationSpec(
@@ -452,7 +451,7 @@ def build_linear_wave(
 
     spec = ProblemSpec(
         grid=grid,
-        energy=EnergySpec(quad_op=lap, lambda_conv=0.0),
+        energy=EnergySpec(quad_op=SymBand(laplacian_band(grid)), lambda_conv=0.0),
         dissipation=dissipation,
         perturbation=PerturbationSpec(),
         force=None,

@@ -170,9 +170,9 @@ def step_operator(spec: ProblemSpec, tau: float) -> convex.SymBand:
     """
     en = spec.energy
     parts = [np.full((1, spec.grid.n_interior), 1.0 / tau**2)]
-    if en.smooth_structured and en.quad_shift is not None:
-        parts.append(convex.SymBand.from_dense(en.quad_shift).band)
-    return spec.quad_band.plus(*parts)
+    if en.quad_shift is not None:
+        parts.append(en.quad_shift.band)
+    return en.quad_op.plus(*parts)
 
 
 def _phi_smooth_parts(spec: ProblemSpec, inp: StepInput):

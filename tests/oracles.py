@@ -10,6 +10,11 @@
   oracle for the scalar conjugate.
 * `DenseSiteOp` hands a dense matrix M to `convex.StepProblem` as its
   `lin_op`, with the band of M^T diag(w) M read from the matrix.
+* `gradient_matrix` assembles the forward difference D entry by entry,
+  the reference for `grid.ForwardDifference`.
+* `dense_of` unpacks a `convex.SymBand` into the full symmetric matrix.
+* `biharmonic_clamped_dense` assembles the clamped fourth difference
+  D2^T D2 entry by entry, the reference for `grid.biharmonic_band`.
 """
 
 import numpy as np
@@ -40,6 +45,62 @@ class DenseSiteOp:
             np.pad(np.einsum("ei,ei->i", self.mat[:, : m - k], wd[:, k:]), (k, 0))
             for k in range(bw, -1, -1)
         ])
+
+
+def dense_of(op):
+    """The full symmetric matrix of a SymBand."""
+    band, bw = op.band, op.bandwidth
+    m = band.shape[1]
+    out = np.diag(band[bw])
+    for k in range(1, min(bw, m - 1) + 1):
+        out += np.diag(band[bw - k, k:], k) + np.diag(band[bw - k, k:], -k)
+    return out
+
+
+def gradient_matrix(grid):
+    """Forward-difference operator D from interior nodes to the m+1 edges.
+
+    Edge e sits between nodes e and e+1 of the padded vector, so the
+    boundary zeros contribute to the first and last edge.
+    """
+    m = grid.n_interior
+    d = np.zeros((m + 1, m))
+    inv = 1.0 / grid.h
+    for e in range(m + 1):
+        if e - 1 >= 0:
+            d[e, e - 1] -= inv
+        if e < m:
+            d[e, e] += inv
+    return d
+
+
+def second_diff_clamped(grid):
+    """Second-difference operator for clamped ends (u = u' = 0 at the boundary).
+
+    Returns the (m+2) x m map from interior unknowns to second differences
+    at every node; the zero boundary values and ghost reflection
+    u_{-1} = u_1, u_{n} = u_{n-2} encode the clamping.
+    """
+    m = grid.n_interior
+    n = m + 2
+    d2 = np.zeros((n, m))
+    inv2 = 1.0 / grid.h**2
+    for i in range(n):
+        for j, w in ((i - 1, 1.0), (i, -2.0), (i + 1, 1.0)):
+            jj = j
+            if jj == -1:
+                jj = 1
+            elif jj == n:
+                jj = n - 2
+            if 1 <= jj <= m:
+                d2[i, jj - 1] += w * inv2
+    return d2
+
+
+def biharmonic_clamped_dense(grid):
+    """Fourth-difference operator D2^T D2 for clamped boundary conditions."""
+    d2 = second_diff_clamped(grid)
+    return d2.T @ d2
 
 
 def scalar_potential(a, g, q):

@@ -92,6 +92,37 @@ class TestParseConfig:
             parse_config(p)
 
 
+class TestStrictTypes:
+    """A value must have its key's JSON type; nothing is coerced."""
+
+    @pytest.mark.parametrize(
+        "raw, key",
+        [
+            ({"model": "p3", "tau": 0.0625, "n_nodes": 17.5}, "n_nodes"),
+            ({"model": "linear_wave", "tau": 0.25, "n_nodes": 9, "emit_trajectory": "no"},
+             "emit_trajectory"),
+            ({"model": "linear_wave", "tau": "0.1", "n_nodes": 9}, "tau"),
+            ({"model": "linear_wave", "tau": True, "n_nodes": 9}, "tau"),
+            ({"model": "p1", "tau": 0.0625, "n_nodes": 9, "mu": "abc"}, "mu"),
+        ],
+        ids=["float_n_nodes", "string_emit_flag", "string_tau", "bool_tau", "string_mu"],
+    )
+    def test_wrong_type_rejected(self, raw, key):
+        with pytest.raises(ParseError, match=f"'{key}'"):
+            parse_config_dict(raw)
+
+    def test_wrong_type_exits_two(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, {"model": "p1", "tau": 0.0625, "n_nodes": 9, "mu": "abc"})
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "'mu'" in capsys.readouterr().err
+
+    def test_integers_are_numbers(self):
+        cfg = parse_config_dict(
+            {"model": "linear_wave", "tau": 0.25, "n_nodes": 9, "horizon": 1, "nu": 2}
+        )
+        assert cfg.horizon == 1.0 and cfg.params["nu"] == 2
+
+
 class TestRunAndEmit:
     def test_zero_data_run(self, tmp_path):
         cfg = parse_config_dict(
@@ -267,6 +298,57 @@ class TestBuildOnce:
         finally:
             tracemalloc.stop()
         assert peak < 16e6, f"traced peak {peak / 1e6:.1f} MB"
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        {"model": "p1", "tau": 0.0625, "n_nodes": 9, "horizon": 0.25, "halvings": 1},
+        {"model": "p2", "tau": 0.0625, "n_nodes": 9, "horizon": 0.25, "q": 1.5},
+        {"model": "p3", "tau": 0.0625, "n_nodes": 9, "horizon": 0.25, "halvings": 1},
+        {"model": "linear_wave", "tau": 0.125, "n_nodes": 9, "damping": "mass"},
+        {"model": "linear_wave", "tau": 0.125, "n_nodes": 9, "damping": "gradient"},
+    ],
+    ids=["p1", "p2", "p3", "wave_mass", "wave_gradient"],
+)
+def test_models_run_without_dense_operators(raw, tmp_path, monkeypatch):
+    # The builders assemble every operator as a band: no dense matrix is
+    # converted from parse to outputs.
+    from proxdyn import convex
+
+    def boom(*args, **kwargs):
+        raise AssertionError("a dense operator was converted to a band")
+
+    monkeypatch.setattr(convex.SymBand, "from_dense", boom)
+    cfg = parse_config_dict({**raw, "out_dir": str(tmp_path / "out")})
+    assert run_and_emit(cfg) == 0
+
+
+class TestWorkloadOutputs:
+    def test_failed_run_prints_its_code_and_fails_the_script(self, tmp_path, monkeypatch, capsys):
+        import importlib.util
+        from types import SimpleNamespace
+
+        # The script puts src/ and bench/ on sys.path; undo that afterwards.
+        monkeypatch.setattr(sys, "path", list(sys.path))
+        spec = importlib.util.spec_from_file_location(
+            "workload_outputs", ROOT / "scripts" / "workload_outputs.py"
+        )
+        script = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(script)
+        config = {"model": "linear_wave", "tau": 0.25, "n_nodes": 9}
+        monkeypatch.setattr(script, "WORKLOADS", {
+            "ok": SimpleNamespace(config=config),
+            "bad": SimpleNamespace(config=config),
+        })
+        # A file where the output directory should be: run_and_emit exits
+        # 2 before it steps.
+        (tmp_path / "bad").write_text("")
+        monkeypatch.setattr(sys, "argv", ["workload_outputs.py", str(tmp_path)])
+        assert script.main() == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1].split()[:2] == ["ok", "0"]
+        assert lines[2].split() == ["bad", "2", "-", "-"]
 
 
 class TestMainEntry:

@@ -503,6 +503,25 @@ class TestEdgeConjugatePair:
         np.testing.assert_allclose(val, lam * s - psi, rtol=1e-12, atol=1e-15)
 
 
+    @pytest.mark.parametrize("w2", [9.54219455319192e-130, 0.0])
+    def test_subnormal_power_weight_does_not_overflow(self, w2):
+        # With g = 5e-324, t/g and g s^3 at the root overflow before g
+        # scales them down, although s* ~ 1.17e103 and psi* are finite.
+        a, g, q = 1.3554718347527341, 5e-324, 4.0
+        lam = a + 8e-15
+        t = lam - a
+        val, s = edge_conjugate_pair(a, w2, g, q, np.array([lam]))
+        log_g = np.log(g)
+        # Stationarity w2 s + g s^3 = t, the power taken in logs.
+        resid = w2 * s[0] + np.exp(log_g + 3.0 * np.log(s[0])) - t
+        assert abs(resid) <= 1e-12 * t
+        assert s[0] == pytest.approx(1.1739583516573987e103, rel=1e-11)
+        psi = 0.5 * w2 * s[0] ** 2 + np.exp(log_g + 4.0 * np.log(s[0])) / q
+        assert val[0] == pytest.approx(t * s[0] - psi, rel=1e-10)
+        if w2 > 0.0:
+            assert val[0] <= t**2 / (2.0 * w2)
+
+
 class TestNewtonBisect:
     def test_stops_at_once_on_an_overflowing_root(self):
         # The root 1e310 overflows: the iterate starts at hi = inf, which the

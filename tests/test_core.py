@@ -14,12 +14,14 @@ from proxdyn.core import (
     tau_max,
     validate_assumptions,
 )
+from oracles import biharmonic_clamped_dense, dense_of, gradient_matrix
+from proxdyn.convex import SymBand
 from proxdyn.errors import ConfigError
 from proxdyn.grid import (
     Field,
     ForwardDifference,
     SpatialGrid,
-    gradient_matrix,
+    biharmonic_band,
     h_norm,
     laplacian_matrix,
     q_norm,
@@ -159,17 +161,51 @@ class TestForwardDifference:
         assert abs(lhs - rhs) <= 4 * (m + 2) * _EPS * scale
 
 
-class TestQuadBand:
-    def test_band_of_the_symmetric_part_on_first_use(self):
+class TestBiharmonicBand:
+    def test_matches_dense_oracle(self):
+        for n_nodes in range(3, 66):
+            g = SpatialGrid(n_nodes, 1.0 / (n_nodes - 1), "dirichlet0_clamped")
+            want = biharmonic_clamped_dense(g)
+            got = dense_of(SymBand(biharmonic_band(g)))
+            if (n_nodes - 1) & (n_nodes - 2) == 0:
+                # h a power of two: every entry is exact on both sides.
+                np.testing.assert_array_equal(got, want, err_msg=f"n_nodes {n_nodes}")
+            else:
+                np.testing.assert_allclose(
+                    got, want, rtol=4 * _EPS, atol=0.0, err_msg=f"n_nodes {n_nodes}"
+                )
+
+
+class TestDenseEnergyInput:
+    def test_dense_quad_op_becomes_band_of_symmetric_part(self):
         g = SpatialGrid(11, 0.1)
-        for a in (laplacian_matrix(g), laplacian_matrix(g) + np.diag(np.full(8, 1e-3), 1)):
-            spec = make_spec(g, a)
-            assert "quad_band" not in vars(spec)
-            band = spec.quad_band
-            assert band.bandwidth == 1
-            got = np.diag(band.band[1]) + np.diag(band.band[0, 1:], 1) + np.diag(band.band[0, 1:], -1)
-            np.testing.assert_array_equal(got, 0.5 * (a + a.T))
-            assert spec.quad_band is band
+        for a, defect in (
+            (laplacian_matrix(g), 0.0),
+            (laplacian_matrix(g) + np.diag(np.full(8, 1e-3), 1), 0.5e-3),
+        ):
+            energy = make_spec(g, a).energy
+            assert isinstance(energy.quad_op, SymBand)
+            assert energy.quad_op.bandwidth == 1
+            np.testing.assert_array_equal(dense_of(energy.quad_op), 0.5 * (a + a.T))
+            assert energy.quad_asymmetry == pytest.approx(defect, rel=1e-12)
+
+    def test_band_input_is_kept(self):
+        g = SpatialGrid(11, 0.1)
+        band = SymBand(ForwardDifference(9, 0.1).gram_band(np.ones(10)))
+        energy = make_spec(g, band).energy
+        assert energy.quad_op is band
+        assert energy.quad_asymmetry == 0.0
+        assert validate_assumptions(make_spec(g, band), 10).passed
+
+    def test_decomposition_without_callables_rejected(self):
+        # A quad_shift makes E2 structured; without the smooth callables
+        # the step would drop E2, so the spec is refused.
+        with pytest.raises(ConfigError):
+            EnergySpec(np.eye(3), 0.0, quad_shift=-np.eye(3))
+        with pytest.raises(ConfigError):
+            EnergySpec(np.eye(3), 0.0, site_quartic=1.0)
+        with pytest.raises(ConfigError):
+            EnergySpec(np.eye(3), 0.0, lin_part=lambda t: np.zeros(3))
 
 
 class TestEnergyTotal:

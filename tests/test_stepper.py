@@ -32,7 +32,7 @@ from proxdyn.stepper import (
     step_operator,
 )
 
-from oracles import phi_value, step_input, step_subgradient
+from oracles import dense_of, phi_value, step_input, step_subgradient
 
 
 def scalar_spec(psi_g=1.0):
@@ -373,9 +373,9 @@ class TestStepOperator:
     def test_band_matches_dense(self, spec, bandwidth):
         tau = 1 / 64
         en = spec.energy
-        want = en.quad_op + np.eye(spec.grid.n_interior) / tau**2
+        want = dense_of(en.quad_op) + np.eye(spec.grid.n_interior) / tau**2
         if en.quad_shift is not None:
-            want = want + en.quad_shift
+            want = want + dense_of(en.quad_shift)
         q = step_operator(spec, tau)
         assert q.bandwidth == bandwidth
         unpacked = np.zeros_like(want)
