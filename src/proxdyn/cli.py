@@ -4,10 +4,10 @@ Configs are flat JSON: a model tag, a step size, and optional overrides of
 the per-model defaults below.  Each value must have its default's JSON
 type, with no coercion: integers for the integer keys, true/false for the
 emit_* keys, numbers (not strings or booleans) for the real-valued keys,
-and strings for out_dir and damping.  Outputs are plot-ready CSV (comma, header
-row, UTF-8, LF) with 17 significant digits plus a summary.json; repeated
-runs of the same config produce byte-identical data files (the wall-time
-entry of summary.json is the one volatile field).
+and strings for out_dir and damping.  Outputs are plot-ready CSV (comma,
+header row, UTF-8, LF) with 17 significant digits plus a summary.json;
+repeated runs of the same config produce byte-identical data files (the
+wall-time entry of summary.json is the one volatile field).
 
 A config is built into its ProblemSpec once: `parse_config_dict`
 validates the config by building the spec, keeps it as `RunConfig.spec`,
@@ -62,6 +62,7 @@ MODEL_DEFAULTS = {
     },
     "linear_wave": {"nu": 1.0, "damping": "mass"},
 }
+
 
 def _check_type(key: str, value, default) -> None:
     """ParseError unless value has the JSON type of the key's default."""

@@ -23,6 +23,7 @@ from proxdyn.grid import (
     SpatialGrid,
     biharmonic_band,
     h_norm,
+    laplacian_band,
     laplacian_matrix,
     q_norm,
 )
@@ -191,7 +192,7 @@ class TestDenseEnergyInput:
 
     def test_band_input_is_kept(self):
         g = SpatialGrid(11, 0.1)
-        band = SymBand(ForwardDifference(9, 0.1).gram_band(np.ones(10)))
+        band = SymBand(laplacian_band(g))
         energy = make_spec(g, band).energy
         assert energy.quad_op is band
         assert energy.quad_asymmetry == 0.0
