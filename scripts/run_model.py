@@ -49,7 +49,6 @@ def main():
             inner_tol=COMMON_DEFAULTS["inner_tol"],
             n_nodes=args.n_nodes,
             horizon=COMMON_DEFAULTS["horizon"],
-            emit={},
             params=dict(MODEL_DEFAULTS[args.model]),
         )
         spec, _ = build_problem(probe)

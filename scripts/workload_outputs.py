@@ -16,8 +16,12 @@ two differ in rows or columns).  A cell's difference is taken relative to
 the largest magnitude in its column; the worst column is named with its
 largest absolute difference, since a column of rounding-level values
 (the FY gap of a closed-form solve, ~1e-16) shows a large relative
-difference for a change of one rounding error.  The proxdyn imported is
-the one in this script's own checkout.
+difference for a change of one rounding error.  The summary.json column
+reads `identical` when every entry but wall_time_s and config.out_dir
+(the two runs' own directories) matches, nested entries compared under
+dotted keys; otherwise it names the entry with the largest relative
+difference and any entry that only one side has.
+The proxdyn imported is the one in this script's own checkout.
 
 The exit status is 0 when every run exits 0 and 1 otherwise, so the
 script serves as a drift gate; a run that fails before it steps (a
@@ -25,6 +29,8 @@ config error, exit 2) prints its exit code and no figures.
 """
 
 import argparse
+import json
+import math
 import sys
 from pathlib import Path
 
@@ -78,6 +84,47 @@ def csv_drift(path: Path, other: Path) -> str:
     return f"rel {rel[col]:.2e} ({name}, abs {diff[col]:.1e})"
 
 
+def _leaves(tree: dict, prefix: str = "") -> dict:
+    """The non-dict values of nested dicts, under dotted keys."""
+    out = {}
+    for key, value in tree.items():
+        if isinstance(value, dict):
+            out.update(_leaves(value, f"{prefix}{key}."))
+        else:
+            out[prefix + key] = value
+    return out
+
+
+def _rel_diff(a, b) -> float:
+    """|a - b| relative to the larger magnitude for two numbers (0 for
+    equal values, NaN included), inf for unequal non-numbers."""
+    if a == b or (isinstance(a, float) and isinstance(b, float) and math.isnan(a) and math.isnan(b)):
+        return 0.0
+    numeric = all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in (a, b))
+    if not numeric or not (math.isfinite(a) and math.isfinite(b)):
+        return math.inf
+    return abs(a - b) / max(abs(a), abs(b))
+
+
+def summary_drift(path: Path, other: Path) -> str:
+    """`identical` when two summary.json files agree on every entry but
+    wall_time_s and config.out_dir; otherwise the entry with the largest
+    relative difference and the entries that only one side has."""
+    a, b = (_leaves(json.loads(p.read_text(encoding="utf-8"))) for p in (path, other))
+    for side in (a, b):
+        for key in ("wall_time_s", "config.out_dir"):
+            side.pop(key, None)
+    parts = []
+    rel = {k: _rel_diff(a[k], b[k]) for k in sorted(a.keys() & b.keys())}
+    worst = max(rel, key=rel.get, default=None)
+    if worst is not None and rel[worst] > 0.0:
+        parts.append(f"{worst} rel {rel[worst]:.2e}")
+    for label, keys in (("only here", a.keys() - b.keys()), ("only OTHER", b.keys() - a.keys())):
+        if keys:
+            parts.append(f"{label}: {', '.join(sorted(keys))}")
+    return "; ".join(parts) or "identical"
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("out", help="output directory")
@@ -88,7 +135,7 @@ def main():
 
     header = f"{'workload':<12} {'exit':>4} {'inner_iters':>11} {'max_fy_gap':>10}"
     if other:
-        header += f" {'max_dU':>9}  {'trajectory.csv':<38}  snapshots.csv"
+        header += f" {'max_dU':>9}  {'trajectory.csv':<38}  {'snapshots.csv':<38}  summary.json"
     print(header)
     failed = False
     for name, work in WORKLOADS.items():
@@ -112,7 +159,8 @@ def main():
                 csv_drift(wdir / f, other / name / f)
                 for f in ("trajectory.csv", "snapshots.csv")
             ]
-            line += f" {du:>9.2e}  {drift[0]:<38}  {drift[1]}"
+            drift.append(summary_drift(wdir / "summary.json", other / name / "summary.json"))
+            line += f" {du:>9.2e}  {drift[0]:<38}  {drift[1]:<38}  {drift[2]}"
         print(line, flush=True)
     return 1 if failed else 0
 

@@ -2,12 +2,13 @@
 
 Configs are flat JSON: a model tag, a step size, and optional overrides of
 the per-model defaults below.  Each value must have its default's JSON
-type, with no coercion: integers for the integer keys, true/false for the
-emit_* keys, numbers (not strings or booleans) for the real-valued keys,
-and strings for out_dir and damping.  Outputs are plot-ready CSV (comma,
-header row, UTF-8, LF) with 17 significant digits plus a summary.json;
-repeated runs of the same config produce byte-identical data files (the
-wall-time entry of summary.json is the one volatile field).
+type, with no coercion: integers for the integer keys, finite numbers (not
+strings, booleans, NaN or Infinity) for the real-valued keys, tau
+included, and strings for out_dir and damping.  Every run writes
+trajectory.csv, snapshots.csv (plot-ready CSV: comma, header row, UTF-8,
+LF, 17 significant digits), convergence.csv if halvings > 0, and a
+summary.json; repeated runs of one config give byte-identical data files
+(the wall-time entry of summary.json is the one volatile field).
 
 A config is built into its ProblemSpec once: `parse_config_dict`
 validates the config by building the spec, keeps it as `RunConfig.spec`,
@@ -23,6 +24,7 @@ from __future__ import annotations
 import argparse
 import difflib
 import json
+import math
 import numbers
 import sys
 import time
@@ -44,9 +46,6 @@ COMMON_DEFAULTS = {
     "inner_tol": 1e-9,
     "n_nodes": 65,
     "horizon": 1.0,
-    "emit_trajectory": True,
-    "emit_convergence": True,
-    "emit_snapshots": True,
 }
 
 MODEL_DEFAULTS = {
@@ -65,13 +64,13 @@ MODEL_DEFAULTS = {
 
 
 def _check_type(key: str, value, default) -> None:
-    """ParseError unless value has the JSON type of the key's default."""
-    if isinstance(default, bool):
-        kind, ok = "true or false", isinstance(value, bool)
-    elif isinstance(default, int):
+    """ParseError unless value has the JSON type of the key's default; a
+    real value must also be finite (json reads NaN and Infinity)."""
+    if isinstance(default, int):
         kind, ok = "an integer", isinstance(value, numbers.Integral) and not isinstance(value, bool)
     elif isinstance(default, float):
-        kind, ok = "a number", isinstance(value, numbers.Real) and not isinstance(value, bool)
+        kind = "a finite number"
+        ok = isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
     else:
         kind, ok = "a string", isinstance(value, str)
     if not ok:
@@ -95,7 +94,6 @@ class RunConfig:
     inner_tol: float
     n_nodes: int
     horizon: float
-    emit: dict
     params: dict = field(default_factory=dict)
     spec: Optional[ProblemSpec] = field(default=None, init=False, compare=False, repr=False)
 
@@ -110,8 +108,6 @@ class RunConfig:
             "n_nodes": self.n_nodes,
             "horizon": self.horizon,
         }
-        for k, v in sorted(self.emit.items()):
-            out[f"emit_{k}"] = v
         out.update({k: self.params[k] for k in sorted(self.params)})
         return out
 
@@ -165,7 +161,6 @@ def parse_config_dict(raw: dict) -> RunConfig:
         inner_tol=float(pick("inner_tol")),
         n_nodes=int(pick("n_nodes")),
         horizon=float(pick("horizon")),
-        emit={k: pick(f"emit_{k}") for k in ("trajectory", "convergence", "snapshots")},
         params=params,
     )
     object.__setattr__(cfg, "spec", _validate(cfg))
@@ -289,44 +284,38 @@ def run_and_emit(cfg: RunConfig) -> int:
         names = ", ".join(c.name for c in report.failures())
         failures.append(f"assumption validation failed: {names}")
 
-    if cfg.emit["trajectory"]:
-        kin0 = 0.5 * h_norm(traj.V[0].values, spec.grid.h) ** 2
-        rows = [[0, 0.0, kin0, energy_total(spec, 0.0, traj.U[0]), 0.0, 0.0, 0.0, 0.0]]
-        # Summed as apriori_monitor sums them, so the last row matches it.
-        psi_sum = psi_star_sum = 0.0
-        for rep, rec in zip(traj.reports, records):
-            psi_sum += rep.psi
-            psi_star_sum += rep.psi_star
-            rows.append(
-                [
-                    rec.n,
-                    traj.times[rec.n],
-                    rep.kinetic_after,
-                    rep.energy_after,
-                    traj.tau * psi_sum,
-                    traj.tau * psi_star_sum,
-                    rep.fy_gap,
-                    rec.residual,
-                ]
-            )
-        _write_csv(
-            out / "trajectory.csv",
-            ["n", "t", "kinetic", "energy", "psi_accum", "psi_star_accum", "fy_gap", "edi_residual"],
-            rows,
+    kin0 = 0.5 * h_norm(traj.V[0].values, spec.grid.h) ** 2
+    rows = [[0, 0.0, kin0, energy_total(spec, 0.0, traj.U[0]), 0.0, 0.0, 0.0, 0.0]]
+    # Summed as apriori_monitor sums them, so the last row matches it.
+    psi_sum = psi_star_sum = 0.0
+    for rep, rec in zip(traj.reports, records):
+        psi_sum += rep.psi
+        psi_star_sum += rep.psi_star
+        rows.append(
+            [
+                rec.n,
+                traj.times[rec.n],
+                rep.kinetic_after,
+                rep.energy_after,
+                traj.tau * psi_sum,
+                traj.tau * psi_star_sum,
+                rep.fy_gap,
+                rec.residual,
+            ]
         )
+    _write_csv(
+        out / "trajectory.csv",
+        ["n", "t", "kinetic", "energy", "psi_accum", "psi_star_accum", "fy_gap", "edi_residual"],
+        rows,
+    )
 
-    if cfg.emit["snapshots"]:
-        count = min(traj.n_steps + 1, 200)
-        idx = np.unique(np.linspace(0, traj.n_steps, count).round().astype(int))
-        header = ["t"] + [f"x{j}" for j in range(spec.grid.n_nodes)]
-        rows = []
-        for n in idx:
-            padded = np.zeros(spec.grid.n_nodes)
-            padded[1:-1] = traj.U[n].values
-            rows.append([traj.times[n], *padded])
-        _write_csv(out / "snapshots.csv", header, rows)
+    count = min(traj.n_steps + 1, 200)
+    idx = np.unique(np.linspace(0, traj.n_steps, count).round().astype(int))
+    header = ["t"] + [f"x{j}" for j in range(spec.grid.n_nodes)]
+    rows = [[traj.times[n], *traj.U[n].padded()] for n in idx]
+    _write_csv(out / "snapshots.csv", header, rows)
 
-    if cfg.halvings > 0 and cfg.emit["convergence"]:
+    if cfg.halvings > 0:
         table = diagnostics.convergence_study(
             spec, cfg.tau, cfg.halvings, inner_tol=cfg.inner_tol
         )

@@ -13,6 +13,9 @@ are edges, gradient-composite dissipation).  Two inner solvers take it:
 * a proximal-gradient loop with exact nodewise prox (sites are nodes),
 * a primal-dual splitting with M as linear operator (either kind).
 
+Both halve their step until a trial point meets rho's linearization
+bound (at most 400 and 200 halvings); a NaN trial raises NonFiniteIterate.
+
 When f is quadratic and there is no rho, both solve it in closed form: one
 banded Cholesky solve of Q + M^T diag(w2) M.  Every solve certifies
 optimality through the stationarity residual r = grad(smooth) + M^T p_hat,
@@ -37,28 +40,14 @@ import scipy.linalg.blas
 
 from .errors import EvalError, MaxIterExceeded, NonFiniteIterate
 
-def _band_rows(diagonal, bw: int) -> np.ndarray:
-    """LAPACK upper band form from diagonal(k) for k = 0..bw: row bw - k
-    holds the k-th superdiagonal, right-aligned."""
-    return np.array([np.pad(diagonal(k), (k, 0)) for k in range(bw, -1, -1)])
-
 
 class SymBand:
     """Symmetric matrix in LAPACK upper band form: products by dsbmv,
-    eigenvalues and Cholesky factorizations in O(m b^2), b the bandwidth."""
+    eigenvalues and Cholesky factorizations in O(m b^2), b the bandwidth.
+    It is symmetric by construction; there is no dense form."""
 
     def __init__(self, band):
         self.band = np.asarray(band, dtype=float)
-
-    @classmethod
-    def from_dense(cls, mat) -> "SymBand":
-        """The exact band of a square matrix's symmetric part (the matrix
-        itself when it is symmetric), read from its diagonals k and -k with
-        the bandwidth taken from the nonzeros; the matrix is not kept."""
-        mat = np.asarray(mat, dtype=float)
-        rows, cols = np.nonzero(mat)
-        bw = int(np.max(np.abs(cols - rows), initial=0))
-        return cls(_band_rows(lambda k: 0.5 * (np.diagonal(mat, k) + np.diagonal(mat, -k)), bw))
 
     def __matmul__(self, x):
         return scipy.linalg.blas.dsbmv(self.bandwidth, 1.0, self.band, x)
@@ -217,9 +206,6 @@ class SitePotential:
             out += self.k4 * float(np.sum(y**4))
         return out
 
-    def quartic_grad(self, y):
-        return 4.0 * self.k4 * np.asarray(y, dtype=float) ** 3
-
     def prox(self, sigma: float, z):
         """argmin (1/(2 sigma))(y - z)^2 + f(y), elementwise exact."""
         z = np.asarray(z, dtype=float)
@@ -321,12 +307,12 @@ class SitePotential:
         """Project p onto the subdifferential of f at y, elementwise.
 
         Off the kink the subdifferential is a singleton; at y = shift it is
-        the interval quartic_grad + [-a, a].  Relies on prox producing
+        the interval 4 k4 y^3 + [-a, a].  Relies on prox producing
         exact zeros for the kink case.
         """
         y = np.asarray(y, dtype=float)
         d = y - self.shift
-        smooth = self.quartic_grad(y) + self.w2 * d
+        smooth = 4.0 * self.k4 * y**3 + self.w2 * d
         power = self.g * np.sign(d) * np.abs(d) ** (self.q - 1.0)
         at_kink = d == 0.0
         sel = smooth + power + self.a * np.sign(d)
@@ -560,20 +546,19 @@ def solve_pd(prob: StepProblem, init, p0=None, sched=None):
         rhs = -prob.lin + beta * prob.adjoint(y - lam)
         if has_rho:
             rho_grad = prob.smooth_grad(u)
-            rhs = rhs - rho_grad + u / s
-            u_new = scipy.linalg.cho_solve_banded(fac, rhs)
-            du_vec = u_new - u
-            bound = prob.smooth_value(u) + float(rho_grad @ du_vec) + 0.5 / s * float(du_vec @ du_vec)
-            while prob.smooth_value(u_new) > bound + 1e-14 * max(1.0, abs(bound)):
-                backtracks += 1
-                s *= 0.5
-                fac = factor(beta, s)
-                rhs = -prob.lin + beta * prob.adjoint(y - lam) - rho_grad + u / s
-                u_new = scipy.linalg.cho_solve_banded(fac, rhs)
+            rho_val = prob.smooth_value(u)
+            while True:
+                u_new = scipy.linalg.cho_solve_banded(fac, rhs - rho_grad + u / s)
                 du_vec = u_new - u
-                bound = prob.smooth_value(u) + float(rho_grad @ du_vec) + 0.5 / s * float(du_vec @ du_vec)
+                bound = rho_val + float(rho_grad @ du_vec) + 0.5 / s * float(du_vec @ du_vec)
+                # Written so that a NaN trial ends the loop and fails below.
+                if not prob.smooth_value(u_new) > bound + 1e-14 * max(1.0, abs(bound)):
+                    break
+                backtracks += 1
                 if backtracks > 200:
                     raise MaxIterExceeded("backtracking failed to stabilize", best=u)
+                s *= 0.5
+                fac = factor(beta, s)
             u = u_new
         else:
             u = scipy.linalg.cho_solve_banded(fac, rhs)
@@ -629,19 +614,18 @@ def solve_prox_gradient(prob: StepProblem, init):
     grad = prob.smooth_full_grad(u)
     sval = prob.smooth_val(u)
     for k in range(1, prob.max_iter + 1):
-        u_new = pot.prox(s, u - s * grad)
-        du = u_new - u
-        bound = sval + float(grad @ du) + 0.5 / s * float(du @ du)
-        sval_new = prob.smooth_val(u_new)
-        while sval_new > bound + 1e-14 * max(1.0, abs(bound)):
-            backtracks += 1
-            s *= 0.5
+        while True:
             u_new = pot.prox(s, u - s * grad)
             du = u_new - u
             bound = sval + float(grad @ du) + 0.5 / s * float(du @ du)
             sval_new = prob.smooth_val(u_new)
+            # Written so that a NaN trial ends the loop and fails below.
+            if not sval_new > bound + 1e-14 * max(1.0, abs(bound)):
+                break
+            backtracks += 1
             if backtracks > 400:
                 raise MaxIterExceeded("prox-gradient backtracking failed", best=u)
+            s *= 0.5
         u = u_new
         if not np.all(np.isfinite(u)):
             raise NonFiniteIterate(f"non-finite iterate at inner iteration {k}")

@@ -5,11 +5,11 @@ with the grid and initial data.  All abstract spaces collapse onto the
 single nodal vector space with h-weighted norms; dual elements are stored
 as nodal vectors through the h-pairing (discrete Riesz representation).
 The energy's operators are `convex.SymBand`s, which the builders assemble
-as bands; a dense matrix from a caller is converted once, in
-`EnergySpec.__post_init__`.
+as bands; `EnergySpec` takes no other format.
 The dissipation Psi_u is one per-site kernel: DissipationSpec.potential(u)
-returns its `convex.SitePotential`, which every evaluation of Psi_u, of its
-conjugate and of the step potential uses.
+returns its `convex.SitePotential`, which every evaluation of Psi_u
+(`ProblemSpec.psi_value`), of its conjugate (`ProblemSpec.psi_conjugate`)
+and of the step potential uses.
 
 Specs are immutable after construction and safe to share across runs; all
 operations here are pure.
@@ -22,6 +22,7 @@ from typing import Callable, Literal, Optional
 
 import numpy as np
 
+from . import convex
 from .convex import SitePotential, SymBand
 from .errors import ConfigError, EvalError
 from .grid import (
@@ -41,9 +42,7 @@ class EnergySpec:
     """Energy E_t(u) = 0.5 <A u, u>_h + E2_t(u).
 
     quad_op is the h-representation of the symmetric strongly positive
-    operator, a SymBand.  A square matrix is accepted and replaced by the
-    band of its symmetric part; its asymmetry max |A_ij - A_ji|/2 is kept
-    as quad_asymmetry for validate_assumptions.  lambda_conv is a
+    operator, a SymBand (anything else is a ConfigError).  lambda_conv is a
     certified convexity defect: the full energy satisfies the
     interpolation inequality
 
@@ -64,26 +63,18 @@ class EnergySpec:
     # E2_t(u) = site_quartic * h * sum_site (M u)_site^4
     #           + 0.5 <quad_shift u, u>_h + <lin_part(t), u>_h + const(t),
     # with M the identity (separable dissipation) or the discrete gradient
-    # (composite), and quad_shift a SymBand (or a square matrix, whose
-    # symmetric part is kept).  Lets the stepper fold stiff smooth terms
-    # into exactly solvable blocks instead of explicit gradient steps.
+    # (composite), and quad_shift a SymBand.  Lets the stepper fold stiff
+    # smooth terms into exactly solvable blocks instead of explicit gradient
+    # steps.
     quad_shift: Optional[SymBand] = None
     site_quartic: float = 0.0
     lin_part: Optional[Callable[[float], np.ndarray]] = None
-    quad_asymmetry: float = field(default=0.0, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("quad_op", "quad_shift"):
-            op = getattr(self, name)
-            if op is None or isinstance(op, SymBand):
-                continue
-            mat = np.asarray(op, dtype=float)
-            if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-                raise ConfigError(f"{name} must be a SymBand or a square matrix")
-            object.__setattr__(self, name, SymBand.from_dense(mat))
-            if name == "quad_op":
-                asym = 0.5 * float(np.max(np.abs(mat - mat.T), initial=0.0))
-                object.__setattr__(self, "quad_asymmetry", asym)
+        if not isinstance(self.quad_op, SymBand):
+            raise ConfigError("quad_op must be a SymBand")
+        if not (self.quad_shift is None or isinstance(self.quad_shift, SymBand)):
+            raise ConfigError("quad_shift must be a SymBand or None")
         order = self.quad_op.band.shape[1]
         if self.quad_shift is not None and self.quad_shift.band.shape[1] != order:
             raise ConfigError("quad_shift must match quad_op in order")
@@ -253,6 +244,14 @@ class ProblemSpec:
         z = self.sites(np.asarray(v, dtype=float))
         return self.grid.h * self.dissipation.potential(state).value(z)
 
+    def psi_conjugate(self, pot: SitePotential, eta: np.ndarray) -> float:
+        """Psi*(eta) for Psi(v) = h * sum_site pot((Mv)_site), pot unshifted
+        and without quartic: per node in closed form, on edges by
+        `convex.composite_conjugate`; infinite for dry friction alone."""
+        if self.site_op is None:
+            return self.grid.h * pot.conjugate_sum(eta)
+        return convex.composite_conjugate(pot, self.grid.h, eta)
+
 
 def tau_max(spec: ProblemSpec) -> float:
     """Largest step with a guaranteed unique minimizer, 1/(2*lambda)."""
@@ -318,10 +317,10 @@ def validate_assumptions(
 ) -> ValidationReport:
     """Sample-check the standing assumptions on a concrete problem.
 
-    Verifies symmetry and strong positivity of the quadratic operator, the
-    lambda-convexity interpolation inequality for the total energy, the
-    zero-at-rest and growth sandwich of the dissipation, and continuity of
-    the perturbation on bounded sets.  Reports the worst violation per
+    Verifies strong positivity of the quadratic operator (a band, so
+    symmetric by construction), the lambda-convexity interpolation
+    inequality for the total energy, the zero-at-rest and growth sandwich
+    of the dissipation, and continuity of the perturbation on bounded sets.  Reports the worst violation per
     check plus the admissible step bound tau_max = 1/(2*lambda_conv).
     """
     if samples < 1:
@@ -332,15 +331,7 @@ def validate_assumptions(
     h = grid.h
     checks = []
 
-    # A band is symmetric; a dense quad_op left its defect on the spec.
-    a_op = spec.energy.quad_op
-    asym = spec.energy.quad_asymmetry
-    sym_tol = 1e-12 * (1.0 + float(np.max(np.abs(a_op.band))))
-    checks.append(
-        CheckResult("quad_op_symmetry", asym <= sym_tol, asym, f"tolerance {sym_tol:.3e}")
-    )
-
-    mu = a_op.eigenvalue(0)
+    mu = spec.energy.quad_op.eigenvalue(0)
     checks.append(
         CheckResult("quad_op_positivity", mu > 0.0, max(0.0, -mu), f"mu = {mu:.6e}")
     )

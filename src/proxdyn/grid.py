@@ -62,10 +62,6 @@ class SpatialGrid:
     def interior_x(self) -> np.ndarray:
         return self.h * np.arange(1, self.n_nodes - 1)
 
-    @property
-    def x(self) -> np.ndarray:
-        return self.h * np.arange(self.n_nodes)
-
 
 @dataclass(frozen=True)
 class Field:

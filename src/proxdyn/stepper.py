@@ -15,7 +15,8 @@ and the subgradient is recovered by rearrangement:
 eta^n = f_avg - B - (V^n - V^{n-1})/tau - DE_{t_n}(U^n) = -grad(smooth Phi).
 So eta^n and the forcing S^n = f_avg - B are functions of the stored U: a
 Trajectory keeps U, V and the per-step reports, whose energy ledger holds
-every term of the energy-dissipation inequality.
+every term of the energy-dissipation inequality.  Both dissipation kinds
+certify a step by one gap, Psi(V^n) + Psi*(eta^n) - <eta^n, V^n>_h.
 
 Runs are sequential in n; distinct runs are independent, and the returned
 Trajectory is immutable.
@@ -70,11 +71,17 @@ DEFAULT_INNER_TOL = 1e-9
 DEFAULT_MAX_ITER = 50_000
 
 
-def gauss5(fn: Callable[[float], float], t_lo: float, t_hi: float) -> float:
-    """5-point Gauss quadrature of a scalar function over [t_lo, t_hi]."""
+def _gauss_sum(fn: Callable, t_lo: float, t_hi: float):
+    """sum_i w_i fn(t_i) over the 5 Gauss-Legendre nodes t_i of [t_lo, t_hi]
+    (the weights sum to 2); fn may return scalars or arrays."""
     mid = 0.5 * (t_lo + t_hi)
     half = 0.5 * (t_hi - t_lo)
-    return half * sum(w * fn(mid + half * x) for x, w in zip(_GAUSS_X, _GAUSS_W))
+    return sum(w * fn(mid + half * x) for x, w in zip(_GAUSS_X, _GAUSS_W))
+
+
+def gauss5(fn: Callable[[float], float], t_lo: float, t_hi: float) -> float:
+    """5-point Gauss quadrature of a scalar function over [t_lo, t_hi]."""
+    return 0.5 * (t_hi - t_lo) * _gauss_sum(fn, t_lo, t_hi)
 
 
 def average_force(f: Callable, t_lo: float, t_hi: float):
@@ -86,15 +93,15 @@ def average_force(f: Callable, t_lo: float, t_hi: float):
     """
     if not t_hi > t_lo:
         raise ConfigError(f"need t_hi > t_lo, got [{t_lo}, {t_hi}]")
-    mid = 0.5 * (t_lo + t_hi)
-    half = 0.5 * (t_hi - t_lo)
-    first = f(mid + half * _GAUSS_X[0])
-    grid = getattr(first, "grid", None)
-    acc = _GAUSS_W[0] * np.asarray(getattr(first, "values", first), dtype=float)
-    for x, w in zip(_GAUSS_X[1:], _GAUSS_W[1:]):
-        val = f(mid + half * x)
-        acc = acc + w * np.asarray(getattr(val, "values", val), dtype=float)
-    acc = 0.5 * acc
+    grid = None
+
+    def values(t):
+        nonlocal grid
+        out = f(t)
+        grid = getattr(out, "grid", None)
+        return np.asarray(getattr(out, "values", out), dtype=float)
+
+    acc = 0.5 * _gauss_sum(values, t_lo, t_hi)
     if not np.all(np.isfinite(acc)):
         raise EvalError(f"force non-finite on [{t_lo}, {t_hi}]")
     return Field(acc, grid) if grid is not None else acc
@@ -202,12 +209,6 @@ def _phi_smooth_parts(spec: ProblemSpec, inp: StepInput):
     return b, rho_value, rho_grad, k4
 
 
-def _fy_gap_separable(h, psi_pot, v_vel, eta):
-    """Fenchel-Young gap at (V^n, eta^n) via the exact nodewise conjugate;
-    infinite where the conjugate is (dry friction alone, |eta| > a)."""
-    return h * (psi_pot.value(v_vel) + psi_pot.conjugate_sum(eta) - float(eta @ v_vel))
-
-
 def incremental_minimize(
     spec: ProblemSpec,
     inp: StepInput,
@@ -231,10 +232,10 @@ def incremental_minimize(
     quartic energy coefficient, which carries it explicitly.  eta^n is the
     rearrangement of the discrete inclusion (it satisfies the equation
     identically); the Fenchel-Young gap measures its distance from an
-    exact subgradient, through the exact conjugate of Psi (nodewise in
-    closed form for separable dissipation, by the 1D dual characterization
-    for the composite kind).  A gap above 9 inner_tol re-solves with
-    tighter tolerances, at most twice.
+    exact subgradient, through `ProblemSpec.psi_conjugate`; where that is
+    infinite, the gap is resid^2/(2 m_psi) (m_psi Psi's strong convexity),
+    or |<eta^n, V^n>_h| if m_psi = 0.  A gap above 9 inner_tol re-solves
+    with tighter tolerances, at most twice.
     Raises StepSizeTooLarge beyond tau <= 1/(2 lambda) and InnerSolverFailed
     (carrying the best iterate) if the inner solve stalls.
     """
@@ -281,24 +282,30 @@ def incremental_minimize(
         g1 = rho_grad(warm_vals + probe)
         rho_lips = 4.0 * float(np.linalg.norm(g1 - g0)) / step_len + 1.0
 
-    def rearranged_eta(u_vals):
-        # eta^n from the rearranged inclusion: minus the smooth gradient of Phi.
-        return -(
+    def certify(u_vals):
+        """(eta^n, V^n, Psi(V^n), <eta^n, V^n>_h, FY gap) at a candidate U^n;
+        eta^n = -grad(smooth Phi), and zero dissipation, whose Psi* is the
+        indicator of {0}, has the gap |pairing|."""
+        eta = -(
             (u_vals - 2.0 * inp.v.values + inp.w.values) / tau**2
             + energy_grad(spec, t_next, u_vals)
             + inp.zeta.values
         )
+        v_vel = (u_vals - inp.v.values) / tau
+        psi = h * psi_pot.value(spec.sites(v_vel))
+        pairing = h_inner(eta, v_vel, h)
+        if pot.is_zero:
+            return eta, v_vel, psi, pairing, abs(pairing)
+        return eta, v_vel, psi, pairing, psi + spec.psi_conjugate(psi_pot, eta) - pairing
 
     # Where Psi is strongly convex the residual target certifies the gap;
     # elsewhere (separable dissipation with q != 2) the prox-gradient also
-    # stops on the closed-form gap itself.
+    # stops on the gap itself.
     fy_cap = 9.0 * inner_tol
     accept = None
     if separable and m_psi == 0.0 and not pot.is_zero:
         def accept(u_vals):
-            fy = _fy_gap_separable(
-                h, psi_pot, (u_vals - inp.v.values) / tau, rearranged_eta(u_vals)
-            )
+            fy = certify(u_vals)[-1]
             return fy <= fy_cap or not np.isfinite(fy)
 
     prob = convex.StepProblem(
@@ -332,31 +339,12 @@ def incremental_minimize(
         except MaxIterExceeded as exc:
             raise InnerSolverFailed(str(exc), best=exc.best) from exc
         sched = rep.sched
-        eta_vals = rearranged_eta(u_vals)
-        v_vel = (u_vals - inp.v.values) / tau
-        psi = h * psi_pot.value(spec.sites(v_vel))
-        if separable:
-            resid_h = h_norm(eta_vals - (p_hat - pot.quartic_grad(u_vals)), h)
-        else:
-            resid_h = rep.resid_h
-        if pot.is_zero:
-            # Zero dissipation: Psi* is the indicator of {0}; charge the
-            # dual infeasibility through the pairing term.
-            fy = abs(h_inner(eta_vals, v_vel, h))
-            break
-        if separable:
-            fy = _fy_gap_separable(h, psi_pot, v_vel, eta_vals)
-            if not np.isfinite(fy):
-                fy = (
-                    resid_h**2 / (2.0 * m_psi) if m_psi > 0.0
-                    else abs(h_inner(eta_vals, v_vel, h))
-                )
-        else:
-            # Exact conjugate through the 1D dual characterization, honest
-            # to the accuracy of a scalar convex minimization.
-            conj_v = convex.composite_conjugate(psi_pot, h, eta_vals)
-            fy = psi + conj_v - h_inner(eta_vals, v_vel, h)
-        if fy <= fy_cap or not np.isfinite(fy):
+        eta_vals, v_vel, psi, pairing, fy = certify(u_vals)
+        if not np.isfinite(fy):
+            # Psi* is infinite at eta^n (dry friction alone, |eta| > a):
+            # charge the gap to the strong convexity, or to the pairing.
+            fy = rep.resid_h**2 / (2.0 * m_psi) if m_psi > 0.0 else abs(pairing)
+        if pot.is_zero or fy <= fy_cap or not np.isfinite(fy):
             break
         prob.tol *= 0.1
         prob.resid_target *= 0.2
@@ -368,14 +356,14 @@ def incremental_minimize(
     inertia = 0.5 / tau**2 * h_norm(u_vals - 2 * inp.v.values + inp.w.values, h) ** 2
     report = StepReport(
         fy_gap=fy,
-        el_residual=resid_h,
+        el_residual=rep.resid_h,
         inner_iters=rep.iterations,
         # Phi(U^n) from the step's own terms.
         phi_value=inertia + tau * psi + energy_after + h_inner(inp.zeta.values, u_vals, h),
         energy_after=energy_after,
         kinetic_after=0.5 * h_norm(v_vel, h) ** 2,
         psi=psi,
-        psi_star=h_inner(eta_vals, v_vel, h) - psi + fy,
+        psi_star=pairing - psi + fy,
         energy_rate=gauss5(
             lambda r: energy_time_deriv(spec, r, inp.v.values), inp.t_prev, t_next
         ),
@@ -435,7 +423,6 @@ def run(
                 spec, inp, q_op, u_prev, dual, inner_tol=inner_tol, max_iter=max_iter
             )
         except InnerSolverFailed as exc:
-            exc.step_index = n
             raise InnerSolverFailed(
                 f"step {n} (t = {t_n:.6g}): {exc}", best=exc.best, step_index=n
             ) from exc
@@ -479,55 +466,49 @@ class InterpolantSet:
         if t < -1e-12 or t > big_t + 1e-12:
             raise DomainError(f"t = {t} outside [0, {big_t}]")
 
-    def _right_index(self, t: float) -> int:
+    def _right(self, t: float) -> int:
+        """Index n of the right node t_n >= t (0 at t = 0)."""
+        self._check(t)
         n = int(np.ceil(t / self.traj.tau - 1e-12))
         return min(max(n, 0), self.traj.n_steps)
 
-    def _left_index(self, t: float) -> int:
+    def _left(self, t: float) -> int:
+        """Index n of the left node t_n <= t (N at t = T)."""
+        self._check(t)
         if t >= self.traj.times[-1] - 1e-12:
             return self.traj.n_steps
         n = int(np.floor(t / self.traj.tau + 1e-12))
         return min(max(n, 0), self.traj.n_steps)
 
+    def _blend(self, series: tuple, t: float) -> np.ndarray:
+        """Linear interpolant of series (U or V) at t."""
+        k = min(self._left(t), self.traj.n_steps - 1)
+        th = np.clip((t - self.traj.times[k]) / self.traj.tau, 0.0, 1.0)
+        return (1 - th) * series[k].values + th * series[k + 1].values
+
     def u_bar(self, t: float) -> np.ndarray:
-        self._check(t)
-        return self.traj.U[self._right_index(t)].values
+        return self.traj.U[self._right(t)].values
 
     def u_under(self, t: float) -> np.ndarray:
-        self._check(t)
-        return self.traj.U[self._left_index(t)].values
+        return self.traj.U[self._left(t)].values
 
     def u_hat(self, t: float) -> np.ndarray:
-        self._check(t)
-        k = min(self._left_index(t), self.traj.n_steps - 1)
-        tau = self.traj.tau
-        t_k = self.traj.times[k]
-        th = np.clip((t - t_k) / tau, 0.0, 1.0)
-        return (1 - th) * self.traj.U[k].values + th * self.traj.U[k + 1].values
+        return self._blend(self.traj.U, t)
 
     def v_bar(self, t: float) -> np.ndarray:
-        self._check(t)
-        return self.traj.V[self._right_index(t)].values
+        return self.traj.V[self._right(t)].values
 
     def v_under(self, t: float) -> np.ndarray:
-        self._check(t)
-        return self.traj.V[self._left_index(t)].values
+        return self.traj.V[self._left(t)].values
 
     def v_hat(self, t: float) -> np.ndarray:
-        self._check(t)
-        k = min(self._left_index(t), self.traj.n_steps - 1)
-        tau = self.traj.tau
-        t_k = self.traj.times[k]
-        th = np.clip((t - t_k) / tau, 0.0, 1.0)
-        return (1 - th) * self.traj.V[k].values + th * self.traj.V[k + 1].values
+        return self._blend(self.traj.V, t)
 
     def t_bar(self, t: float) -> float:
-        self._check(t)
-        return float(self.traj.times[self._right_index(t)])
+        return float(self.traj.times[self._right(t)])
 
     def t_under(self, t: float) -> float:
-        self._check(t)
-        return float(self.traj.times[self._left_index(t)])
+        return float(self.traj.times[self._left(t)])
 
 
 def interpolants(traj: Trajectory) -> InterpolantSet:

@@ -12,13 +12,15 @@
   `lin_op`, with the band of M^T diag(w) M read from the matrix.
 * `gradient_matrix` assembles the forward difference D entry by entry,
   the reference for `grid.ForwardDifference`.
-* `dense_of` unpacks a `convex.SymBand` into the full symmetric matrix.
+* `dense_of` unpacks a `convex.SymBand` into the full symmetric matrix,
+  and `band_of` packs a dense reference matrix into one.
 * `biharmonic_clamped_dense` assembles the clamped fourth difference
   D2^T D2 entry by entry, the reference for `grid.biharmonic_band`.
 """
 
 import numpy as np
 
+from proxdyn.convex import SymBand
 from proxdyn.core import energy_grad, energy_total
 from proxdyn.grid import Field, h_inner, h_norm
 from proxdyn.stepper import StepInput, average_force
@@ -55,6 +57,18 @@ def dense_of(op):
     for k in range(1, min(bw, m - 1) + 1):
         out += np.diag(band[bw - k, k:], k) + np.diag(band[bw - k, k:], -k)
     return out
+
+
+def band_of(mat):
+    """The SymBand of a square matrix's symmetric part (the matrix itself
+    when it is symmetric), with the bandwidth taken from its nonzeros."""
+    mat = np.asarray(mat, dtype=float)
+    rows, cols = np.nonzero(mat)
+    bw = int(np.max(np.abs(cols - rows), initial=0))
+    return SymBand([
+        np.pad(0.5 * (np.diagonal(mat, k) + np.diagonal(mat, -k)), (k, 0))
+        for k in range(bw, -1, -1)
+    ])
 
 
 def gradient_matrix(grid):

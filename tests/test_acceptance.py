@@ -13,10 +13,10 @@ import numpy as np
 import pytest
 
 from proxdyn.cli import parse_config_dict, run_and_emit
-from proxdyn.convex import SitePotential, edge_conjugate_pair
+from proxdyn.convex import SitePotential, SymBand, edge_conjugate_pair
 from proxdyn.core import energy_total, tau_max, validate_assumptions
 from proxdyn.diagnostics import apriori_monitor, deviation_norms, edi_scan
-from proxdyn.grid import Field, SpatialGrid, h_norm, laplacian_matrix
+from proxdyn.grid import Field, SpatialGrid, h_norm, laplacian_band
 from proxdyn.models import (
     P1Params,
     P2Params,
@@ -296,12 +296,9 @@ def test_criterion_09_assumption_validator():
 
     g = SpatialGrid(17, 1.0 / 16)
     m = g.n_interior
-    bad_a = laplacian_matrix(g)
-    bad_a[0, 1] += 1e-3
-    bad_a[1, 0] -= 1e-3
     broken = ProblemSpec(
         grid=g,
-        energy=EnergySpec(quad_op=bad_a, lambda_conv=0.0),
+        energy=EnergySpec(quad_op=SymBand(-laplacian_band(g)), lambda_conv=0.0),
         dissipation=DissipationSpec(
             kind="separable",
             state_dep=lambda s: (np.ones(m), np.ones(m)),
@@ -311,11 +308,12 @@ def test_criterion_09_assumption_validator():
         force=None, horizon=1.0,
         u0=Field(np.zeros(m), g), v0=Field(np.zeros(m), g),
     )
-    rejected = not validate_assumptions(broken, samples=10).passed
+    report = validate_assumptions(broken, samples=10)
+    rejected = "quad_op_positivity" in {c.name for c in report.failures()}
     ok = all_pass and rejected
     _report(
         9, ok,
-        f"builders validate ({all_pass}), asymmetric operator rejected ({rejected})",
+        f"builders validate ({all_pass}), indefinite operator rejected ({rejected})",
     )
 
 

@@ -47,7 +47,6 @@ class TestParseConfig:
         assert cfg.n_nodes == 65
         assert cfg.horizon == 1.0
         assert cfg.halvings == 0
-        assert all(cfg.emit.values())
 
     def test_step_bound_violation_names_the_bound(self, tmp_path):
         with pytest.raises(ValidationError) as exc:
@@ -99,13 +98,11 @@ class TestStrictTypes:
         "raw, key",
         [
             ({"model": "p3", "tau": 0.0625, "n_nodes": 17.5}, "n_nodes"),
-            ({"model": "linear_wave", "tau": 0.25, "n_nodes": 9, "emit_trajectory": "no"},
-             "emit_trajectory"),
             ({"model": "linear_wave", "tau": "0.1", "n_nodes": 9}, "tau"),
             ({"model": "linear_wave", "tau": True, "n_nodes": 9}, "tau"),
             ({"model": "p1", "tau": 0.0625, "n_nodes": 9, "mu": "abc"}, "mu"),
         ],
-        ids=["float_n_nodes", "string_emit_flag", "string_tau", "bool_tau", "string_mu"],
+        ids=["float_n_nodes", "string_tau", "bool_tau", "string_mu"],
     )
     def test_wrong_type_rejected(self, raw, key):
         with pytest.raises(ParseError, match=f"'{key}'"):
@@ -115,6 +112,25 @@ class TestStrictTypes:
         cfg = write_cfg(tmp_path, {"model": "p1", "tau": 0.0625, "n_nodes": 9, "mu": "abc"})
         assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         assert "'mu'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "raw, key",
+        [
+            ({"model": "linear_wave", "tau": 0.25, "n_nodes": 9, "nu": float("nan")}, "nu"),
+            ({"model": "p1", "tau": 0.0625, "n_nodes": 9, "mu": float("nan")}, "mu"),
+            ({"model": "p2", "tau": 0.0625, "n_nodes": 9, "horizon": float("inf")}, "horizon"),
+            ({"model": "p3", "tau": 0.0625, "n_nodes": 9, "inner_tol": float("inf")}, "inner_tol"),
+            ({"model": "p3", "tau": 0.0625, "n_nodes": 9, "force_amplitude": float("inf")},
+             "force_amplitude"),
+        ],
+        ids=["nan_nu", "nan_mu", "inf_horizon", "inf_inner_tol", "inf_force_amplitude"],
+    )
+    def test_non_finite_number_exits_two(self, tmp_path, capsys, raw, key):
+        # json writes and reads the literals NaN and Infinity.
+        cfg = write_cfg(tmp_path, raw)
+        assert "NaN" in cfg.read_text() or "Infinity" in cfg.read_text()
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert f"'{key}' must be a finite number" in capsys.readouterr().err
 
     def test_integers_are_numbers(self):
         cfg = parse_config_dict(
@@ -209,16 +225,22 @@ class TestRunAndEmit:
         assert all(k == 0.0 for k in kinetic)
         assert max(energy) - min(energy) <= 1e-12 * (1 + abs(energy[0]))
 
-    def test_emit_flags_suppress_files(self, tmp_path):
+    def test_stalled_inner_solve_exits_one(self, tmp_path, monkeypatch):
+        from proxdyn import convex
+        from proxdyn.errors import MaxIterExceeded
+
+        def stall(prob, init, *args, **kwargs):
+            raise MaxIterExceeded("forced stall", best=init)
+
+        monkeypatch.setattr(convex, "solve_prox_gradient", stall)
         cfg = parse_config_dict(
-            {"model": "linear_wave", "tau": 0.25, "n_nodes": 9,
-             "out_dir": str(tmp_path / "out"),
-             "emit_trajectory": False, "emit_snapshots": False}
+            {"model": "p3", "tau": 0.0625, "n_nodes": 17, "horizon": 0.25,
+             "out_dir": str(tmp_path / "out")}
         )
-        assert run_and_emit(cfg) == 0
-        assert not (tmp_path / "out" / "trajectory.csv").exists()
-        assert not (tmp_path / "out" / "snapshots.csv").exists()
-        assert (tmp_path / "out" / "summary.json").exists()
+        assert run_and_emit(cfg) == 1
+        summary = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert summary["invariants_passed"] is False
+        assert "step 1" in summary["error"] and "forced stall" in summary["error"]
 
     def test_linear_wave_convergence_rates_near_one(self, tmp_path):
         cfg = parse_config_dict(
@@ -311,23 +333,25 @@ class TestBuildOnce:
     ],
     ids=["p1", "p2", "p3", "wave_mass", "wave_gradient"],
 )
-def test_models_run_without_dense_operators(raw, tmp_path, monkeypatch):
-    # The builders assemble every operator as a band: no dense matrix is
-    # converted from parse to outputs.
-    from proxdyn import convex
+def test_models_reject_dense_operators(raw):
+    # EnergySpec takes bands only: each model's operators, handed over as
+    # the dense matrices they stand for, are refused.
+    from proxdyn.errors import ConfigError
+    from oracles import dense_of
 
-    def boom(*args, **kwargs):
-        raise AssertionError("a dense operator was converted to a band")
-
-    monkeypatch.setattr(convex.SymBand, "from_dense", boom)
-    cfg = parse_config_dict({**raw, "out_dir": str(tmp_path / "out")})
-    assert run_and_emit(cfg) == 0
+    energy = parse_config_dict(raw).spec.energy
+    for name in ("quad_op", "quad_shift"):
+        band = getattr(energy, name)
+        if band is None:
+            continue
+        with pytest.raises(ConfigError, match=name):
+            dataclasses.replace(energy, **{name: dense_of(band)})
 
 
 class TestWorkloadOutputs:
-    def test_failed_run_prints_its_code_and_fails_the_script(self, tmp_path, monkeypatch, capsys):
+    @staticmethod
+    def _script(monkeypatch):
         import importlib.util
-        from types import SimpleNamespace
 
         # The script puts src/ and bench/ on sys.path; undo that afterwards.
         monkeypatch.setattr(sys, "path", list(sys.path))
@@ -336,6 +360,12 @@ class TestWorkloadOutputs:
         )
         script = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(script)
+        return script
+
+    def test_failed_run_prints_its_code_and_fails_the_script(self, tmp_path, monkeypatch, capsys):
+        from types import SimpleNamespace
+
+        script = self._script(monkeypatch)
         config = {"model": "linear_wave", "tau": 0.25, "n_nodes": 9}
         monkeypatch.setattr(script, "WORKLOADS", {
             "ok": SimpleNamespace(config=config),
@@ -349,6 +379,39 @@ class TestWorkloadOutputs:
         lines = capsys.readouterr().out.splitlines()
         assert lines[1].split()[:2] == ["ok", "0"]
         assert lines[2].split() == ["bad", "2", "-", "-"]
+
+    def test_summary_column(self, tmp_path, monkeypatch, capsys):
+        from types import SimpleNamespace
+
+        script = self._script(monkeypatch)
+        base = {"max_el_residual": 1e-10, "wall_time_s": 1.0,
+                "assumption_checks": {"a": True, "b": True}, "failures": []}
+
+        def write(name, summary):
+            path = tmp_path / name
+            path.write_text(json.dumps(summary))
+            return path
+
+        ref = write("ref.json", base)
+        assert script.summary_drift(write("same.json", {**base, "wall_time_s": 9.0}), ref) == "identical"
+        drifted = {**base, "max_el_residual": 1.1e-10, "assumption_checks": {"a": True}}
+        assert script.summary_drift(write("drift.json", drifted), ref) == (
+            "max_el_residual rel 9.09e-02; only OTHER: assumption_checks.b"
+        )
+        assert script.summary_drift(write("flag.json", {**base, "failures": ["x"]}), ref) == (
+            "failures rel inf"
+        )
+        # The table's last column, for a run compared with itself.
+        config = {"model": "linear_wave", "tau": 0.25, "n_nodes": 9}
+        monkeypatch.setattr(script, "WORKLOADS", {"ok": SimpleNamespace(config=config)})
+        monkeypatch.setattr(sys, "argv", ["workload_outputs.py", str(tmp_path / "a")])
+        assert script.main() == 0
+        argv = ["workload_outputs.py", str(tmp_path / "b"), "--against", str(tmp_path / "a")]
+        monkeypatch.setattr(sys, "argv", argv)
+        assert script.main() == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-2].split()[-1] == "summary.json"
+        assert lines[-1].split()[-3:] == ["identical"] * 3
 
 
 class TestMainEntry:

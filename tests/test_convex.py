@@ -21,7 +21,9 @@ from proxdyn.convex import (
     solve_prox_gradient,
 )
 
-from oracles import DenseSiteOp, conjugate_numeric, scalar_potential
+from proxdyn.grid import ForwardDifference, SpatialGrid, h_norm
+
+from oracles import DenseSiteOp, band_of, conjugate_numeric, scalar_potential
 
 
 def prox1(a, g, q, gamma, s):
@@ -210,7 +212,7 @@ class TestSolvePD:
         pot = SitePotential(np.full(m + 1, 0.5), np.full(m + 1, 1.0), 2.0,
                             np.zeros(m + 1), np.zeros(m + 1))
         prob = StepProblem(
-            quad_op=SymBand.from_dense(np.eye(m) * 10), lin=np.zeros(m), lin_op=DenseSiteOp(d), nonsmooth=pot,
+            quad_op=band_of(np.eye(m) * 10), lin=np.zeros(m), lin_op=DenseSiteOp(d), nonsmooth=pot,
             h=h, strong_convexity=10.0, op_norm=np.sqrt(np.linalg.eigvalsh(d.T @ d)[-1]),
         )
         u, p, rep = solve_pd(prob, np.zeros(m))
@@ -227,7 +229,7 @@ class TestSolvePD:
         a, g = 0.9, 1.4
         pot = SitePotential(np.full(m, a), np.full(m, g), 2.0, np.zeros(m), np.zeros(m))
         prob = StepProblem(
-            quad_op=SymBand.from_dense(np.eye(m) / gamma), lin=-s / gamma, lin_op=DenseSiteOp(np.eye(m)),
+            quad_op=band_of(np.eye(m) / gamma), lin=-s / gamma, lin_op=DenseSiteOp(np.eye(m)),
             nonsmooth=pot, h=1.0, strong_convexity=1.0 / gamma, op_norm=1.0,
             tol=1e-14,
         )
@@ -258,7 +260,7 @@ class TestSolvePD:
         shift = rng.standard_normal(m + 1) * 0.2
         pot = SitePotential(a, g, 2.0, np.zeros(m + 1), shift)
         prob = StepProblem(
-            quad_op=SymBand.from_dense(q_mat), lin=b, lin_op=DenseSiteOp(d), nonsmooth=pot, h=h,
+            quad_op=band_of(q_mat), lin=b, lin_op=DenseSiteOp(d), nonsmooth=pot, h=h,
             strong_convexity=30.0, op_norm=np.sqrt(np.linalg.eigvalsh(d.T @ d)[-1]),
             tol=1e-12,
         )
@@ -412,17 +414,57 @@ class TestProxGradient:
         pot = SitePotential(np.full(m, 0.6), np.full(m, 1.0), 2.0, np.zeros(m),
                             rng.standard_normal(m) * 0.2)
         prob = StepProblem(
-            quad_op=SymBand.from_dense(q_mat), lin=b, nonsmooth=pot, h=0.1,
+            quad_op=band_of(q_mat), lin=b, nonsmooth=pot, h=0.1,
             strong_convexity=10.0, tol=1e-14,
         )
         u, p_hat, rep = solve_prox_gradient(prob, np.zeros(m))
         assert rep.converged
         pd = StepProblem(
-            quad_op=SymBand.from_dense(q_mat), lin=b, lin_op=DenseSiteOp(np.eye(m)), nonsmooth=pot, h=0.1,
+            quad_op=band_of(q_mat), lin=b, lin_op=DenseSiteOp(np.eye(m)), nonsmooth=pot, h=0.1,
             strong_convexity=10.0, op_norm=1.0, tol=1e-14,
         )
         u2, _, _ = solve_pd(pd, np.zeros(m))
         np.testing.assert_allclose(u, u2, atol=1e-7)
+
+
+class TestBacktracking:
+    """A quartic remainder rho(u) = 50 sum u^4 with no Lipschitz seed
+    (smooth_lips = 0) makes both solvers halve their step."""
+
+    grid = SpatialGrid(17, 1.0 / 16)
+
+    def _problem(self, pot, lin_op=None, op_norm=1.0):
+        m, h = self.grid.n_interior, self.grid.h
+        return StepProblem(
+            quad_op=SymBand(np.full((1, m), 10.0)),
+            lin=-30.0 * np.sin(np.pi * self.grid.interior_x),
+            nonsmooth=pot, h=h, strong_convexity=10.0,
+            lin_op=lin_op, op_norm=op_norm,
+            smooth_value=lambda u: 50.0 * float(np.sum(u**4)),
+            smooth_grad=lambda u: 200.0 * u**3,
+            smooth_lips=0.0, tol=1e-12,
+        )
+
+    @staticmethod
+    def _potential(n_sites):
+        return SitePotential(np.full(n_sites, 0.5), np.full(n_sites, 1.0), 1.5, 0.0, np.zeros(n_sites))
+
+    def test_nodal_sites_both_solvers_agree(self):
+        m, h = self.grid.n_interior, self.grid.h
+        prob = self._problem(self._potential(m))
+        u_pg, _, rep_pg = solve_prox_gradient(prob, np.zeros(m))
+        u_pd, _, rep_pd = solve_pd(prob, np.zeros(m))
+        for rep in (rep_pg, rep_pd):
+            assert rep.converged and rep.backtracks > 0 and rep.gap <= 1e-12
+        # gamma/2 |u - u*|_h^2 <= certified gap, for each solution.
+        bound = sum(np.sqrt(2.0 * r.gap / prob.strong_convexity) for r in (rep_pg, rep_pd))
+        assert h_norm(u_pg - u_pd, h) <= bound
+
+    def test_edge_sites_primal_dual(self):
+        m, h = self.grid.n_interior, self.grid.h
+        prob = self._problem(self._potential(m + 1), ForwardDifference(m, h), 2.0 / h)
+        _, _, rep = solve_pd(prob, np.zeros(m))
+        assert rep.converged and rep.backtracks > 0 and rep.gap <= 1e-12
 
 
 class TestBandedClosedForms:
@@ -443,7 +485,7 @@ class TestBandedClosedForms:
         b = rng.standard_normal(m)
         pot = SitePotential(np.zeros(m), np.zeros(m), 2.0, w2, shift)
         prob = StepProblem(
-            quad_op=SymBand.from_dense(q_mat), lin=b, nonsmooth=pot, h=0.1,
+            quad_op=band_of(q_mat), lin=b, nonsmooth=pot, h=0.1,
             strong_convexity=20.0,
         )
         assert prob.quad_op.bandwidth == 2
@@ -462,7 +504,7 @@ class TestBandedClosedForms:
         b = rng.standard_normal(m)
         pot = SitePotential(np.zeros(m + 1), np.zeros(m + 1), 2.0, w2, shift)
         prob = StepProblem(
-            quad_op=SymBand.from_dense(q_mat), lin=b, lin_op=DenseSiteOp(d), nonsmooth=pot, h=h,
+            quad_op=band_of(q_mat), lin=b, lin_op=DenseSiteOp(d), nonsmooth=pot, h=h,
             strong_convexity=50.0, op_norm=np.sqrt(np.linalg.eigvalsh(d.T @ d)[-1]),
         )
         u, _, rep = solve_pd(prob, np.zeros(m))

@@ -14,7 +14,7 @@ from proxdyn.core import (
     tau_max,
     validate_assumptions,
 )
-from oracles import biharmonic_clamped_dense, dense_of, gradient_matrix
+from oracles import band_of, biharmonic_clamped_dense, dense_of, gradient_matrix
 from proxdyn.convex import SymBand
 from proxdyn.errors import ConfigError
 from proxdyn.grid import (
@@ -178,47 +178,34 @@ class TestBiharmonicBand:
 
 
 class TestDenseEnergyInput:
-    def test_dense_quad_op_becomes_band_of_symmetric_part(self):
-        g = SpatialGrid(11, 0.1)
-        for a, defect in (
-            (laplacian_matrix(g), 0.0),
-            (laplacian_matrix(g) + np.diag(np.full(8, 1e-3), 1), 0.5e-3),
-        ):
-            energy = make_spec(g, a).energy
-            assert isinstance(energy.quad_op, SymBand)
-            assert energy.quad_op.bandwidth == 1
-            np.testing.assert_array_equal(dense_of(energy.quad_op), 0.5 * (a + a.T))
-            assert energy.quad_asymmetry == pytest.approx(defect, rel=1e-12)
-
     def test_band_input_is_kept(self):
         g = SpatialGrid(11, 0.1)
         band = SymBand(laplacian_band(g))
         energy = make_spec(g, band).energy
         assert energy.quad_op is band
-        assert energy.quad_asymmetry == 0.0
         assert validate_assumptions(make_spec(g, band), 10).passed
 
     def test_decomposition_without_callables_rejected(self):
         # A quad_shift makes E2 structured; without the smooth callables
         # the step would drop E2, so the spec is refused.
         with pytest.raises(ConfigError):
-            EnergySpec(np.eye(3), 0.0, quad_shift=-np.eye(3))
+            EnergySpec(band_of(np.eye(3)), 0.0, quad_shift=band_of(-np.eye(3)))
         with pytest.raises(ConfigError):
-            EnergySpec(np.eye(3), 0.0, site_quartic=1.0)
+            EnergySpec(band_of(np.eye(3)), 0.0, site_quartic=1.0)
         with pytest.raises(ConfigError):
-            EnergySpec(np.eye(3), 0.0, lin_part=lambda t: np.zeros(3))
+            EnergySpec(band_of(np.eye(3)), 0.0, lin_part=lambda t: np.zeros(3))
 
 
 class TestEnergyTotal:
     def test_zero_state(self):
         g = SpatialGrid(5, 0.25)
-        spec = make_spec(g, 2.0 * np.eye(3))
+        spec = make_spec(g, band_of(2.0 * np.eye(3)))
         assert energy_total(spec, 0.0, Field(np.zeros(3), g)) == 0.0
 
     def test_laplacian_hand_assembly(self):
         # 1 interior node, h = 0.5: K = 2/h^2 = 8, E = 0.5*h*K = 2.0.
         g = SpatialGrid(3, 0.5)
-        spec = make_spec(g, laplacian_matrix(g))
+        spec = make_spec(g, SymBand(laplacian_band(g)))
         val = energy_total(spec, 0.0, Field(np.array([1.0]), g))
         assert val == pytest.approx(0.5 * (2.0 / 0.25) * 1.0 * 0.5)
         assert val == pytest.approx(2.0)
@@ -230,7 +217,7 @@ class TestEnergyTotal:
             "smooth_value": lambda t, u: 0.1 * float(np.sum((1 - u**2) ** 2)),
             "smooth_grad": lambda t, u: (4 * u**3 - 4 * u),
         }
-        spec = make_spec(g, np.zeros((m, m)), lam=4.0, smooth=smooth)
+        spec = make_spec(g, band_of(np.zeros((m, m))), lam=4.0, smooth=smooth)
         assert energy_total(spec, 0.0, Field(np.ones(m), g)) == pytest.approx(0.0)
 
     def test_symmetry_pairing_property(self):
@@ -247,7 +234,7 @@ class TestEnergyTotal:
 class TestValidateAssumptions:
     def test_laplacian_all_pass(self):
         g = SpatialGrid(11, 0.1)
-        spec = make_spec(g, laplacian_matrix(g))
+        spec = make_spec(g, SymBand(laplacian_band(g)))
         report = validate_assumptions(spec, 40)
         assert report.passed
         assert report.tau_max == float("inf")
@@ -266,26 +253,24 @@ class TestValidateAssumptions:
             "smooth_value": lambda t, u: g.h * float(np.sum((1 - u**2) ** 2)),
             "smooth_grad": lambda t, u: 4 * u**3 - 4 * u,
         }
-        spec = make_spec(g, laplacian_matrix(g), lam=4.0, smooth=smooth)
+        spec = make_spec(g, SymBand(laplacian_band(g)), lam=4.0, smooth=smooth)
         report = validate_assumptions(spec, 60)
         assert report.passed
         assert report.tau_max == pytest.approx(0.125)
 
-    def test_asymmetric_operator_rejected(self):
+    def test_indefinite_operator_rejected(self):
         g = SpatialGrid(11, 0.1)
-        a = laplacian_matrix(g)
-        a[0, 1] += 1e-3
-        a[1, 0] -= 1e-3
-        spec = make_spec(g, a)
+        spec = make_spec(g, SymBand(-laplacian_band(g)))
         report = validate_assumptions(spec, 10)
-        sym = next(c for c in report.checks if c.name == "quad_op_symmetry")
-        assert not sym.passed
-        assert sym.worst == pytest.approx(1e-3, rel=1e-6)
+        pos = next(c for c in report.checks if c.name == "quad_op_positivity")
+        assert not pos.passed
+        top = np.linalg.eigvalsh(laplacian_matrix(g))[-1]
+        assert pos.worst == pytest.approx(top, rel=1e-12)
         assert not report.passed
 
     def test_psi_zero_exact(self):
         g = SpatialGrid(9, 0.125)
-        spec = make_spec(g, laplacian_matrix(g))
+        spec = make_spec(g, SymBand(laplacian_band(g)))
         zero = next(c for c in validate_assumptions(spec, 20).checks if c.name == "psi_zero_at_rest")
         assert zero.passed and zero.worst == 0.0
 
@@ -297,7 +282,7 @@ class TestValidateAssumptions:
             "smooth_value": lambda t, u: g.h * float(np.sum((1 - u**2) ** 2)),
             "smooth_grad": lambda t, u: 4 * u**3 - 4 * u,
         }
-        spec = make_spec(g, laplacian_matrix(g), lam=lam, smooth=smooth)
+        spec = make_spec(g, SymBand(laplacian_band(g)), lam=lam, smooth=smooth)
         rng = np.random.default_rng(5)
         h = g.h
         for _ in range(40):
@@ -314,7 +299,7 @@ class TestValidateAssumptions:
 
     def test_samples_must_be_positive(self):
         g = SpatialGrid(5, 0.25)
-        spec = make_spec(g, laplacian_matrix(g))
+        spec = make_spec(g, SymBand(laplacian_band(g)))
         with pytest.raises(ConfigError):
             validate_assumptions(spec, 0)
 
@@ -325,7 +310,7 @@ class TestValidateAssumptions:
             eval=lambda t, u, v: Field(np.tanh(u.values) + 0.5 * v.values, g),
             growth_exponent=2.0,
         )
-        spec = make_spec(g, laplacian_matrix(g), pert=pert)
+        spec = make_spec(g, SymBand(laplacian_band(g)), pert=pert)
         report = validate_assumptions(spec, 20)
         cont = next(c for c in report.checks if c.name == "perturbation_continuity")
         assert cont.passed
@@ -334,11 +319,11 @@ class TestValidateAssumptions:
 class TestTauMax:
     def test_infinite_without_defect(self):
         g = SpatialGrid(5, 0.25)
-        assert tau_max(make_spec(g, laplacian_matrix(g))) == float("inf")
+        assert tau_max(make_spec(g, SymBand(laplacian_band(g)))) == float("inf")
 
     def test_lemma_bound(self):
         g = SpatialGrid(5, 0.25)
-        assert tau_max(make_spec(g, laplacian_matrix(g), lam=4.0)) == pytest.approx(1 / 8)
+        assert tau_max(make_spec(g, SymBand(laplacian_band(g)), lam=4.0)) == pytest.approx(1 / 8)
 
 
 class TestGradientConsistency:
@@ -350,7 +335,7 @@ class TestGradientConsistency:
             "smooth_grad": lambda t, u: 4 * u**3 - 4 * u - t,
             "time_deriv": lambda t, u: -g.h * float(np.sum(u)),
         }
-        spec = make_spec(g, laplacian_matrix(g), lam=4.0, smooth=smooth)
+        spec = make_spec(g, SymBand(laplacian_band(g)), lam=4.0, smooth=smooth)
         assert gradient_consistency_error(spec, samples=5) <= 1e-6
 
 
@@ -358,7 +343,7 @@ class TestSpecValidation:
     def test_dimension_mismatch(self):
         g = SpatialGrid(5, 0.25)
         with pytest.raises(ConfigError):
-            make_spec(g, np.eye(4))
+            make_spec(g, band_of(np.eye(4)))
 
     def test_dissipation_ranges(self):
         with pytest.raises(ConfigError):
@@ -370,6 +355,6 @@ class TestSpecValidation:
 
     def test_energy_spec_ranges(self):
         with pytest.raises(ConfigError):
-            EnergySpec(quad_op=np.eye(3), lambda_conv=-1.0)
+            EnergySpec(quad_op=band_of(np.eye(3)), lambda_conv=-1.0)
         with pytest.raises(ConfigError):
-            EnergySpec(quad_op=np.eye(3), lambda_conv=0.0, smooth_value=lambda t, u: 0.0)
+            EnergySpec(quad_op=band_of(np.eye(3)), lambda_conv=0.0, smooth_value=lambda t, u: 0.0)

@@ -19,8 +19,9 @@ from proxdyn.diagnostics import (
     edi_scan,
     energy_balance_residual,
 )
+from proxdyn.convex import SymBand
 from proxdyn.errors import ConfigError, IncompleteTrajectory
-from proxdyn.grid import Field, SpatialGrid, h_inner, laplacian_matrix
+from proxdyn.grid import Field, SpatialGrid, h_inner, laplacian_band
 from proxdyn.models import P2Params, P3Params, build_linear_wave, build_p2, build_p3
 from proxdyn.stepper import gauss5, run
 
@@ -32,7 +33,7 @@ def zero_spec(n=9):
     m = g.n_interior
     return ProblemSpec(
         grid=g,
-        energy=EnergySpec(quad_op=laplacian_matrix(g), lambda_conv=0.0),
+        energy=EnergySpec(quad_op=SymBand(laplacian_band(g)), lambda_conv=0.0),
         dissipation=DissipationSpec(
             kind="separable",
             state_dep=lambda s: (np.ones(m), np.ones(m)),
@@ -158,6 +159,25 @@ class TestEnergyBalance:
             res.append(energy_balance_residual(spec, traj, 1.0))
         assert res[0] / res[1] >= 1.3
         assert res[1] / res[2] >= 1.3
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            build_p3(P3Params(n_nodes=33, horizon=0.5)),
+            build_linear_wave(1.0, n_nodes=33, horizon=0.5, damping="mass")[0],
+            build_linear_wave(1.0, n_nodes=33, horizon=0.5, damping="gradient")[0],
+        ],
+        ids=["p3", "wave_mass", "wave_gradient"],
+    )
+    def test_equality_defect_first_order(self, spec):
+        # The limit satisfies the energy-dissipation equality; the discrete
+        # defect at T decays at (nearly) first order in tau.
+        big_t = spec.horizon
+        defects = [
+            energy_balance_residual(spec, run(spec, big_t / k), big_t) for k in (8, 16, 32, 64)
+        ]
+        orders = np.log2(np.array(defects[:-1]) / np.array(defects[1:]))
+        assert np.all(orders >= 0.7), orders
 
     def test_requires_grid_node(self):
         spec, _ = build_linear_wave(1.0, n_nodes=17)

@@ -13,7 +13,7 @@ from proxdyn.core import (
     tau_max,
     validate_assumptions,
 )
-from oracles import biharmonic_clamped_dense, gradient_matrix
+from oracles import band_of, biharmonic_clamped_dense, gradient_matrix
 from proxdyn.errors import ConfigError
 from proxdyn.grid import Field, h_norm
 from proxdyn.models import (
@@ -151,11 +151,11 @@ class TestP1:
 
         extra = {}
         if structured:
-            extra = {"quad_shift": -4.0 * lap, "site_quartic": 1.0}
+            extra = {"quad_shift": band_of(-4.0 * lap), "site_quartic": 1.0}
         return ProblemSpec(
             grid=g,
             energy=EnergySpec(
-                quad_op=p.mu / p.rho * biharmonic_clamped_dense(g),
+                quad_op=band_of(p.mu / p.rho * biharmonic_clamped_dense(g)),
                 lambda_conv=spec.energy.lambda_conv,
                 smooth_value=smooth_value,
                 smooth_grad=smooth_grad,

@@ -11,8 +11,9 @@ from proxdyn.core import (
     PerturbationSpec,
     ProblemSpec,
 )
-from proxdyn.errors import ConfigError, DomainError, StepSizeTooLarge
-from proxdyn.grid import Field, SpatialGrid, h_inner, laplacian_matrix
+from proxdyn.convex import SymBand
+from proxdyn.errors import ConfigError, DomainError, InnerSolverFailed, StepSizeTooLarge
+from proxdyn.grid import Field, SpatialGrid, h_inner, laplacian_band
 from proxdyn.models import (
     P1Params,
     P2Params,
@@ -39,7 +40,7 @@ def scalar_spec(psi_g=1.0):
     g = SpatialGrid(3, 1.0)
     return ProblemSpec(
         grid=g,
-        energy=EnergySpec(quad_op=np.eye(1), lambda_conv=0.0),
+        energy=EnergySpec(quad_op=SymBand(np.ones((1, 1))), lambda_conv=0.0),
         dissipation=DissipationSpec(
             kind="separable",
             state_dep=lambda s: (np.zeros(1), np.full(1, psi_g)),
@@ -105,7 +106,7 @@ class TestIncrementalMinimize:
         m = g.n_interior
         spec = ProblemSpec(
             grid=g,
-            energy=EnergySpec(quad_op=laplacian_matrix(g), lambda_conv=0.0),
+            energy=EnergySpec(quad_op=SymBand(laplacian_band(g)), lambda_conv=0.0),
             dissipation=DissipationSpec(
                 kind="separable",
                 state_dep=lambda s: (np.zeros(m), np.ones(m)),
@@ -126,7 +127,7 @@ class TestIncrementalMinimize:
         # the subdifferential of the dissipation at zero velocity.
         g = SpatialGrid(9, 0.125)
         m = g.n_interior
-        k = laplacian_matrix(g)
+        k = SymBand(laplacian_band(g))
         u0 = 0.002 * np.sin(np.pi * g.interior_x)
         drive = k @ u0
         assert np.max(np.abs(drive)) <= 1.0  # nodewise subgradient condition
@@ -150,7 +151,7 @@ class TestIncrementalMinimize:
         spec = scalar_spec()
         spec = ProblemSpec(
             grid=spec.grid,
-            energy=EnergySpec(quad_op=np.eye(1), lambda_conv=4.0),
+            energy=EnergySpec(quad_op=SymBand(np.ones((1, 1))), lambda_conv=4.0),
             dissipation=spec.dissipation,
             perturbation=spec.perturbation,
             force=None, horizon=1.0,
@@ -247,6 +248,18 @@ class TestStepOracle:
 
 
 class TestRun:
+    @pytest.mark.parametrize(
+        "spec",
+        [build_p2(P2Params(n_nodes=17, horizon=0.25)), build_p3(P3Params(n_nodes=17, horizon=0.25))],
+        ids=["p2", "p3"],
+    )
+    def test_stalled_inner_solve_names_its_step(self, spec):
+        with pytest.raises(InnerSolverFailed) as exc:
+            run(spec, 1 / 16, max_iter=3)
+        assert exc.value.step_index == 1
+        assert "step 1" in str(exc.value)
+        assert exc.value.best.shape == (15,)
+
     def test_zero_data_stays_zero(self):
         spec = scalar_spec()
         traj = run(spec, 0.1)
@@ -285,7 +298,7 @@ class TestRun:
         m = g.n_interior
         spec = ProblemSpec(
             grid=g,
-            energy=EnergySpec(quad_op=laplacian_matrix(g), lambda_conv=4.0),
+            energy=EnergySpec(quad_op=SymBand(laplacian_band(g)), lambda_conv=4.0),
             dissipation=DissipationSpec(
                 kind="separable",
                 state_dep=lambda s: (np.zeros(m), np.ones(m)),
@@ -317,7 +330,7 @@ class TestRun:
         m = g.n_interior
         spec = ProblemSpec(
             grid=g,
-            energy=EnergySpec(quad_op=laplacian_matrix(g), lambda_conv=0.0),
+            energy=EnergySpec(quad_op=SymBand(laplacian_band(g)), lambda_conv=0.0),
             dissipation=DissipationSpec(
                 kind="separable",
                 state_dep=lambda s: (np.zeros(m), np.ones(m)),
@@ -470,25 +483,34 @@ class TestInterpolants:
         spec, _ = build_linear_wave(1.0, n_nodes=17)
         return run(spec, 0.1)
 
-    def test_nodes_coincide(self, traj):
+    @staticmethod
+    def _series(traj):
+        """(stored values, bar, under, hat) for U and for V."""
         itp = interpolants(traj)
-        for n in range(traj.n_steps + 1):
-            t = traj.times[n]
-            want = traj.U[n].values
-            np.testing.assert_array_equal(itp.u_bar(t), want)
-            np.testing.assert_allclose(itp.u_hat(t), want, atol=1e-14)
-            if n < traj.n_steps:
-                np.testing.assert_array_equal(itp.u_under(t), want)
-        np.testing.assert_array_equal(itp.u_under(traj.times[-1]), traj.U[-1].values)
+        return [
+            (traj.U, itp.u_bar, itp.u_under, itp.u_hat),
+            (traj.V, itp.v_bar, itp.v_under, itp.v_hat),
+        ]
+
+    def test_nodes_coincide(self, traj):
+        for values, bar, under, hat in self._series(traj):
+            for n in range(traj.n_steps + 1):
+                t = traj.times[n]
+                want = values[n].values
+                np.testing.assert_array_equal(bar(t), want)
+                np.testing.assert_allclose(hat(t), want, atol=1e-14)
+                if n < traj.n_steps:
+                    np.testing.assert_array_equal(under(t), want)
+            np.testing.assert_array_equal(under(traj.times[-1]), values[-1].values)
 
     def test_midpoint_values(self, traj):
-        itp = interpolants(traj)
         t = 0.5 * (traj.times[2] + traj.times[3])
-        np.testing.assert_allclose(
-            itp.u_hat(t), 0.5 * (traj.U[2].values + traj.U[3].values), atol=1e-14
-        )
-        np.testing.assert_array_equal(itp.u_bar(t), traj.U[3].values)
-        np.testing.assert_array_equal(itp.u_under(t), traj.U[2].values)
+        for values, bar, under, hat in self._series(traj):
+            np.testing.assert_allclose(
+                hat(t), 0.5 * (values[2].values + values[3].values), atol=1e-14
+            )
+            np.testing.assert_array_equal(bar(t), values[3].values)
+            np.testing.assert_array_equal(under(t), values[2].values)
 
     def test_time_snaps(self, traj):
         itp = interpolants(traj)
@@ -506,8 +528,7 @@ class TestInterpolants:
         np.testing.assert_allclose(fd, itp.v_bar(t), atol=1e-7)
 
     def test_domain_error(self, traj):
-        itp = interpolants(traj)
-        with pytest.raises(DomainError):
-            itp.u_bar(-0.5)
-        with pytest.raises(DomainError):
-            itp.u_hat(traj.times[-1] + 0.5)
+        for _, bar, under, hat in self._series(traj):
+            for fn, t in ((bar, -0.5), (under, -0.5), (hat, traj.times[-1] + 0.5)):
+                with pytest.raises(DomainError):
+                    fn(t)
