@@ -26,7 +26,6 @@ from .stepper import (
     Trajectory,
     average_force,
     incremental_minimize,
-    interpolants,
     run,
 )
 
@@ -45,7 +44,6 @@ __all__ = [
     "average_force",
     "energy_total",
     "incremental_minimize",
-    "interpolants",
     "run",
     "solve_pd",
     "tau_max",

@@ -4,16 +4,19 @@ Configs are flat JSON: a model tag, a step size, and optional overrides of
 the per-model defaults below.  Each value must have its default's JSON
 type, with no coercion: integers for the integer keys, finite numbers (not
 strings, booleans, NaN or Infinity) for the real-valued keys, tau
-included, and strings for out_dir and damping.  Every run writes
-trajectory.csv, snapshots.csv (plot-ready CSV: comma, header row, UTF-8,
-LF, 17 significant digits), convergence.csv if halvings > 0, and a
-summary.json; repeated runs of one config give byte-identical data files
-(the wall-time entry of summary.json is the one volatile field).
+included, and strings for out_dir and damping.  tau must divide the
+horizon and pass the step rule of `core.check_step`, and seed must be
+>= 0.  Every run writes trajectory.csv, snapshots.csv (plot-ready CSV:
+comma, header row, UTF-8, LF, 17 significant digits), convergence.csv if
+halvings > 0, and a summary.json (strict JSON: a non-finite number, such
+as an unbounded tau_max, is null); repeated runs of one config give
+byte-identical data files (the wall-time entry of summary.json is the
+one volatile field).
 
 A config is built into its ProblemSpec once: `parse_config_dict`
 validates the config by building the spec, keeps it as `RunConfig.spec`,
 and `run_and_emit` steps that spec.  A RunConfig made by hand or by
-`dataclasses.replace` carries no spec, and `run_and_emit` builds one.
+`dataclasses.replace` carries no spec; `run_and_emit` validates and builds it.
 
 Exit codes: 0 all asserted invariants held, 1 invariant violation (details
 in summary.json), 2 configuration error.
@@ -35,7 +38,7 @@ from typing import Optional
 import numpy as np
 
 from . import diagnostics, models, stepper
-from .core import ProblemSpec, energy_total, tau_max, validate_assumptions
+from .core import ProblemSpec, check_step, energy_total, step_count, tau_max, validate_assumptions
 from .errors import ConfigError, ParseError, ProxdynError, ValidationError
 from .grid import h_norm
 
@@ -188,7 +191,7 @@ def parse_config(path) -> RunConfig:
 
 
 def _validate(cfg: RunConfig) -> ProblemSpec:
-    """The config's ProblemSpec, built to check the step bound; raises
+    """The config's ProblemSpec, built to check the step rule; raises
     ValidationError listing every violation."""
     violations = []
     if not cfg.tau > 0:
@@ -201,25 +204,20 @@ def _validate(cfg: RunConfig) -> ProblemSpec:
         violations.append(f"n_nodes must be >= 3, got {cfg.n_nodes}")
     if not cfg.inner_tol > 0:
         violations.append(f"inner_tol must be positive, got {cfg.inner_tol}")
+    if cfg.seed < 0:
+        violations.append(f"seed must be >= 0, got {cfg.seed}")
     if cfg.tau > 0 and cfg.horizon > 0:
-        n = round(cfg.horizon / cfg.tau)
-        if n < 1 or abs(n * cfg.tau - cfg.horizon) > 1e-12 * max(1.0, cfg.horizon):
-            violations.append(
-                f"tau = {cfg.tau} does not divide the horizon T = {cfg.horizon}"
-            )
+        try:
+            step_count(cfg.horizon, cfg.tau)
+        except ConfigError as exc:
+            violations.append(str(exc))
     spec = None
     if not violations:
         try:
             spec, _ = build_problem(cfg)
+            check_step(spec, cfg.tau)
         except ConfigError as exc:
             violations.append(str(exc))
-    if spec is not None:
-        tmax = tau_max(spec)
-        if cfg.tau > tmax * (1 + 1e-12):
-            violations.append(
-                f"tau = {cfg.tau} exceeds the unique-minimizer step bound "
-                f"tau_max = 1/(2*lambda) = {tmax:.6g}"
-            )
     if violations:
         raise ValidationError(violations)
     return spec
@@ -236,10 +234,28 @@ def _write_csv(path: Path, header: list[str], rows) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
+def _finite_or_null(obj):
+    """obj with every non-finite float, at any depth, replaced by None."""
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_finite_or_null(v) for v in obj]
+    if isinstance(obj, float) and not math.isfinite(obj):
+        return None
+    return obj
+
+
+def _write_summary(out: Path, summary: dict) -> None:
+    """summary.json as strict JSON (RFC 8259): a non-finite number, such
+    as the unbounded tau_max of lambda = 0, is written as null."""
+    text = json.dumps(_finite_or_null(summary), indent=2, sort_keys=True, allow_nan=False)
+    (out / "summary.json").write_text(text + "\n", encoding="utf-8")
+
+
 def run_and_emit(cfg: RunConfig) -> int:
     """Execute a configured run and serialize everything; returns exit code.
 
-    Steps cfg.spec, and builds the spec only for a config that has none.
+    Steps cfg.spec; a config that has none is validated and built first.
     """
     t_start = time.perf_counter()
     out = Path(cfg.out_dir)
@@ -251,8 +267,8 @@ def run_and_emit(cfg: RunConfig) -> int:
     spec = cfg.spec
     if spec is None:
         try:
-            spec, _ = build_problem(cfg)
-        except ConfigError as exc:
+            spec = _validate(cfg)
+        except ValidationError as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return 2
 
@@ -266,9 +282,7 @@ def run_and_emit(cfg: RunConfig) -> int:
         summary["error"] = str(exc)
         summary["invariants_passed"] = False
         summary["wall_time_s"] = time.perf_counter() - t_start
-        (out / "summary.json").write_text(
-            json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        _write_summary(out, summary)
         print(f"run failed: {exc}", file=sys.stderr)
         return 1
 
@@ -345,9 +359,7 @@ def run_and_emit(cfg: RunConfig) -> int:
         }
     )
     summary["wall_time_s"] = time.perf_counter() - t_start
-    (out / "summary.json").write_text(
-        json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    _write_summary(out, summary)
     if failures:
         for msg in failures:
             print(f"invariant violation: {msg}", file=sys.stderr)

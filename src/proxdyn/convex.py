@@ -339,9 +339,7 @@ class PDReport:
     iterations: int
     gap: float
     resid_h: float
-    converged: bool
     backtracks: int = 0
-    bregman: float = 0.0
     sched: Optional[tuple] = None
 
 
@@ -495,8 +493,8 @@ def _solve_quadratic(prob: StepProblem):
     rhs = -prob.lin + prob.adjoint(pot.w2 * pot.shift)
     u = scipy.linalg.cho_solve_banded(prob.quad_op.factor_plus(prob.gram(pot.w2)), rhs)
     p = pot.w2 * (prob.sites(u) - pot.shift)
-    gap, r_h, breg_h = _certificate(prob, prob.smooth_full_grad(u) + prob.adjoint(p))
-    return u, p, PDReport(1, gap, r_h, True, bregman=breg_h)
+    gap, r_h, _ = _certificate(prob, prob.smooth_full_grad(u) + prob.adjoint(p))
+    return u, p, PDReport(1, gap, r_h)
 
 
 _CHECK_EVERY = 4
@@ -532,7 +530,7 @@ def solve_pd(prob: StepProblem, init, p0=None, sched=None):
     p = beta * (mu + lam - y)
     gap, r_h, breg_h = _certify_admm(prob, u, y, p)
     if gap <= prob.tol and r_h <= prob.resid_target and breg_h <= prob.fy_slack:
-        return u, p, PDReport(0, gap, r_h, True, bregman=breg_h, sched=(beta,))
+        return u, p, PDReport(0, gap, r_h, sched=(beta,))
     lam = lam + mu - y
     mtm = prob.gram(np.ones(mu.shape))
     ones = np.ones((1, u.shape[0]))
@@ -574,7 +572,7 @@ def solve_pd(prob: StepProblem, init, p0=None, sched=None):
             p = beta * lam
             gap, r_h, breg_h = _certify_admm(prob, u, y, p)
             if gap <= prob.tol and r_h <= prob.resid_target and breg_h <= prob.fy_slack:
-                return u, p, PDReport(k, gap, r_h, True, backtracks, breg_h, sched=(beta,))
+                return u, p, PDReport(k, gap, r_h, backtracks, sched=(beta,))
             # Residual balancing keeps primal and dual progress comparable.
             r_prim = float(np.linalg.norm(mu - y))
             r_dual = beta * float(np.linalg.norm(prob.adjoint(y - y_old)))
@@ -587,13 +585,11 @@ def solve_pd(prob: StepProblem, init, p0=None, sched=None):
                 lam *= 2.0
                 fac = factor(beta, s)
 
-    p = beta * lam
-    gap, r_h, breg_h = _certify_admm(prob, u, y, p)
+    gap = _certify_admm(prob, u, y, beta * lam)[0]
     raise MaxIterExceeded(
         f"primal-dual solve stalled after {prob.max_iter} iterations "
         f"(gap {gap:.3e}, target {prob.tol:.3e})",
         best=u,
-        residual=r_h,
     )
 
 
@@ -638,10 +634,9 @@ def solve_prox_gradient(prob: StepProblem, init):
             and r_h <= prob.resid_target
             and (prob.accept is None or prob.accept(u))
         ):
-            return u, p_hat, PDReport(k, gap, r_h, True, backtracks)
+            return u, p_hat, PDReport(k, gap, r_h, backtracks)
 
     raise MaxIterExceeded(
         f"proximal gradient stalled after {prob.max_iter} iterations (gap {gap:.3e})",
         best=u,
-        residual=r_h,
     )

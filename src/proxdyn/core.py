@@ -17,6 +17,7 @@ operations here are pure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Literal, Optional
 
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import convex
 from .convex import SitePotential, SymBand
-from .errors import ConfigError, EvalError
+from .errors import ConfigError, EvalError, StepSizeTooLarge
 from .grid import (
     Field,
     ForwardDifference,
@@ -49,7 +50,7 @@ class EnergySpec:
         E_t(th*u + (1-th)*v) <= th*E_t(u) + (1-th)*E_t(v)
                                 + th*(1-th)*lambda_conv*|u-v|_h^2.
 
-    It gates the unique-minimizer step bound tau <= 1/(2*lambda_conv).
+    It gates the unique-minimizer step rule of `check_step`.
     The smooth callables take (t, values) with values over interior nodes;
     time_deriv evaluates d/dt E2_t(u).
     """
@@ -156,14 +157,10 @@ class DissipationSpec:
 
 @dataclass(frozen=True)
 class PerturbationSpec:
-    """Non-variational perturbation B(t, u, v), stored as a nodal vector.
-
-    eval = None is the zero map.  growth_exponent records the power p of
-    the growth control |B| <= C(|u|^(p-1) + 1).
-    """
+    """Non-variational perturbation B(t, u, v), stored as a nodal vector;
+    eval = None is the zero map."""
 
     eval: Optional[Callable[[float, Field, Field], Field]] = None
-    growth_exponent: float = 2.0
 
     def __call__(self, t: float, u: Field, v: Field) -> np.ndarray:
         if self.eval is None:
@@ -254,9 +251,35 @@ class ProblemSpec:
 
 
 def tau_max(spec: ProblemSpec) -> float:
-    """Largest step with a guaranteed unique minimizer, 1/(2*lambda)."""
+    """Supremum of the admissible steps, min(1/(2*lambda), 1/sqrt(2*lambda)):
+    the step bound of `check_step` for lambda >= 1/2, the strict convexity
+    1/tau^2 > 2*lambda below; infinite for lambda = 0."""
     lam = spec.energy.lambda_conv
-    return float("inf") if lam == 0.0 else 1.0 / (2.0 * lam)
+    return float("inf") if lam == 0.0 else min(1.0 / (2.0 * lam), 1.0 / np.sqrt(2.0 * lam))
+
+
+def check_step(spec: ProblemSpec, tau: float) -> float:
+    """The strong convexity gamma = 1/tau^2 - 2*lambda of a step's functional;
+    StepSizeTooLarge unless tau <= 1/(2*lambda) (within 1e-12) and gamma > 0."""
+    lam = spec.energy.lambda_conv
+    gamma = 1.0 / tau**2 - 2.0 * lam
+    if (lam > 0.0 and tau > 1.0 / (2.0 * lam) * (1 + 1e-12)) or not gamma > 0.0:
+        raise StepSizeTooLarge(
+            f"tau = {tau} breaks the unique-minimizer step rule tau <= 1/(2*lambda), "
+            f"1/tau^2 > 2*lambda (lambda = {lam:.6g}, 1/tau^2 - 2*lambda = {gamma:.6g}, "
+            f"tau_max = min(1/(2*lambda), 1/sqrt(2*lambda)) = {tau_max(spec):.6g})"
+        )
+    return gamma
+
+
+def step_count(horizon: float, tau: float) -> int:
+    """The number of steps N = T/tau; ConfigError unless tau divides the
+    horizon to within 1e-12 (relative to max(1, T))."""
+    ratio = horizon / tau if tau > 0 else 0.0
+    n = int(round(ratio)) if math.isfinite(ratio) else 0
+    if n < 1 or abs(n * tau - horizon) > 1e-12 * max(1.0, horizon):
+        raise ConfigError(f"tau = {tau} does not divide the horizon T = {horizon}")
+    return n
 
 
 def energy_total(spec: ProblemSpec, t: float, u: Field) -> float:
@@ -321,7 +344,7 @@ def validate_assumptions(
     symmetric by construction), the lambda-convexity interpolation
     inequality for the total energy, the zero-at-rest and growth sandwich
     of the dissipation, and continuity of the perturbation on bounded sets.  Reports the worst violation per
-    check plus the admissible step bound tau_max = 1/(2*lambda_conv).
+    check plus the supremum of admissible steps, `tau_max`.
     """
     if samples < 1:
         raise ConfigError("samples must be >= 1")
@@ -408,29 +431,3 @@ def validate_assumptions(
 
     return ValidationReport(checks=tuple(checks), tau_max=tau_max(spec))
 
-
-def gradient_consistency_error(
-    spec: ProblemSpec, samples: int = 5, seed: int = 0, eps: float = 1e-6
-) -> float:
-    """Max relative error of the supplied D E2_t against central differences."""
-    if spec.energy.smooth_value is None:
-        return 0.0
-    rng = np.random.default_rng(seed)
-    m = spec.grid.n_interior
-    worst = 0.0
-    for _ in range(samples):
-        u = rng.standard_normal(m)
-        t = rng.uniform(0.0, spec.horizon)
-        g = np.asarray(spec.energy.smooth_grad(t, u), dtype=float)
-        fd = np.zeros(m)
-        for i in range(m):
-            up = u.copy()
-            dn = u.copy()
-            up[i] += eps
-            dn[i] -= eps
-            fd[i] = (spec.energy.smooth_value(t, up) - spec.energy.smooth_value(t, dn)) / (
-                2 * eps * spec.grid.h
-            )
-        scale = max(1.0, float(np.max(np.abs(g))))
-        worst = max(worst, float(np.max(np.abs(g - fd))) / scale)
-    return worst

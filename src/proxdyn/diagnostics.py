@@ -24,7 +24,7 @@ from math import log2
 
 import numpy as np
 
-from .core import ProblemSpec, energy_total, tau_max
+from .core import ProblemSpec, check_step, energy_total
 from .errors import ConfigError, IncompleteTrajectory
 from .grid import h_norm, q_norm
 from .stepper import Trajectory, run
@@ -174,12 +174,12 @@ def convergence_study(
 
     The Cauchy differences max_n |U_tau(t_n) - U_{tau/2}(t_n)|_h are taken
     on the coarse grid (fine index 2n matches exactly); observed rates are
-    the log2 ratios of consecutive differences.
+    the log2 ratios of consecutive differences.  tau0 must pass
+    `core.check_step`; its StepSizeTooLarge is a ConfigError.
     """
     if halvings < 1:
         raise ConfigError("convergence study needs at least one halving")
-    if tau0 > tau_max(spec) * (1 + 1e-12):
-        raise ConfigError(f"tau0 = {tau0} exceeds the admissible step bound")
+    check_step(spec, tau0)
     h = spec.grid.h
     taus = [tau0 / 2**k for k in range(halvings + 1)]
     trajs = [run(spec, t, inner_tol=inner_tol) for t in taus]

@@ -13,21 +13,17 @@ class EvalError(ProxdynError):
     """A user-supplied callable produced non-finite or malformed output."""
 
 
-class DomainError(ProxdynError):
-    """Evaluation requested outside the valid domain (e.g. t outside [0, T])."""
-
-
-class StepSizeTooLarge(ProxdynError):
-    """Time step exceeds the admissible bound 1/(2*lambda) for unique minimizers."""
+class StepSizeTooLarge(ConfigError):
+    """Time step breaks the unique-minimizer rule of `core.check_step`:
+    tau <= 1/(2*lambda) and 1/tau^2 > 2*lambda."""
 
 
 class MaxIterExceeded(ProxdynError):
     """Inner solver hit its iteration cap. Carries the best iterate found."""
 
-    def __init__(self, message, best=None, residual=None):
+    def __init__(self, message, best=None):
         super().__init__(message)
         self.best = best
-        self.residual = residual
 
 
 class NonFiniteIterate(ProxdynError):

@@ -1,9 +1,9 @@
 """Uniform 1D grids, nodal fields, and the discrete difference operators.
 
 All unknowns live on interior nodes; homogeneous Dirichlet values are
-implied at both ends.  The clamped variant additionally enforces a zero
-first derivative at the boundary (ghost-node reflection), which is what
-the fourth-order capillarity operator needs.
+implied at both ends.  The fourth-order capillarity operator,
+`biharmonic_band`, also enforces a zero first derivative there
+(ghost-node reflection) in its own stencil.
 
 Inner products are h-weighted throughout: <u, v>_h = h * sum(u_i v_i).
 With that convention the plain matrix transpose is the adjoint for every
@@ -21,13 +21,10 @@ initial mode).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal
 
 import numpy as np
 
 from .errors import ConfigError
-
-BoundaryCondition = Literal["dirichlet0", "dirichlet0_clamped"]
 
 
 @dataclass(frozen=True)
@@ -40,15 +37,12 @@ class SpatialGrid:
 
     n_nodes: int
     h: float
-    bc: BoundaryCondition = "dirichlet0"
 
     def __post_init__(self):
         if self.n_nodes < 3:
             raise ConfigError(f"n_nodes must be >= 3, got {self.n_nodes}")
         if not (self.h > 0.0 and np.isfinite(self.h)):
             raise ConfigError(f"grid spacing must be positive, got {self.h}")
-        if self.bc not in ("dirichlet0", "dirichlet0_clamped"):
-            raise ConfigError(f"unknown boundary condition tag {self.bc!r}")
 
     @property
     def n_interior(self) -> int:

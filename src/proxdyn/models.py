@@ -38,8 +38,8 @@ from .grid import (
 )
 
 
-def _default_grid(n_nodes: int, bc: str = "dirichlet0") -> SpatialGrid:
-    return SpatialGrid(n_nodes, 1.0 / (n_nodes - 1), bc)
+def _default_grid(n_nodes: int) -> SpatialGrid:
+    return SpatialGrid(n_nodes, 1.0 / (n_nodes - 1))
 
 
 def _nodal(out) -> np.ndarray:
@@ -76,11 +76,6 @@ def phase_indicator_slope(alpha: float, e):
     return alpha * e / np.sqrt(1.0 + e**2)
 
 
-def phase_indicator(alpha: float, e):
-    e = np.asarray(e, dtype=float)
-    return alpha * (np.sqrt(1.0 + e**2) - 1.0)
-
-
 def build_p1(params: P1Params) -> ProblemSpec:
     """Assemble the 1D visco-elasto-plastic model (n = 1, m = 2 reduction).
 
@@ -94,7 +89,7 @@ def build_p1(params: P1Params) -> ProblemSpec:
     p = params
     if min(p.rho, p.nu, p.mu) <= 0 or p.alpha < 0:
         raise ConfigError("P1 requires rho, nu, mu > 0 and alpha >= 0")
-    grid = _default_grid(p.n_nodes, "dirichlet0_clamped")
+    grid = _default_grid(p.n_nodes)
     h = grid.h
     m = grid.n_interior
     inv_rho = 1.0 / p.rho
@@ -231,8 +226,7 @@ def build_p2(params: P2Params) -> ProblemSpec:
     pw = p.p - 1.0
     user_b = p.b if p.b is not None else (lambda s: np.sign(s) * np.abs(s) ** pw)
     perturbation = PerturbationSpec(
-        eval=lambda t, u, v: Field(np.asarray(user_b(u.values), dtype=float), grid),
-        growth_exponent=p.p,
+        eval=lambda t, u, v: Field(np.asarray(user_b(u.values), dtype=float), grid)
     )
 
     if p.u0 is not None:

@@ -18,6 +18,11 @@ Trajectory keeps U, V and the per-step reports, whose energy ledger holds
 every term of the energy-dissipation inequality.  Both dissipation kinds
 certify a step by one gap, Psi(V^n) + Psi*(eta^n) - <eta^n, V^n>_h.
 
+A step is well posed while the inertia outweighs the energy's convexity
+defect lambda: `core.check_step` admits tau <= 1/(2 lambda) with Phi's
+strong convexity 1/tau^2 - 2 lambda > 0, and `core.step_count` a tau
+that divides the horizon.
+
 Runs are sequential in n; distinct runs are independent, and the returned
 Trajectory is immutable.
 """
@@ -32,19 +37,13 @@ import numpy as np
 from . import convex
 from .core import (
     ProblemSpec,
+    check_step,
     energy_grad,
     energy_time_deriv,
     energy_total,
-    tau_max,
+    step_count,
 )
-from .errors import (
-    ConfigError,
-    DomainError,
-    EvalError,
-    InnerSolverFailed,
-    MaxIterExceeded,
-    StepSizeTooLarge,
-)
+from .errors import ConfigError, EvalError, InnerSolverFailed, MaxIterExceeded
 from .grid import Field, h_inner, h_norm
 
 # 5-point Gauss-Legendre nodes and weights on [-1, 1].
@@ -236,21 +235,11 @@ def incremental_minimize(
     infinite, the gap is resid^2/(2 m_psi) (m_psi Psi's strong convexity),
     or |<eta^n, V^n>_h| if m_psi = 0.  A gap above 9 inner_tol re-solves
     with tighter tolerances, at most twice.
-    Raises StepSizeTooLarge beyond tau <= 1/(2 lambda) and InnerSolverFailed
-    (carrying the best iterate) if the inner solve stalls.
+    Raises StepSizeTooLarge if tau breaks `core.check_step`'s rule and
+    InnerSolverFailed (carrying the best iterate) if the inner solve stalls.
     """
     tau = inp.tau
-    lam = spec.energy.lambda_conv
-    tmax = tau_max(spec)
-    if tau > tmax * (1 + 1e-12):
-        raise StepSizeTooLarge(
-            f"tau = {tau} exceeds tau_max = 1/(2*lambda) = {tmax}"
-        )
-    gamma = 1.0 / tau**2 - 2.0 * lam
-    if gamma <= 0.0:
-        raise StepSizeTooLarge(
-            f"strict convexity certificate fails: 1/tau^2 - 2*lambda = {gamma} <= 0"
-        )
+    gamma = check_step(spec, tau)
 
     grid = spec.grid
     h = grid.h
@@ -383,19 +372,12 @@ def run(
 ) -> Trajectory:
     """March the scheme over [0, T] with equidistant steps.
 
-    tau must divide the horizon to within 1e-12 and respect the step
-    bound; the first step synthesizes U^{-1} = u0 - tau*v0 so that
-    V^0 = v0.  Solver failures propagate with the step index attached.
+    tau must divide the horizon (`core.step_count`) and pass
+    `core.check_step`; the first step synthesizes U^{-1} = u0 - tau*v0 so
+    that V^0 = v0.  Solver failures propagate with the step index attached.
     """
-    big_t = spec.horizon
-    n_steps = int(round(big_t / tau))
-    if n_steps < 1 or abs(n_steps * tau - big_t) > 1e-12 * max(1.0, big_t):
-        raise ConfigError(
-            f"tau = {tau} does not divide the horizon T = {big_t} (N = {n_steps})"
-        )
-    tmax = tau_max(spec)
-    if tau > tmax * (1 + 1e-12):
-        raise StepSizeTooLarge(f"tau = {tau} exceeds tau_max = {tmax}")
+    n_steps = step_count(spec.horizon, tau)
+    check_step(spec, tau)
 
     grid = spec.grid
     u_list = [spec.u0]
@@ -447,72 +429,3 @@ def admissible_tau(spec: ProblemSpec, target: float) -> float:
     n = max(1, int(np.ceil(spec.horizon / target - 1e-12)))
     return spec.horizon / n
 
-
-@dataclass(frozen=True)
-class InterpolantSet:
-    """Right-constant, left-constant, and piecewise-linear reconstructions.
-
-    u_bar(t) is right-constant (value U^n on (t_{n-1}, t_n]), u_under(t)
-    left-constant (U^{n-1} on [t_{n-1}, t_n), with u_under(T) = U^N), and
-    u_hat(t) the linear interpolant; same for the velocities.  t_bar and
-    t_under snap t to the right and left grid nodes, with t_bar(0) = 0 and
-    t_under(T) = T.
-    """
-
-    traj: Trajectory
-
-    def _check(self, t: float) -> None:
-        big_t = self.traj.times[-1]
-        if t < -1e-12 or t > big_t + 1e-12:
-            raise DomainError(f"t = {t} outside [0, {big_t}]")
-
-    def _right(self, t: float) -> int:
-        """Index n of the right node t_n >= t (0 at t = 0)."""
-        self._check(t)
-        n = int(np.ceil(t / self.traj.tau - 1e-12))
-        return min(max(n, 0), self.traj.n_steps)
-
-    def _left(self, t: float) -> int:
-        """Index n of the left node t_n <= t (N at t = T)."""
-        self._check(t)
-        if t >= self.traj.times[-1] - 1e-12:
-            return self.traj.n_steps
-        n = int(np.floor(t / self.traj.tau + 1e-12))
-        return min(max(n, 0), self.traj.n_steps)
-
-    def _blend(self, series: tuple, t: float) -> np.ndarray:
-        """Linear interpolant of series (U or V) at t."""
-        k = min(self._left(t), self.traj.n_steps - 1)
-        th = np.clip((t - self.traj.times[k]) / self.traj.tau, 0.0, 1.0)
-        return (1 - th) * series[k].values + th * series[k + 1].values
-
-    def u_bar(self, t: float) -> np.ndarray:
-        return self.traj.U[self._right(t)].values
-
-    def u_under(self, t: float) -> np.ndarray:
-        return self.traj.U[self._left(t)].values
-
-    def u_hat(self, t: float) -> np.ndarray:
-        return self._blend(self.traj.U, t)
-
-    def v_bar(self, t: float) -> np.ndarray:
-        return self.traj.V[self._right(t)].values
-
-    def v_under(self, t: float) -> np.ndarray:
-        return self.traj.V[self._left(t)].values
-
-    def v_hat(self, t: float) -> np.ndarray:
-        return self._blend(self.traj.V, t)
-
-    def t_bar(self, t: float) -> float:
-        return float(self.traj.times[self._right(t)])
-
-    def t_under(self, t: float) -> float:
-        return float(self.traj.times[self._left(t)])
-
-
-def interpolants(traj: Trajectory) -> InterpolantSet:
-    """Interpolant evaluators for a completed trajectory."""
-    if traj.n_steps < 1:
-        raise ConfigError("trajectory is empty")
-    return InterpolantSet(traj)

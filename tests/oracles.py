@@ -16,6 +16,10 @@
   and `band_of` packs a dense reference matrix into one.
 * `biharmonic_clamped_dense` assembles the clamped fourth difference
   D2^T D2 entry by entry, the reference for `grid.biharmonic_band`.
+* `gradient_consistency_error` checks a model's supplied D E2_t against
+  central differences of its E2_t.
+* `phase_indicator` is p1's lambda(e), whose slope
+  `models.phase_indicator_slope` weights the plastic dissipation.
 """
 
 import numpy as np
@@ -189,3 +193,34 @@ def step_subgradient(traj, n):
     accel = (u - 2.0 * inp.v.values + inp.w.values) / inp.tau**2
     eta = forcing - accel - energy_grad(traj.spec, inp.t_prev + inp.tau, u)
     return eta, forcing
+
+
+def gradient_consistency_error(spec, samples=5, seed=0, eps=1e-6):
+    """Max relative error of the supplied D E2_t against central differences."""
+    if spec.energy.smooth_value is None:
+        return 0.0
+    rng = np.random.default_rng(seed)
+    m = spec.grid.n_interior
+    worst = 0.0
+    for _ in range(samples):
+        u = rng.standard_normal(m)
+        t = rng.uniform(0.0, spec.horizon)
+        g = np.asarray(spec.energy.smooth_grad(t, u), dtype=float)
+        fd = np.zeros(m)
+        for i in range(m):
+            up = u.copy()
+            dn = u.copy()
+            up[i] += eps
+            dn[i] -= eps
+            fd[i] = (spec.energy.smooth_value(t, up) - spec.energy.smooth_value(t, dn)) / (
+                2 * eps * spec.grid.h
+            )
+        scale = max(1.0, float(np.max(np.abs(g))))
+        worst = max(worst, float(np.max(np.abs(g - fd))) / scale)
+    return worst
+
+
+def phase_indicator(alpha, e):
+    """lambda(e) = alpha*(sqrt(1 + e^2) - 1), p1's phase indicator."""
+    e = np.asarray(e, dtype=float)
+    return alpha * (np.sqrt(1.0 + e**2) - 1.0)

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from proxdyn.cli import (
     main,
@@ -17,7 +18,9 @@ from proxdyn.cli import (
     parse_config_dict,
     run_and_emit,
 )
-from proxdyn.errors import ParseError, ValidationError
+from proxdyn.errors import InnerSolverFailed, ParseError, StepSizeTooLarge, ValidationError
+from proxdyn.models import P3Params, build_p3
+from proxdyn.stepper import run
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -37,6 +40,15 @@ def write_cfg(tmp_path, payload, name="cfg.json"):
     p = tmp_path / name
     p.write_text(json.dumps(payload))
     return p
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not RFC 8259 JSON")
+
+
+def strict_json(path):
+    """The JSON of a file, refusing the NaN/Infinity literals json allows."""
+    return json.loads(path.read_text(encoding="utf-8"), parse_constant=_reject_constant)
 
 
 class TestParseConfig:
@@ -79,6 +91,51 @@ class TestParseConfig:
         with pytest.raises(ValidationError) as exc:
             parse_config_dict({"model": "linear_wave", "tau": 0.3})
         assert "divide" in str(exc.value)
+
+    def test_negative_seed_exits_two_before_stepping(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, {"model": "p3", "tau": 0.0625, "n_nodes": 9, "seed": -1})
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+
+class TestStepRule:
+    """The parser and the stepper apply one step rule, `core.check_step`:
+    tau <= 1/(2*lambda) and 1/tau^2 > 2*lambda.  For p3 lambda is
+    4*well_scale, and a single step tau = T = 1.25 (or 1.12) breaks the
+    second condition alone for lambda in (0.32, 0.4]."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(well_scale=st.floats(0.001, 0.249), tau=st.sampled_from([1.12, 1.25, 2.0]))
+    @example(well_scale=0.1, tau=1.25)
+    @example(well_scale=0.1, tau=1.12)
+    def test_parser_accepts_exactly_the_steps_run_takes(self, well_scale, tau):
+        raw = {"model": "p3", "n_nodes": 9, "tau": tau, "horizon": tau, "well_scale": well_scale}
+        try:
+            parse_config_dict(raw)
+            accepted = True
+        except ValidationError:
+            accepted = False
+        spec = build_p3(P3Params(n_nodes=9, horizon=tau, well_scale=well_scale))
+        try:
+            run(spec, tau, max_iter=500)
+            stepped = True
+        except StepSizeTooLarge:
+            stepped = False
+        except InnerSolverFailed:
+            stepped = True  # admitted; the step rule is all this test checks
+        assert accepted == stepped
+
+    def test_strict_convexity_violation_exits_two_naming_the_bound(self, tmp_path, capsys):
+        cfg = write_cfg(
+            tmp_path,
+            {"model": "p3", "well_scale": 0.1, "tau": 1.25, "horizon": 1.25, "n_nodes": 9},
+        )
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        # tau_max = min(1/(2*0.4), 1/sqrt(2*0.4)) = 1/sqrt(0.8).
+        assert "tau_max" in err and f"{1 / np.sqrt(0.8):.6g}" in err
+        assert not (tmp_path / "o").exists()
 
     def test_nonexistent_file(self, tmp_path):
         with pytest.raises(ParseError):
@@ -253,6 +310,37 @@ class TestRunAndEmit:
         finite = [r for r in rates if np.isfinite(r)]
         assert finite and all(abs(r - 1.0) <= 0.3 for r in finite)
 
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            {"model": "p1", "tau": 0.125, "n_nodes": 9, "horizon": 0.25},
+            {"model": "p2", "tau": 0.125, "n_nodes": 9, "horizon": 0.25},
+            {"model": "p3", "tau": 0.0625, "n_nodes": 9, "horizon": 0.125},
+            {"model": "linear_wave", "tau": 0.125, "n_nodes": 9, "horizon": 0.25},
+        ],
+        ids=["p1", "p2", "p3", "linear_wave"],
+    )
+    def test_summary_is_strict_json(self, tmp_path, raw):
+        cfg = parse_config_dict({**raw, "out_dir": str(tmp_path / "out")})
+        assert run_and_emit(cfg) == 0
+        summary = strict_json(tmp_path / "out" / "summary.json")
+        lam = cfg.spec.energy.lambda_conv
+        assert summary["tau_max"] == (None if lam == 0.0 else pytest.approx(1 / (2 * lam)))
+
+    def test_failed_run_summary_is_strict_json(self, tmp_path, monkeypatch):
+        from proxdyn import cli as cli_mod
+
+        def boom(*args, **kwargs):
+            raise InnerSolverFailed("forced failure", step_index=1)
+
+        monkeypatch.setattr(cli_mod.stepper, "run", boom)
+        cfg = parse_config_dict(
+            {"model": "linear_wave", "tau": 0.25, "n_nodes": 9, "out_dir": str(tmp_path / "out")}
+        )
+        assert run_and_emit(cfg) == 1
+        summary = strict_json(tmp_path / "out" / "summary.json")
+        assert summary["tau_max"] is None and "forced failure" in summary["error"]
+
     def test_snapshots_capped(self, tmp_path):
         cfg = parse_config_dict(
             {"model": "linear_wave", "tau": 0.002, "out_dir": str(tmp_path / "out"),
@@ -303,6 +391,14 @@ class TestBuildOnce:
         assert run_and_emit(finer) == 0
         header = (tmp_path / "out" / "snapshots.csv").read_text().splitlines()[0]
         assert header.split(",") == ["t"] + [f"x{j}" for j in range(17)]
+
+    def test_replaced_config_is_validated_before_stepping(self, tmp_path, capsys):
+        cfg = parse_config_dict(
+            {"model": "linear_wave", "tau": 0.25, "n_nodes": 9, "out_dir": str(tmp_path / "out")}
+        )
+        assert run_and_emit(dataclasses.replace(cfg, seed=-1)) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "summary.json").exists()
 
     @pytest.mark.parametrize("damping", ["mass", "gradient"])
     def test_stepping_holds_no_dense_matrix(self, tmp_path, damping):

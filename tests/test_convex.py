@@ -265,7 +265,7 @@ class TestSolvePD:
             tol=1e-12,
         )
         u, p, rep = solve_pd(prob, np.zeros(m))
-        assert rep.converged and rep.gap <= 1e-12
+        assert rep.gap <= 1e-12
         primal = prob.objective(u)
         # dual: -G*(-D^T p) - F*(p) with G quadratic and F* per edge.
         w = -d.T @ p - b
@@ -418,7 +418,7 @@ class TestProxGradient:
             strong_convexity=10.0, tol=1e-14,
         )
         u, p_hat, rep = solve_prox_gradient(prob, np.zeros(m))
-        assert rep.converged
+        assert rep.gap <= prob.tol
         pd = StepProblem(
             quad_op=band_of(q_mat), lin=b, lin_op=DenseSiteOp(np.eye(m)), nonsmooth=pot, h=0.1,
             strong_convexity=10.0, op_norm=1.0, tol=1e-14,
@@ -455,7 +455,7 @@ class TestBacktracking:
         u_pg, _, rep_pg = solve_prox_gradient(prob, np.zeros(m))
         u_pd, _, rep_pd = solve_pd(prob, np.zeros(m))
         for rep in (rep_pg, rep_pd):
-            assert rep.converged and rep.backtracks > 0 and rep.gap <= 1e-12
+            assert rep.backtracks > 0 and rep.gap <= 1e-12
         # gamma/2 |u - u*|_h^2 <= certified gap, for each solution.
         bound = sum(np.sqrt(2.0 * r.gap / prob.strong_convexity) for r in (rep_pg, rep_pd))
         assert h_norm(u_pg - u_pd, h) <= bound
@@ -464,7 +464,7 @@ class TestBacktracking:
         m, h = self.grid.n_interior, self.grid.h
         prob = self._problem(self._potential(m + 1), ForwardDifference(m, h), 2.0 / h)
         _, _, rep = solve_pd(prob, np.zeros(m))
-        assert rep.converged and rep.backtracks > 0 and rep.gap <= 1e-12
+        assert rep.backtracks > 0 and rep.gap <= 1e-12
 
 
 class TestBandedClosedForms:

@@ -9,14 +9,21 @@ from proxdyn.core import (
     EnergySpec,
     PerturbationSpec,
     ProblemSpec,
+    check_step,
     energy_total,
-    gradient_consistency_error,
+    step_count,
     tau_max,
     validate_assumptions,
 )
-from oracles import band_of, biharmonic_clamped_dense, dense_of, gradient_matrix
+from oracles import (
+    band_of,
+    biharmonic_clamped_dense,
+    dense_of,
+    gradient_consistency_error,
+    gradient_matrix,
+)
 from proxdyn.convex import SymBand
-from proxdyn.errors import ConfigError
+from proxdyn.errors import ConfigError, StepSizeTooLarge
 from proxdyn.grid import (
     Field,
     ForwardDifference,
@@ -65,8 +72,6 @@ class TestGrid:
             SpatialGrid(2, 0.1)
         with pytest.raises(ConfigError):
             SpatialGrid(5, -1.0)
-        with pytest.raises(ConfigError):
-            SpatialGrid(5, 0.1, "free")
 
     def test_field_norms(self):
         g = SpatialGrid(5, 0.25)
@@ -165,7 +170,7 @@ class TestForwardDifference:
 class TestBiharmonicBand:
     def test_matches_dense_oracle(self):
         for n_nodes in range(3, 66):
-            g = SpatialGrid(n_nodes, 1.0 / (n_nodes - 1), "dirichlet0_clamped")
+            g = SpatialGrid(n_nodes, 1.0 / (n_nodes - 1))
             want = biharmonic_clamped_dense(g)
             got = dense_of(SymBand(biharmonic_band(g)))
             if (n_nodes - 1) & (n_nodes - 2) == 0:
@@ -307,8 +312,7 @@ class TestValidateAssumptions:
         g = SpatialGrid(11, 0.1)
         m = g.n_interior
         pert = PerturbationSpec(
-            eval=lambda t, u, v: Field(np.tanh(u.values) + 0.5 * v.values, g),
-            growth_exponent=2.0,
+            eval=lambda t, u, v: Field(np.tanh(u.values) + 0.5 * v.values, g)
         )
         spec = make_spec(g, SymBand(laplacian_band(g)), pert=pert)
         report = validate_assumptions(spec, 20)
@@ -324,6 +328,38 @@ class TestTauMax:
     def test_lemma_bound(self):
         g = SpatialGrid(5, 0.25)
         assert tau_max(make_spec(g, SymBand(laplacian_band(g)), lam=4.0)) == pytest.approx(1 / 8)
+
+    def test_strict_convexity_bound_below_one_half(self):
+        # For lambda < 1/2 the inertia bound 1/tau^2 > 2*lambda is the
+        # tighter one: tau_max = 1/sqrt(2*lambda) < 1/(2*lambda).
+        g = SpatialGrid(5, 0.25)
+        spec = make_spec(g, SymBand(laplacian_band(g)), lam=0.4)
+        assert tau_max(spec) == pytest.approx(1 / np.sqrt(0.8))
+        assert check_step(spec, 1.1) == pytest.approx(1 / 1.21 - 0.8)
+        for tau in (tau_max(spec), 1.12, 1.25, 1.3):
+            with pytest.raises(StepSizeTooLarge):
+                check_step(spec, tau)
+
+    def test_step_bound_at_and_above_one_half(self):
+        g = SpatialGrid(5, 0.25)
+        spec = make_spec(g, SymBand(laplacian_band(g)), lam=4.0)
+        assert check_step(spec, 1 / 8) == pytest.approx(64 - 8)
+        with pytest.raises(StepSizeTooLarge):
+            check_step(spec, 1 / 8 * (1 + 1e-9))
+        # A StepSizeTooLarge is a ConfigError.
+        with pytest.raises(ConfigError):
+            check_step(spec, 1.0)
+
+
+class TestStepCount:
+    def test_divisor(self):
+        assert step_count(1.0, 0.125) == 8
+        assert step_count(0.3, 0.1) == 3
+
+    @pytest.mark.parametrize("tau", [0.3, 2.0, 0.0, -0.5, 1e-320])
+    def test_non_divisor_is_config_error(self, tau):
+        with pytest.raises(ConfigError, match="does not divide"):
+            step_count(1.0, tau)
 
 
 class TestGradientConsistency:

@@ -9,11 +9,16 @@ from proxdyn.core import (
     PerturbationSpec,
     ProblemSpec,
     energy_grad,
-    gradient_consistency_error,
     tau_max,
     validate_assumptions,
 )
-from oracles import band_of, biharmonic_clamped_dense, gradient_matrix
+from oracles import (
+    band_of,
+    biharmonic_clamped_dense,
+    gradient_consistency_error,
+    gradient_matrix,
+    phase_indicator,
+)
 from proxdyn.errors import ConfigError
 from proxdyn.grid import Field, h_norm
 from proxdyn.models import (
@@ -24,7 +29,6 @@ from proxdyn.models import (
     build_p1,
     build_p2,
     build_p3,
-    phase_indicator,
     phase_indicator_slope,
 )
 from proxdyn.stepper import run

@@ -1,4 +1,4 @@
-"""Per-step minimization, trajectory runs, and interpolants."""
+"""Per-step minimization and trajectory runs."""
 
 import dataclasses
 
@@ -12,7 +12,7 @@ from proxdyn.core import (
     ProblemSpec,
 )
 from proxdyn.convex import SymBand
-from proxdyn.errors import ConfigError, DomainError, InnerSolverFailed, StepSizeTooLarge
+from proxdyn.errors import ConfigError, InnerSolverFailed, StepSizeTooLarge
 from proxdyn.grid import Field, SpatialGrid, h_inner, laplacian_band
 from proxdyn.models import (
     P1Params,
@@ -28,7 +28,6 @@ from proxdyn.stepper import (
     admissible_tau,
     average_force,
     incremental_minimize,
-    interpolants,
     run,
     step_operator,
 )
@@ -476,59 +475,3 @@ class TestAdmissibleTau:
         n = round(spec.horizon / tau)
         assert abs(n * tau - spec.horizon) < 1e-12
 
-
-class TestInterpolants:
-    @pytest.fixture()
-    def traj(self):
-        spec, _ = build_linear_wave(1.0, n_nodes=17)
-        return run(spec, 0.1)
-
-    @staticmethod
-    def _series(traj):
-        """(stored values, bar, under, hat) for U and for V."""
-        itp = interpolants(traj)
-        return [
-            (traj.U, itp.u_bar, itp.u_under, itp.u_hat),
-            (traj.V, itp.v_bar, itp.v_under, itp.v_hat),
-        ]
-
-    def test_nodes_coincide(self, traj):
-        for values, bar, under, hat in self._series(traj):
-            for n in range(traj.n_steps + 1):
-                t = traj.times[n]
-                want = values[n].values
-                np.testing.assert_array_equal(bar(t), want)
-                np.testing.assert_allclose(hat(t), want, atol=1e-14)
-                if n < traj.n_steps:
-                    np.testing.assert_array_equal(under(t), want)
-            np.testing.assert_array_equal(under(traj.times[-1]), values[-1].values)
-
-    def test_midpoint_values(self, traj):
-        t = 0.5 * (traj.times[2] + traj.times[3])
-        for values, bar, under, hat in self._series(traj):
-            np.testing.assert_allclose(
-                hat(t), 0.5 * (values[2].values + values[3].values), atol=1e-14
-            )
-            np.testing.assert_array_equal(bar(t), values[3].values)
-            np.testing.assert_array_equal(under(t), values[2].values)
-
-    def test_time_snaps(self, traj):
-        itp = interpolants(traj)
-        assert itp.t_bar(0.0) == 0.0
-        assert itp.t_bar(0.25) == pytest.approx(0.3)
-        assert itp.t_bar(0.3) == pytest.approx(0.3)
-        assert itp.t_under(0.25) == pytest.approx(0.2)
-        assert itp.t_under(traj.times[-1]) == pytest.approx(traj.times[-1])
-
-    def test_hat_derivative_is_right_constant_velocity(self, traj):
-        itp = interpolants(traj)
-        t = 0.23
-        eps = 1e-6
-        fd = (itp.u_hat(t + eps) - itp.u_hat(t - eps)) / (2 * eps)
-        np.testing.assert_allclose(fd, itp.v_bar(t), atol=1e-7)
-
-    def test_domain_error(self, traj):
-        for _, bar, under, hat in self._series(traj):
-            for fn, t in ((bar, -0.5), (under, -0.5), (hat, traj.times[-1] + 0.5)):
-                with pytest.raises(DomainError):
-                    fn(t)
