@@ -98,6 +98,16 @@ class TestParseConfig:
         assert "seed must be >= 0" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    def test_nonexistent_file(self, tmp_path):
+        with pytest.raises(ParseError):
+            parse_config(tmp_path / "missing.json")
+
+    def test_malformed_json(self, tmp_path):
+        p = tmp_path / "bad.json"
+        p.write_text("{not json")
+        with pytest.raises(ParseError):
+            parse_config(p)
+
 
 class TestStepRule:
     """The parser and the stepper apply one step rule, `core.check_step`:
@@ -136,16 +146,6 @@ class TestStepRule:
         # tau_max = min(1/(2*0.4), 1/sqrt(2*0.4)) = 1/sqrt(0.8).
         assert "tau_max" in err and f"{1 / np.sqrt(0.8):.6g}" in err
         assert not (tmp_path / "o").exists()
-
-    def test_nonexistent_file(self, tmp_path):
-        with pytest.raises(ParseError):
-            parse_config(tmp_path / "missing.json")
-
-    def test_malformed_json(self, tmp_path):
-        p = tmp_path / "bad.json"
-        p.write_text("{not json")
-        with pytest.raises(ParseError):
-            parse_config(p)
 
 
 class TestStrictTypes:
