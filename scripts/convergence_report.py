@@ -25,7 +25,7 @@ from proxdyn.models import (
     build_p2,
     build_p3,
 )
-from proxdyn.stepper import admissible_tau
+from proxdyn.stepper import admissible_tau, run
 
 BUILDERS = {
     "p1": lambda n: build_p1(P1Params(n_nodes=n)),
@@ -46,7 +46,7 @@ def main():
     for name, build in BUILDERS.items():
         spec = build(args.n_nodes)
         tau0 = admissible_tau(spec, min(tau_max(spec), spec.horizon) / args.frac)
-        table = convergence_study(spec, tau0, args.halvings)
+        table = convergence_study(run(spec, tau0), args.halvings)
         print(f"\n=== {name} (tau0 = {tau0:.6g}) ===")
         print(f"{'tau':>12} {'sup_U_dev':>12} {'sup_V_dev':>12} {'cauchy':>12} {'rate':>8}")
         for k, tau in enumerate(table.taus):

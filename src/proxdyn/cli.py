@@ -330,9 +330,7 @@ def run_and_emit(cfg: RunConfig) -> int:
     _write_csv(out / "snapshots.csv", header, rows)
 
     if cfg.halvings > 0:
-        table = diagnostics.convergence_study(
-            spec, cfg.tau, cfg.halvings, inner_tol=cfg.inner_tol
-        )
+        table = diagnostics.convergence_study(traj, cfg.halvings, inner_tol=cfg.inner_tol)
         rows = []
         for k, tau_k in enumerate(table.taus):
             cau = table.cauchy[k] if k < len(table.cauchy) else float("nan")

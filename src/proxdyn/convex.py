@@ -2,26 +2,26 @@
 
 A time step is one strongly convex problem, `StepProblem`:
 
-    min_u 0.5 u^T Q u + b^T u + rho(u) + sum_sites f((M u)_site),
+    min_u 0.5 u^T Q u + b^T u + sum_sites f((M u)_site),
 
-with Q a `SymBand` (symmetric, held only in LAPACK upper band form), rho an
-optional smooth remainder, f the per-site kernel `SitePotential` (exact prox,
-and exact conjugate through `edge_conjugate_pair`), and M the identity
-(sites are nodes, separable dissipation) or the discrete gradient (sites
-are edges, gradient-composite dissipation).  Two inner solvers take it:
+with Q a `SymBand` (symmetric, held only in LAPACK upper band form), f the
+per-site kernel `SitePotential` (exact prox, and exact conjugate through
+`edge_conjugate_pair`), and M the identity (sites are nodes, separable
+dissipation) or the discrete gradient (sites are edges, gradient-composite
+dissipation).  The smooth part is quadratic, so its gradient's Lipschitz
+constant is exactly lambda_max(Q) and no solver needs a line search.  Two
+inner solvers take it:
 
-* a proximal-gradient loop with exact nodewise prox (sites are nodes),
+* a proximal-gradient loop with exact nodewise prox and the fixed step
+  1/lambda_max(Q) (sites are nodes),
 * a primal-dual splitting with M as linear operator (either kind).
 
-Both halve their step until a trial point meets rho's linearization
-bound (at most 400 and 200 halvings); a NaN trial raises NonFiniteIterate.
-
-When f is quadratic and there is no rho, both solve it in closed form: one
-banded Cholesky solve of Q + M^T diag(w2) M.  Every solve certifies
-optimality through the stationarity residual r = grad(smooth) + M^T p_hat,
-where p_hat is the dual iterate projected onto the subdifferential of the
-nonsmooth part at the current point: for a gamma-strongly convex
-objective, obj(u) - obj* <= |r|_h^2 / (2 gamma).
+A non-finite iterate raises NonFiniteIterate.  When f is quadratic, both
+solve it in closed form: one banded Cholesky solve of Q + M^T diag(w2) M.
+Every solve certifies optimality through the stationarity residual
+r = grad(smooth) + M^T p_hat, where p_hat is the dual iterate projected
+onto the subdifferential of the nonsmooth part at the current point: for
+a gamma-strongly convex objective, obj(u) - obj* <= |r|_h^2 / (2 gamma).
 
 Solvers work on plain ndarrays in the h-cancelled representation (the
 h-weighted pairing makes plain transposes adjoint, so h never appears in
@@ -155,9 +155,8 @@ class SitePotential:
     coefficient arrays are per-site, k4 is a scalar.  The w2 quadratic
     absorbs exactly solvable curvature: viscosity, and the power weight g
     when q = 2, which construction moves into w2 (leaving g = 0), so no
-    kernel below has a q = 2 case.  The unshifted quartic absorbs the
-    convex part of double-well energies, so the stiff smooth terms never
-    enter an explicit gradient step.
+    kernel below has a q = 2 case.  The unshifted quartic takes the convex
+    part of double-well energies (`EnergySpec.site_quartic`).
     """
 
     def __init__(self, a, g, q, w2, shift, k4: float = 0.0):
@@ -339,7 +338,6 @@ class PDReport:
     iterations: int
     gap: float
     resid_h: float
-    backtracks: int = 0
     sched: Optional[tuple] = None
 
 
@@ -408,15 +406,13 @@ def composite_conjugate(pot: SitePotential, h: float, eta):
 @dataclass
 class StepProblem:
     """Strongly convex problem min_u G(u) + sum_sites f((M u)_site), with
-    G(u) = 0.5 u^T Q u + b^T u + rho(u).
+    G(u) = 0.5 u^T Q u + b^T u.
 
     Sites are nodes (M the identity) when lin_op is None and the rows of
     lin_op, with operator norm op_norm, otherwise.  lin_op is an operator,
     not a matrix: `lin_op @ u` gives M u, `lin_op.T @ p` gives M^T p, and
     `lin_op.gram_band(w)` the upper band form of M^T diag(w) M (the
-    discrete gradient `grid.ForwardDifference` in the stepper).  rho is an
-    optional smooth remainder treated by linearization with backtracking;
-    smooth_lips seeds the backtracking estimate for grad rho.  A solve
+    discrete gradient `grid.ForwardDifference` in the stepper).  A solve
     stops once the certified gap is below tol, the stationarity residual
     below resid_target, the splitting's Bregman feasibility term below
     fy_slack, and accept(u), if given, holds (proximal gradient only).
@@ -429,9 +425,6 @@ class StepProblem:
     strong_convexity: float
     lin_op: Optional[object] = None
     op_norm: float = 1.0
-    smooth_value: Optional[Callable] = None
-    smooth_grad: Optional[Callable] = None
-    smooth_lips: float = 0.0
     tol: float = 1e-9
     resid_target: float = np.inf
     fy_slack: float = np.inf
@@ -450,20 +443,8 @@ class StepProblem:
         """M^T diag(w) M in upper band form."""
         return w[None, :] if self.lin_op is None else self.lin_op.gram_band(w)
 
-    def smooth_val(self, u):
-        val = 0.5 * float(u @ (self.quad_op @ u)) + float(self.lin @ u)
-        if self.smooth_value is not None:
-            val += self.smooth_value(u)
-        return val
-
     def smooth_full_grad(self, u):
-        g = self.quad_op @ u + self.lin
-        if self.smooth_grad is not None:
-            g = g + self.smooth_grad(u)
-        return g
-
-    def objective(self, u):
-        return self.smooth_val(u) + self.nonsmooth.value(self.sites(u))
+        return self.quad_op @ u + self.lin
 
 
 def _certificate(prob: StepProblem, r, breg: float = 0.0):
@@ -486,9 +467,8 @@ def _certify_admm(prob: StepProblem, u, y, p):
 
 
 def _solve_quadratic(prob: StepProblem):
-    """The minimizer when f is quadratic and there is no rho: one banded
-    Cholesky solve of Q + M^T diag(w2) M, with the exact subgradient
-    p = w2 (M u - shift)."""
+    """The minimizer when f is quadratic: one banded Cholesky solve of
+    Q + M^T diag(w2) M, with the exact subgradient p = w2 (M u - shift)."""
     pot = prob.nonsmooth
     rhs = -prob.lin + prob.adjoint(pot.w2 * pot.shift)
     u = scipy.linalg.cho_solve_banded(prob.quad_op.factor_plus(prob.gram(pot.w2)), rhs)
@@ -504,25 +484,21 @@ def solve_pd(prob: StepProblem, init, p0=None, sched=None):
     """Primal-dual splitting, meant for gradient-composite dissipation.
 
     Douglas-Rachford / ADMM form on min_u G(u) + F(y), Mu = y: the u-update
-    is a banded Cholesky solve of Q + beta M^T M (+ I/s), factored once
-    per penalty, the y-update the exact per-site prox (so kinks are hit
+    is a banded Cholesky solve of Q + beta M^T M, factored once per
+    penalty, the y-update the exact per-site prox (so kinks are hit
     exactly), and the scaled multiplier p = beta*lam is an exact
-    subgradient of F at y.  An extra smooth term rho is linearized with a
-    proximal damping term and backtracking.  Residual balancing adapts
-    beta; sched carries beta between warm-started solves.  The stopping
-    tests run every _CHECK_EVERY iterations.
+    subgradient of F at y.  Residual balancing adapts beta; sched carries
+    beta between warm-started solves.  The stopping tests run every
+    _CHECK_EVERY iterations.
     Returns (u, p, PDReport).
     """
     u = np.asarray(getattr(init, "values", init), dtype=float).copy()
     pot = prob.nonsmooth
-    if pot.is_quadratic and prob.smooth_grad is None:
+    if pot.is_quadratic:
         return _solve_quadratic(prob)
 
     lop = max(prob.op_norm, 1e-30)
     beta = sched[0] if sched is not None else np.sqrt(prob.strong_convexity * prob.quad_op.max_eig) / lop**2
-    lips = max(prob.smooth_lips, 1e-12)
-    has_rho = prob.smooth_grad is not None
-    s = 0.9 / lips if has_rho else np.inf
 
     mu = prob.sites(u)
     lam = np.zeros(mu.shape) if p0 is None else np.asarray(p0, dtype=float) / beta
@@ -533,33 +509,9 @@ def solve_pd(prob: StepProblem, init, p0=None, sched=None):
         return u, p, PDReport(0, gap, r_h, sched=(beta,))
     lam = lam + mu - y
     mtm = prob.gram(np.ones(mu.shape))
-    ones = np.ones((1, u.shape[0]))
-
-    def factor(beta_val, s_val):
-        return prob.quad_op.factor_plus(beta_val * mtm, *((ones / s_val,) if has_rho else ()))
-
-    fac = factor(beta, s)
-    backtracks = 0
+    fac = prob.quad_op.factor_plus(beta * mtm)
     for k in range(1, prob.max_iter + 1):
-        rhs = -prob.lin + beta * prob.adjoint(y - lam)
-        if has_rho:
-            rho_grad = prob.smooth_grad(u)
-            rho_val = prob.smooth_value(u)
-            while True:
-                u_new = scipy.linalg.cho_solve_banded(fac, rhs - rho_grad + u / s)
-                du_vec = u_new - u
-                bound = rho_val + float(rho_grad @ du_vec) + 0.5 / s * float(du_vec @ du_vec)
-                # Written so that a NaN trial ends the loop and fails below.
-                if not prob.smooth_value(u_new) > bound + 1e-14 * max(1.0, abs(bound)):
-                    break
-                backtracks += 1
-                if backtracks > 200:
-                    raise MaxIterExceeded("backtracking failed to stabilize", best=u)
-                s *= 0.5
-                fac = factor(beta, s)
-            u = u_new
-        else:
-            u = scipy.linalg.cho_solve_banded(fac, rhs)
+        u = scipy.linalg.cho_solve_banded(fac, -prob.lin + beta * prob.adjoint(y - lam))
         if not np.all(np.isfinite(u)):
             raise NonFiniteIterate(f"non-finite iterate at inner iteration {k}")
 
@@ -572,18 +524,18 @@ def solve_pd(prob: StepProblem, init, p0=None, sched=None):
             p = beta * lam
             gap, r_h, breg_h = _certify_admm(prob, u, y, p)
             if gap <= prob.tol and r_h <= prob.resid_target and breg_h <= prob.fy_slack:
-                return u, p, PDReport(k, gap, r_h, backtracks, sched=(beta,))
+                return u, p, PDReport(k, gap, r_h, sched=(beta,))
             # Residual balancing keeps primal and dual progress comparable.
             r_prim = float(np.linalg.norm(mu - y))
             r_dual = beta * float(np.linalg.norm(prob.adjoint(y - y_old)))
             if r_prim > 10.0 * r_dual and beta < 1e12:
                 beta *= 2.0
                 lam /= 2.0
-                fac = factor(beta, s)
+                fac = prob.quad_op.factor_plus(beta * mtm)
             elif r_dual > 10.0 * r_prim and beta > 1e-12:
                 beta /= 2.0
                 lam *= 2.0
-                fac = factor(beta, s)
+                fac = prob.quad_op.factor_plus(beta * mtm)
 
     gap = _certify_admm(prob, u, y, beta * lam)[0]
     raise MaxIterExceeded(
@@ -594,38 +546,23 @@ def solve_pd(prob: StepProblem, init, p0=None, sched=None):
 
 
 def solve_prox_gradient(prob: StepProblem, init):
-    """Proximal gradient with exact nodewise prox and Lipschitz
-    backtracking, for sites that are nodes (lin_op None); Q's largest
-    eigenvalue sets the first step size."""
+    """Proximal gradient with exact nodewise prox, for sites that are nodes
+    (lin_op None), at the fixed step 1/lambda_max(Q): the smooth part is
+    quadratic, so lambda_max(Q) is its gradient's exact Lipschitz constant
+    and every step decreases the objective."""
     if prob.lin_op is not None:
         raise EvalError("the proximal gradient needs nodal sites (lin_op None)")
     u = np.asarray(getattr(init, "values", init), dtype=float).copy()
     pot = prob.nonsmooth
-    if pot.is_quadratic and prob.smooth_grad is None:
+    if pot.is_quadratic:
         return _solve_quadratic(prob)
 
-    lips = prob.quad_op.max_eig + max(prob.smooth_lips, 0.0)
-    s = 1.0 / lips
-    backtracks = 0
+    s = 1.0 / prob.quad_op.max_eig
     grad = prob.smooth_full_grad(u)
-    sval = prob.smooth_val(u)
     for k in range(1, prob.max_iter + 1):
-        while True:
-            u_new = pot.prox(s, u - s * grad)
-            du = u_new - u
-            bound = sval + float(grad @ du) + 0.5 / s * float(du @ du)
-            sval_new = prob.smooth_val(u_new)
-            # Written so that a NaN trial ends the loop and fails below.
-            if not sval_new > bound + 1e-14 * max(1.0, abs(bound)):
-                break
-            backtracks += 1
-            if backtracks > 400:
-                raise MaxIterExceeded("prox-gradient backtracking failed", best=u)
-            s *= 0.5
-        u = u_new
+        u = pot.prox(s, u - s * grad)
         if not np.all(np.isfinite(u)):
             raise NonFiniteIterate(f"non-finite iterate at inner iteration {k}")
-        sval = sval_new
         grad = prob.smooth_full_grad(u)
         p_hat = pot.subgrad_project(u, -grad)
         gap, r_h, _ = _certificate(prob, grad + p_hat)
@@ -634,7 +571,7 @@ def solve_prox_gradient(prob: StepProblem, init):
             and r_h <= prob.resid_target
             and (prob.accept is None or prob.accept(u))
         ):
-            return u, p_hat, PDReport(k, gap, r_h, backtracks)
+            return u, p_hat, PDReport(k, gap, r_h)
 
     raise MaxIterExceeded(
         f"proximal gradient stalled after {prob.max_iter} iterations (gap {gap:.3e})",

@@ -51,8 +51,9 @@ class EnergySpec:
                                 + th*(1-th)*lambda_conv*|u-v|_h^2.
 
     It gates the unique-minimizer step rule of `check_step`.
-    The smooth callables take (t, values) with values over interior nodes;
-    time_deriv evaluates d/dt E2_t(u).
+    The smooth callables take (t, values) with values over interior nodes
+    and evaluate E2 and its gradient for the energy ledger and the
+    certificate; time_deriv evaluates d/dt E2_t(u).
     """
 
     quad_op: SymBand
@@ -60,13 +61,13 @@ class EnergySpec:
     smooth_value: Optional[Callable[[float, np.ndarray], float]] = None
     smooth_grad: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
     time_deriv: Optional[Callable[[float, np.ndarray], float]] = None
-    # Optional solver-facing decomposition of E2 (exact, consistency-tested):
+    # The solver-facing decomposition of E2 (exact, consistency-tested):
     # E2_t(u) = site_quartic * h * sum_site (M u)_site^4
     #           + 0.5 <quad_shift u, u>_h + <lin_part(t), u>_h + const(t),
     # with M the identity (separable dissipation) or the discrete gradient
-    # (composite), and quad_shift a SymBand.  Lets the stepper fold stiff
-    # smooth terms into exactly solvable blocks instead of explicit gradient
-    # steps.
+    # (composite), and quad_shift a SymBand.  It is the only way E2 reaches
+    # the step: the stepper folds each piece into an exactly solvable block,
+    # so a nonzero E2 needs both the callables and the decomposition.
     quad_shift: Optional[SymBand] = None
     site_quartic: float = 0.0
     lin_part: Optional[Callable[[float], np.ndarray]] = None
@@ -83,16 +84,16 @@ class EnergySpec:
             raise ConfigError("lambda_conv must be nonnegative")
         if (self.smooth_value is None) != (self.smooth_grad is None):
             raise ConfigError("smooth value and gradient must be supplied together")
-        if self.smooth_structured and self.smooth_value is None:
-            raise ConfigError("structured smooth part still needs value/grad callables")
         if self.site_quartic < 0:
             raise ConfigError("site_quartic must be nonnegative")
-
-    @property
-    def smooth_structured(self) -> bool:
-        """Whether E2 carries the decomposition above (any of quad_shift,
-        site_quartic > 0, lin_part)."""
-        return self.quad_shift is not None or self.site_quartic > 0 or self.lin_part is not None
+        decomposed = (
+            self.quad_shift is not None or self.site_quartic > 0 or self.lin_part is not None
+        )
+        if decomposed != (self.smooth_value is not None):
+            raise ConfigError(
+                "the smooth callables and the decomposition (quad_shift, site_quartic, "
+                "lin_part) of E2 must be supplied together"
+            )
 
 
 DissipationKind = Literal["separable", "grad_composite"]
@@ -143,6 +144,8 @@ class DissipationSpec:
             raise ConfigError(
                 f"state_dep must return per-site arrays of length {n_sites}"
             )
+        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(g))):
+            raise EvalError("dissipation coefficients must be finite")
         if np.any(a < 0) or np.any(g < 0):
             raise ConfigError("dissipation coefficients must be nonnegative")
         return a, g

@@ -18,6 +18,12 @@ Trajectory keeps U, V and the per-step reports, whose energy ledger holds
 every term of the energy-dissipation inequality.  Both dissipation kinds
 certify a step by one gap, Psi(V^n) + Psi*(eta^n) - <eta^n, V^n>_h.
 
+E_{t_n} reaches the step only through `EnergySpec`'s exact decomposition:
+A and quad_shift join the inertia in the banded Q (`step_operator`),
+lin_part(t_n) joins the linear vector, and the site quartic joins the
+per-site potential, so the step problem has no explicit smooth remainder.
+The smooth callables evaluate E_t and DE_t for the ledger and eta^n.
+
 A step is well posed while the inertia outweighs the energy's convexity
 defect lambda: `core.check_step` admits tau <= 1/(2 lambda) with Phi's
 strong convexity 1/tau^2 - 2 lambda > 0, and `core.step_count` a tau
@@ -170,42 +176,15 @@ class Trajectory:
 def step_operator(spec: ProblemSpec, tau: float) -> convex.SymBand:
     """Quadratic block Q = A + I/tau^2 (+ quad_shift) of Phi, in band form.
 
-    It holds the inertia and the energy operator, and with a structured
-    smooth part its matrix piece; it depends on tau only, so a run builds
-    it once, from A's band, the inertia diagonal and quad_shift's band.
+    It holds the inertia, the energy operator and E2's matrix piece; it
+    depends on tau only, so a run builds it once, from A's band, the
+    inertia diagonal and quad_shift's band.
     """
     en = spec.energy
     parts = [np.full((1, spec.grid.n_interior), 1.0 / tau**2)]
     if en.quad_shift is not None:
         parts.append(en.quad_shift.band)
     return en.quad_op.plus(*parts)
-
-
-def _phi_smooth_parts(spec: ProblemSpec, inp: StepInput):
-    """Linear vector and leftover smooth callables of Phi beside Q.
-
-    With a structured smooth part, its linear piece folds into the vector
-    and its quartic piece moves into the site potential, leaving no
-    explicit remainder.  Returns (b, rho_value, rho_grad, k4).
-    """
-    tau = inp.tau
-    t_next = inp.t_prev + tau
-    en = spec.energy
-    b = inp.zeta.values - (2.0 * inp.v.values - inp.w.values) / tau**2
-    k4 = 0.0
-    rho_value = rho_grad = None
-    if en.smooth_value is not None:
-        if en.smooth_structured:
-            if en.lin_part is not None:
-                b = b + en.lin_part(t_next)
-            k4 = en.site_quartic
-        else:
-            # The solver works in the h-cancelled form Phi/h; the model's
-            # smooth value carries the h-weight, its gradient does not.
-            inv_h = 1.0 / spec.grid.h
-            rho_value = lambda u: en.smooth_value(t_next, u) * inv_h
-            rho_grad = lambda u: en.smooth_grad(t_next, u)
-    return b, rho_value, rho_grad, k4
 
 
 def incremental_minimize(
@@ -225,16 +204,18 @@ def incremental_minimize(
     (U^{n-1} if None).  For composite dissipation, carry is the solver's
     final (multiplier, penalty) and dual_warm the previous step's carry;
     for separable dissipation carry is None.  The step is one
-    convex.StepProblem, whose site potential is the tau-scaled copy of
-    Psi_{U^{n-1}}'s, shifted by v (nodes) or Dv (edges); the h factor of
-    the dissipation integral cancels against the h-pairing except in the
-    quartic energy coefficient, which carries it explicitly.  eta^n is the
-    rearrangement of the discrete inclusion (it satisfies the equation
-    identically); the Fenchel-Young gap measures its distance from an
-    exact subgradient, through `ProblemSpec.psi_conjugate`; where that is
-    infinite, the gap is resid^2/(2 m_psi) (m_psi Psi's strong convexity),
-    or |<eta^n, V^n>_h| if m_psi = 0.  A gap above 9 inner_tol re-solves
-    with tighter tolerances, at most twice.
+    convex.StepProblem: Q = q_op, whose linear vector takes E2's linear
+    part, and whose site potential is the tau-scaled copy of
+    Psi_{U^{n-1}}'s, shifted by v (nodes) or Dv (edges), plus E2's site
+    quartic; the h factor of the dissipation integral cancels against the
+    h-pairing except in the quartic energy coefficient, which carries it
+    explicitly.  eta^n is the rearrangement of the discrete inclusion (it
+    satisfies the equation identically); the Fenchel-Young gap measures
+    its distance from an exact subgradient, through
+    `ProblemSpec.psi_conjugate`; where that is infinite, the gap is
+    resid^2/(2 m_psi) (m_psi Psi's strong convexity), or |<eta^n, V^n>_h|
+    if m_psi = 0.  A gap above 9 inner_tol re-solves with tighter
+    tolerances, at most twice.
     Raises StepSizeTooLarge if tau breaks `core.check_step`'s rule and
     InnerSolverFailed (carrying the best iterate) if the inner solve stalls.
     """
@@ -244,10 +225,13 @@ def incremental_minimize(
     grid = spec.grid
     h = grid.h
     t_next = inp.t_prev + tau
-    b, rho_value, rho_grad, k4 = _phi_smooth_parts(spec, inp)
+    en = spec.energy
+    b = inp.zeta.values - (2.0 * inp.v.values - inp.w.values) / tau**2
+    if en.lin_part is not None:
+        b = b + en.lin_part(t_next)
     separable = spec.site_op is None
     psi_pot = spec.dissipation.potential(inp.v)
-    pot = psi_pot.step_copy(tau, spec.sites(inp.v.values), k4)
+    pot = psi_pot.step_copy(tau, spec.sites(inp.v.values), en.site_quartic)
     # Certified strong convexity of Psi_state in |.|_h, 0 if none: the site
     # potential carries Psi's quadratic weights over tau, and on edges
     # |Dv|_h^2 >= lap_min_eig |v|_h^2.
@@ -258,18 +242,6 @@ def incremental_minimize(
     resid_target = np.sqrt(2.0 * m_psi * fy_budget) if m_psi > 0.0 else np.inf
 
     warm_vals = inp.v.values if warm is None else warm.values
-
-    rho_lips = 0.0
-    if rho_grad is not None:
-        # Seed the backtracking Lipschitz estimate with a deterministic
-        # finite-difference probe along an alternating-sign direction.
-        direction = np.ones_like(warm_vals)
-        direction[1::2] = -1.0
-        step_len = 1e-6 * (1.0 + float(np.linalg.norm(warm_vals)))
-        probe = direction * (step_len / np.linalg.norm(direction))
-        g0 = rho_grad(warm_vals)
-        g1 = rho_grad(warm_vals + probe)
-        rho_lips = 4.0 * float(np.linalg.norm(g1 - g0)) / step_len + 1.0
 
     def certify(u_vals):
         """(eta^n, V^n, Psi(V^n), <eta^n, V^n>_h, FY gap) at a candidate U^n;
@@ -305,9 +277,6 @@ def incremental_minimize(
         strong_convexity=gamma,
         lin_op=spec.site_op,
         op_norm=1.0 if separable else spec.ops.grad_norm,
-        smooth_value=rho_value,
-        smooth_grad=rho_grad,
-        smooth_lips=rho_lips,
         tol=inner_tol,
         resid_target=resid_target,
         # The Fenchel-Young gap lives at velocity scale (u - v)/tau, so the

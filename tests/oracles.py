@@ -8,6 +8,9 @@
 * `scalar_potential` is a|s| + (g/q)|s|^q, elementwise, for grid-search
   oracles of the per-site kernel, and `conjugate_numeric` is such an
   oracle for the scalar conjugate.
+* `objective` evaluates a `convex.StepProblem`'s objective
+  0.5 u^T Q u + b^T u + sum_sites f((M u)_site), the primal value of a
+  duality check.
 * `DenseSiteOp` hands a dense matrix M to `convex.StepProblem` as its
   `lin_op`, with the band of M^T diag(w) M read from the matrix.
 * `gradient_matrix` assembles the forward difference D entry by entry,
@@ -51,6 +54,15 @@ class DenseSiteOp:
             np.pad(np.einsum("ei,ei->i", self.mat[:, : m - k], wd[:, k:]), (k, 0))
             for k in range(bw, -1, -1)
         ])
+
+
+def objective(prob, u):
+    """0.5 u^T Q u + b^T u + sum_sites f((M u)_site) of a StepProblem."""
+    return (
+        0.5 * float(u @ (prob.quad_op @ u))
+        + float(prob.lin @ u)
+        + prob.nonsmooth.value(prob.sites(u))
+    )
 
 
 def dense_of(op):

@@ -233,6 +233,27 @@ class TestRunAndEmit:
         assert row["psi_accum"] == monitors["psi_accum"]
         assert row["psi_star_accum"] == monitors["psi_star_accum"]
 
+    def test_halvings_step_each_tau_once(self, tmp_path, monkeypatch):
+        # The refinement study reuses the run at tau0, so halvings = k
+        # steps k + 1 step sizes, each once.
+        from proxdyn import diagnostics, stepper
+
+        taus = []
+
+        def counted(spec, tau, **kwargs):
+            taus.append(tau)
+            return run(spec, tau, **kwargs)
+
+        monkeypatch.setattr(stepper, "run", counted)
+        monkeypatch.setattr(diagnostics, "run", counted)
+        cfg = parse_config_dict(
+            {"model": "p3", "tau": 0.0625, "n_nodes": 9, "horizon": 0.25, "halvings": 2,
+             "out_dir": str(tmp_path / "out")}
+        )
+        assert run_and_emit(cfg) == 0
+        assert taus == [0.0625, 0.03125, 0.015625]
+        assert len((tmp_path / "out" / "convergence.csv").read_text().splitlines()) == 4
+
     def test_seventeen_digit_serialization(self, tmp_path):
         cfg = parse_config_dict(
             {"model": "linear_wave", "tau": 0.125, "out_dir": str(tmp_path / "out"),

@@ -21,9 +21,7 @@ from proxdyn.convex import (
     solve_prox_gradient,
 )
 
-from proxdyn.grid import ForwardDifference, SpatialGrid, h_norm
-
-from oracles import DenseSiteOp, band_of, conjugate_numeric, scalar_potential
+from oracles import DenseSiteOp, band_of, conjugate_numeric, objective, scalar_potential
 
 
 def prox1(a, g, q, gamma, s):
@@ -266,7 +264,7 @@ class TestSolvePD:
         )
         u, p, rep = solve_pd(prob, np.zeros(m))
         assert rep.gap <= 1e-12
-        primal = prob.objective(u)
+        primal = objective(prob, u)
         # dual: -G*(-D^T p) - F*(p) with G quadratic and F* per edge.
         w = -d.T @ p - b
         dual = -0.5 * float(w @ np.linalg.solve(q_mat, w)) - pot.conjugate_sum(p)
@@ -425,46 +423,6 @@ class TestProxGradient:
         )
         u2, _, _ = solve_pd(pd, np.zeros(m))
         np.testing.assert_allclose(u, u2, atol=1e-7)
-
-
-class TestBacktracking:
-    """A quartic remainder rho(u) = 50 sum u^4 with no Lipschitz seed
-    (smooth_lips = 0) makes both solvers halve their step."""
-
-    grid = SpatialGrid(17, 1.0 / 16)
-
-    def _problem(self, pot, lin_op=None, op_norm=1.0):
-        m, h = self.grid.n_interior, self.grid.h
-        return StepProblem(
-            quad_op=SymBand(np.full((1, m), 10.0)),
-            lin=-30.0 * np.sin(np.pi * self.grid.interior_x),
-            nonsmooth=pot, h=h, strong_convexity=10.0,
-            lin_op=lin_op, op_norm=op_norm,
-            smooth_value=lambda u: 50.0 * float(np.sum(u**4)),
-            smooth_grad=lambda u: 200.0 * u**3,
-            smooth_lips=0.0, tol=1e-12,
-        )
-
-    @staticmethod
-    def _potential(n_sites):
-        return SitePotential(np.full(n_sites, 0.5), np.full(n_sites, 1.0), 1.5, 0.0, np.zeros(n_sites))
-
-    def test_nodal_sites_both_solvers_agree(self):
-        m, h = self.grid.n_interior, self.grid.h
-        prob = self._problem(self._potential(m))
-        u_pg, _, rep_pg = solve_prox_gradient(prob, np.zeros(m))
-        u_pd, _, rep_pd = solve_pd(prob, np.zeros(m))
-        for rep in (rep_pg, rep_pd):
-            assert rep.backtracks > 0 and rep.gap <= 1e-12
-        # gamma/2 |u - u*|_h^2 <= certified gap, for each solution.
-        bound = sum(np.sqrt(2.0 * r.gap / prob.strong_convexity) for r in (rep_pg, rep_pd))
-        assert h_norm(u_pg - u_pd, h) <= bound
-
-    def test_edge_sites_primal_dual(self):
-        m, h = self.grid.n_interior, self.grid.h
-        prob = self._problem(self._potential(m + 1), ForwardDifference(m, h), 2.0 / h)
-        _, _, rep = solve_pd(prob, np.zeros(m))
-        assert rep.backtracks > 0 and rep.gap <= 1e-12
 
 
 class TestBandedClosedForms:

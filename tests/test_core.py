@@ -23,7 +23,7 @@ from oracles import (
     gradient_matrix,
 )
 from proxdyn.convex import SymBand
-from proxdyn.errors import ConfigError, StepSizeTooLarge
+from proxdyn.errors import ConfigError, EvalError, StepSizeTooLarge
 from proxdyn.grid import (
     Field,
     ForwardDifference,
@@ -34,6 +34,7 @@ from proxdyn.grid import (
     laplacian_matrix,
     q_norm,
 )
+from proxdyn.stepper import run
 
 
 def simple_separable(m, a=0.0, g=1.0, q=2.0, growth_c=0.4, growth_C=2.0):
@@ -44,6 +45,12 @@ def simple_separable(m, a=0.0, g=1.0, q=2.0, growth_c=0.4, growth_C=2.0):
         growth_c=growth_c,
         growth_C=growth_C,
     )
+
+
+def double_well_parts(m):
+    """The decomposition of E2 = h * sum (1 - u^2)^2 = h * sum u^4
+    + 0.5 <-4 I u, u>_h + const, nodal sites."""
+    return {"site_quartic": 1.0, "quad_shift": SymBand(np.full((1, m), -4.0))}
 
 
 def make_spec(grid, quad, lam=0.0, smooth=None, dissipation=None, pert=None, horizon=1.0):
@@ -200,6 +207,17 @@ class TestDenseEnergyInput:
         with pytest.raises(ConfigError):
             EnergySpec(band_of(np.eye(3)), 0.0, lin_part=lambda t: np.zeros(3))
 
+    def test_callables_without_decomposition_rejected(self):
+        # The decomposition is E2's only route into a step; callables alone
+        # would leave E2 out of the step, so the spec is refused.
+        with pytest.raises(ConfigError):
+            EnergySpec(
+                band_of(np.eye(3)),
+                0.0,
+                smooth_value=lambda t, u: float(np.sum(u**4)),
+                smooth_grad=lambda t, u: 4 * u**3,
+            )
+
 
 class TestEnergyTotal:
     def test_zero_state(self):
@@ -221,6 +239,7 @@ class TestEnergyTotal:
         smooth = {
             "smooth_value": lambda t, u: 0.1 * float(np.sum((1 - u**2) ** 2)),
             "smooth_grad": lambda t, u: (4 * u**3 - 4 * u),
+            **double_well_parts(m),
         }
         spec = make_spec(g, band_of(np.zeros((m, m))), lam=4.0, smooth=smooth)
         assert energy_total(spec, 0.0, Field(np.ones(m), g)) == pytest.approx(0.0)
@@ -257,6 +276,7 @@ class TestValidateAssumptions:
         smooth = {
             "smooth_value": lambda t, u: g.h * float(np.sum((1 - u**2) ** 2)),
             "smooth_grad": lambda t, u: 4 * u**3 - 4 * u,
+            **double_well_parts(m),
         }
         spec = make_spec(g, SymBand(laplacian_band(g)), lam=4.0, smooth=smooth)
         report = validate_assumptions(spec, 60)
@@ -286,6 +306,7 @@ class TestValidateAssumptions:
         smooth = {
             "smooth_value": lambda t, u: g.h * float(np.sum((1 - u**2) ** 2)),
             "smooth_grad": lambda t, u: 4 * u**3 - 4 * u,
+            **double_well_parts(m),
         }
         spec = make_spec(g, SymBand(laplacian_band(g)), lam=lam, smooth=smooth)
         rng = np.random.default_rng(5)
@@ -365,17 +386,45 @@ class TestStepCount:
 class TestGradientConsistency:
     def test_supplied_gradient_matches_finite_differences(self):
         g = SpatialGrid(11, 0.1)
+        m = g.n_interior
         smooth = {
             "smooth_value": lambda t, u: g.h * float(np.sum((1 - u**2) ** 2))
             - g.h * t * float(np.sum(u)),
             "smooth_grad": lambda t, u: 4 * u**3 - 4 * u - t,
             "time_deriv": lambda t, u: -g.h * float(np.sum(u)),
+            "lin_part": lambda t: np.full(m, -t),
+            **double_well_parts(m),
         }
         spec = make_spec(g, SymBand(laplacian_band(g)), lam=4.0, smooth=smooth)
         assert gradient_consistency_error(spec, samples=5) <= 1e-6
 
 
 class TestSpecValidation:
+    @pytest.mark.parametrize("which", [0, 1], ids=["a", "g"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_dissipation_coefficient_rejected(self, bad, which):
+        # max(worst, nan) keeps worst, so a NaN coefficient would slip
+        # through every sampled check; the coefficients themselves are
+        # refused, before any check or step uses them.
+        g = SpatialGrid(11, 0.1)
+        m = g.n_interior
+
+        def state_dep(state):
+            coeffs = [np.full(m, 0.5), np.ones(m)]
+            coeffs[which][3] = bad
+            return tuple(coeffs)
+
+        dissipation = DissipationSpec(
+            kind="separable", state_dep=state_dep, q=1.5, growth_c=0.1, growth_C=10.0
+        )
+        spec = make_spec(g, SymBand(laplacian_band(g)), dissipation=dissipation, horizon=0.25)
+        with pytest.raises(EvalError, match="finite"):
+            dissipation.coefficients(Field(np.zeros(m), g))
+        with pytest.raises(EvalError, match="finite"):
+            validate_assumptions(spec, 10)
+        with pytest.raises(EvalError, match="finite"):
+            run(spec, 0.125)
+
     def test_dimension_mismatch(self):
         g = SpatialGrid(5, 0.25)
         with pytest.raises(ConfigError):

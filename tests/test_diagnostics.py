@@ -236,30 +236,30 @@ class TestDeviationNorms:
 class TestConvergenceStudy:
     def test_linear_wave_first_order(self):
         spec, _ = build_linear_wave(1.0, n_nodes=33)
-        table = convergence_study(spec, 0.02, 3)
+        table = convergence_study(run(spec, 0.02), 3)
         assert len(table.taus) == 4
         assert len(table.cauchy) == 3
         for rate in table.rates:
             assert rate == pytest.approx(1.0, abs=0.3)
 
     def test_zero_problem(self):
-        table = convergence_study(zero_spec(), 0.25, 2)
+        table = convergence_study(run(zero_spec(), 0.25), 2)
         assert all(c == 0.0 for c in table.cauchy)
         assert all(u == 0.0 for u in table.sup_u_devs)
 
     def test_p3_cauchy_monotone(self):
         spec = build_p3(P3Params(n_nodes=17))
-        table = convergence_study(spec, 1 / 16, 3)
+        table = convergence_study(run(spec, 1 / 16), 3)
         assert all(c1 < c0 for c0, c1 in zip(table.cauchy, table.cauchy[1:]))
 
     def test_p2_deviations_decay(self):
         spec = build_p2(P2Params(n_nodes=17))
-        table = convergence_study(spec, 1 / 8, 2)
+        table = convergence_study(run(spec, 1 / 8), 2)
         assert all(u1 < u0 for u0, u1 in zip(table.sup_u_devs, table.sup_u_devs[1:]))
 
     def test_tau0_guard(self):
         spec = build_p3(P3Params(n_nodes=17))
         with pytest.raises(ConfigError):
-            convergence_study(spec, 0.5, 2)
+            convergence_study(run(spec, 0.5), 2)
         with pytest.raises(ConfigError):
-            convergence_study(spec, 1 / 16, 0)
+            convergence_study(run(spec, 1 / 16), 0)

@@ -1,11 +1,13 @@
 """Layout rule: src/proxdyn holds no code that only the tests call.
 
-Every public top-level function and class of `src/proxdyn/*.py` must be
-referenced in src/proxdyn, scripts/ or bench/ outside its own definition.
-A reference is a name, an attribute, or a string constant equal to the
-name (bench/ patches callables by attribute name).  The re-exports of
-`proxdyn/__init__.py` do not count.  Helpers that only tests call belong
-in `tests/oracles.py`.
+Every public top-level function and class of `src/proxdyn/*.py`, and every
+public method (properties included) of those classes, must be referenced
+in src/proxdyn, scripts/ or bench/ outside its own definition.  A
+reference is a name, an attribute, or a string constant equal to the
+name (bench/ patches callables by attribute name); methods are matched by
+name alone, so a method counts as called when any attribute of that name
+is.  The re-exports of `proxdyn/__init__.py` do not count.  Helpers that
+only tests call belong in `tests/oracles.py`.
 """
 
 import ast
@@ -22,24 +24,36 @@ ALLOWED = {
 }
 
 
+def _is_public_def(node):
+    return isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+
+
 def _public_definitions():
-    """{(module, name): (first line, last line)} of public top-level defs."""
+    """{(module, qualified name): (name, first line, last line)} of public
+    top-level defs and of the public methods of top-level classes."""
     out = {}
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-                out[(path.stem, node.name)] = (node.lineno, node.end_lineno)
+            if not _is_public_def(node):
+                continue
+            out[(path.stem, node.name)] = (node.name, node.lineno, node.end_lineno)
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and _is_public_def(item):
+                        qual = f"{node.name}.{item.name}"
+                        out[(path.stem, qual)] = (item.name, item.lineno, item.end_lineno)
     return out
 
 
-def _referenced_names(defs):
-    """Names referenced in src/proxdyn (but __init__), scripts/ and bench/,
-    each outside the definition of the same name in its own module."""
+def _references():
+    """{name: [(module or None, line)]} of the names referenced in
+    src/proxdyn (but __init__), scripts/ and bench/; the module is None
+    outside src/proxdyn."""
     files = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
     files += sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
-    names = set()
+    refs = {}
     for path in files:
-        own = path.parent == PACKAGE
+        module = path.stem if path.parent == PACKAGE else None
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Name):
                 name = node.id
@@ -49,18 +63,19 @@ def _referenced_names(defs):
                 name = node.value
             else:
                 continue
-            span = defs.get((path.stem, name)) if own else None
-            if span is None or not span[0] <= node.lineno <= span[1]:
-                names.add(name)
-    return names
+            refs.setdefault(name, []).append((module, node.lineno))
+    return refs
 
 
 def test_every_public_definition_has_a_program_caller():
-    defs = _public_definitions()
-    names = _referenced_names(defs)
-    unused = sorted(
-        f"{mod}.{name}" for mod, name in defs if name not in names and (mod, name) not in ALLOWED
-    )
+    refs = _references()
+    unused = []
+    for (mod, qual), (name, first, last) in _public_definitions().items():
+        called = any(
+            ref_mod != mod or not first <= line <= last for ref_mod, line in refs.get(name, ())
+        )
+        if not called and (mod, qual) not in ALLOWED:
+            unused.append(f"{mod}.{qual}")
     assert not unused, f"public but called only from tests (move to tests/oracles.py): {unused}"
 
 

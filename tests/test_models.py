@@ -75,7 +75,6 @@ class TestBuilderValidation:
         # gradient: quad_shift + quartic + linear part == smooth_grad.
         for spec in (build_p1(P1Params(n_nodes=17)), build_p3(P3Params(n_nodes=17))):
             en = spec.energy
-            assert en.smooth_structured
             rng = np.random.default_rng(0)
             m = spec.grid.n_interior
             grad_op = spec.ops.grad
@@ -139,7 +138,7 @@ class TestP1:
         drift = max(h_norm(traj.U[n].values - u0, g.h) for n in range(traj.n_steps + 1))
         assert drift <= 1e-7
 
-    def _manual_alpha_zero(self, spec, p, structured):
+    def _manual_alpha_zero(self, spec, p):
         g = spec.grid
         m = g.n_interior
         d = gradient_matrix(g)
@@ -153,9 +152,6 @@ class TestP1:
             e = d @ u
             return d.T @ (4 * e**3 - 4 * e)
 
-        extra = {}
-        if structured:
-            extra = {"quad_shift": band_of(-4.0 * lap), "site_quartic": 1.0}
         return ProblemSpec(
             grid=g,
             energy=EnergySpec(
@@ -163,7 +159,8 @@ class TestP1:
                 lambda_conv=spec.energy.lambda_conv,
                 smooth_value=smooth_value,
                 smooth_grad=smooth_grad,
-                **extra,
+                quad_shift=band_of(-4.0 * lap),
+                site_quartic=1.0,
             ),
             dissipation=DissipationSpec(
                 kind="grad_composite",
@@ -181,24 +178,12 @@ class TestP1:
         # reproduce an independently assembled visco-capillarity problem.
         p = P1Params(n_nodes=9, alpha=0.0, horizon=0.25)
         spec = build_p1(p)
-        manual = self._manual_alpha_zero(spec, p, structured=True)
+        manual = self._manual_alpha_zero(spec, p)
         tau = 0.0125
         t1 = run(spec, tau)
         t2 = run(manual, tau)
         for n in range(t1.n_steps + 1):
             assert h_norm(t1.U[n].values - t2.U[n].values, spec.grid.h) <= 1e-10
-
-    def test_unstructured_energy_path_agrees(self):
-        # The explicit-gradient fallback for smooth energies must reproduce
-        # the structured path to solver accuracy.
-        p = P1Params(n_nodes=9, alpha=0.0, horizon=0.25)
-        spec = build_p1(p)
-        manual = self._manual_alpha_zero(spec, p, structured=False)
-        tau = 0.0125
-        t1 = run(spec, tau)
-        t2 = run(manual, tau)
-        for n in range(t1.n_steps + 1):
-            assert h_norm(t1.U[n].values - t2.U[n].values, spec.grid.h) <= 1e-6
 
     def test_phase_indicator_bounds(self):
         e = np.linspace(-30, 30, 1001)
