@@ -7,7 +7,8 @@ Usage:
 Each config of `bench/workloads.py` (imported read-only) runs through
 `cli.run_and_emit` into OUT/<workload>/, which also gets `U.npy` (every
 U^n of the run).  Per workload the script prints the inner-iteration
-total and the max Fenchel-Young gap.  With --against, OTHER is the OUT of
+total, the most inner iterations of any one step, and the max
+Fenchel-Young gap.  With --against, OTHER is the OUT of
 an earlier run of this script (say, from a checkout of another commit);
 it adds the max |U^n - U^n_other| and, for trajectory.csv and
 snapshots.csv, `identical` when the files are byte-identical and the max
@@ -133,7 +134,7 @@ def main():
     out = Path(args.out)
     other = Path(args.against) if args.against else None
 
-    header = f"{'workload':<12} {'exit':>4} {'inner_iters':>11} {'max_fy_gap':>10}"
+    header = f"{'workload':<12} {'exit':>4} {'inner_iters':>11} {'max/step':>8} {'max_fy_gap':>10}"
     if other:
         header += f" {'max_dU':>9}  {'trajectory.csv':<38}  {'snapshots.csv':<38}  summary.json"
     print(header)
@@ -143,13 +144,13 @@ def main():
         code, traj = run_workload(work.config, wdir)
         failed = failed or code != 0
         if traj is None:
-            print(f"{name:<12} {code:>4} {'-':>11} {'-':>10}", flush=True)
+            print(f"{name:<12} {code:>4} {'-':>11} {'-':>8} {'-':>10}", flush=True)
             continue
         u = np.array([f.values for f in traj.U])
         np.save(wdir / "U.npy", u)
-        iters = sum(r.inner_iters for r in traj.reports)
+        iters = [r.inner_iters for r in traj.reports]
         fy = max(r.fy_gap for r in traj.reports)
-        line = f"{name:<12} {code:>4} {iters:>11} {fy:>10.3e}"
+        line = f"{name:<12} {code:>4} {sum(iters):>11} {max(iters):>8} {fy:>10.3e}"
         if other and not (other / name / "U.npy").exists():
             line += "  (no stepped run in OTHER)"
         elif other:

@@ -9,11 +9,12 @@ per-site kernel `SitePotential` (exact prox, and exact conjugate through
 `edge_conjugate_pair`), and M the identity (sites are nodes, separable
 dissipation) or the discrete gradient (sites are edges, gradient-composite
 dissipation).  The smooth part is quadratic, so its gradient's Lipschitz
-constant is exactly lambda_max(Q) and no solver needs a line search.  Two
-inner solvers take it:
+constant is exactly lambda_max(Q).  Two inner solvers take it:
 
-* a proximal-gradient loop with exact nodewise prox and the fixed step
-  1/lambda_max(Q) (sites are nodes),
+* forward-backward splitting with exact nodewise prox at the step
+  0.95/lambda_max(Q), accelerated by semismooth Newton steps whose
+  Jacobian is Q's band plus a diagonal, globalised by a line search on the
+  forward-backward envelope (sites are nodes),
 * a primal-dual splitting with M as linear operator (either kind).
 
 A non-finite iterate raises NonFiniteIterate.  When f is quadratic, both
@@ -241,6 +242,11 @@ class SitePotential:
         sgn = np.where(take_pos, 1.0, -1.0)
         if np.all(self.g == 0.0):
             d = self._cubic_root(sigma, z, sgn)
+            # The closed form overflows to nan where k4 is tiny against
+            # 1/sigma (k4 ~ 1e-300 and below); the root search takes those
+            # sites.
+            if not np.isfinite(d).all():
+                d = np.where(np.isfinite(d), d, self._branch_root(sigma, z, sgn))
         else:
             d = self._branch_root(sigma, z, sgn)
         return self.shift + np.where(take_pos | take_neg, d, 0.0)
@@ -301,6 +307,14 @@ class SitePotential:
                 break
             hi = np.where(grow, 2.0 * hi, hi)
         return sgn * _newton_bisect(fun, np.zeros_like(z), hi)
+
+    def curvature(self, y):
+        """f''(y) = 12 k4 y^2 + w2 + g (q-1) |y-c|^(q-2) off the kink,
+        elementwise (infinite at y = c when g > 0 and q < 2)."""
+        y = np.asarray(y, dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            power = self.g * (self.q - 1.0) * np.abs(y - self.shift) ** (self.q - 2.0)
+        return 12.0 * self.k4 * y**2 + self.w2 + np.where(self.g > 0.0, power, 0.0)
 
     def subgrad_project(self, y, p):
         """Project p onto the subdifferential of f at y, elementwise.
@@ -415,7 +429,10 @@ class StepProblem:
     discrete gradient `grid.ForwardDifference` in the stepper).  A solve
     stops once the certified gap is below tol, the stationarity residual
     below resid_target, the splitting's Bregman feasibility term below
-    fy_slack, and accept(u), if given, holds (proximal gradient only).
+    fy_slack, and accept(u), if given, holds (nodal sites only, where
+    `solve_prox_gradient` tests it at each forward-backward point);
+    max_iter caps the iterations: Newton steps for nodal sites, splitting
+    steps otherwise.
     """
 
     quad_op: SymBand
@@ -545,35 +562,100 @@ def solve_pd(prob: StepProblem, init, p0=None, sched=None):
     )
 
 
+# A Newton trial must reach this fraction of the forward-backward
+# envelope decrease that the plain forward-backward step guarantees, within
+# this many halvings of its step; the plain step is the fallback.
+_FBE_FRACTION = 0.5
+_FBE_HALVINGS = 10
+# sigma lambda_max(Q): the plain step decreases the envelope by
+# (1 - _STEP_RATIO)/(2 sigma) |u - T(u)|^2.
+_STEP_RATIO = 0.95
+
+
+def _newton_direction(prob: StepProblem, sigma: float, y, r):
+    """Semismooth Newton direction d of the residual F(u) = u - T(u) at a
+    point with T(u) = y and F(u) = r: J d = -r for the generalised Jacobian
+    J = I - D (I - sigma Q), D = diag(prox'), which is 0 where the prox is
+    stuck at the shift and 1/(1 + sigma f''(y)) elsewhere.
+
+    On stuck sites d = -r; on the others J d = -r reduces to
+    (Q + diag f'') d = -r (1 + sigma f'')/sigma with the stuck entries of d
+    moved to the right-hand side, so stuck rows and columns of the band
+    become identity and one banded Cholesky solve gives d.
+    """
+    pot = prob.nonsmooth
+    stuck = y == pot.shift
+    curv = np.where(stuck, 0.0, pot.curvature(y))
+    band = prob.quad_op.plus(curv[None, :]).band
+    bw = len(band) - 1
+    for k in range(1, bw + 1):
+        band[bw - k, k:][stuck[k:] | stuck[:-k]] = 0.0
+    band[bw, stuck] = 1.0
+    d_stuck = np.where(stuck, -r, 0.0)
+    rhs = np.where(stuck, -r, -r * (1.0 + sigma * curv) / sigma - prob.quad_op @ d_stuck)
+    return scipy.linalg.cho_solve_banded((scipy.linalg.cholesky_banded(band), False), rhs)
+
+
 def solve_prox_gradient(prob: StepProblem, init):
-    """Proximal gradient with exact nodewise prox, for sites that are nodes
-    (lin_op None), at the fixed step 1/lambda_max(Q): the smooth part is
-    quadratic, so lambda_max(Q) is its gradient's exact Lipschitz constant
-    and every step decreases the objective."""
+    """Forward-backward splitting with semismooth Newton steps, for sites
+    that are nodes (lin_op None).
+
+    T(u) = prox_{sigma f}(u - sigma (Q u + b)) is the forward-backward
+    (FB) step at sigma = 0.95/lambda_max(Q), and the minimizer is the root
+    of F(u) = u - T(u).  Each iteration certifies the FB point T(u) (the
+    prox hits the kinks exactly there), then moves u along
+    (1 - t) T(u) + t (u + d), d the semismooth Newton direction of F
+    (Hintermueller, Ito & Kunisch 2002), taking t = 1, 1/2, ... while the
+    forward-backward envelope
+    phi(u) = G(u) - <grad G(u), F(u)> + |F(u)|^2/(2 sigma) + f(T(u))
+    decreases by too little (Stella, Themelis & Patrinos 2017), and t = 0,
+    the plain FB step, whose decrease is guaranteed, after the last
+    halving.  Each Newton step is one banded Cholesky solve with Q's band.
+    """
     if prob.lin_op is not None:
-        raise EvalError("the proximal gradient needs nodal sites (lin_op None)")
+        raise EvalError("the forward-backward solver needs nodal sites (lin_op None)")
     u = np.asarray(getattr(init, "values", init), dtype=float).copy()
     pot = prob.nonsmooth
     if pot.is_quadratic:
         return _solve_quadratic(prob)
 
-    s = 1.0 / prob.quad_op.max_eig
-    grad = prob.smooth_full_grad(u)
-    for k in range(1, prob.max_iter + 1):
-        u = pot.prox(s, u - s * grad)
-        if not np.all(np.isfinite(u)):
-            raise NonFiniteIterate(f"non-finite iterate at inner iteration {k}")
+    sigma = _STEP_RATIO / prob.quad_op.max_eig
+    decrease = _FBE_FRACTION * (1.0 - _STEP_RATIO) / (2.0 * sigma)
+
+    def forward_backward(u):
+        """(T(u), F(u), phi(u))."""
         grad = prob.smooth_full_grad(u)
-        p_hat = pot.subgrad_project(u, -grad)
+        y = pot.prox(sigma, u - sigma * grad)
+        r = u - y
+        fbe = 0.5 * float(u @ (grad + prob.lin)) - float(grad @ r) + float(r @ r) / (2.0 * sigma)
+        return y, r, fbe + pot.value(y)
+
+    y, r, fbe = forward_backward(u)
+    for k in range(1, prob.max_iter + 1):
+        if not np.all(np.isfinite(y)):
+            raise NonFiniteIterate(f"non-finite iterate at inner iteration {k}")
+        grad = prob.smooth_full_grad(y)
+        p_hat = pot.subgrad_project(y, -grad)
         gap, r_h, _ = _certificate(prob, grad + p_hat)
         if (
             gap <= prob.tol
             and r_h <= prob.resid_target
-            and (prob.accept is None or prob.accept(u))
+            and (prob.accept is None or prob.accept(y))
         ):
-            return u, p_hat, PDReport(k, gap, r_h)
+            return y, p_hat, PDReport(k, gap, r_h)
+
+        step = r + _newton_direction(prob, sigma, y, r)
+        target = fbe - decrease * float(r @ r)
+        for i in range(_FBE_HALVINGS):
+            trial = forward_backward(y + 0.5**i * step)
+            if trial[2] <= target:
+                break
+        else:
+            trial = forward_backward(y)
+        y, r, fbe = trial
 
     raise MaxIterExceeded(
-        f"proximal gradient stalled after {prob.max_iter} iterations (gap {gap:.3e})",
-        best=u,
+        f"forward-backward Newton solve stalled after {prob.max_iter} iterations "
+        f"(gap {gap:.3e})",
+        best=y,
     )

@@ -346,7 +346,9 @@ def validate_assumptions(
     Verifies strong positivity of the quadratic operator (a band, so
     symmetric by construction), the lambda-convexity interpolation
     inequality for the total energy, the zero-at-rest and growth sandwich
-    of the dissipation, and continuity of the perturbation on bounded sets.  Reports the worst violation per
+    of the dissipation, continuity of the perturbation on bounded sets, and
+    that E2's gradient callable agrees with its decomposition (relative to
+    max(1, |D E2_t(u)|_inf)).  Reports the worst violation per
     check plus the supremum of admissible steps, `tau_max`.
     """
     if samples < 1:
@@ -431,6 +433,27 @@ def validate_assumptions(
     checks.append(
         CheckResult("perturbation_continuity", pert_ok, worst_ratio if spec.perturbation.eval else 0.0)
     )
+
+    en = spec.energy
+    worst_dec = 0.0
+    if en.smooth_grad is not None:
+        # The step sees E2 only through its decomposition, the ledger only
+        # through the callables: D E2_t(u) = quad_shift u
+        # + 4 site_quartic M^T (M u)^3 + lin_part(t).
+        for _ in range(samples):
+            u = rng.standard_normal(m)
+            t = rng.uniform(0.0, spec.horizon)
+            mu = spec.sites(u)
+            quartic = 4.0 * en.site_quartic * mu**3
+            want = quartic if spec.site_op is None else spec.site_op.T @ quartic
+            if en.quad_shift is not None:
+                want = want + en.quad_shift @ u
+            if en.lin_part is not None:
+                want = want + en.lin_part(t)
+            got = np.asarray(en.smooth_grad(t, u), dtype=float)
+            scale = max(1.0, float(np.max(np.abs(got))))
+            worst_dec = max(worst_dec, float(np.max(np.abs(got - want))) / scale)
+    checks.append(CheckResult("energy_decomposition", worst_dec <= 1e-10, worst_dec))
 
     return ValidationReport(checks=tuple(checks), tau_max=tau_max(spec))
 

@@ -217,7 +217,8 @@ def incremental_minimize(
     if m_psi = 0.  A gap above 9 inner_tol re-solves with tighter
     tolerances, at most twice.
     Raises StepSizeTooLarge if tau breaks `core.check_step`'s rule and
-    InnerSolverFailed (carrying the best iterate) if the inner solve stalls.
+    InnerSolverFailed (carrying the best iterate) if the inner solve stalls
+    or the last attempt's gap is above 10 inner_tol or not finite.
     """
     tau = inp.tau
     gamma = check_step(spec, tau)
@@ -260,8 +261,8 @@ def incremental_minimize(
         return eta, v_vel, psi, pairing, psi + spec.psi_conjugate(psi_pot, eta) - pairing
 
     # Where Psi is strongly convex the residual target certifies the gap;
-    # elsewhere (separable dissipation with q != 2) the prox-gradient also
-    # stops on the gap itself.
+    # elsewhere (separable dissipation with q != 2) the forward-backward
+    # Newton solver also stops on the gap itself.
     fy_cap = 9.0 * inner_tol
     accept = None
     if separable and m_psi == 0.0 and not pot.is_zero:
@@ -286,7 +287,8 @@ def incremental_minimize(
         accept=accept,
     )
     # Each attempt checks the exact gap of the returned (V^n, eta^n) pair and
-    # re-solves with tighter tolerances while it exceeds fy_cap.
+    # re-solves with tighter tolerances while it exceeds fy_cap; a gap still
+    # above the certified 10 inner_tol after the last attempt fails the step.
     p_hat, sched = dual_warm if dual_warm is not None else (None, None)
     for _ in range(3):
         try:
@@ -308,6 +310,11 @@ def incremental_minimize(
         prob.resid_target *= 0.2
         prob.fy_slack *= 0.1
         warm_vals = u_vals
+    if not fy <= 10.0 * inner_tol:
+        raise InnerSolverFailed(
+            f"Fenchel-Young gap {fy:.3e} above 10 inner_tol = {10.0 * inner_tol:.3e}",
+            best=u_vals,
+        )
 
     u_field = Field(u_vals, grid)
     energy_after = energy_total(spec, t_next, u_field)

@@ -11,6 +11,9 @@
 * `objective` evaluates a `convex.StepProblem`'s objective
   0.5 u^T Q u + b^T u + sum_sites f((M u)_site), the primal value of a
   duality check.
+* `prox_gradient_reference` is the fixed-step proximal gradient on a
+  separable `convex.StepProblem`, the reference for
+  `convex.solve_prox_gradient`.
 * `DenseSiteOp` hands a dense matrix M to `convex.StepProblem` as its
   `lin_op`, with the band of M^T diag(w) M read from the matrix.
 * `gradient_matrix` assembles the forward difference D entry by entry,
@@ -27,8 +30,9 @@
 
 import numpy as np
 
-from proxdyn.convex import SymBand
+from proxdyn.convex import PDReport, SymBand, _certificate
 from proxdyn.core import energy_grad, energy_total
+from proxdyn.errors import MaxIterExceeded
 from proxdyn.grid import Field, h_inner, h_norm
 from proxdyn.stepper import StepInput, average_force
 
@@ -63,6 +67,30 @@ def objective(prob, u):
         + float(prob.lin @ u)
         + prob.nonsmooth.value(prob.sites(u))
     )
+
+
+def prox_gradient_reference(prob, init):
+    """Proximal gradient with the exact nodewise prox at the fixed step
+    1/lambda_max(Q) on a separable StepProblem (lin_op None): every step
+    decreases the objective, since lambda_max(Q) is the exact Lipschitz
+    constant of the quadratic part's gradient.  It stops on the problem's
+    own tests and returns (u, p_hat, PDReport), like the solver."""
+    u = np.asarray(init, dtype=float).copy()
+    pot = prob.nonsmooth
+    s = 1.0 / prob.quad_op.max_eig
+    grad = prob.smooth_full_grad(u)
+    for k in range(1, prob.max_iter + 1):
+        u = pot.prox(s, u - s * grad)
+        grad = prob.smooth_full_grad(u)
+        p_hat = pot.subgrad_project(u, -grad)
+        gap, r_h, _ = _certificate(prob, grad + p_hat)
+        if (
+            gap <= prob.tol
+            and r_h <= prob.resid_target
+            and (prob.accept is None or prob.accept(u))
+        ):
+            return u, p_hat, PDReport(k, gap, r_h)
+    raise MaxIterExceeded(f"reference proximal gradient stalled (gap {gap:.3e})", best=u)
 
 
 def dense_of(op):

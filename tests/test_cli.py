@@ -495,7 +495,7 @@ class TestWorkloadOutputs:
         assert script.main() == 1
         lines = capsys.readouterr().out.splitlines()
         assert lines[1].split()[:2] == ["ok", "0"]
-        assert lines[2].split() == ["bad", "2", "-", "-"]
+        assert lines[2].split() == ["bad", "2", "-", "-", "-"]
 
     def test_summary_column(self, tmp_path, monkeypatch, capsys):
         from types import SimpleNamespace

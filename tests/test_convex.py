@@ -21,7 +21,14 @@ from proxdyn.convex import (
     solve_prox_gradient,
 )
 
-from oracles import DenseSiteOp, band_of, conjugate_numeric, objective, scalar_potential
+from oracles import (
+    DenseSiteOp,
+    band_of,
+    conjugate_numeric,
+    objective,
+    prox_gradient_reference,
+    scalar_potential,
+)
 
 
 def prox1(a, g, q, gamma, s):
@@ -324,6 +331,16 @@ class TestSolvePD:
         assert calls == []
         assert y[0] < 0.0 and y[1] == 0.0 and y[2] > 0.0
 
+    @pytest.mark.parametrize("k4", [5e-324, 2.2250738585072014e-308, 1e-300])
+    def test_quartic_prox_with_tiny_weight(self, k4):
+        # The cubic's closed form overflows here; 4 k4 y^3 is below every
+        # other term, so the prox is the one without the quartic.
+        args = ([0.0, 0.3, 0.0], [0.0, 0.0, 0.0], 2.0, [0.0, 0.0, 1.0], [0.1, -0.2, 0.3])
+        z = np.array([1.0, -2.0, 0.5])
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = SitePotential(*args, k4=k4).prox(0.01, z)
+        np.testing.assert_allclose(got, SitePotential(*args).prox(0.01, z), rtol=1e-15)
+
 
 class TestSiteValue:
     """SitePotential.value multiplies each weight by its power before the
@@ -337,6 +354,19 @@ class TestSiteValue:
         # (g/q) d^q with g = 5e-324, q = 3, d = 1e40: g/q underflows to 0.
         pot = SitePotential([0.0], [5e-324], 3.0, 0.0, [0.0])
         assert pot.value([1e40]) == pytest.approx(5e-324 * 1e120 / 3.0, rel=1e-2)
+
+
+class TestCurvature:
+    @pytest.mark.parametrize("q", [1.5, 2.0, 3.0])
+    def test_matches_difference_of_the_subgradient(self, q):
+        # Off the kink the subdifferential is the singleton f'(y), and
+        # curvature(y) is its derivative.
+        pot = SitePotential([0.4, 0.0, 1.0], [1.3, 0.7, 0.0], q, [0.0, 2.0, 0.5],
+                            [0.2, -0.1, 0.0], k4=0.8)
+        y = np.array([0.9, -0.6, 0.35])
+        eps = 1e-6
+        slope = (pot.subgrad_project(y + eps, 0.0) - pot.subgrad_project(y - eps, 0.0)) / (2 * eps)
+        np.testing.assert_allclose(pot.curvature(y), slope, rtol=1e-7)
 
 
 class TestCompositeConjugate:
@@ -423,6 +453,46 @@ class TestProxGradient:
         )
         u2, _, _ = solve_pd(pd, np.zeros(m))
         np.testing.assert_allclose(u, u2, atol=1e-7)
+
+    @given(
+        m=st.integers(2, 24),
+        bw=st.integers(1, 2),
+        q=st.sampled_from([1.5, 2.0, 3.0]),
+        a=st.floats(0.0, 5.0),
+        g=st.floats(0.0, 5.0),
+        w2=st.floats(0.0, 5.0),
+        k4=st.floats(0.0, 5.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_random_separable_problem_matches_reference(self, m, bw, q, a, g, w2, k4, seed):
+        rng = np.random.default_rng(seed)
+        # SPD by diagonal dominance: the off-diagonals of bandwidth bw, and
+        # a diagonal that exceeds each row's absolute off-diagonal sum.
+        off = [rng.standard_normal(m - k) for k in range(1, bw + 1)]
+        q_mat = sum(np.diag(o, k) + np.diag(o, -k) for k, o in enumerate(off, start=1))
+        q_mat += np.diag(np.sum(np.abs(q_mat), axis=1) + rng.uniform(0.5, 5.0, m))
+        quad = band_of(q_mat)
+        pot = SitePotential(
+            a * rng.uniform(0.0, 1.0, m), g * rng.uniform(0.0, 1.0, m), q,
+            w2 * rng.uniform(0.0, 1.0, m), rng.standard_normal(m), k4,
+        )
+        gamma = quad.eigenvalue(0)
+        prob = StepProblem(
+            quad_op=quad, lin=5.0 * rng.standard_normal(m), nonsmooth=pot,
+            h=1.0 / (m + 1), strong_convexity=gamma, tol=1e-10,
+        )
+        u, _, rep = solve_prox_gradient(prob, np.zeros(m))
+        u_ref, p_ref, ref = prox_gradient_reference(prob, np.zeros(m))
+        assert rep.gap <= prob.tol
+        # Both points lie within sqrt(2 gap/gamma) of the minimizer in |.|_h.
+        dist = np.sqrt(prob.h) * np.linalg.norm(u - u_ref)
+        assert dist <= np.sqrt(2.0 * rep.gap / gamma) + np.sqrt(2.0 * ref.gap / gamma) + 1e-12
+        # Where the reference sticks with its multiplier well inside the
+        # friction interval, the solver's point sits on the shift exactly.
+        smooth = 4.0 * pot.k4 * pot.shift**3
+        held = (u_ref == pot.shift) & (np.abs(p_ref - smooth) < 0.5 * pot.a)
+        assert np.all(u[held] == pot.shift[held])
 
 
 class TestBandedClosedForms:

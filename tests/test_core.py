@@ -1,5 +1,7 @@
 """Problem-model types, energy evaluation, and the assumption validator."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,6 +35,15 @@ from proxdyn.grid import (
     laplacian_band,
     laplacian_matrix,
     q_norm,
+)
+from proxdyn.models import (
+    P1Params,
+    P2Params,
+    P3Params,
+    build_linear_wave,
+    build_p1,
+    build_p2,
+    build_p3,
 )
 from proxdyn.stepper import run
 
@@ -339,6 +350,35 @@ class TestValidateAssumptions:
         report = validate_assumptions(spec, 20)
         cont = next(c for c in report.checks if c.name == "perturbation_continuity")
         assert cont.passed
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            build_p1(P1Params(n_nodes=17)),
+            build_p2(P2Params(n_nodes=17)),
+            build_p3(P3Params(n_nodes=17)),
+            build_linear_wave(1.0, n_nodes=17)[0],
+        ],
+        ids=["p1", "p2", "p3", "linear_wave"],
+    )
+    def test_energy_decomposition_matches_callables(self, spec):
+        report = validate_assumptions(spec, 10)
+        dec = next(c for c in report.checks if c.name == "energy_decomposition")
+        assert dec.passed and dec.worst <= 1e-14
+
+    @pytest.mark.parametrize(
+        "spec", [build_p1(P1Params(n_nodes=17)), build_p3(P3Params(n_nodes=17))], ids=["p1", "p3"]
+    )
+    def test_energy_decomposition_catches_a_doubled_quartic(self, spec):
+        # The step would minimize the decomposition's energy while the
+        # ledger and the certificate read the callables'.
+        bad = dataclasses.replace(
+            spec,
+            energy=dataclasses.replace(spec.energy, site_quartic=2.0 * spec.energy.site_quartic),
+        )
+        report = validate_assumptions(bad, 10)
+        dec = next(c for c in report.checks if c.name == "energy_decomposition")
+        assert not dec.passed and not report.passed
 
 
 class TestTauMax:

@@ -332,7 +332,7 @@ class TestP3:
 
     def test_general_exponent_runs(self):
         # q = 3 exercises the power-root prox; Psi is not strongly convex
-        # there, so the prox-gradient stops on the closed-form gap itself.
+        # there, so the separable solver stops on the closed-form gap itself.
         from proxdyn.diagnostics import edi_scan
         from proxdyn.stepper import DEFAULT_INNER_TOL
 

@@ -254,10 +254,36 @@ class TestRun:
     )
     def test_stalled_inner_solve_names_its_step(self, spec):
         with pytest.raises(InnerSolverFailed) as exc:
-            run(spec, 1 / 16, max_iter=3)
+            run(spec, 1 / 16, max_iter=1)
         assert exc.value.step_index == 1
         assert "step 1" in str(exc.value)
         assert exc.value.best.shape == (15,)
+
+    def test_uncertified_step_fails_loudly(self):
+        # A decomposition that disagrees with the callables (the quartic
+        # doubled) steps one energy and certifies another: the gap stays at
+        # ~1e-2 through every attempt, and the step must fail, not pass.
+        spec = build_p3(P3Params(n_nodes=17, horizon=0.25))
+        bad = dataclasses.replace(
+            spec,
+            energy=dataclasses.replace(spec.energy, site_quartic=2.0 * spec.energy.site_quartic),
+        )
+        with pytest.raises(InnerSolverFailed, match="Fenchel-Young gap") as exc:
+            run(bad, 1 / 32)
+        assert exc.value.step_index == 1
+        assert "step 1" in str(exc.value)
+        assert exc.value.best.shape == (15,)
+        assert max(r.fy_gap for r in run(spec, 1 / 32).reports) <= 1e-8
+
+    @pytest.mark.parametrize("n_nodes", [65, 129, 257])
+    def test_separable_inner_iterations_stay_bounded_under_refinement(self, n_nodes):
+        # The fixed-step proximal gradient took up to 54 / 196 / 765
+        # iterations per step here, ~4x per halving of h; the Newton solver
+        # takes at most 3 / 3 / 5.
+        spec = build_p3(P3Params(n_nodes=n_nodes, horizon=0.25))
+        traj = run(spec, 1 / 64)
+        assert max(r.inner_iters for r in traj.reports) <= 20
+        assert max(r.fy_gap for r in traj.reports) <= 1e-8
 
     def test_zero_data_stays_zero(self):
         spec = scalar_spec()
