@@ -283,9 +283,9 @@ class SitePotential:
         site).
 
         In x = sgn*d the branch derivative times sgn increases from its
-        value at 0.  Where that value is negative a doubling search brackets
-        the root in [0, hi], elsewhere the branch is not taken and hi = 0;
-        the Newton-bisection solves on the bracket.
+        value b0 at 0 with slope at least 1/sigma + w2, so the root lies in
+        [0, hi], hi = max(-b0, 0) / (1/sigma + w2) (hi = 0 where the branch
+        is not taken); the Newton-bisection solves on the bracket.
         """
 
         def branch(x):
@@ -300,12 +300,7 @@ class SitePotential:
             )
             return branch(x), curv
 
-        hi = np.where(branch(np.zeros_like(z)) < 0.0, 1.0, 0.0)
-        for _ in range(60):
-            grow = branch(hi) < 0.0
-            if not np.any(grow):
-                break
-            hi = np.where(grow, 2.0 * hi, hi)
+        hi = np.maximum(-branch(np.zeros_like(z)), 0.0) / (1.0 / sigma + self.w2)
         return sgn * _newton_bisect(fun, np.zeros_like(z), hi)
 
     def curvature(self, y):

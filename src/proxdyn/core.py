@@ -40,34 +40,25 @@ from .grid import (
 
 @dataclass(frozen=True)
 class EnergySpec:
-    """Energy E_t(u) = 0.5 <A u, u>_h + E2_t(u).
+    """Energy E_t(u) = 0.5 <A u, u>_h + E2_t(u), E2 given by its decomposition
 
-    quad_op is the h-representation of the symmetric strongly positive
-    operator, a SymBand (anything else is a ConfigError).  lambda_conv is a
-    certified convexity defect: the full energy satisfies the
+        E2_t(u) = site_quartic * h * sum_site (M u)_site^4
+                  + 0.5 <quad_shift u, u>_h + <lin_part(t), u>_h
+
+    with M as for Psi (`ProblemSpec.sites`); E is defined up to a constant,
+    which the energy-dissipation balance never sees.  quad_op (A) and
+    quad_shift are SymBands (anything else is a ConfigError).  lambda_conv
+    is a certified convexity defect: the full energy satisfies the
     interpolation inequality
 
         E_t(th*u + (1-th)*v) <= th*E_t(u) + (1-th)*E_t(v)
                                 + th*(1-th)*lambda_conv*|u-v|_h^2.
 
     It gates the unique-minimizer step rule of `check_step`.
-    The smooth callables take (t, values) with values over interior nodes
-    and evaluate E2 and its gradient for the energy ledger and the
-    certificate; time_deriv evaluates d/dt E2_t(u).
     """
 
     quad_op: SymBand
     lambda_conv: float
-    smooth_value: Optional[Callable[[float, np.ndarray], float]] = None
-    smooth_grad: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
-    time_deriv: Optional[Callable[[float, np.ndarray], float]] = None
-    # The solver-facing decomposition of E2 (exact, consistency-tested):
-    # E2_t(u) = site_quartic * h * sum_site (M u)_site^4
-    #           + 0.5 <quad_shift u, u>_h + <lin_part(t), u>_h + const(t),
-    # with M the identity (separable dissipation) or the discrete gradient
-    # (composite), and quad_shift a SymBand.  It is the only way E2 reaches
-    # the step: the stepper folds each piece into an exactly solvable block,
-    # so a nonzero E2 needs both the callables and the decomposition.
     quad_shift: Optional[SymBand] = None
     site_quartic: float = 0.0
     lin_part: Optional[Callable[[float], np.ndarray]] = None
@@ -82,18 +73,8 @@ class EnergySpec:
             raise ConfigError("quad_shift must match quad_op in order")
         if self.lambda_conv < 0:
             raise ConfigError("lambda_conv must be nonnegative")
-        if (self.smooth_value is None) != (self.smooth_grad is None):
-            raise ConfigError("smooth value and gradient must be supplied together")
         if self.site_quartic < 0:
             raise ConfigError("site_quartic must be nonnegative")
-        decomposed = (
-            self.quad_shift is not None or self.site_quartic > 0 or self.lin_part is not None
-        )
-        if decomposed != (self.smooth_value is not None):
-            raise ConfigError(
-                "the smooth callables and the decomposition (quad_shift, site_quartic, "
-                "lin_part) of E2 must be supplied together"
-            )
 
 
 DissipationKind = Literal["separable", "grad_composite"]
@@ -286,35 +267,40 @@ def step_count(horizon: float, tau: float) -> int:
 
 
 def energy_total(spec: ProblemSpec, t: float, u: Field) -> float:
-    """E_t(u) = 0.5 <A u, u>_h + E2_t(u)."""
+    """E_t(u) = 0.5 <(A + quad_shift) u, u>_h + site_quartic h sum (M u)^4
+    + <lin_part(t), u>_h."""
+    en = spec.energy
     vals = u.values
-    quad = 0.5 * spec.grid.h * float(vals @ (spec.energy.quad_op @ vals))
-    smooth = 0.0
-    if spec.energy.smooth_value is not None:
-        smooth = float(spec.energy.smooth_value(t, vals))
-    out = quad + smooth
+    h = spec.grid.h
+    out = 0.5 * h * float(vals @ _quad_part(en, vals))
+    if en.site_quartic > 0.0:
+        out += en.site_quartic * h * float(np.sum(spec.sites(vals) ** 4))
+    if en.lin_part is not None:
+        out += h * float(en.lin_part(t) @ vals)
     if not np.isfinite(out):
         raise EvalError(f"energy evaluated non-finite at t={t}")
     return out
 
 
 def energy_grad(spec: ProblemSpec, t: float, values: np.ndarray) -> np.ndarray:
-    """h-representation of D E_t(u) = A u + D E2_t(u)."""
-    g = spec.energy.quad_op @ values
-    if spec.energy.smooth_grad is not None:
-        g = g + np.asarray(spec.energy.smooth_grad(t, values), dtype=float)
+    """h-representation of D E_t(u) = (A + quad_shift) u
+    + 4 site_quartic M^T (M u)^3 + lin_part(t)."""
+    en = spec.energy
+    g = _quad_part(en, values)
+    if en.site_quartic > 0.0:
+        cubic = 4.0 * en.site_quartic * spec.sites(values) ** 3
+        g = g + (cubic if spec.site_op is None else spec.site_op.T @ cubic)
+    if en.lin_part is not None:
+        g = g + en.lin_part(t)
     if not np.all(np.isfinite(g)):
         raise EvalError(f"energy gradient non-finite at t={t}")
     return g
 
 
-def energy_time_deriv(spec: ProblemSpec, t: float, values: np.ndarray) -> float:
-    if spec.energy.time_deriv is None:
-        return 0.0
-    out = float(spec.energy.time_deriv(t, values))
-    if not np.isfinite(out):
-        raise EvalError(f"energy time derivative non-finite at t={t}")
-    return out
+def _quad_part(en: EnergySpec, values: np.ndarray) -> np.ndarray:
+    """(A + quad_shift) u."""
+    out = en.quad_op @ values
+    return out if en.quad_shift is None else out + en.quad_shift @ values
 
 
 @dataclass(frozen=True)
@@ -346,10 +332,9 @@ def validate_assumptions(
     Verifies strong positivity of the quadratic operator (a band, so
     symmetric by construction), the lambda-convexity interpolation
     inequality for the total energy, the zero-at-rest and growth sandwich
-    of the dissipation, continuity of the perturbation on bounded sets, and
-    that E2's gradient callable agrees with its decomposition (relative to
-    max(1, |D E2_t(u)|_inf)).  Reports the worst violation per
-    check plus the supremum of admissible steps, `tau_max`.
+    of the dissipation, and continuity of the perturbation on bounded sets.
+    Reports the worst violation per check plus the supremum of admissible
+    steps, `tau_max`.
     """
     if samples < 1:
         raise ConfigError("samples must be >= 1")
@@ -433,27 +418,6 @@ def validate_assumptions(
     checks.append(
         CheckResult("perturbation_continuity", pert_ok, worst_ratio if spec.perturbation.eval else 0.0)
     )
-
-    en = spec.energy
-    worst_dec = 0.0
-    if en.smooth_grad is not None:
-        # The step sees E2 only through its decomposition, the ledger only
-        # through the callables: D E2_t(u) = quad_shift u
-        # + 4 site_quartic M^T (M u)^3 + lin_part(t).
-        for _ in range(samples):
-            u = rng.standard_normal(m)
-            t = rng.uniform(0.0, spec.horizon)
-            mu = spec.sites(u)
-            quartic = 4.0 * en.site_quartic * mu**3
-            want = quartic if spec.site_op is None else spec.site_op.T @ quartic
-            if en.quad_shift is not None:
-                want = want + en.quad_shift @ u
-            if en.lin_part is not None:
-                want = want + en.lin_part(t)
-            got = np.asarray(en.smooth_grad(t, u), dtype=float)
-            scale = max(1.0, float(np.max(np.abs(got))))
-            worst_dec = max(worst_dec, float(np.max(np.abs(got - want))) / scale)
-    checks.append(CheckResult("energy_decomposition", worst_dec <= 1e-10, worst_dec))
 
     return ValidationReport(checks=tuple(checks), tau_max=tau_max(spec))
 

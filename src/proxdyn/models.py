@@ -6,7 +6,7 @@
 * build_p2: nonlinearly damped wave with state-dependent gradient damping
   and a non-variational zeroth-order perturbation.
 * build_p3: dry friction plus q-power damping with a double-well energy,
-  heterogeneous stiffness, and a time-differentiable force in the energy.
+  heterogeneous stiffness, and a time-dependent force in the energy.
 * build_linear_wave: manufactured linear benchmark with a closed-form
   modal solution (degenerate damping cases of the above).
 
@@ -80,11 +80,12 @@ def build_p1(params: P1Params) -> ProblemSpec:
     """Assemble the 1D visco-elasto-plastic model (n = 1, m = 2 reduction).
 
     The equation is divided through by the constant density, so all
-    operators carry a 1/rho factor.  The convexity defect of the total
-    energy is certified numerically: the double-well curvature is bounded
-    below by -4, so the worst-case Hessian is mu*A4/rho - 4*L/rho (L the
-    Laplacian D^T D); the smallest shift making it nonnegative is doubled
-    for safety.
+    operators carry a 1/rho factor.  The double well
+    h/rho * sum_e (1 - (Du)_e^2)^2 enters without its constant h (m+1)/rho.
+    The convexity defect of the total energy is certified numerically: the
+    double-well curvature is bounded below by -4, so the worst-case Hessian
+    is mu*A4/rho - 4*L/rho (L the Laplacian D^T D); the smallest shift
+    making it nonnegative is doubled for safety.
     """
     p = params
     if min(p.rho, p.nu, p.mu) <= 0 or p.alpha < 0:
@@ -99,14 +100,6 @@ def build_p1(params: P1Params) -> ProblemSpec:
 
     lam_raw = max(0.0, -quad.plus(quad_shift.band).eigenvalue(0) / 2.0)
     lambda_conv = 2.0 * lam_raw
-
-    def smooth_value(t, u):
-        e = d @ u
-        return inv_rho * h * float(np.sum((1.0 - e**2) ** 2))
-
-    def smooth_grad(t, u):
-        e = d @ u
-        return inv_rho * (d.T @ (4.0 * e**3 - 4.0 * e))
 
     def state_dep(state: Field):
         e = d @ state.values
@@ -142,8 +135,6 @@ def build_p1(params: P1Params) -> ProblemSpec:
         energy=EnergySpec(
             quad_op=quad,
             lambda_conv=lambda_conv,
-            smooth_value=smooth_value,
-            smooth_grad=smooth_grad,
             quad_shift=quad_shift,
             site_quartic=inv_rho,
         ),
@@ -259,8 +250,7 @@ def build_p2(params: P2Params) -> ProblemSpec:
 @dataclass(frozen=True)
 class P3Params:
     """Exponent q >= 2, uniformly positive stiffness E(x), well scale for
-    W(s) = scale*(1 - s^2)^2, and a C^1-in-time force entering the energy
-    (force_dt is its time derivative; both required together)."""
+    W(s) = scale*(1 - s^2)^2, and a force entering the energy."""
 
     q: float = 2.0
     n_nodes: int = 65
@@ -270,7 +260,6 @@ class P3Params:
     force_amplitude: float = 0.2
     force_frequency: float = np.pi
     force: Optional[Callable[[float], np.ndarray]] = None
-    force_dt: Optional[Callable[[float], np.ndarray]] = None
     u0_amplitude: float = 0.5
     u0: Optional[np.ndarray] = None
     v0: Optional[np.ndarray] = None
@@ -279,9 +268,9 @@ class P3Params:
 def build_p3(params: P3Params) -> ProblemSpec:
     """Assemble the dry-friction model.
 
-    The force enters the energy as E2_t(u) = scale*h*sum W(u_i) - <f(t), u>_h
-    with time derivative -<f'(t), u>_h, so the time-derivative control of
-    the energy is exercised nontrivially.  lambda_conv = 4*scale certifies
+    The force enters the energy as E2_t(u) = scale*h*sum W(u_i) - <f(t), u>_h,
+    less the constant scale*h*m, so E_t depends on t through its linear
+    part -f(t) only.  lambda_conv = 4*scale certifies
     the double well (W'' >= -4*scale), giving tau_max = 1/(8*scale).
     """
     p = params
@@ -289,10 +278,6 @@ def build_p3(params: P3Params) -> ProblemSpec:
         raise ConfigError("P3 requires q >= 2")
     if p.well_scale <= 0:
         raise ConfigError("P3 requires a positive well scale")
-    if (p.force is None) != (p.force_dt is None):
-        raise ConfigError(
-            "P3 requires a differentiable force: supply force and force_dt together"
-        )
     grid = _default_grid(p.n_nodes)
     h = grid.h
     m = grid.n_interior
@@ -312,23 +297,12 @@ def build_p3(params: P3Params) -> ProblemSpec:
 
     scale = p.well_scale
     if p.force is not None:
-        user_f, user_fdt = p.force, p.force_dt
-        f_vals = lambda t: _nodal(user_f(t))
-        fdt_vals = lambda t: _nodal(user_fdt(t))
+        user_f = p.force
+        lin_part = lambda t: -_nodal(user_f(t))
     else:
         amp, om = p.force_amplitude, p.force_frequency
         profile = np.sin(np.pi * x / big_l)
-        f_vals = lambda t: amp * np.cos(om * t) * profile
-        fdt_vals = lambda t: -amp * om * np.sin(om * t) * profile
-
-    def smooth_value(t, u):
-        return scale * h * float(np.sum((1.0 - u**2) ** 2)) - h * float(f_vals(t) @ u)
-
-    def smooth_grad(t, u):
-        return scale * (4.0 * u**3 - 4.0 * u) - f_vals(t)
-
-    def time_deriv(t, u):
-        return -h * float(fdt_vals(t) @ u)
+        lin_part = lambda t: -amp * np.cos(om * t) * profile
 
     qs = p.q / (p.q - 1.0)
     dissipation = DissipationSpec(
@@ -350,12 +324,9 @@ def build_p3(params: P3Params) -> ProblemSpec:
         energy=EnergySpec(
             quad_op=quad,
             lambda_conv=4.0 * scale,
-            smooth_value=smooth_value,
-            smooth_grad=smooth_grad,
-            time_deriv=time_deriv,
             quad_shift=SymBand(np.full((1, m), -4.0 * scale)),
             site_quartic=scale,
-            lin_part=lambda t: -f_vals(t),
+            lin_part=lin_part,
         ),
         dissipation=dissipation,
         perturbation=PerturbationSpec(),

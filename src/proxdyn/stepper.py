@@ -22,7 +22,9 @@ E_{t_n} reaches the step only through `EnergySpec`'s exact decomposition:
 A and quad_shift join the inertia in the banded Q (`step_operator`),
 lin_part(t_n) joins the linear vector, and the site quartic joins the
 per-site potential, so the step problem has no explicit smooth remainder.
-The smooth callables evaluate E_t and DE_t for the ledger and eta^n.
+E_t depends on t through lin_part only, so the ledger's integral of
+dE_t(U^{n-1})/dt over a step is exactly <lin_part(t_n) - lin_part(t_{n-1}),
+U^{n-1}>_h.
 
 A step is well posed while the inertia outweighs the energy's convexity
 defect lambda: `core.check_step` admits tau <= 1/(2 lambda) with Phi's
@@ -45,7 +47,6 @@ from .core import (
     ProblemSpec,
     check_step,
     energy_grad,
-    energy_time_deriv,
     energy_total,
     step_count,
 )
@@ -76,19 +77,6 @@ DEFAULT_INNER_TOL = 1e-9
 DEFAULT_MAX_ITER = 50_000
 
 
-def _gauss_sum(fn: Callable, t_lo: float, t_hi: float):
-    """sum_i w_i fn(t_i) over the 5 Gauss-Legendre nodes t_i of [t_lo, t_hi]
-    (the weights sum to 2); fn may return scalars or arrays."""
-    mid = 0.5 * (t_lo + t_hi)
-    half = 0.5 * (t_hi - t_lo)
-    return sum(w * fn(mid + half * x) for x, w in zip(_GAUSS_X, _GAUSS_W))
-
-
-def gauss5(fn: Callable[[float], float], t_lo: float, t_hi: float) -> float:
-    """5-point Gauss quadrature of a scalar function over [t_lo, t_hi]."""
-    return 0.5 * (t_hi - t_lo) * _gauss_sum(fn, t_lo, t_hi)
-
-
 def average_force(f: Callable, t_lo: float, t_hi: float):
     """Interval average (1/(t_hi-t_lo)) * int f, by 5-point Gauss quadrature.
 
@@ -106,7 +94,10 @@ def average_force(f: Callable, t_lo: float, t_hi: float):
         grid = getattr(out, "grid", None)
         return np.asarray(getattr(out, "values", out), dtype=float)
 
-    acc = 0.5 * _gauss_sum(values, t_lo, t_hi)
+    mid = 0.5 * (t_lo + t_hi)
+    half = 0.5 * (t_hi - t_lo)
+    # The weights sum to 2.
+    acc = 0.5 * sum(w * values(mid + half * x) for x, w in zip(_GAUSS_X, _GAUSS_W))
     if not np.all(np.isfinite(acc)):
         raise EvalError(f"force non-finite on [{t_lo}, {t_hi}]")
     return Field(acc, grid) if grid is not None else acc
@@ -135,13 +126,13 @@ class StepInput:
 class StepReport:
     """Solver telemetry and the energy-dissipation terms of step n:
     psi = Psi_{U^{n-1}}(V^n), psi_star = <eta^n, V^n>_h - psi + fy_gap,
-    energy_rate = int dE_t(U^{n-1})/dt over the step, work = tau <S^n, V^n>_h.
+    energy_rate = int dE_t(U^{n-1})/dt over the step (exact), work =
+    tau <S^n, V^n>_h.
     """
 
     fy_gap: float
     el_residual: float
     inner_iters: int
-    phi_value: float
     energy_after: float
     kinetic_after: float
     psi: float
@@ -228,8 +219,11 @@ def incremental_minimize(
     t_next = inp.t_prev + tau
     en = spec.energy
     b = inp.zeta.values - (2.0 * inp.v.values - inp.w.values) / tau**2
+    energy_rate = 0.0
     if en.lin_part is not None:
-        b = b + en.lin_part(t_next)
+        lin_next = en.lin_part(t_next)
+        b = b + lin_next
+        energy_rate = h_inner(lin_next - en.lin_part(inp.t_prev), inp.v.values, h)
     separable = spec.site_op is None
     psi_pot = spec.dissipation.potential(inp.v)
     pot = psi_pot.step_copy(tau, spec.sites(inp.v.values), en.site_quartic)
@@ -317,21 +311,15 @@ def incremental_minimize(
         )
 
     u_field = Field(u_vals, grid)
-    energy_after = energy_total(spec, t_next, u_field)
-    inertia = 0.5 / tau**2 * h_norm(u_vals - 2 * inp.v.values + inp.w.values, h) ** 2
     report = StepReport(
         fy_gap=fy,
         el_residual=rep.resid_h,
         inner_iters=rep.iterations,
-        # Phi(U^n) from the step's own terms.
-        phi_value=inertia + tau * psi + energy_after + h_inner(inp.zeta.values, u_vals, h),
-        energy_after=energy_after,
+        energy_after=energy_total(spec, t_next, u_field),
         kinetic_after=0.5 * h_norm(v_vel, h) ** 2,
         psi=psi,
         psi_star=pairing - psi + fy,
-        energy_rate=gauss5(
-            lambda r: energy_time_deriv(spec, r, inp.v.values), inp.t_prev, t_next
-        ),
+        energy_rate=energy_rate,
         # S^n = f_avg^n - B^n = -zeta.
         work=tau * h_inner(-inp.zeta.values, v_vel, h),
     )

@@ -22,8 +22,11 @@
   and `band_of` packs a dense reference matrix into one.
 * `biharmonic_clamped_dense` assembles the clamped fourth difference
   D2^T D2 entry by entry, the reference for `grid.biharmonic_band`.
-* `gradient_consistency_error` checks a model's supplied D E2_t against
-  central differences of its E2_t.
+* `gradient_consistency_error` checks `core.energy_grad` against central
+  differences of `core.energy_total`.
+* `p1_double_well` and `p3_smooth_energy` are p1's and p3's E2 in closed
+  form, the references for the builders' decompositions, which drop the
+  constant.
 * `phase_indicator` is p1's lambda(e), whose slope
   `models.phase_indicator_slope` weights the plastic dissipation.
 """
@@ -236,25 +239,25 @@ def step_subgradient(traj, n):
 
 
 def gradient_consistency_error(spec, samples=5, seed=0, eps=1e-6):
-    """Max relative error of the supplied D E2_t against central differences."""
-    if spec.energy.smooth_value is None:
-        return 0.0
+    """Max relative error of D E_t (`energy_grad`) against central
+    differences of E_t (`energy_total`)."""
     rng = np.random.default_rng(seed)
-    m = spec.grid.n_interior
+    grid = spec.grid
+    m = grid.n_interior
     worst = 0.0
     for _ in range(samples):
         u = rng.standard_normal(m)
         t = rng.uniform(0.0, spec.horizon)
-        g = np.asarray(spec.energy.smooth_grad(t, u), dtype=float)
+        g = energy_grad(spec, t, u)
         fd = np.zeros(m)
         for i in range(m):
             up = u.copy()
             dn = u.copy()
             up[i] += eps
             dn[i] -= eps
-            fd[i] = (spec.energy.smooth_value(t, up) - spec.energy.smooth_value(t, dn)) / (
-                2 * eps * spec.grid.h
-            )
+            fd[i] = (
+                energy_total(spec, t, Field(up, grid)) - energy_total(spec, t, Field(dn, grid))
+            ) / (2 * eps * grid.h)
         scale = max(1.0, float(np.max(np.abs(g))))
         worst = max(worst, float(np.max(np.abs(g - fd))) / scale)
     return worst
@@ -264,3 +267,21 @@ def phase_indicator(alpha, e):
     """lambda(e) = alpha*(sqrt(1 + e^2) - 1), p1's phase indicator."""
     e = np.asarray(e, dtype=float)
     return alpha * (np.sqrt(1.0 + e**2) - 1.0)
+
+
+def p1_double_well(params, grid, u):
+    """p1's E2 in closed form, h/rho * sum_e (1 - (D u)_e^2)^2."""
+    e = gradient_matrix(grid) @ u
+    return grid.h / params.rho * float(np.sum((1.0 - e**2) ** 2))
+
+
+def p3_smooth_energy(params, grid, t, u):
+    """p3's E2_t in closed form, scale h sum_i (1 - u_i^2)^2 - <f(t), u>_h,
+    with f = params.force or the default amp cos(om t) sin(pi x / L)."""
+    if params.force is not None:
+        f = np.asarray(params.force(t), dtype=float)
+    else:
+        profile = np.sin(np.pi * grid.interior_x / grid.length)
+        f = params.force_amplitude * np.cos(params.force_frequency * t) * profile
+    well = params.well_scale * grid.h * float(np.sum((1.0 - u**2) ** 2))
+    return well - h_inner(f, u, grid.h)

@@ -331,7 +331,7 @@ class TestSolvePD:
         assert calls == []
         assert y[0] < 0.0 and y[1] == 0.0 and y[2] > 0.0
 
-    @pytest.mark.parametrize("k4", [5e-324, 2.2250738585072014e-308, 1e-300])
+    @pytest.mark.parametrize("k4", [5e-324, 2.2250738585072014e-308, 1e-300, 1e-40])
     def test_quartic_prox_with_tiny_weight(self, k4):
         # The cubic's closed form overflows here; 4 k4 y^3 is below every
         # other term, so the prox is the one without the quartic.
@@ -340,6 +340,13 @@ class TestSolvePD:
         with np.errstate(over="ignore", invalid="ignore"):
             got = SitePotential(*args, k4=k4).prox(0.01, z)
         np.testing.assert_allclose(got, SitePotential(*args).prox(0.01, z), rtol=1e-15)
+        # Far from the origin (the branch root's solve, g > 0) the root lies
+        # beyond 2^60, and with k4 = 1e-40 the quartic takes over below z:
+        # the prox must solve y - z + sign(y)|y|^(1/2) + 4 k4 y^3 = 0.
+        z = np.array([1e30, -1e30, 1e25, -1e25])
+        y = SitePotential(0.0, 1.0, 1.5, 0.0, 0.0, k4=k4).prox(1.0, z)
+        resid = y - z + np.sign(y) * np.abs(y) ** 0.5 + 4.0 * k4 * y**3
+        assert np.all(np.abs(resid) <= 4 * np.finfo(float).eps * np.abs(z))
 
 
 class TestSiteValue:

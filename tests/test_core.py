@@ -1,7 +1,5 @@
 """Problem-model types, energy evaluation, and the assumption validator."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -36,15 +34,6 @@ from proxdyn.grid import (
     laplacian_matrix,
     q_norm,
 )
-from proxdyn.models import (
-    P1Params,
-    P2Params,
-    P3Params,
-    build_linear_wave,
-    build_p1,
-    build_p2,
-    build_p3,
-)
 from proxdyn.stepper import run
 
 
@@ -60,7 +49,7 @@ def simple_separable(m, a=0.0, g=1.0, q=2.0, growth_c=0.4, growth_C=2.0):
 
 def double_well_parts(m):
     """The decomposition of E2 = h * sum (1 - u^2)^2 = h * sum u^4
-    + 0.5 <-4 I u, u>_h + const, nodal sites."""
+    + 0.5 <-4 I u, u>_h + h m, nodal sites, without the constant h m."""
     return {"site_quartic": 1.0, "quad_shift": SymBand(np.full((1, m), -4.0))}
 
 
@@ -208,27 +197,6 @@ class TestDenseEnergyInput:
         assert energy.quad_op is band
         assert validate_assumptions(make_spec(g, band), 10).passed
 
-    def test_decomposition_without_callables_rejected(self):
-        # A quad_shift makes E2 structured; without the smooth callables
-        # the step would drop E2, so the spec is refused.
-        with pytest.raises(ConfigError):
-            EnergySpec(band_of(np.eye(3)), 0.0, quad_shift=band_of(-np.eye(3)))
-        with pytest.raises(ConfigError):
-            EnergySpec(band_of(np.eye(3)), 0.0, site_quartic=1.0)
-        with pytest.raises(ConfigError):
-            EnergySpec(band_of(np.eye(3)), 0.0, lin_part=lambda t: np.zeros(3))
-
-    def test_callables_without_decomposition_rejected(self):
-        # The decomposition is E2's only route into a step; callables alone
-        # would leave E2 out of the step, so the spec is refused.
-        with pytest.raises(ConfigError):
-            EnergySpec(
-                band_of(np.eye(3)),
-                0.0,
-                smooth_value=lambda t, u: float(np.sum(u**4)),
-                smooth_grad=lambda t, u: 4 * u**3,
-            )
-
 
 class TestEnergyTotal:
     def test_zero_state(self):
@@ -245,15 +213,11 @@ class TestEnergyTotal:
         assert val == pytest.approx(2.0)
 
     def test_double_well_at_bottom(self):
+        # h sum (1 - u^2)^2 = 0 at u = 1, less the constant h m.
         g = SpatialGrid(12, 0.1)
         m = g.n_interior
-        smooth = {
-            "smooth_value": lambda t, u: 0.1 * float(np.sum((1 - u**2) ** 2)),
-            "smooth_grad": lambda t, u: (4 * u**3 - 4 * u),
-            **double_well_parts(m),
-        }
-        spec = make_spec(g, band_of(np.zeros((m, m))), lam=4.0, smooth=smooth)
-        assert energy_total(spec, 0.0, Field(np.ones(m), g)) == pytest.approx(0.0)
+        spec = make_spec(g, band_of(np.zeros((m, m))), lam=4.0, smooth=double_well_parts(m))
+        assert energy_total(spec, 0.0, Field(np.ones(m), g)) == pytest.approx(-g.h * m)
 
     def test_symmetry_pairing_property(self):
         g = SpatialGrid(9, 0.125)
@@ -284,12 +248,7 @@ class TestValidateAssumptions:
 
         g = SpatialGrid(11, 0.1)
         m = g.n_interior
-        smooth = {
-            "smooth_value": lambda t, u: g.h * float(np.sum((1 - u**2) ** 2)),
-            "smooth_grad": lambda t, u: 4 * u**3 - 4 * u,
-            **double_well_parts(m),
-        }
-        spec = make_spec(g, SymBand(laplacian_band(g)), lam=4.0, smooth=smooth)
+        spec = make_spec(g, SymBand(laplacian_band(g)), lam=4.0, smooth=double_well_parts(m))
         report = validate_assumptions(spec, 60)
         assert report.passed
         assert report.tau_max == pytest.approx(0.125)
@@ -314,12 +273,7 @@ class TestValidateAssumptions:
         g = SpatialGrid(11, 0.1)
         m = g.n_interior
         lam = 4.0
-        smooth = {
-            "smooth_value": lambda t, u: g.h * float(np.sum((1 - u**2) ** 2)),
-            "smooth_grad": lambda t, u: 4 * u**3 - 4 * u,
-            **double_well_parts(m),
-        }
-        spec = make_spec(g, SymBand(laplacian_band(g)), lam=lam, smooth=smooth)
+        spec = make_spec(g, SymBand(laplacian_band(g)), lam=lam, smooth=double_well_parts(m))
         rng = np.random.default_rng(5)
         h = g.h
         for _ in range(40):
@@ -350,35 +304,6 @@ class TestValidateAssumptions:
         report = validate_assumptions(spec, 20)
         cont = next(c for c in report.checks if c.name == "perturbation_continuity")
         assert cont.passed
-
-    @pytest.mark.parametrize(
-        "spec",
-        [
-            build_p1(P1Params(n_nodes=17)),
-            build_p2(P2Params(n_nodes=17)),
-            build_p3(P3Params(n_nodes=17)),
-            build_linear_wave(1.0, n_nodes=17)[0],
-        ],
-        ids=["p1", "p2", "p3", "linear_wave"],
-    )
-    def test_energy_decomposition_matches_callables(self, spec):
-        report = validate_assumptions(spec, 10)
-        dec = next(c for c in report.checks if c.name == "energy_decomposition")
-        assert dec.passed and dec.worst <= 1e-14
-
-    @pytest.mark.parametrize(
-        "spec", [build_p1(P1Params(n_nodes=17)), build_p3(P3Params(n_nodes=17))], ids=["p1", "p3"]
-    )
-    def test_energy_decomposition_catches_a_doubled_quartic(self, spec):
-        # The step would minimize the decomposition's energy while the
-        # ledger and the certificate read the callables'.
-        bad = dataclasses.replace(
-            spec,
-            energy=dataclasses.replace(spec.energy, site_quartic=2.0 * spec.energy.site_quartic),
-        )
-        report = validate_assumptions(bad, 10)
-        dec = next(c for c in report.checks if c.name == "energy_decomposition")
-        assert not dec.passed and not report.passed
 
 
 class TestTauMax:
@@ -427,14 +352,7 @@ class TestGradientConsistency:
     def test_supplied_gradient_matches_finite_differences(self):
         g = SpatialGrid(11, 0.1)
         m = g.n_interior
-        smooth = {
-            "smooth_value": lambda t, u: g.h * float(np.sum((1 - u**2) ** 2))
-            - g.h * t * float(np.sum(u)),
-            "smooth_grad": lambda t, u: 4 * u**3 - 4 * u - t,
-            "time_deriv": lambda t, u: -g.h * float(np.sum(u)),
-            "lin_part": lambda t: np.full(m, -t),
-            **double_well_parts(m),
-        }
+        smooth = {"lin_part": lambda t: np.full(m, -t), **double_well_parts(m)}
         spec = make_spec(g, SymBand(laplacian_band(g)), lam=4.0, smooth=smooth)
         assert gradient_consistency_error(spec, samples=5) <= 1e-6
 
@@ -482,4 +400,4 @@ class TestSpecValidation:
         with pytest.raises(ConfigError):
             EnergySpec(quad_op=band_of(np.eye(3)), lambda_conv=-1.0)
         with pytest.raises(ConfigError):
-            EnergySpec(quad_op=band_of(np.eye(3)), lambda_conv=0.0, smooth_value=lambda t, u: 0.0)
+            EnergySpec(quad_op=band_of(np.eye(3)), lambda_conv=0.0, site_quartic=-1.0)

@@ -9,18 +9,22 @@ from proxdyn.core import (
     PerturbationSpec,
     ProblemSpec,
     energy_grad,
+    energy_total,
     tau_max,
     validate_assumptions,
 )
 from oracles import (
     band_of,
     biharmonic_clamped_dense,
+    dense_of,
     gradient_consistency_error,
     gradient_matrix,
+    p1_double_well,
+    p3_smooth_energy,
     phase_indicator,
 )
 from proxdyn.errors import ConfigError
-from proxdyn.grid import Field, h_norm
+from proxdyn.grid import Field, h_inner, h_norm
 from proxdyn.models import (
     P1Params,
     P2Params,
@@ -62,35 +66,36 @@ class TestBuilderValidation:
         with pytest.raises(ConfigError):
             build_p3(P3Params(q=1.5))
         with pytest.raises(ConfigError):
-            build_p3(P3Params(force=lambda t: np.zeros(63)))
-        with pytest.raises(ConfigError):
             build_linear_wave(-1.0)
 
     def test_smooth_gradients_match_finite_differences(self):
-        for spec in (build_p1(P1Params(n_nodes=17)), build_p3(P3Params(n_nodes=17))):
+        for spec in (
+            build_p1(P1Params(n_nodes=17)),
+            build_p2(P2Params(n_nodes=17)),
+            build_p3(P3Params(n_nodes=17)),
+            build_linear_wave(1.0, n_nodes=17)[0],
+        ):
             assert gradient_consistency_error(spec, samples=3) <= 1e-6
 
-    def test_structured_energy_matches_callables(self):
-        # The solver-facing decomposition must reproduce the authoritative
-        # gradient: quad_shift + quartic + linear part == smooth_grad.
-        for spec in (build_p1(P1Params(n_nodes=17)), build_p3(P3Params(n_nodes=17))):
-            en = spec.energy
-            rng = np.random.default_rng(0)
-            m = spec.grid.n_interior
-            grad_op = spec.ops.grad
+    def test_structured_energy_matches_closed_form(self):
+        # The decomposition is E2 up to its constant: h (m+1)/rho for p1's
+        # double well on the edges, scale h m for p3's on the nodes.
+        p1, p3 = P1Params(n_nodes=17, rho=2.0), P3Params(n_nodes=17, well_scale=0.75)
+        rng = np.random.default_rng(0)
+        for params, spec in ((p1, build_p1(p1)), (p3, build_p3(p3))):
+            g = spec.grid
+            m = g.n_interior
+            a = dense_of(spec.energy.quad_op)
             for _ in range(5):
                 u = rng.standard_normal(m)
                 t = rng.uniform(0, spec.horizon)
-                want = en.smooth_grad(t, u)
-                if spec.dissipation.kind == "grad_composite":
-                    y = grad_op @ u
-                    quart = grad_op.T @ (4.0 * en.site_quartic * y**3)
+                quad = 0.5 * g.h * float(u @ (a @ u))
+                if params is p1:
+                    want = quad + p1_double_well(p1, g, u) - g.h * (m + 1) / p1.rho
                 else:
-                    quart = 4.0 * en.site_quartic * u**3
-                got = en.quad_shift @ u + quart
-                if en.lin_part is not None:
-                    got = got + en.lin_part(t)
-                np.testing.assert_allclose(got, want, atol=1e-11)
+                    want = quad + p3_smooth_energy(p3, g, t, u) - p3.well_scale * g.h * m
+                got = energy_total(spec, t, Field(u, g))
+                assert abs(got - want) <= 1e-12 * abs(want)
 
 
 class TestP1:
@@ -143,22 +148,11 @@ class TestP1:
         m = g.n_interior
         d = gradient_matrix(g)
         lap = d.T @ d
-
-        def smooth_value(t, u):
-            e = d @ u
-            return g.h * float(np.sum((1 - e**2) ** 2))
-
-        def smooth_grad(t, u):
-            e = d @ u
-            return d.T @ (4 * e**3 - 4 * e)
-
         return ProblemSpec(
             grid=g,
             energy=EnergySpec(
                 quad_op=band_of(p.mu / p.rho * biharmonic_clamped_dense(g)),
                 lambda_conv=spec.energy.lambda_conv,
-                smooth_value=smooth_value,
-                smooth_grad=smooth_grad,
                 quad_shift=band_of(-4.0 * lap),
                 site_quartic=1.0,
             ),
@@ -313,12 +307,16 @@ class TestP3:
         assert kin[-1] < 0.15 * kin[0]
 
     def test_time_dependent_energy_terms(self):
-        spec = build_p3(P3Params(n_nodes=17))
-        u = np.linspace(-0.5, 0.5, spec.grid.n_interior)
-        # d/dt E2 via finite differences in t
+        p = P3Params(n_nodes=17)
+        spec = build_p3(p)
+        g = spec.grid
+        u = Field(np.linspace(-0.5, 0.5, g.n_interior), g)
+        # d/dt E_t(u) = -<f'(t), u>_h against finite differences in t
         eps = 1e-6
-        fd = (spec.energy.smooth_value(0.3 + eps, u) - spec.energy.smooth_value(0.3 - eps, u)) / (2 * eps)
-        assert spec.energy.time_deriv(0.3, u) == pytest.approx(fd, rel=1e-6)
+        fd = (energy_total(spec, 0.3 + eps, u) - energy_total(spec, 0.3 - eps, u)) / (2 * eps)
+        f_dt = -p.force_amplitude * p.force_frequency * np.sin(p.force_frequency * 0.3)
+        want = -h_inner(f_dt * np.sin(np.pi * g.interior_x / g.length), u.values, g.h)
+        assert want == pytest.approx(fd, rel=1e-6)
 
     def test_tau_max_pinned(self):
         spec = build_p3(P3Params())
@@ -357,10 +355,10 @@ class TestUserForce:
             calls.clear()
             np.testing.assert_array_equal(spec.force_values(0.5) != 0.0, True)
             assert calls == [0.5]
-        spec = build_p3(P3Params(n_nodes=9, force=force, force_dt=force))
+        spec = build_p3(P3Params(n_nodes=9, force=force))
         calls.clear()
         spec.energy.lin_part(0.25)
-        spec.energy.time_deriv(0.75, np.ones(7))
+        spec.energy.lin_part(0.75)
         assert calls == [0.25, 0.75]
 
 

@@ -11,6 +11,8 @@ from proxdyn.core import (
     PerturbationSpec,
     ProblemSpec,
 )
+from proxdyn import convex
+from proxdyn.cli import parse_config_dict, run_and_emit
 from proxdyn.convex import SymBand
 from proxdyn.errors import ConfigError, InnerSolverFailed, StepSizeTooLarge
 from proxdyn.grid import Field, SpatialGrid, h_inner, laplacian_band
@@ -166,8 +168,9 @@ class TestIncrementalMinimize:
         spec, _ = build_linear_wave(1.0, n_nodes=17)
         traj = run(spec, 0.05)
         for n in range(1, traj.n_steps + 1):
-            stay = phi_value(spec, step_input(traj, n), traj.U[n - 1])
-            assert traj.reports[n - 1].phi_value <= stay + 1e-12 * (1 + abs(stay))
+            inp = step_input(traj, n)
+            stay = phi_value(spec, inp, traj.U[n - 1])
+            assert phi_value(spec, inp, traj.U[n]) <= stay + 1e-12 * (1 + abs(stay))
 
     def test_p1_type_composite_step_fy_gap(self):
         # Composite step on 17 nodes: Fenchel-Young identity at the minimizer
@@ -259,20 +262,32 @@ class TestRun:
         assert "step 1" in str(exc.value)
         assert exc.value.best.shape == (15,)
 
-    def test_uncertified_step_fails_loudly(self):
-        # A decomposition that disagrees with the callables (the quartic
-        # doubled) steps one energy and certifies another: the gap stays at
-        # ~1e-2 through every attempt, and the step must fail, not pass.
+    def test_uncertified_step_fails_loudly(self, tmp_path, monkeypatch):
+        # An inner solver that reports convergence at a point off the
+        # minimizer: the gap stays large through every attempt, and the
+        # step must fail, not pass, in `run` and in the CLI.
         spec = build_p3(P3Params(n_nodes=17, horizon=0.25))
-        bad = dataclasses.replace(
-            spec,
-            energy=dataclasses.replace(spec.energy, site_quartic=2.0 * spec.energy.site_quartic),
-        )
+        solve = convex.solve_prox_gradient
+        offsets = []
+
+        def off_minimizer(prob, init):
+            u, p_hat, rep = solve(prob, init)
+            offsets.append(u + 1e-3)
+            return offsets[-1], p_hat, rep
+
+        monkeypatch.setattr(convex, "solve_prox_gradient", off_minimizer)
         with pytest.raises(InnerSolverFailed, match="Fenchel-Young gap") as exc:
-            run(bad, 1 / 32)
+            run(spec, 1 / 32)
         assert exc.value.step_index == 1
         assert "step 1" in str(exc.value)
         assert exc.value.best.shape == (15,)
+        np.testing.assert_array_equal(exc.value.best, offsets[-1])
+        cfg = parse_config_dict(
+            {"model": "p3", "tau": 1 / 32, "n_nodes": 17, "horizon": 0.25,
+             "out_dir": str(tmp_path / "out")}
+        )
+        assert run_and_emit(cfg) == 1
+        monkeypatch.undo()
         assert max(r.fy_gap for r in run(spec, 1 / 32).reports) <= 1e-8
 
     @pytest.mark.parametrize("n_nodes", [65, 129, 257])
@@ -374,24 +389,6 @@ class TestRun:
             want = tau * h_inner(np.full(m, avg), v.values, g.h)
             slack = tau * g.h * 1e-15 * np.sum(np.abs(v.values))
             assert abs(rep.work - want) <= slack + 1e-15 * abs(want)
-
-
-class TestReportPhi:
-    @pytest.mark.parametrize(
-        "spec, tau",
-        [
-            (build_p3(P3Params(n_nodes=17)), 1 / 32),
-            (build_p2(P2Params(q=1.5, n_nodes=17, horizon=1 / 8)), 1 / 64),
-        ],
-        ids=["p3", "p2_q1.5"],
-    )
-    def test_report_phi_matches_phi_value(self, spec, tau):
-        # The report sums Phi(U^n) from the step's own terms; phi_value
-        # evaluates it independently.
-        traj = run(spec, tau)
-        for n, rep in enumerate(traj.reports, start=1):
-            want = phi_value(spec, step_input(traj, n), traj.U[n])
-            assert abs(rep.phi_value - want) <= 1e-12 * (1.0 + abs(want))
 
 
 class TestStepOperator:
