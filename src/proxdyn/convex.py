@@ -19,6 +19,8 @@ constant is exactly lambda_max(Q).  Two inner solvers take it:
 
 A non-finite iterate raises NonFiniteIterate.  When f is quadratic, both
 solve it in closed form: one banded Cholesky solve of Q + M^T diag(w2) M.
+Every banded Cholesky goes through LAPACK's dpbtrf (`SymBand.factor`) and
+dpbtrs (`band_solve`), which check the result and raise typed errors.
 Every solve certifies optimality through the stationarity residual
 r = grad(smooth) + M^T p_hat, where p_hat is the dual iterate projected
 onto the subdifferential of the nonsmooth part at the current point: for
@@ -31,6 +33,7 @@ the iteration); reported norms and gaps are h-weighted energies.
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
@@ -38,6 +41,7 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.linalg
 import scipy.linalg.blas
+import scipy.linalg.lapack
 
 from .errors import EvalError, MaxIterExceeded, NonFiniteIterate
 
@@ -74,10 +78,30 @@ class SymBand:
             band[len(band) - len(b):] += b
         return SymBand(band)
 
-    def factor_plus(self, *extras):
-        """Banded Cholesky factor of self.plus(*extras); cho_solve_banded
-        takes it."""
-        return scipy.linalg.cholesky_banded(self.plus(*extras).band), False
+    def factor(self) -> np.ndarray:
+        """Upper banded Cholesky factor (LAPACK dpbtrf), for `band_solve`.
+        EvalError unless positive definite, NonFiniteIterate if the factor
+        is not finite (a non-finite band)."""
+        fac, info = scipy.linalg.lapack.dpbtrf(self.band)
+        if info != 0:
+            raise EvalError(f"band matrix not positive definite (dpbtrf info {info})")
+        if not np.isfinite(fac).all():
+            raise NonFiniteIterate("non-finite banded Cholesky factor")
+        return fac
+
+    def factor_plus(self, *extras) -> np.ndarray:
+        """Banded Cholesky factor of self.plus(*extras)."""
+        return self.plus(*extras).factor()
+
+
+def band_solve(fac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """x with C^T C x = rhs for an upper banded Cholesky factor C from
+    `SymBand.factor` (LAPACK dpbtrs); NonFiniteIterate if x is not finite
+    (a non-finite rhs)."""
+    x, info = scipy.linalg.lapack.dpbtrs(fac, rhs)
+    if info != 0 or not np.isfinite(x).all():
+        raise NonFiniteIterate(f"banded Cholesky solve not finite (dpbtrs info {info})")
+    return x
 
 
 _ROOT_RTOL = 1e-15
@@ -172,11 +196,24 @@ class SitePotential:
         if self.q == 2.0:
             self.w2 = self.w2 + self.g
             self.g = np.zeros_like(self.g)
+        self._no_power = bool(np.all(self.g == 0.0))
+        if self.k4 > 0.0:
+            # The cubic's sigma-free subexpressions, each evaluated as its
+            # formula does (scalars as 0-d arrays, see _cubic_consts).
+            c = self.shift
+            self._a3 = np.array(4.0 * self.k4)
+            self._k12 = np.array(12.0 * self.k4)
+            self._off = 12.0 * self.k4 * c / (3.0 * self._a3)
+            self._c3 = 4.0 * self.k4 * c**3
+            self._k12c2 = 12.0 * self.k4 * c**2
+            self._off3x2 = 2.0 * self._off**3
+            self._neg_a = -self.a
+            self._sigma_memo = (None, None)
 
     @property
     def is_quadratic(self) -> bool:
         """True when f has no kink, no quartic, and no power part."""
-        return bool(self.k4 == 0.0 and np.all(self.a == 0.0) and np.all(self.g == 0.0))
+        return bool(self.k4 == 0.0 and np.all(self.a == 0.0) and self._no_power)
 
     @property
     def is_zero(self) -> bool:
@@ -198,12 +235,15 @@ class SitePotential:
         y = np.asarray(y, dtype=float)
         d = np.abs(y - self.shift)
         # Each weight meets its power before the constant, so a subnormal
-        # weight keeps its digits.
-        out = float(
-            np.sum(self.a * d + self.g * d**self.q / self.q + self.w2 * d**2 / 2.0)
-        )
+        # weight keeps its digits.  Without a power part that term is
+        # exact zeros, or 0 * inf = nan where d**q overflows, so it is
+        # left out.
+        terms = self.a * d
+        if not self._no_power:
+            terms = terms + self.g * d**self.q / self.q
+        out = float((terms + self.w2 * d**2 / 2.0).sum())
         if self.k4 > 0.0:
-            out += self.k4 * float(np.sum(y**4))
+            out += self.k4 * float((y**4).sum())
         return out
 
     def prox(self, sigma: float, z):
@@ -234,48 +274,69 @@ class SitePotential:
     def _prox_quartic(self, sigma: float, z):
         """Branch-wise monotone root find for the quartic-augmented prox;
         at most one branch is taken per site, so one root solve serves both."""
+        zc = z - self.shift
+        zs = zc / sigma
         # The branch derivative at d = 0, where the power term vanishes, is
         # base + sgn * a.
-        base = -(z - self.shift) / sigma + 4.0 * self.k4 * self.shift**3
+        base = self._c3 - zs
         take_pos = base + self.a < 0.0
         take_neg = base - self.a > 0.0
-        sgn = np.where(take_pos, 1.0, -1.0)
-        if np.all(self.g == 0.0):
-            d = self._cubic_root(sigma, z, sgn)
+        if self._no_power:
+            d = self._cubic_root(sigma, zc, zs, np.where(take_pos, self.a, self._neg_a))
             # The closed form overflows to nan where k4 is tiny against
             # 1/sigma (k4 ~ 1e-300 and below); the root search takes those
             # sites.
             if not np.isfinite(d).all():
+                sgn = np.where(take_pos, 1.0, -1.0)
                 d = np.where(np.isfinite(d), d, self._branch_root(sigma, z, sgn))
         else:
-            d = self._branch_root(sigma, z, sgn)
+            d = self._branch_root(sigma, z, np.where(take_pos, 1.0, -1.0))
         return self.shift + np.where(take_pos | take_neg, d, 0.0)
 
-    def _cubic_root(self, sigma: float, z, sgn):
+    def _cubic_consts(self, sigma: float):
+        """(sigma, 1/sigma + w2, the sigma part of the depressed constant
+        term, -2 sqrt(p/3), p sqrt(p/3), overflow), kept in one slot keyed
+        on sigma, which the ADMM changes only when residual balancing
+        rescales its penalty.  sigma is returned as a 0-d array, which numpy
+        combines with arrays without converting a Python float each time;
+        overflow is set where k4 is tiny against 1/sigma."""
+        key, consts = self._sigma_memo
+        if key is None or key != sigma:
+            with np.errstate(over="ignore", invalid="ignore"):
+                ws = 1.0 / sigma + self.w2
+                a1 = ws + self._k12c2
+                p = ws / self._a3
+                sq = np.sqrt(p / 3.0)
+                coeffs = (ws, self._off3x2 - a1 * self._off / self._a3, -2.0 * sq, p * sq)
+            overflow = not all(np.isfinite(c).all() for c in coeffs)
+            consts = (np.array(sigma), *coeffs, overflow)
+            self._sigma_memo = (sigma, consts)
+        return consts
+
+    def _cubic_root(self, sigma: float, zc, zs, sa):
         """Closed-form root of the g = 0 branch derivative (monotone cubic)
-        on the branch sign(d) = sgn, with sgn = +-1 per site.
+        on the branch sign(d) = sgn, given zc = z - c, zs = zc / sigma and
+        sa = sgn * a, with sgn = +-1 per site.
 
         The cubic 4 k4 d^3 + 12 k4 c d^2 + (1/sigma + w2 + 12 k4 c^2) d + A0
         is strictly increasing, so its depressed form t^3 + p t + q has
-        p > 0 and the stable single-root hyperbolic formula applies.
+        p = a1/a3 - 3 off^2 = (1/sigma + w2)/(4 k4) > 0 and the stable
+        single-root hyperbolic formula applies.  Where k4 is tiny against
+        1/sigma it overflows, by design, to nan, silently; np.errstate costs
+        as much as several of its operations, so only then is it entered.
         """
-        c = self.shift
-        a3 = 4.0 * self.k4
-        a2 = 12.0 * self.k4 * c
-        a1 = 1.0 / sigma + self.w2 + 12.0 * self.k4 * c**2
-        a0 = 4.0 * self.k4 * c**3 + sgn * self.a - (z - c) / sigma
-        off = a2 / (3.0 * a3)
-        # p = a1/a3 - 3 off^2 collapses to (1/sigma + w2)/(4 k4) > 0.
-        p = (1.0 / sigma + self.w2) / a3
-        q = 2.0 * off**3 - a1 * off / a3 + a0 / a3
-        sq = np.sqrt(p / 3.0)
-        t = -2.0 * sq * np.sinh(np.arcsinh(1.5 * q / (p * sq)) / 3.0)
-        d = t - off
-        for _ in range(2):
-            y = c + d
-            f = (d - (z - c)) / sigma + self.w2 * d + 4.0 * self.k4 * y**3 + sgn * self.a
-            df = 1.0 / sigma + self.w2 + 12.0 * self.k4 * y**2
-            d = d - f / df
+        sigma, ws, q_sigma, m2sq, psq, overflow = self._cubic_consts(sigma)
+        quiet = np.errstate(over="ignore", invalid="ignore") if overflow else nullcontext()
+        with quiet:
+            a0 = self._c3 + sa - zs
+            q = q_sigma + a0 / self._a3
+            t = m2sq * np.sinh(np.arcsinh(1.5 * q / psq) / 3.0)
+            d = t - self._off
+            for _ in range(2):
+                y = self.shift + d
+                f = (d - zc) / sigma + self.w2 * d + self._a3 * y**3 + sa
+                df = ws + self._k12 * y**2
+                d = d - f / df
         return d
 
     def _branch_root(self, sigma: float, z, sgn):
@@ -469,11 +530,10 @@ def _certificate(prob: StepProblem, r, breg: float = 0.0):
     return gap, float(np.sqrt(prob.h * rr)), breg_h
 
 
-def _certify_admm(prob: StepProblem, u, y, p):
-    """Certificate at (u, y, p) with p in dF(y) exactly: the Bregman term
-    F(Mu) - F(y) - <p, Mu - y> is nonnegative by convexity and vanishes
-    with the splitting feasibility gap Mu - y."""
-    mu = prob.sites(u)
+def _certify_admm(prob: StepProblem, u, mu, y, p):
+    """Certificate at (u, y, p), mu = M u, with p in dF(y) exactly: the
+    Bregman term F(Mu) - F(y) - <p, Mu - y> is nonnegative by convexity and
+    vanishes with the splitting feasibility gap Mu - y."""
     breg = prob.nonsmooth.value(mu) - prob.nonsmooth.value(y) - float(p @ (mu - y))
     return _certificate(prob, prob.smooth_full_grad(u) + prob.adjoint(p), breg)
 
@@ -483,7 +543,7 @@ def _solve_quadratic(prob: StepProblem):
     Q + M^T diag(w2) M, with the exact subgradient p = w2 (M u - shift)."""
     pot = prob.nonsmooth
     rhs = -prob.lin + prob.adjoint(pot.w2 * pot.shift)
-    u = scipy.linalg.cho_solve_banded(prob.quad_op.factor_plus(prob.gram(pot.w2)), rhs)
+    u = band_solve(prob.quad_op.factor_plus(prob.gram(pot.w2)), rhs)
     p = pot.w2 * (prob.sites(u) - pot.shift)
     gap, r_h, _ = _certificate(prob, prob.smooth_full_grad(u) + prob.adjoint(p))
     return u, p, PDReport(1, gap, r_h)
@@ -516,17 +576,15 @@ def solve_pd(prob: StepProblem, init, p0=None, sched=None):
     lam = np.zeros(mu.shape) if p0 is None else np.asarray(p0, dtype=float) / beta
     y = pot.prox(1.0 / beta, mu + lam)
     p = beta * (mu + lam - y)
-    gap, r_h, breg_h = _certify_admm(prob, u, y, p)
+    gap, r_h, breg_h = _certify_admm(prob, u, mu, y, p)
     if gap <= prob.tol and r_h <= prob.resid_target and breg_h <= prob.fy_slack:
         return u, p, PDReport(0, gap, r_h, sched=(beta,))
     lam = lam + mu - y
     mtm = prob.gram(np.ones(mu.shape))
     fac = prob.quad_op.factor_plus(beta * mtm)
+    neg_lin = -prob.lin
     for k in range(1, prob.max_iter + 1):
-        u = scipy.linalg.cho_solve_banded(fac, -prob.lin + beta * prob.adjoint(y - lam))
-        if not np.all(np.isfinite(u)):
-            raise NonFiniteIterate(f"non-finite iterate at inner iteration {k}")
-
+        u = band_solve(fac, neg_lin + beta * prob.adjoint(y - lam))
         mu = prob.sites(u)
         y_old = y
         y = pot.prox(1.0 / beta, mu + lam)
@@ -534,7 +592,7 @@ def solve_pd(prob: StepProblem, init, p0=None, sched=None):
 
         if k % _CHECK_EVERY == 0 or k == prob.max_iter:
             p = beta * lam
-            gap, r_h, breg_h = _certify_admm(prob, u, y, p)
+            gap, r_h, breg_h = _certify_admm(prob, u, mu, y, p)
             if gap <= prob.tol and r_h <= prob.resid_target and breg_h <= prob.fy_slack:
                 return u, p, PDReport(k, gap, r_h, sched=(beta,))
             # Residual balancing keeps primal and dual progress comparable.
@@ -549,7 +607,7 @@ def solve_pd(prob: StepProblem, init, p0=None, sched=None):
                 lam *= 2.0
                 fac = prob.quad_op.factor_plus(beta * mtm)
 
-    gap = _certify_admm(prob, u, y, beta * lam)[0]
+    gap = _certify_admm(prob, u, mu, y, beta * lam)[0]
     raise MaxIterExceeded(
         f"primal-dual solve stalled after {prob.max_iter} iterations "
         f"(gap {gap:.3e}, target {prob.tol:.3e})",
@@ -588,7 +646,7 @@ def _newton_direction(prob: StepProblem, sigma: float, y, r):
     band[bw, stuck] = 1.0
     d_stuck = np.where(stuck, -r, 0.0)
     rhs = np.where(stuck, -r, -r * (1.0 + sigma * curv) / sigma - prob.quad_op @ d_stuck)
-    return scipy.linalg.cho_solve_banded((scipy.linalg.cholesky_banded(band), False), rhs)
+    return band_solve(SymBand(band).factor(), rhs)
 
 
 def solve_prox_gradient(prob: StepProblem, init):

@@ -266,9 +266,9 @@ def step_count(horizon: float, tau: float) -> int:
     return n
 
 
-def energy_total(spec: ProblemSpec, t: float, u: Field) -> float:
+def energy_total(spec: ProblemSpec, t: float, u: Field, lin=None) -> float:
     """E_t(u) = 0.5 <(A + quad_shift) u, u>_h + site_quartic h sum (M u)^4
-    + <lin_part(t), u>_h."""
+    + <lin_part(t), u>_h; lin is lin_part(t) when the caller has it."""
     en = spec.energy
     vals = u.values
     h = spec.grid.h
@@ -276,22 +276,23 @@ def energy_total(spec: ProblemSpec, t: float, u: Field) -> float:
     if en.site_quartic > 0.0:
         out += en.site_quartic * h * float(np.sum(spec.sites(vals) ** 4))
     if en.lin_part is not None:
-        out += h * float(en.lin_part(t) @ vals)
+        out += h * float((en.lin_part(t) if lin is None else lin) @ vals)
     if not np.isfinite(out):
         raise EvalError(f"energy evaluated non-finite at t={t}")
     return out
 
 
-def energy_grad(spec: ProblemSpec, t: float, values: np.ndarray) -> np.ndarray:
+def energy_grad(spec: ProblemSpec, t: float, values: np.ndarray, lin=None) -> np.ndarray:
     """h-representation of D E_t(u) = (A + quad_shift) u
-    + 4 site_quartic M^T (M u)^3 + lin_part(t)."""
+    + 4 site_quartic M^T (M u)^3 + lin_part(t); lin is lin_part(t) when the
+    caller has it."""
     en = spec.energy
     g = _quad_part(en, values)
     if en.site_quartic > 0.0:
         cubic = 4.0 * en.site_quartic * spec.sites(values) ** 3
         g = g + (cubic if spec.site_op is None else spec.site_op.T @ cubic)
     if en.lin_part is not None:
-        g = g + en.lin_part(t)
+        g = g + (en.lin_part(t) if lin is None else lin)
     if not np.all(np.isfinite(g)):
         raise EvalError(f"energy gradient non-finite at t={t}")
     return g

@@ -187,6 +187,7 @@ def incremental_minimize(
     *,
     inner_tol: float = DEFAULT_INNER_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
+    lin_part: Optional[Callable] = None,
 ):
     """One incremental minimization step: returns (U^n, eta^n, StepReport,
     carry).
@@ -210,6 +211,8 @@ def incremental_minimize(
     Raises StepSizeTooLarge if tau breaks `core.check_step`'s rule and
     InnerSolverFailed (carrying the best iterate) if the inner solve stalls
     or the last attempt's gap is above 10 inner_tol or not finite.
+    lin_part stands in for spec.energy.lin_part (`run` passes one that
+    remembers its last value); a step calls it at t_{n-1}, then once at t_n.
     """
     tau = inp.tau
     gamma = check_step(spec, tau)
@@ -220,10 +223,13 @@ def incremental_minimize(
     en = spec.energy
     b = inp.zeta.values - (2.0 * inp.v.values - inp.w.values) / tau**2
     energy_rate = 0.0
+    lin_next = None
     if en.lin_part is not None:
-        lin_next = en.lin_part(t_next)
+        lin_part = en.lin_part if lin_part is None else lin_part
+        lin_prev = lin_part(inp.t_prev)
+        lin_next = lin_part(t_next)
         b = b + lin_next
-        energy_rate = h_inner(lin_next - en.lin_part(inp.t_prev), inp.v.values, h)
+        energy_rate = h_inner(lin_next - lin_prev, inp.v.values, h)
     separable = spec.site_op is None
     psi_pot = spec.dissipation.potential(inp.v)
     pot = psi_pot.step_copy(tau, spec.sites(inp.v.values), en.site_quartic)
@@ -244,7 +250,7 @@ def incremental_minimize(
         indicator of {0}, has the gap |pairing|."""
         eta = -(
             (u_vals - 2.0 * inp.v.values + inp.w.values) / tau**2
-            + energy_grad(spec, t_next, u_vals)
+            + energy_grad(spec, t_next, u_vals, lin=lin_next)
             + inp.zeta.values
         )
         v_vel = (u_vals - inp.v.values) / tau
@@ -315,7 +321,7 @@ def incremental_minimize(
         fy_gap=fy,
         el_residual=rep.resid_h,
         inner_iters=rep.iterations,
-        energy_after=energy_total(spec, t_next, u_field),
+        energy_after=energy_total(spec, t_next, u_field, lin=lin_next),
         kinetic_after=0.5 * h_norm(v_vel, h) ** 2,
         psi=psi,
         psi_star=pairing - psi + fy,
@@ -325,6 +331,21 @@ def incremental_minimize(
     )
     carry = (p_hat, sched) if not separable else None
     return u_field, Field(eta_vals, grid), report, carry
+
+
+def _remember_last(f: Callable) -> Callable:
+    """f with its last value kept: a call at the identical float t returns
+    it without calling f.  A step's t_{n-1} is usually the previous step's
+    t_n; where the two differ by an ulp, f is called at both."""
+    last_t, last = None, None
+
+    def remembered(t):
+        nonlocal last_t, last
+        if last_t is None or t != last_t:
+            last_t, last = t, f(t)
+        return last
+
+    return remembered
 
 
 def run(
@@ -351,6 +372,7 @@ def run(
     u_prev2 = Field(spec.u0.values - tau * spec.v0.values, grid)
     v_prev = spec.v0
     q_op = step_operator(spec, tau)
+    lin_part = None if spec.energy.lin_part is None else _remember_last(spec.energy.lin_part)
     dual = None
     for n in range(1, n_steps + 1):
         t_prev = (n - 1) * tau
@@ -366,7 +388,8 @@ def run(
         )
         try:
             u_n, _, report, dual = incremental_minimize(
-                spec, inp, q_op, u_prev, dual, inner_tol=inner_tol, max_iter=max_iter
+                spec, inp, q_op, u_prev, dual,
+                inner_tol=inner_tol, max_iter=max_iter, lin_part=lin_part,
             )
         except InnerSolverFailed as exc:
             raise InnerSolverFailed(

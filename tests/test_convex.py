@@ -6,10 +6,13 @@ scanned functions are convex/concave in the scan variable); closed forms
 are asserted against frozen oracle outputs.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from proxdyn.errors import EvalError, NonFiniteIterate
 from proxdyn.convex import (
     SitePotential,
     StepProblem,
@@ -546,6 +549,86 @@ class TestBandedClosedForms:
         want = np.linalg.solve(q_mat + d.T @ (w2[:, None] * d), -b + d.T @ (w2 * shift))
         assert rep.iterations == 1
         np.testing.assert_allclose(u, want, rtol=1e-12, atol=1e-13 * np.max(np.abs(want)))
+
+
+class TestBandedCholeskyFailures:
+    """The banded Cholesky owner raises the package's errors: a non-finite
+    right-hand side NonFiniteIterate, a band that is not positive definite
+    EvalError."""
+
+    @staticmethod
+    def _problem(pot, lin_op=None):
+        m = 7
+        lin = np.ones(m)
+        lin[3] = np.nan
+        return StepProblem(
+            quad_op=band_of(np.eye(m) * 10), lin=lin, nonsmooth=pot, h=0.125,
+            strong_convexity=10.0, lin_op=lin_op, op_norm=16.0,
+        )
+
+    def test_nan_lin_through_the_splitting(self):
+        m = 7
+        d = DenseSiteOp(_edge_grad(m, 0.125))
+        pot = SitePotential(np.full(m + 1, 0.5), np.zeros(m + 1), 2.0, np.ones(m + 1), np.zeros(m + 1))
+        with pytest.raises(NonFiniteIterate):
+            solve_pd(self._problem(pot, d), np.zeros(m))
+
+    @pytest.mark.parametrize("solver", [solve_pd, solve_prox_gradient])
+    def test_nan_lin_through_the_quadratic_solve(self, solver):
+        pot = SitePotential(np.zeros(7), np.zeros(7), 2.0, np.ones(7), np.zeros(7))
+        assert pot.is_quadratic
+        with pytest.raises(NonFiniteIterate):
+            solver(self._problem(pot), np.zeros(7))
+
+    def test_indefinite_band(self):
+        band = np.array([[0.0, 2.0, 2.0], [1.0, 1.0, 1.0]])
+        with pytest.raises(EvalError):
+            SymBand(band).factor_plus()
+        with pytest.raises(EvalError):
+            SymBand(np.ones((1, 3))).factor_plus(-np.full((1, 3), 2.0))
+
+    def test_nan_band(self):
+        with pytest.raises(NonFiniteIterate):
+            SymBand(np.array([[0.0, np.nan, 1.0], [1.0, 1.0, 1.0]])).factor_plus()
+
+
+_MEMO_CASES = {
+    # g = 0: the cubic's closed form, whose constants the memo holds.
+    "cubic": (0.0, 2.0, 0.7),
+    # g > 0: the branch root search.
+    "branch": (1.3, 1.5, 0.7),
+    # k4 at the bottom of the doubles: the closed form overflows to nan and
+    # the branch root search takes every site.
+    "tiny_k4": (0.0, 2.0, 5e-324),
+}
+
+
+class TestSigmaMemo:
+    """SitePotential keeps the quartic prox's per-penalty constants in one
+    slot keyed on sigma; a potential that has seen other penalties gives the
+    prox of a fresh one, bit for bit."""
+
+    @pytest.mark.parametrize("case", sorted(_MEMO_CASES))
+    @settings(max_examples=40, deadline=None)
+    @given(
+        pool=st.lists(st.floats(1e-3, 1e3), min_size=2, max_size=4, unique=True),
+        order=st.lists(st.integers(0, 3), min_size=1, max_size=8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_prox_matches_a_fresh_potential(self, case, pool, order, seed):
+        g, q, k4 = _MEMO_CASES[case]
+        rng = np.random.default_rng(seed)
+        m = 6
+        args = (rng.uniform(0.0, 1.0, m), np.full(m, g), q, rng.uniform(0.0, 2.0, m), rng.standard_normal(m))
+        pot = SitePotential(*args, k4=k4)
+        # sigma_1, sigma_2, sigma_1 first: a revisit after the slot moved on.
+        for i in [0, 1, 0] + order:
+            sigma = pool[i % len(pool)]
+            z = rng.standard_normal(m) * 3.0
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = pot.prox(sigma, z)
+            assert np.array_equal(got, SitePotential(*args, k4=k4).prox(sigma, z))
 
 
 class TestEdgeConjugatePair:

@@ -81,3 +81,49 @@ def test_every_public_definition_has_a_program_caller():
 
 def test_allowlist_names_existing_definitions():
     assert set(ALLOWED) <= set(_public_definitions())
+
+
+# The banded Cholesky has one owner: `SymBand.factor` calls LAPACK's dpbtrf
+# and `band_solve` its dpbtrs, and both check the result, so every solver
+# gets the same typed errors.
+BANDED_CHOLESKY = {"cholesky_banded", "cho_solve_banded", "dpbtrf", "dpbtrs"}
+BANDED_CHOLESKY_OWNERS = {("convex", "SymBand.factor"), ("convex", "band_solve")}
+
+
+def _named(tree):
+    """(name, line) of every name, attribute, imported name and string
+    constant in a module's syntax tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.alias):
+            yield node.name.rsplit(".", 1)[-1], node.lineno
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value, node.lineno
+
+
+def test_banded_cholesky_has_one_owner():
+    defs = _public_definitions()
+    owned = {
+        (mod, line)
+        for mod, qual in BANDED_CHOLESKY_OWNERS
+        for line in range(defs[mod, qual][1], defs[mod, qual][2] + 1)
+    }
+    stray = [
+        f"{path.stem}:{line} {name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for name, line in _named(ast.parse(path.read_text(encoding="utf-8")))
+        if name in BANDED_CHOLESKY and (path.stem, line) not in owned
+    ]
+    assert not stray, f"banded Cholesky named outside SymBand.factor and band_solve: {stray}"
+
+
+def test_banded_cholesky_guard_sees_a_stray_call():
+    tree = ast.parse("import scipy.linalg\nx = scipy.linalg.cho_solve_banded(c, b)\n"
+                     "from scipy.linalg.lapack import dpbtrf\n")
+    assert sorted((line, n) for n, line in _named(tree) if n in BANDED_CHOLESKY) == [
+        (2, "cho_solve_banded"),
+        (3, "dpbtrf"),
+    ]

@@ -490,6 +490,46 @@ class TestOnePsiPerStep:
             assert state is traj.U[n - 1]
 
 
+class TestOneForcePerStep:
+    """A step evaluates E2's linear part once, at t_n, for b, eta^n and the
+    ledger's energy, and reuses the previous step's value at t_{n-1} when
+    its time is the identical float."""
+
+    @staticmethod
+    def _recording_run(tau, horizon):
+        calls = []
+
+        def force(t):
+            calls.append(t)
+            return np.full(15, np.cos(t))
+
+        traj = run(build_p3(P3Params(n_nodes=17, horizon=horizon, force=force)), tau)
+        return traj, calls
+
+    def test_user_force_runs_once_per_step(self):
+        traj, calls = self._recording_run(1 / 32, 0.25)
+        assert traj.n_steps == 8
+        assert calls == [n / 32 for n in range(9)]
+
+    def test_reuse_only_at_the_identical_time(self):
+        # Step n starts at (n - 1) tau and ends at (n - 1) tau + tau; with
+        # tau = 0.1 the end of step 6 and the start of step 7 differ by an
+        # ulp, so the force is called at both.
+        tau = 0.1
+        starts = [(n - 1) * tau for n in range(1, 11)]
+        ends = [t + tau for t in starts]
+        assert ends[5] != starts[6]
+        want = []
+        for n, (t_prev, t_next) in enumerate(zip(starts, ends)):
+            if n == 0 or t_prev != ends[n - 1]:
+                want.append(t_prev)
+            want.append(t_next)
+        traj, calls = self._recording_run(tau, 1.0)
+        assert traj.n_steps == 10
+        assert calls == want
+        assert len(calls) == 12
+
+
 class TestAdmissibleTau:
     def test_divides_and_bounds(self):
         spec = scalar_spec()
