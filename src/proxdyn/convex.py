@@ -33,7 +33,6 @@ the iteration); reported norms and gaps are h-weighted energies.
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
@@ -295,11 +294,10 @@ class SitePotential:
 
     def _cubic_consts(self, sigma: float):
         """(sigma, 1/sigma + w2, the sigma part of the depressed constant
-        term, -2 sqrt(p/3), p sqrt(p/3), overflow), kept in one slot keyed
-        on sigma, which the ADMM changes only when residual balancing
-        rescales its penalty.  sigma is returned as a 0-d array, which numpy
-        combines with arrays without converting a Python float each time;
-        overflow is set where k4 is tiny against 1/sigma."""
+        term, -2 sqrt(p/3), p sqrt(p/3)), kept in one slot keyed on sigma,
+        which the ADMM changes only when residual balancing rescales its
+        penalty.  sigma is returned as a 0-d array, which numpy combines
+        with arrays without converting a Python float each time."""
         key, consts = self._sigma_memo
         if key is None or key != sigma:
             with np.errstate(over="ignore", invalid="ignore"):
@@ -307,9 +305,10 @@ class SitePotential:
                 a1 = ws + self._k12c2
                 p = ws / self._a3
                 sq = np.sqrt(p / 3.0)
-                coeffs = (ws, self._off3x2 - a1 * self._off / self._a3, -2.0 * sq, p * sq)
-            overflow = not all(np.isfinite(c).all() for c in coeffs)
-            consts = (np.array(sigma), *coeffs, overflow)
+                consts = (
+                    np.array(sigma), ws, self._off3x2 - a1 * self._off / self._a3,
+                    -2.0 * sq, p * sq,
+                )
             self._sigma_memo = (sigma, consts)
         return consts
 
@@ -322,12 +321,10 @@ class SitePotential:
         is strictly increasing, so its depressed form t^3 + p t + q has
         p = a1/a3 - 3 off^2 = (1/sigma + w2)/(4 k4) > 0 and the stable
         single-root hyperbolic formula applies.  Where k4 is tiny against
-        1/sigma it overflows, by design, to nan, silently; np.errstate costs
-        as much as several of its operations, so only then is it entered.
+        1/sigma it overflows, by design, to nan, silently.
         """
-        sigma, ws, q_sigma, m2sq, psq, overflow = self._cubic_consts(sigma)
-        quiet = np.errstate(over="ignore", invalid="ignore") if overflow else nullcontext()
-        with quiet:
+        sigma, ws, q_sigma, m2sq, psq = self._cubic_consts(sigma)
+        with np.errstate(over="ignore", invalid="ignore"):
             a0 = self._c3 + sa - zs
             q = q_sigma + a0 / self._a3
             t = m2sq * np.sinh(np.arcsinh(1.5 * q / psq) / 3.0)

@@ -46,7 +46,11 @@ class EnergySpec:
                   + 0.5 <quad_shift u, u>_h + <lin_part(t), u>_h
 
     with M as for Psi (`ProblemSpec.sites`); E is defined up to a constant,
-    which the energy-dissipation balance never sees.  quad_op (A) and
+    which the energy-dissipation balance never sees.  lin_part is kept
+    with its last value: a call at the identical float t returns the same
+    array without calling it again, so a step, which asks for lin_part(t_n)
+    several times and for the previous step's t_n as its t_{n-1}, calls it
+    once (twice where the two times differ by an ulp).  quad_op (A) and
     quad_shift are SymBands (anything else is a ConfigError).  lambda_conv
     is a certified convexity defect: the full energy satisfies the
     interpolation inequality
@@ -75,6 +79,22 @@ class EnergySpec:
             raise ConfigError("lambda_conv must be nonnegative")
         if self.site_quartic < 0:
             raise ConfigError("site_quartic must be nonnegative")
+        if self.lin_part is not None:
+            object.__setattr__(self, "lin_part", _LastValue(self.lin_part))
+
+
+class _LastValue:
+    """f with its last value kept, keyed on the identical float t."""
+
+    def __init__(self, f: Callable[[float], np.ndarray]):
+        self.f = f
+        self.last = None
+
+    def __call__(self, t: float) -> np.ndarray:
+        last = self.last
+        if last is None or t != last[0]:
+            last = self.last = (t, self.f(t))
+        return last[1]
 
 
 DissipationKind = Literal["separable", "grad_composite"]
@@ -266,9 +286,9 @@ def step_count(horizon: float, tau: float) -> int:
     return n
 
 
-def energy_total(spec: ProblemSpec, t: float, u: Field, lin=None) -> float:
+def energy_total(spec: ProblemSpec, t: float, u: Field) -> float:
     """E_t(u) = 0.5 <(A + quad_shift) u, u>_h + site_quartic h sum (M u)^4
-    + <lin_part(t), u>_h; lin is lin_part(t) when the caller has it."""
+    + <lin_part(t), u>_h."""
     en = spec.energy
     vals = u.values
     h = spec.grid.h
@@ -276,23 +296,22 @@ def energy_total(spec: ProblemSpec, t: float, u: Field, lin=None) -> float:
     if en.site_quartic > 0.0:
         out += en.site_quartic * h * float(np.sum(spec.sites(vals) ** 4))
     if en.lin_part is not None:
-        out += h * float((en.lin_part(t) if lin is None else lin) @ vals)
+        out += h * float(en.lin_part(t) @ vals)
     if not np.isfinite(out):
         raise EvalError(f"energy evaluated non-finite at t={t}")
     return out
 
 
-def energy_grad(spec: ProblemSpec, t: float, values: np.ndarray, lin=None) -> np.ndarray:
+def energy_grad(spec: ProblemSpec, t: float, values: np.ndarray) -> np.ndarray:
     """h-representation of D E_t(u) = (A + quad_shift) u
-    + 4 site_quartic M^T (M u)^3 + lin_part(t); lin is lin_part(t) when the
-    caller has it."""
+    + 4 site_quartic M^T (M u)^3 + lin_part(t)."""
     en = spec.energy
     g = _quad_part(en, values)
     if en.site_quartic > 0.0:
         cubic = 4.0 * en.site_quartic * spec.sites(values) ** 3
         g = g + (cubic if spec.site_op is None else spec.site_op.T @ cubic)
     if en.lin_part is not None:
-        g = g + (en.lin_part(t) if lin is None else lin)
+        g = g + en.lin_part(t)
     if not np.all(np.isfinite(g)):
         raise EvalError(f"energy gradient non-finite at t={t}")
     return g

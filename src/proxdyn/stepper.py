@@ -187,7 +187,6 @@ def incremental_minimize(
     *,
     inner_tol: float = DEFAULT_INNER_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
-    lin_part: Optional[Callable] = None,
 ):
     """One incremental minimization step: returns (U^n, eta^n, StepReport,
     carry).
@@ -211,8 +210,6 @@ def incremental_minimize(
     Raises StepSizeTooLarge if tau breaks `core.check_step`'s rule and
     InnerSolverFailed (carrying the best iterate) if the inner solve stalls
     or the last attempt's gap is above 10 inner_tol or not finite.
-    lin_part stands in for spec.energy.lin_part (`run` passes one that
-    remembers its last value); a step calls it at t_{n-1}, then once at t_n.
     """
     tau = inp.tau
     gamma = check_step(spec, tau)
@@ -223,11 +220,10 @@ def incremental_minimize(
     en = spec.energy
     b = inp.zeta.values - (2.0 * inp.v.values - inp.w.values) / tau**2
     energy_rate = 0.0
-    lin_next = None
     if en.lin_part is not None:
-        lin_part = en.lin_part if lin_part is None else lin_part
-        lin_prev = lin_part(inp.t_prev)
-        lin_next = lin_part(t_next)
+        # t_{n-1} first: lin_part keeps one value, the previous step's t_n.
+        lin_prev = en.lin_part(inp.t_prev)
+        lin_next = en.lin_part(t_next)
         b = b + lin_next
         energy_rate = h_inner(lin_next - lin_prev, inp.v.values, h)
     separable = spec.site_op is None
@@ -250,7 +246,7 @@ def incremental_minimize(
         indicator of {0}, has the gap |pairing|."""
         eta = -(
             (u_vals - 2.0 * inp.v.values + inp.w.values) / tau**2
-            + energy_grad(spec, t_next, u_vals, lin=lin_next)
+            + energy_grad(spec, t_next, u_vals)
             + inp.zeta.values
         )
         v_vel = (u_vals - inp.v.values) / tau
@@ -321,7 +317,7 @@ def incremental_minimize(
         fy_gap=fy,
         el_residual=rep.resid_h,
         inner_iters=rep.iterations,
-        energy_after=energy_total(spec, t_next, u_field, lin=lin_next),
+        energy_after=energy_total(spec, t_next, u_field),
         kinetic_after=0.5 * h_norm(v_vel, h) ** 2,
         psi=psi,
         psi_star=pairing - psi + fy,
@@ -331,21 +327,6 @@ def incremental_minimize(
     )
     carry = (p_hat, sched) if not separable else None
     return u_field, Field(eta_vals, grid), report, carry
-
-
-def _remember_last(f: Callable) -> Callable:
-    """f with its last value kept: a call at the identical float t returns
-    it without calling f.  A step's t_{n-1} is usually the previous step's
-    t_n; where the two differ by an ulp, f is called at both."""
-    last_t, last = None, None
-
-    def remembered(t):
-        nonlocal last_t, last
-        if last_t is None or t != last_t:
-            last_t, last = t, f(t)
-        return last
-
-    return remembered
 
 
 def run(
@@ -372,7 +353,6 @@ def run(
     u_prev2 = Field(spec.u0.values - tau * spec.v0.values, grid)
     v_prev = spec.v0
     q_op = step_operator(spec, tau)
-    lin_part = None if spec.energy.lin_part is None else _remember_last(spec.energy.lin_part)
     dual = None
     for n in range(1, n_steps + 1):
         t_prev = (n - 1) * tau
@@ -388,8 +368,7 @@ def run(
         )
         try:
             u_n, _, report, dual = incremental_minimize(
-                spec, inp, q_op, u_prev, dual,
-                inner_tol=inner_tol, max_iter=max_iter, lin_part=lin_part,
+                spec, inp, q_op, u_prev, dual, inner_tol=inner_tol, max_iter=max_iter
             )
         except InnerSolverFailed as exc:
             raise InnerSolverFailed(

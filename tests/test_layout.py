@@ -54,17 +54,25 @@ def _references():
     refs = {}
     for path in files:
         module = path.stem if path.parent == PACKAGE else None
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Name):
-                name = node.id
-            elif isinstance(node, ast.Attribute):
-                name = node.attr
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-                name = node.value
-            else:
-                continue
-            refs.setdefault(name, []).append((module, node.lineno))
+        # An import alone does not call anything: a used import has its
+        # Name or Attribute elsewhere.
+        for name, line in _named(ast.parse(path.read_text(encoding="utf-8")), imports=False):
+            refs.setdefault(name, []).append((module, line))
     return refs
+
+
+def _named(tree, imports=True):
+    """(name, line) of every name, attribute, string constant and (with
+    imports) imported name in a module's syntax tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.alias) and imports:
+            yield node.name.rsplit(".", 1)[-1], node.lineno
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value, node.lineno
 
 
 def test_every_public_definition_has_a_program_caller():
@@ -88,20 +96,6 @@ def test_allowlist_names_existing_definitions():
 # gets the same typed errors.
 BANDED_CHOLESKY = {"cholesky_banded", "cho_solve_banded", "dpbtrf", "dpbtrs"}
 BANDED_CHOLESKY_OWNERS = {("convex", "SymBand.factor"), ("convex", "band_solve")}
-
-
-def _named(tree):
-    """(name, line) of every name, attribute, imported name and string
-    constant in a module's syntax tree."""
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            yield node.id, node.lineno
-        elif isinstance(node, ast.Attribute):
-            yield node.attr, node.lineno
-        elif isinstance(node, ast.alias):
-            yield node.name.rsplit(".", 1)[-1], node.lineno
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            yield node.value, node.lineno
 
 
 def test_banded_cholesky_has_one_owner():
