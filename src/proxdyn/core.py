@@ -50,7 +50,9 @@ class EnergySpec:
     with its last value: a call at the identical float t returns the same
     array without calling it again, so a step, which asks for lin_part(t_n)
     several times and for the previous step's t_n as its t_{n-1}, calls it
-    once (twice where the two times differ by an ulp).  quad_op (A) and
+    once (twice where the two times differ by an ulp); lin_part must
+    therefore be a pure function of t, and callers must not modify the
+    array it returns.  quad_op (A) and
     quad_shift are SymBands (anything else is a ConfigError).  lambda_conv
     is a certified convexity defect: the full energy satisfies the
     interpolation inequality
