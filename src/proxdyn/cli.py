@@ -223,14 +223,12 @@ def _validate(cfg: RunConfig) -> ProblemSpec:
     return spec
 
 
-def _fmt(x) -> str:
-    return f"{float(x):.17g}"
-
-
 def _write_csv(path: Path, header: list[str], rows) -> None:
+    """rows (numbers, one column per header entry) as CSV, each cell
+    written as f"{float(x):.17g}" writes it."""
+    fmt = ",".join(["%.17g"] * len(header))
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(cell if isinstance(cell, str) else _fmt(cell) for cell in row))
+    lines += [fmt % tuple(row) for row in np.asarray(rows, dtype=float).tolist()]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
@@ -326,8 +324,10 @@ def run_and_emit(cfg: RunConfig) -> int:
     count = min(traj.n_steps + 1, 200)
     idx = np.unique(np.linspace(0, traj.n_steps, count).round().astype(int))
     header = ["t"] + [f"x{j}" for j in range(spec.grid.n_nodes)]
-    rows = [[traj.times[n], *traj.U[n].padded()] for n in idx]
-    _write_csv(out / "snapshots.csv", header, rows)
+    frames = np.zeros((len(idx), spec.grid.n_nodes + 1))
+    frames[:, 0] = traj.times[idx]
+    frames[:, 2:-1] = [traj.U[n].values for n in idx]
+    _write_csv(out / "snapshots.csv", header, frames)
 
     if cfg.halvings > 0:
         table = diagnostics.convergence_study(traj, cfg.halvings, inner_tol=cfg.inner_tol)

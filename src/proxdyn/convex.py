@@ -33,6 +33,7 @@ the iteration); reported norms and gaps are h-weighted energies.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
@@ -93,12 +94,18 @@ class SymBand:
         return self.plus(*extras).factor()
 
 
+def _all_finite(x: np.ndarray) -> bool:
+    """Whether every entry of x is finite: a finite x.x proves it, so the
+    elementwise test runs only where x.x overflows or is not finite."""
+    return math.isfinite(np.vdot(x, x)) or bool(np.isfinite(x).all())
+
+
 def band_solve(fac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """x with C^T C x = rhs for an upper banded Cholesky factor C from
     `SymBand.factor` (LAPACK dpbtrs); NonFiniteIterate if x is not finite
     (a non-finite rhs)."""
     x, info = scipy.linalg.lapack.dpbtrs(fac, rhs)
-    if info != 0 or not np.isfinite(x).all():
+    if info != 0 or not _all_finite(x):
         raise NonFiniteIterate(f"banded Cholesky solve not finite (dpbtrs info {info})")
     return x
 
@@ -285,7 +292,7 @@ class SitePotential:
             # The closed form overflows to nan where k4 is tiny against
             # 1/sigma (k4 ~ 1e-300 and below); the root search takes those
             # sites.
-            if not np.isfinite(d).all():
+            if not _all_finite(d):
                 sgn = np.where(take_pos, 1.0, -1.0)
                 d = np.where(np.isfinite(d), d, self._branch_root(sigma, z, sgn))
         else:
@@ -427,16 +434,22 @@ def edge_conjugate_pair(a, w2, g, q, lam):
     active = t > 0.0
     if np.any(active):
         ta, wa, ga = t[active], w2[active], g[active]
-        sa = _power_solve(wa, ga, q, ta)
         # psi* = t s - (w2/2) s^2 - (g/q) s^q; substituting t from the
         # stationarity equation leaves a sum without cancellation.  An
         # infinite maximizer (a-only potential) gives an infinite value.
-        with np.errstate(over="ignore", invalid="ignore"):
-            # g s^(q-1) overflows at a huge s before a subnormal g scales
-            # it down; the stationarity equation gives it as t - w2 s.
-            gs = ga * sa ** (q - 1.0)
-            gs = np.where(np.isfinite(gs), gs, ta - wa * sa)
-            va = sa * (wa * sa / 2.0 + gs * (1.0 - 1.0 / q))
+        if ga.any():
+            sa = _power_solve(wa, ga, q, ta)
+            with np.errstate(over="ignore", invalid="ignore"):
+                # g s^(q-1) overflows at a huge s before a subnormal g
+                # scales it down; the stationarity equation gives t - w2 s.
+                gs = ga * sa ** (q - 1.0)
+                gs = np.where(np.isfinite(gs), gs, ta - wa * sa)
+                va = sa * (wa * sa / 2.0 + gs * (1.0 - 1.0 / q))
+        else:
+            # g = 0: _power_solve's closed form, and no power term.
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                sa = ta / wa
+                va = sa * (wa * sa / 2.0)
         va[np.isinf(sa)] = np.inf
         s[active] = np.sign(lam[active]) * sa
         val[active] = va

@@ -127,6 +127,8 @@ class DissipationSpec:
     def __post_init__(self):
         if self.kind not in ("separable", "grad_composite"):
             raise ConfigError(f"unknown dissipation kind {self.kind!r}")
+        if not all(map(math.isfinite, (self.q, self.visc, self.growth_c, self.growth_C))):
+            raise ConfigError("q, visc, growth_c and growth_C must be finite")
         if not self.q > 1.0:
             raise ConfigError("growth exponent q must exceed 1")
         if self.visc < 0.0:
@@ -349,14 +351,16 @@ class ValidationReport:
 def validate_assumptions(
     spec: ProblemSpec, samples: int, seed: int = 0
 ) -> ValidationReport:
-    """Sample-check the standing assumptions on a concrete problem.
+    """Check the standing assumptions on a concrete problem.
 
-    Verifies strong positivity of the quadratic operator (a band, so
-    symmetric by construction), the lambda-convexity interpolation
-    inequality for the total energy, the zero-at-rest and growth sandwich
-    of the dissipation, and continuity of the perturbation on bounded sets.
-    Reports the worst violation per check plus the supremum of admissible
-    steps, `tau_max`.
+    Exact, from one banded eigenvalue each: strong positivity of the
+    quadratic operator A, and the lambda-convexity interpolation inequality
+    for E_t = 0.5 <K u, u>_h + a convex quartic + a linear term (K = A +
+    quad_shift), which holds iff lambda_min(K)/2 + lambda_conv >= 0, tested
+    to a tolerance scaled by K's entries.  Sampled, where user callables
+    enter: the growth sandwich of the dissipation and the continuity of the
+    perturbation on bounded sets.  Reports the worst violation per check
+    plus the supremum of admissible steps, `tau_max`.
     """
     if samples < 1:
         raise ConfigError("samples must be >= 1")
@@ -366,36 +370,19 @@ def validate_assumptions(
     h = grid.h
     checks = []
 
-    mu = spec.energy.quad_op.eigenvalue(0)
+    en = spec.energy
+    mu = en.quad_op.eigenvalue(0)
     checks.append(
         CheckResult("quad_op_positivity", mu > 0.0, max(0.0, -mu), f"mu = {mu:.6e}")
     )
 
-    lam = spec.energy.lambda_conv
-    worst_conv = 0.0
-    for _ in range(samples):
-        u = Field(rng.standard_normal(m), grid)
-        v = Field(rng.standard_normal(m), grid)
-        th = rng.uniform()
-        t = rng.uniform(0.0, spec.horizon)
-        mid = Field(th * u.values + (1 - th) * v.values, grid)
-        lhs = energy_total(spec, t, mid)
-        rhs = (
-            th * energy_total(spec, t, u)
-            + (1 - th) * energy_total(spec, t, v)
-            + th * (1 - th) * lam * h_norm(u.values - v.values, h) ** 2
-        )
-        worst_conv = max(worst_conv, lhs - rhs)
-    conv_tol = 1e-10
+    k = en.quad_op if en.quad_shift is None else en.quad_op.plus(en.quad_shift.band)
+    k_min = mu if en.quad_shift is None else k.eigenvalue(0)
+    defect = -(0.5 * k_min + en.lambda_conv)
+    conv_tol = 1e-12 * float(np.abs(k.band).max())
     checks.append(
-        CheckResult("lambda_convexity", worst_conv <= conv_tol, worst_conv, f"lambda = {lam}")
+        CheckResult("lambda_convexity", defect <= conv_tol, max(defect, 0.0), f"K_min = {k_min:.6e}")
     )
-
-    worst_zero = 0.0
-    for _ in range(samples):
-        state = Field(rng.standard_normal(m), grid)
-        worst_zero = max(worst_zero, abs(spec.psi_value(state, np.zeros(m))))
-    checks.append(CheckResult("psi_zero_at_rest", worst_zero == 0.0, worst_zero))
 
     worst_growth = 0.0
     q = spec.dissipation.q

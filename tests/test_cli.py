@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from proxdyn.cli import (
+    _write_csv,
     main,
     parse_config,
     parse_config_dict,
@@ -194,6 +195,39 @@ class TestStrictTypes:
             {"model": "linear_wave", "tau": 0.25, "n_nodes": 9, "horizon": 1, "nu": 2}
         )
         assert cfg.horizon == 1.0 and cfg.params["nu"] == 2
+
+
+class TestWriteCsv:
+    """One format string per row writes the bytes that the per-cell
+    f"{float(x):.17g}" wrote."""
+
+    @staticmethod
+    def _per_cell(header, rows):
+        lines = [",".join(header)] + [",".join(f"{float(x):.17g}" for x in row) for row in rows]
+        return ("\n".join(lines) + "\n").encode("utf-8")
+
+    def test_edge_values_and_wide_rows(self, tmp_path):
+        specials = [-0.0, 0.0, 5e-324, -5e-324, 1e308, -1.7976931348623157e308,
+                    float("nan"), float("inf"), -float("inf"), 0.1, 1 / 3, 2.0**53]
+        cases = {
+            "mixed": (["n", *(f"c{j}" for j in range(len(specials)))],
+                      [[n, *specials] for n in (0, 1, 17, 2**31)]),
+            "wide": ([f"x{j}" for j in range(1027)],
+                     [np.linspace(-1.0, 1.0, 1027) ** 3, np.resize(specials, 1027)]),
+            "array": (["t", "u"], np.array([[0.0, -0.0], [0.5, 1e-310]])),
+        }
+        for name, (header, rows) in cases.items():
+            path = tmp_path / f"{name}.csv"
+            _write_csv(path, header, rows)
+            assert path.read_bytes() == self._per_cell(header, rows), name
+
+    @settings(max_examples=100, deadline=None)
+    @given(rows=st.lists(st.lists(st.floats(), min_size=5, max_size=5), min_size=1, max_size=4))
+    def test_any_float(self, tmp_path_factory, rows):
+        path = tmp_path_factory.mktemp("csv") / "rows.csv"
+        header = ["a", "b", "c", "d", "e"]
+        _write_csv(path, header, rows)
+        assert path.read_bytes() == self._per_cell(header, rows)
 
 
 class TestRunAndEmit:

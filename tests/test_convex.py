@@ -18,6 +18,7 @@ from proxdyn.convex import (
     StepProblem,
     SymBand,
     _newton_bisect,
+    band_solve,
     composite_conjugate,
     edge_conjugate_pair,
     solve_pd,
@@ -587,6 +588,15 @@ class TestBandedCholeskyFailures:
         with pytest.raises(EvalError):
             SymBand(np.ones((1, 3))).factor_plus(-np.full((1, 3), 2.0))
 
+    def test_overflowing_square_norm_is_finite(self):
+        # x.x overflows at entries ~1e200, but x is finite: only the
+        # elementwise test may decide.
+        fac = SymBand(np.ones((1, 4))).factor()
+        x = band_solve(fac, np.array([1e200, -1e200, 3.0, 0.0]))
+        assert np.array_equal(x, [1e200, -1e200, 3.0, 0.0])
+        with pytest.raises(NonFiniteIterate):
+            band_solve(fac, np.array([1e200, np.inf, 3.0, 0.0]))
+
     def test_nan_band(self):
         with pytest.raises(NonFiniteIterate):
             SymBand(np.array([[0.0, np.nan, 1.0], [1.0, 1.0, 1.0]])).factor_plus()
@@ -662,6 +672,29 @@ class TestEdgeConjugatePair:
         psi = a * np.abs(s) + 0.5 * w2 * s**2 + g / q * np.abs(s) ** q
         np.testing.assert_allclose(val, lam * s - psi, rtol=1e-12, atol=1e-15)
 
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        q=st.floats(1.0, 8.0, exclude_min=True),
+        sites=st.lists(
+            st.tuples(st.floats(0.0, 1e3), st.floats(0.0, 1e300), st.floats(-1e300, 1e300)),
+            min_size=1, max_size=8,
+        ),
+    )
+    def test_no_power_path_matches_the_general_path(self, q, sites):
+        # g = 0 everywhere takes the closed form t/w2; one extra site with
+        # g > 0 sends the same sites through _power_solve, whose answer
+        # must be the same bits wherever s^(q-1) is finite.
+        a, w2, lam = (np.array(c) for c in zip(*sites))
+        val, s = edge_conjugate_pair(a, w2, np.zeros_like(a), q, lam)
+        val_gen, s_gen = edge_conjugate_pair(
+            np.append(a, 0.0), np.append(w2, 1.0), np.append(np.zeros_like(a), 1.0), q,
+            np.append(lam, 2.0),
+        )
+        with np.errstate(over="ignore"):
+            finite = np.isfinite(np.abs(s) ** (q - 1.0))
+        assert np.array_equal(s, s_gen[:-1])
+        assert np.array_equal(val[finite], val_gen[:-1][finite])
 
     @pytest.mark.parametrize("w2", [9.54219455319192e-130, 0.0])
     def test_subnormal_power_weight_does_not_overflow(self, w2):

@@ -263,11 +263,59 @@ class TestValidateAssumptions:
         assert pos.worst == pytest.approx(top, rel=1e-12)
         assert not report.passed
 
-    def test_psi_zero_exact(self):
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(["separable", "grad_composite"]),
+        q=st.floats(1.0, 8.0, exclude_min=True),
+        visc=st.floats(0.0, 1e300),
+        coeffs=st.lists(st.floats(0.0, 1e300), min_size=16, max_size=16),
+        state=st.lists(st.floats(-1e3, 1e3), min_size=7, max_size=7),
+    )
+    def test_potential_zero_at_rest(self, kind, q, visc, coeffs, state):
+        # Psi_u(0) = h sum f(0) is exactly 0 for every potential whose
+        # scalars and coefficients the spec accepts, which is why the
+        # validator has no zero-at-rest check.
         g = SpatialGrid(9, 0.125)
-        spec = make_spec(g, SymBand(laplacian_band(g)))
-        zero = next(c for c in validate_assumptions(spec, 20).checks if c.name == "psi_zero_at_rest")
-        assert zero.passed and zero.worst == 0.0
+        n = 7 if kind == "separable" else 8
+        a, w = np.array(coeffs[:n]), np.array(coeffs[8:8 + n])
+        dissipation = DissipationSpec(
+            kind=kind, state_dep=lambda s: (a, w), q=q,
+            visc=visc if kind == "grad_composite" else 0.0,
+        )
+        pot = dissipation.potential(Field(np.array(state), g))
+        assert pot.value(np.zeros(n)) == 0.0
+
+    @pytest.mark.parametrize("lam", [0.0, 1.5])
+    def test_lambda_convexity_sees_the_lowest_mode(self, lam):
+        # quad_shift = -(1.01 lambda_1(A) + 2 lam) I leaves K + 2 lam I
+        # indefinite by 1 % of lambda_1(A) along A's lowest eigenvector
+        # only; Gaussian pairs weight A's top eigenvalues (~4/h^2) and miss
+        # it, the eigenvalue does not.  0.99 instead of 1.01 passes.
+        g = SpatialGrid(65, 1.0 / 64)
+        m = g.n_interior
+        quad = SymBand(laplacian_band(g))
+        lam1 = quad.eigenvalue(0)
+        for factor, ok in ((1.01, False), (0.99, True)):
+            shift = SymBand(np.full((1, m), -(factor * lam1 + 2.0 * lam)))
+            spec = make_spec(g, quad, lam=lam, smooth={"quad_shift": shift})
+            conv = next(c for c in validate_assumptions(spec, 32).checks if c.name == "lambda_convexity")
+            assert conv.passed == ok
+            assert conv.worst == (0.0 if ok else pytest.approx(0.005 * lam1, rel=1e-9))
+
+    def test_lambda_convexity_evaluates_no_energy(self, monkeypatch):
+        # The convexity check is the eigenvalue of the decomposition's
+        # quadratic part; it never samples E_t.
+        import proxdyn.core as core
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("validate_assumptions evaluated the energy")
+
+        monkeypatch.setattr(core, "energy_total", forbidden)
+        g = SpatialGrid(11, 0.1)
+        m = g.n_interior
+        smooth = {"lin_part": lambda t: np.full(m, -t), **double_well_parts(m)}
+        report = validate_assumptions(make_spec(g, SymBand(laplacian_band(g)), lam=4.0, smooth=smooth), 20)
+        assert report.passed
 
     def test_lambda_convexity_interpolation_property(self):
         g = SpatialGrid(11, 0.1)
@@ -382,6 +430,15 @@ class TestSpecValidation:
             validate_assumptions(spec, 10)
         with pytest.raises(EvalError, match="finite"):
             run(spec, 0.125)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("name", ["visc", "q", "growth_c", "growth_C"])
+    def test_non_finite_scalar_rejected(self, name, bad):
+        # A NaN compares false with every bound, so the range checks alone
+        # let it through.
+        kwargs = {"kind": "grad_composite", "state_dep": lambda s: None, "q": 2.0, name: bad}
+        with pytest.raises(ConfigError, match="finite"):
+            DissipationSpec(**kwargs)
 
     def test_dimension_mismatch(self):
         g = SpatialGrid(5, 0.25)
