@@ -270,7 +270,8 @@ def run_and_emit(cfg: RunConfig) -> int:
             print(f"config error: {exc}", file=sys.stderr)
             return 2
 
-    summary = {"config": cfg.to_dict(), "tau_max": tau_max(spec)}
+    lam = spec.energy.lambda_conv
+    summary = {"config": cfg.to_dict(), "lambda_conv": lam, "tau_max": tau_max(spec)}
     failures = []
     try:
         traj = stepper.run(

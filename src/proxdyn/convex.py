@@ -197,7 +197,7 @@ class SitePotential:
         self.w2 = np.broadcast_to(np.asarray(w2, dtype=float), self.a.shape).copy()
         self.shift = np.asarray(shift, dtype=float)
         self.k4 = float(k4)
-        if np.any(self.a < 0) or np.any(self.g < 0) or not self.q > 1.0 or self.k4 < 0:
+        if np.any(self.a < 0) or np.any(self.g < 0) or not self.q > 1.0 or not self.k4 >= 0:
             raise EvalError("site potential needs a >= 0, g >= 0, q > 1, k4 >= 0")
         if self.q == 2.0:
             self.w2 = self.w2 + self.g

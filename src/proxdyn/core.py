@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Literal, Optional
 
 import numpy as np
@@ -52,19 +53,19 @@ class EnergySpec:
     several times and for the previous step's t_n as its t_{n-1}, calls it
     once (twice where the two times differ by an ulp); lin_part must
     therefore be a pure function of t, and callers must not modify the
-    array it returns.  quad_op (A) and
-    quad_shift are SymBands (anything else is a ConfigError).  lambda_conv
-    is a certified convexity defect: the full energy satisfies the
-    interpolation inequality
+    array it returns.  quad_op (A) and quad_shift are SymBands with finite
+    entries, and site_quartic is finite and >= 0 (else a ConfigError).
+    E_t is 0.5 <K u, u>_h (K = A + quad_shift) plus a convex quartic and a
+    linear term, so its sharp convexity defect, the least lambda >= 0 with
 
         E_t(th*u + (1-th)*v) <= th*E_t(u) + (1-th)*E_t(v)
-                                + th*(1-th)*lambda_conv*|u-v|_h^2.
+                                + th*(1-th)*lambda*|u-v|_h^2,
 
-    It gates the unique-minimizer step rule of `check_step`.
+    is `lambda_conv` = max(0, -lambda_min(K)/2): one banded eigenvalue,
+    computed on first use.  It gates the step rule of `check_step`.
     """
 
     quad_op: SymBand
-    lambda_conv: float
     quad_shift: Optional[SymBand] = None
     site_quartic: float = 0.0
     lin_part: Optional[Callable[[float], np.ndarray]] = None
@@ -77,12 +78,23 @@ class EnergySpec:
         order = self.quad_op.band.shape[1]
         if self.quad_shift is not None and self.quad_shift.band.shape[1] != order:
             raise ConfigError("quad_shift must match quad_op in order")
-        if self.lambda_conv < 0:
-            raise ConfigError("lambda_conv must be nonnegative")
-        if self.site_quartic < 0:
-            raise ConfigError("site_quartic must be nonnegative")
+        shift = () if self.quad_shift is None else (self.quad_shift.band,)
+        if not all(np.isfinite(b).all() for b in (self.quad_op.band, *shift)):
+            raise ConfigError("quad_op and quad_shift must have finite entries")
+        if not (math.isfinite(self.site_quartic) and self.site_quartic >= 0):
+            raise ConfigError("site_quartic must be finite and nonnegative")
         if self.lin_part is not None:
             object.__setattr__(self, "lin_part", _LastValue(self.lin_part))
+
+    @cached_property
+    def quad_min_eig(self) -> float:
+        """lambda_min(K), K = A + quad_shift."""
+        k = self.quad_op if self.quad_shift is None else self.quad_op.plus(self.quad_shift.band)
+        return k.eigenvalue(0)
+
+    @cached_property
+    def lambda_conv(self) -> float:
+        return max(0.0, -0.5 * self.quad_min_eig)
 
 
 class _LastValue:
@@ -338,7 +350,6 @@ class CheckResult:
 @dataclass(frozen=True)
 class ValidationReport:
     checks: tuple[CheckResult, ...]
-    tau_max: float
 
     @property
     def passed(self) -> bool:
@@ -353,14 +364,12 @@ def validate_assumptions(
 ) -> ValidationReport:
     """Check the standing assumptions on a concrete problem.
 
-    Exact, from one banded eigenvalue each: strong positivity of the
-    quadratic operator A, and the lambda-convexity interpolation inequality
-    for E_t = 0.5 <K u, u>_h + a convex quartic + a linear term (K = A +
-    quad_shift), which holds iff lambda_min(K)/2 + lambda_conv >= 0, tested
-    to a tolerance scaled by K's entries.  Sampled, where user callables
-    enter: the growth sandwich of the dissipation and the continuity of the
-    perturbation on bounded sets.  Reports the worst violation per check
-    plus the supremum of admissible steps, `tau_max`.
+    Exact, from one banded eigenvalue: strong positivity of the quadratic
+    operator A.  The lambda-convexity of E_t needs no check, since
+    `EnergySpec.lambda_conv` is derived from the energy's decomposition.
+    Sampled, where user callables enter: the growth sandwich of the
+    dissipation and the continuity of the perturbation on bounded sets.
+    Reports the worst violation per check.
     """
     if samples < 1:
         raise ConfigError("samples must be >= 1")
@@ -371,17 +380,9 @@ def validate_assumptions(
     checks = []
 
     en = spec.energy
-    mu = en.quad_op.eigenvalue(0)
+    mu = en.quad_min_eig if en.quad_shift is None else en.quad_op.eigenvalue(0)
     checks.append(
         CheckResult("quad_op_positivity", mu > 0.0, max(0.0, -mu), f"mu = {mu:.6e}")
-    )
-
-    k = en.quad_op if en.quad_shift is None else en.quad_op.plus(en.quad_shift.band)
-    k_min = mu if en.quad_shift is None else k.eigenvalue(0)
-    defect = -(0.5 * k_min + en.lambda_conv)
-    conv_tol = 1e-12 * float(np.abs(k.band).max())
-    checks.append(
-        CheckResult("lambda_convexity", defect <= conv_tol, max(defect, 0.0), f"K_min = {k_min:.6e}")
     )
 
     worst_growth = 0.0
@@ -428,5 +429,5 @@ def validate_assumptions(
         CheckResult("perturbation_continuity", pert_ok, worst_ratio if spec.perturbation.eval else 0.0)
     )
 
-    return ValidationReport(checks=tuple(checks), tau_max=tau_max(spec))
+    return ValidationReport(checks=tuple(checks))
 

@@ -81,11 +81,10 @@ def build_p1(params: P1Params) -> ProblemSpec:
 
     The equation is divided through by the constant density, so all
     operators carry a 1/rho factor.  The double well
-    h/rho * sum_e (1 - (Du)_e^2)^2 enters without its constant h (m+1)/rho.
-    The convexity defect of the total energy is certified numerically: the
-    double-well curvature is bounded below by -4, so the worst-case Hessian
-    is mu*A4/rho - 4*L/rho (L the Laplacian D^T D); the smallest shift
-    making it nonnegative is doubled for safety.
+    h/rho * sum_e (1 - (Du)_e^2)^2 enters without its constant h (m+1)/rho,
+    as the quartic h/rho * sum_e (Du)_e^4 and the shift -4 L/rho (L the
+    Laplacian D^T D); `EnergySpec` derives the convexity defect from the
+    lowest eigenvalue of mu*A4/rho - 4*L/rho.
     """
     p = params
     if min(p.rho, p.nu, p.mu) <= 0 or p.alpha < 0:
@@ -97,9 +96,6 @@ def build_p1(params: P1Params) -> ProblemSpec:
     d = ForwardDifference(m, h)
     quad = SymBand(p.mu * inv_rho * biharmonic_band(grid))
     quad_shift = SymBand(-4.0 * inv_rho * laplacian_band(grid))
-
-    lam_raw = max(0.0, -quad.plus(quad_shift.band).eigenvalue(0) / 2.0)
-    lambda_conv = 2.0 * lam_raw
 
     def state_dep(state: Field):
         e = d @ state.values
@@ -134,7 +130,6 @@ def build_p1(params: P1Params) -> ProblemSpec:
         grid=grid,
         energy=EnergySpec(
             quad_op=quad,
-            lambda_conv=lambda_conv,
             quad_shift=quad_shift,
             site_quartic=inv_rho,
         ),
@@ -233,7 +228,7 @@ def build_p2(params: P2Params) -> ProblemSpec:
 
     return ProblemSpec(
         grid=grid,
-        energy=EnergySpec(quad_op=SymBand(laplacian_band(grid)), lambda_conv=0.0),
+        energy=EnergySpec(quad_op=SymBand(laplacian_band(grid))),
         dissipation=dissipation,
         perturbation=perturbation,
         force=force,
@@ -270,8 +265,9 @@ def build_p3(params: P3Params) -> ProblemSpec:
 
     The force enters the energy as E2_t(u) = scale*h*sum W(u_i) - <f(t), u>_h,
     less the constant scale*h*m, so E_t depends on t through its linear
-    part -f(t) only.  lambda_conv = 4*scale certifies
-    the double well (W'' >= -4*scale), giving tau_max = 1/(8*scale).
+    part -f(t) only.  The well is the quartic scale*h*sum u^4 plus the shift
+    -4*scale I, so the derived defect is max(0, 2*scale - lambda_min(A)/2):
+    none, and no step bound, for unit stiffness and scale up to ~2.4.
     """
     p = params
     if p.q < 2.0:
@@ -323,7 +319,6 @@ def build_p3(params: P3Params) -> ProblemSpec:
         grid=grid,
         energy=EnergySpec(
             quad_op=quad,
-            lambda_conv=4.0 * scale,
             quad_shift=SymBand(np.full((1, m), -4.0 * scale)),
             site_quartic=scale,
             lin_part=lin_part,
@@ -416,7 +411,7 @@ def build_linear_wave(
 
     spec = ProblemSpec(
         grid=grid,
-        energy=EnergySpec(quad_op=SymBand(laplacian_band(grid)), lambda_conv=0.0),
+        energy=EnergySpec(quad_op=SymBand(laplacian_band(grid))),
         dissipation=dissipation,
         perturbation=PerturbationSpec(),
         force=None,

@@ -20,6 +20,8 @@
   the reference for `grid.ForwardDifference`.
 * `dense_of` unpacks a `convex.SymBand` into the full symmetric matrix,
   and `band_of` packs a dense reference matrix into one.
+* `defect_shift` is the quad_shift that gives an energy
+  0.5 <(A + shift) u, u>_h a chosen convexity defect.
 * `biharmonic_clamped_dense` assembles the clamped fourth difference
   D2^T D2 entry by entry, the reference for `grid.biharmonic_band`.
 * `gradient_consistency_error` checks `core.energy_grad` against central
@@ -116,6 +118,12 @@ def band_of(mat):
         np.pad(0.5 * (np.diagonal(mat, k) + np.diagonal(mat, -k)), (k, 0))
         for k in range(bw, -1, -1)
     ])
+
+
+def defect_shift(quad, lam):
+    """-(lambda_1(quad) + 2 lam) I as a SymBand: K = quad + shift has
+    lambda_min(K) = -2 lam, so the energy's derived defect is lam."""
+    return SymBand(np.full((1, quad.band.shape[1]), -(quad.eigenvalue(0) + 2.0 * lam)))
 
 
 def gradient_matrix(grid):

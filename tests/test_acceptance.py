@@ -298,7 +298,7 @@ def test_criterion_09_assumption_validator():
     m = g.n_interior
     broken = ProblemSpec(
         grid=g,
-        energy=EnergySpec(quad_op=SymBand(-laplacian_band(g)), lambda_conv=0.0),
+        energy=EnergySpec(quad_op=SymBand(-laplacian_band(g))),
         dissipation=DissipationSpec(
             kind="separable",
             state_dep=lambda s: (np.ones(m), np.ones(m)),

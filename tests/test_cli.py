@@ -20,6 +20,8 @@ from proxdyn.cli import (
     run_and_emit,
 )
 from proxdyn.errors import InnerSolverFailed, ParseError, StepSizeTooLarge, ValidationError
+from proxdyn.convex import SymBand
+from proxdyn.grid import SpatialGrid, laplacian_band
 from proxdyn.models import P3Params, build_p3
 from proxdyn.stepper import run
 
@@ -62,10 +64,11 @@ class TestParseConfig:
         assert cfg.halvings == 0
 
     def test_step_bound_violation_names_the_bound(self, tmp_path):
+        # p3 with well_scale 4 on 65 nodes: lambda = 3.0662, tau_max = 0.163069.
         with pytest.raises(ValidationError) as exc:
-            parse_config(write_cfg(tmp_path, {"model": "p3", "tau": 0.5}))
+            parse_config(write_cfg(tmp_path, {"model": "p3", "tau": 0.5, "well_scale": 4.0}))
         msg = str(exc.value)
-        assert "tau_max" in msg and "1/(2*lambda)" in msg and "0.125" in msg
+        assert "tau_max" in msg and "1/(2*lambda)" in msg and "0.163069" in msg
 
     def test_unknown_key_suggests(self, tmp_path):
         with pytest.raises(ParseError) as exc:
@@ -110,17 +113,25 @@ class TestParseConfig:
             parse_config(p)
 
 
+def p3_well_scale(lam, n_nodes=9):
+    """The well_scale that gives p3 (unit stiffness) the defect lam:
+    lambda = 2 scale - lambda_1(A)/2."""
+    grid = SpatialGrid(n_nodes, 1.0 / (n_nodes - 1))
+    return 0.5 * (lam + 0.5 * SymBand(laplacian_band(grid)).eigenvalue(0))
+
+
 class TestStepRule:
     """The parser and the stepper apply one step rule, `core.check_step`:
     tau <= 1/(2*lambda) and 1/tau^2 > 2*lambda.  For p3 lambda is
-    4*well_scale, and a single step tau = T = 1.25 (or 1.12) breaks the
-    second condition alone for lambda in (0.32, 0.4]."""
+    max(0, 2*well_scale - lambda_1(A)/2), and a single step tau = T = 1.25
+    (or 1.12) breaks the second condition alone for lambda in (0.32, 0.4]."""
 
     @settings(max_examples=30, deadline=None)
-    @given(well_scale=st.floats(0.001, 0.249), tau=st.sampled_from([1.12, 1.25, 2.0]))
-    @example(well_scale=0.1, tau=1.25)
-    @example(well_scale=0.1, tau=1.12)
-    def test_parser_accepts_exactly_the_steps_run_takes(self, well_scale, tau):
+    @given(lam=st.floats(0.004, 0.996), tau=st.sampled_from([1.12, 1.25, 2.0]))
+    @example(lam=0.4, tau=1.25)
+    @example(lam=0.4, tau=1.12)
+    def test_parser_accepts_exactly_the_steps_run_takes(self, lam, tau):
+        well_scale = p3_well_scale(lam)
         raw = {"model": "p3", "n_nodes": 9, "tau": tau, "horizon": tau, "well_scale": well_scale}
         try:
             parse_config_dict(raw)
@@ -140,7 +151,8 @@ class TestStepRule:
     def test_strict_convexity_violation_exits_two_naming_the_bound(self, tmp_path, capsys):
         cfg = write_cfg(
             tmp_path,
-            {"model": "p3", "well_scale": 0.1, "tau": 1.25, "horizon": 1.25, "n_nodes": 9},
+            {"model": "p3", "well_scale": p3_well_scale(0.4), "tau": 1.25, "horizon": 1.25,
+             "n_nodes": 9},
         )
         assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
@@ -380,6 +392,7 @@ class TestRunAndEmit:
         assert run_and_emit(cfg) == 0
         summary = strict_json(tmp_path / "out" / "summary.json")
         lam = cfg.spec.energy.lambda_conv
+        assert summary["lambda_conv"] == lam
         assert summary["tau_max"] == (None if lam == 0.0 else pytest.approx(1 / (2 * lam)))
 
     def test_failed_run_summary_is_strict_json(self, tmp_path, monkeypatch):
@@ -499,24 +512,23 @@ def test_models_reject_dense_operators(raw):
             dataclasses.replace(energy, **{name: dense_of(band)})
 
 
+def load_script(monkeypatch, name):
+    """scripts/<name>.py as a module, run in this process."""
+    import importlib.util
+
+    # The scripts put src/ (and bench/) on sys.path; undo that afterwards.
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location(name, ROOT / "scripts" / f"{name}.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
+
+
 class TestWorkloadOutputs:
-    @staticmethod
-    def _script(monkeypatch):
-        import importlib.util
-
-        # The script puts src/ and bench/ on sys.path; undo that afterwards.
-        monkeypatch.setattr(sys, "path", list(sys.path))
-        spec = importlib.util.spec_from_file_location(
-            "workload_outputs", ROOT / "scripts" / "workload_outputs.py"
-        )
-        script = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(script)
-        return script
-
     def test_failed_run_prints_its_code_and_fails_the_script(self, tmp_path, monkeypatch, capsys):
         from types import SimpleNamespace
 
-        script = self._script(monkeypatch)
+        script = load_script(monkeypatch, "workload_outputs")
         config = {"model": "linear_wave", "tau": 0.25, "n_nodes": 9}
         monkeypatch.setattr(script, "WORKLOADS", {
             "ok": SimpleNamespace(config=config),
@@ -534,7 +546,7 @@ class TestWorkloadOutputs:
     def test_summary_column(self, tmp_path, monkeypatch, capsys):
         from types import SimpleNamespace
 
-        script = self._script(monkeypatch)
+        script = load_script(monkeypatch, "workload_outputs")
         base = {"max_el_residual": 1e-10, "wall_time_s": 1.0,
                 "assumption_checks": {"a": True, "b": True}, "failures": []}
 
@@ -582,7 +594,7 @@ class TestMainEntry:
         assert summary["config"]["tau"] == 0.25
 
     def test_config_error_exit_two(self, tmp_path):
-        cfg = write_cfg(tmp_path, {"model": "p3", "tau": 0.5})
+        cfg = write_cfg(tmp_path, {"model": "p3", "tau": 0.5, "well_scale": 4.0})
         assert main(["solve", "--config", str(cfg)]) == 2
 
     @pytest.mark.parametrize(
@@ -625,17 +637,20 @@ class TestMainEntry:
         )
         assert proc.returncode == 0
 
-    def test_run_model_script_without_tau(self, tmp_path):
+    def test_run_model_script_without_tau(self, tmp_path, monkeypatch, capsys):
         # The probe config that finds tau_max must not itself trip the
-        # step bound (p3 has tau_max = 1/8 < 1).
-        script = ROOT / "scripts" / "run_model.py"
-        proc = subprocess.run(
-            [sys.executable, str(script), "p3", "--n-nodes", "9",
-             "--out", str(tmp_path / "p3")],
-            capture_output=True, text=True, env=src_env(),
+        # step bound: p3 with well_scale 4 on 9 nodes has tau_max = 0.16 < 1.
+        # The script takes the model defaults, so it runs in-process with
+        # the default well_scale patched.
+        from proxdyn.cli import MODEL_DEFAULTS
+
+        monkeypatch.setitem(MODEL_DEFAULTS["p3"], "well_scale", 4.0)
+        monkeypatch.setattr(
+            sys, "argv", ["run_model.py", "p3", "--n-nodes", "9", "--out", str(tmp_path / "p3")]
         )
-        assert proc.returncode == 0, proc.stderr
-        assert "tau_max = 0.125, using tau = 0.015625" in proc.stdout
-        assert "invariants_passed True" in proc.stdout
-        assert "max_fy_gap" in proc.stdout and "max_edi_residual/tol" in proc.stdout
-        assert (tmp_path / "p3" / "summary.json").exists()
+        assert load_script(monkeypatch, "run_model").main() == 0
+        out = capsys.readouterr().out
+        assert "tau_max = 0.159832, using tau = 0.0196078" in out
+        assert "invariants_passed True" in out
+        assert "max_fy_gap" in out and "max_edi_residual/tol" in out
+        assert strict_json(tmp_path / "p3" / "summary.json")["config"]["well_scale"] == 4.0

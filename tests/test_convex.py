@@ -366,6 +366,12 @@ class TestSiteValue:
         pot = SitePotential([0.0], [5e-324], 3.0, 0.0, [0.0])
         assert pot.value([1e40]) == pytest.approx(5e-324 * 1e120 / 3.0, rel=1e-2)
 
+    def test_nan_quartic_weight_rejected(self):
+        # A NaN compares false with every bound, so only `not k4 >= 0`
+        # refuses it.
+        with pytest.raises(EvalError, match="k4 >= 0"):
+            SitePotential([1.0], [1.0], 2.0, 0.0, [0.0], k4=float("nan"))
+
 
 class TestCurvature:
     @pytest.mark.parametrize("q", [1.5, 2.0, 3.0])

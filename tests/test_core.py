@@ -1,5 +1,7 @@
 """Problem-model types, energy evaluation, and the assumption validator."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +20,7 @@ from proxdyn.core import (
 from oracles import (
     band_of,
     biharmonic_clamped_dense,
+    defect_shift,
     dense_of,
     gradient_consistency_error,
     gradient_matrix,
@@ -47,15 +50,16 @@ def simple_separable(m, a=0.0, g=1.0, q=2.0, growth_c=0.4, growth_C=2.0):
     )
 
 
-def double_well_parts(m):
-    """The decomposition of E2 = h * sum (1 - u^2)^2 = h * sum u^4
-    + 0.5 <-4 I u, u>_h + h m, nodal sites, without the constant h m."""
-    return {"site_quartic": 1.0, "quad_shift": SymBand(np.full((1, m), -4.0))}
+def double_well_parts(m, scale=1.0):
+    """The decomposition of E2 = scale * h * sum (1 - u^2)^2 = scale * h *
+    sum u^4 + 0.5 <-4 scale I u, u>_h + scale h m, nodal sites, without
+    the constant scale h m."""
+    return {"site_quartic": scale, "quad_shift": SymBand(np.full((1, m), -4.0 * scale))}
 
 
-def make_spec(grid, quad, lam=0.0, smooth=None, dissipation=None, pert=None, horizon=1.0):
+def make_spec(grid, quad, smooth=None, dissipation=None, pert=None, horizon=1.0):
     m = grid.n_interior
-    energy_kwargs = {"quad_op": quad, "lambda_conv": lam}
+    energy_kwargs = {"quad_op": quad}
     if smooth is not None:
         energy_kwargs.update(smooth)
     return ProblemSpec(
@@ -216,7 +220,7 @@ class TestEnergyTotal:
         # h sum (1 - u^2)^2 = 0 at u = 1, less the constant h m.
         g = SpatialGrid(12, 0.1)
         m = g.n_interior
-        spec = make_spec(g, band_of(np.zeros((m, m))), lam=4.0, smooth=double_well_parts(m))
+        spec = make_spec(g, band_of(np.zeros((m, m))), smooth=double_well_parts(m))
         assert energy_total(spec, 0.0, Field(np.ones(m), g)) == pytest.approx(-g.h * m)
 
     def test_symmetry_pairing_property(self):
@@ -236,11 +240,14 @@ class TestValidateAssumptions:
         spec = make_spec(g, SymBand(laplacian_band(g)))
         report = validate_assumptions(spec, 40)
         assert report.passed
-        assert report.tau_max == float("inf")
+        assert tau_max(spec) == float("inf")
 
     def test_double_well_modulus(self):
-        # W(s) = (1-s^2)^2 has W'' >= -4, so the defect modulus 4 certifies
-        # convexity of W + 2 s^2; verified here by a scalar brute force.
+        # W(s) = (1-s^2)^2 has W'' >= -4, so W + 2 s^2 is convex (a scalar
+        # brute force), and 2 * scale per site bounds the defect of the
+        # double well scale * h * sum W(u_i).  With the Laplacian the
+        # derived defect is the sharper 2 * scale - lambda_1(A)/2: scale = 4
+        # is a real defect, scale = 2 none.
         s = np.linspace(-3, 3, 2001)
         w = (1 - s**2) ** 2 + 2 * s**2
         mids = 0.5 * (w[:-2] + w[2:])
@@ -248,10 +255,13 @@ class TestValidateAssumptions:
 
         g = SpatialGrid(11, 0.1)
         m = g.n_interior
-        spec = make_spec(g, SymBand(laplacian_band(g)), lam=4.0, smooth=double_well_parts(m))
-        report = validate_assumptions(spec, 60)
-        assert report.passed
-        assert report.tau_max == pytest.approx(0.125)
+        lam1 = np.linalg.eigvalsh(laplacian_matrix(g))[0]
+        for scale, lam in ((4.0, 8.0 - lam1 / 2), (2.0, 0.0)):
+            spec = make_spec(g, SymBand(laplacian_band(g)), smooth=double_well_parts(m, scale))
+            assert spec.energy.lambda_conv == pytest.approx(lam, rel=1e-12, abs=0.0)
+            assert spec.energy.lambda_conv <= 2.0 * scale
+            assert validate_assumptions(spec, 60).passed
+            assert tau_max(spec) == (float("inf") if lam == 0.0 else pytest.approx(1 / (2 * lam)))
 
     def test_indefinite_operator_rejected(self):
         g = SpatialGrid(11, 0.1)
@@ -287,41 +297,42 @@ class TestValidateAssumptions:
 
     @pytest.mark.parametrize("lam", [0.0, 1.5])
     def test_lambda_convexity_sees_the_lowest_mode(self, lam):
-        # quad_shift = -(1.01 lambda_1(A) + 2 lam) I leaves K + 2 lam I
-        # indefinite by 1 % of lambda_1(A) along A's lowest eigenvector
-        # only; Gaussian pairs weight A's top eigenvalues (~4/h^2) and miss
-        # it, the eigenvalue does not.  0.99 instead of 1.01 passes.
+        # quad_shift = -(factor lambda_1(A) + 2 lam) I moves K's lowest
+        # eigenvalue alone below -2 lam, by 1 % of lambda_1(A) (factor
+        # 1.01), or leaves it above (0.99): the derived defect follows
+        # lambda_min(K), which Gaussian samples of E_t weight least.
         g = SpatialGrid(65, 1.0 / 64)
         m = g.n_interior
         quad = SymBand(laplacian_band(g))
         lam1 = quad.eigenvalue(0)
-        for factor, ok in ((1.01, False), (0.99, True)):
+        for factor, want in ((1.01, lam + 0.005 * lam1), (0.99, max(0.0, lam - 0.005 * lam1))):
             shift = SymBand(np.full((1, m), -(factor * lam1 + 2.0 * lam)))
-            spec = make_spec(g, quad, lam=lam, smooth={"quad_shift": shift})
-            conv = next(c for c in validate_assumptions(spec, 32).checks if c.name == "lambda_convexity")
-            assert conv.passed == ok
-            assert conv.worst == (0.0 if ok else pytest.approx(0.005 * lam1, rel=1e-9))
+            spec = make_spec(g, quad, smooth={"quad_shift": shift})
+            assert spec.energy.lambda_conv == pytest.approx(want, rel=1e-9, abs=1e-12)
+            assert validate_assumptions(spec, 32).passed
 
     def test_lambda_convexity_evaluates_no_energy(self, monkeypatch):
-        # The convexity check is the eigenvalue of the decomposition's
-        # quadratic part; it never samples E_t.
+        # The defect is the eigenvalue of the decomposition's quadratic
+        # part: deriving it samples neither E_t nor lin_part.
         import proxdyn.core as core
 
         def forbidden(*args, **kwargs):
-            raise AssertionError("validate_assumptions evaluated the energy")
+            raise AssertionError("the defect evaluated the energy")
 
         monkeypatch.setattr(core, "energy_total", forbidden)
         g = SpatialGrid(11, 0.1)
         m = g.n_interior
-        smooth = {"lin_part": lambda t: np.full(m, -t), **double_well_parts(m)}
-        report = validate_assumptions(make_spec(g, SymBand(laplacian_band(g)), lam=4.0, smooth=smooth), 20)
-        assert report.passed
+        smooth = {"lin_part": forbidden, **double_well_parts(m, 4.0)}
+        spec = make_spec(g, SymBand(laplacian_band(g)), smooth=smooth)
+        assert spec.energy.lambda_conv > 0.0
+        assert validate_assumptions(spec, 20).passed
 
     def test_lambda_convexity_interpolation_property(self):
         g = SpatialGrid(11, 0.1)
         m = g.n_interior
-        lam = 4.0
-        spec = make_spec(g, SymBand(laplacian_band(g)), lam=lam, smooth=double_well_parts(m))
+        spec = make_spec(g, SymBand(laplacian_band(g)), smooth=double_well_parts(m, 4.0))
+        lam = spec.energy.lambda_conv
+        assert lam > 0.0
         rng = np.random.default_rng(5)
         h = g.h
         for _ in range(40):
@@ -354,6 +365,45 @@ class TestValidateAssumptions:
         assert cont.passed
 
 
+class TestDerivedDefect:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        m=st.integers(1, 40),
+        bw=st.integers(0, 2),
+        shift_bw=st.integers(0, 2),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.floats(1e-3, 1e3),
+        th=st.floats(0.1, 0.9),
+    )
+    def test_sharp_lambda_of_any_band(self, m, bw, shift_bw, seed, scale, th):
+        # lambda_conv = max(0, -lambda_min(K)/2) against a dense eigvalsh
+        # of K = A + quad_shift; along K's lowest eigenvector u (v = -u)
+        # the interpolation inequality holds at lambda and fails at
+        # 0.99 lambda.
+        rng = np.random.default_rng(seed)
+        g = SpatialGrid(m + 2, 1.0 / (m + 1))
+        quad = SymBand(scale * rng.standard_normal((bw + 1, m)))
+        shift = SymBand(scale * rng.standard_normal((shift_bw + 1, m)))
+        spec = make_spec(g, quad, smooth={"quad_shift": shift})
+        k = dense_of(quad) + dense_of(shift)
+        evals, evecs = np.linalg.eigh(k)
+        lam = spec.energy.lambda_conv
+        kmax = np.abs(k).max()
+        assert abs(lam - max(0.0, -0.5 * evals[0])) <= 1e-12 * kmax
+
+        u = evecs[:, 0]
+        w2 = g.h * np.sum((2.0 * u) ** 2)
+        mid = energy_total(spec, 0.0, Field((2 * th - 1) * u, g))
+        ends = energy_total(spec, 0.0, Field(u, g))  # E(-u) = E(u)
+
+        def excess(lam_):
+            return mid - (ends + th * (1 - th) * lam_ * w2)
+
+        assert excess(lam) <= 1e-12 * kmax * w2
+        if lam > 1e-9 * kmax:
+            assert excess(0.99 * lam) > 0.0
+
+
 class TestTauMax:
     def test_infinite_without_defect(self):
         g = SpatialGrid(5, 0.25)
@@ -361,13 +411,16 @@ class TestTauMax:
 
     def test_lemma_bound(self):
         g = SpatialGrid(5, 0.25)
-        assert tau_max(make_spec(g, SymBand(laplacian_band(g)), lam=4.0)) == pytest.approx(1 / 8)
+        quad = SymBand(laplacian_band(g))
+        spec = make_spec(g, quad, smooth={"quad_shift": defect_shift(quad, 4.0)})
+        assert tau_max(spec) == pytest.approx(1 / 8)
 
     def test_strict_convexity_bound_below_one_half(self):
         # For lambda < 1/2 the inertia bound 1/tau^2 > 2*lambda is the
         # tighter one: tau_max = 1/sqrt(2*lambda) < 1/(2*lambda).
         g = SpatialGrid(5, 0.25)
-        spec = make_spec(g, SymBand(laplacian_band(g)), lam=0.4)
+        quad = SymBand(laplacian_band(g))
+        spec = make_spec(g, quad, smooth={"quad_shift": defect_shift(quad, 0.4)})
         assert tau_max(spec) == pytest.approx(1 / np.sqrt(0.8))
         assert check_step(spec, 1.1) == pytest.approx(1 / 1.21 - 0.8)
         for tau in (tau_max(spec), 1.12, 1.25, 1.3):
@@ -376,7 +429,8 @@ class TestTauMax:
 
     def test_step_bound_at_and_above_one_half(self):
         g = SpatialGrid(5, 0.25)
-        spec = make_spec(g, SymBand(laplacian_band(g)), lam=4.0)
+        quad = SymBand(laplacian_band(g))
+        spec = make_spec(g, quad, smooth={"quad_shift": defect_shift(quad, 4.0)})
         assert check_step(spec, 1 / 8) == pytest.approx(64 - 8)
         with pytest.raises(StepSizeTooLarge):
             check_step(spec, 1 / 8 * (1 + 1e-9))
@@ -401,7 +455,7 @@ class TestGradientConsistency:
         g = SpatialGrid(11, 0.1)
         m = g.n_interior
         smooth = {"lin_part": lambda t: np.full(m, -t), **double_well_parts(m)}
-        spec = make_spec(g, SymBand(laplacian_band(g)), lam=4.0, smooth=smooth)
+        spec = make_spec(g, SymBand(laplacian_band(g)), smooth=smooth)
         assert gradient_consistency_error(spec, samples=5) <= 1e-6
 
 
@@ -454,7 +508,21 @@ class TestSpecValidation:
             DissipationSpec(kind="other", state_dep=lambda s: None, q=2.0)
 
     def test_energy_spec_ranges(self):
+        # The defect is derived, never given.
+        assert "lambda_conv" not in {f.name for f in dataclasses.fields(EnergySpec)}
         with pytest.raises(ConfigError):
-            EnergySpec(quad_op=band_of(np.eye(3)), lambda_conv=-1.0)
-        with pytest.raises(ConfigError):
-            EnergySpec(quad_op=band_of(np.eye(3)), lambda_conv=0.0, site_quartic=-1.0)
+            EnergySpec(quad_op=band_of(np.eye(3)), site_quartic=-1.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("where", ["site_quartic", "quad_op", "quad_shift"])
+    def test_non_finite_energy_rejected(self, where, bad):
+        # A NaN compares false with every bound: `site_quartic < 0` admits
+        # it, and energy_total's `site_quartic > 0` would drop the quartic;
+        # a non-finite band entry would reach the eigensolver.
+        kwargs = {"quad_op": band_of(np.eye(3)), "quad_shift": band_of(-0.5 * np.eye(3))}
+        if where == "site_quartic":
+            kwargs["site_quartic"] = bad
+        else:
+            kwargs[where].band[-1, 1] = bad
+        with pytest.raises(ConfigError, match="finite"):
+            EnergySpec(**kwargs)

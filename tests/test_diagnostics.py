@@ -33,7 +33,7 @@ def zero_spec(n=9):
     m = g.n_interior
     return ProblemSpec(
         grid=g,
-        energy=EnergySpec(quad_op=SymBand(laplacian_band(g)), lambda_conv=0.0),
+        energy=EnergySpec(quad_op=SymBand(laplacian_band(g))),
         dissipation=DissipationSpec(
             kind="separable",
             state_dep=lambda s: (np.ones(m), np.ones(m)),
@@ -258,7 +258,8 @@ class TestConvergenceStudy:
         assert all(u1 < u0 for u0, u1 in zip(table.sup_u_devs, table.sup_u_devs[1:]))
 
     def test_tau0_guard(self):
-        spec = build_p3(P3Params(n_nodes=17))
+        # well_scale = 4 leaves a defect of ~3.08, so tau_max is ~0.162.
+        spec = build_p3(P3Params(n_nodes=17, well_scale=4.0))
         with pytest.raises(ConfigError):
             convergence_study(run(spec, 0.5), 2)
         with pytest.raises(ConfigError):

@@ -121,3 +121,46 @@ def test_banded_cholesky_guard_sees_a_stray_call():
         (2, "cho_solve_banded"),
         (3, "dpbtrf"),
     ]
+
+
+# The convexity defect has one owner: `EnergySpec.lambda_conv` derives it
+# from the energy's decomposition, so no other module sets it or hands it
+# in, and no builder computes an eigenvalue of its own.
+def _defect_writes(tree):
+    """Lines that assign lambda_conv (as a name, an attribute, or the name
+    handed to setattr) or pass it as a keyword."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.keyword) and node.arg == "lambda_conv":
+            yield node.value.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                for name, line in _named(target):
+                    if name == "lambda_conv":
+                        yield line
+        elif (
+            isinstance(node, ast.Call)
+            and {"setattr", "__setattr__"} & {name for name, _ in _named(node.func)}
+            and any(isinstance(a, ast.Constant) and a.value == "lambda_conv" for a in node.args)
+        ):
+            yield node.lineno
+
+
+def test_convexity_defect_has_one_owner():
+    stray = [
+        f"{path.stem}:{line}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.stem != "core"
+        for line in _defect_writes(ast.parse(path.read_text(encoding="utf-8")))
+    ]
+    assert not stray, f"lambda_conv set or passed outside core.EnergySpec: {stray}"
+    models = ast.parse((PACKAGE / "models.py").read_text(encoding="utf-8"))
+    assert "eigenvalue" not in {name for name, _ in _named(models)}
+
+
+def test_convexity_defect_guard_sees_a_planted_keyword():
+    tree = ast.parse("spec = EnergySpec(quad_op=a, lambda_conv=2.0 * lam)\n"
+                     "lambda_conv = 1.0\nen.lambda_conv = 0.0\n"
+                     "object.__setattr__(en, 'lambda_conv', 3.0)\nx = en.lambda_conv\n"
+                     "y = getattr(en, 'lambda_conv')\n")
+    assert sorted(_defect_writes(tree)) == [1, 2, 3, 4]

@@ -108,6 +108,18 @@ class TestP1:
         assert weak.energy.lambda_conv > 0.0
         assert tau_max(weak) == pytest.approx(1.0 / (2 * weak.energy.lambda_conv))
 
+    def test_defect_is_sharp(self):
+        # mu = 0.02 on 33 nodes: lambda is the sharp -lambda_min(K)/2 =
+        # 64.39, K = mu A4 - 4 L assembled densely; tau_max is then the
+        # lemma's bound 1/(2 lambda).
+        spec = build_p1(P1Params(n_nodes=33, mu=0.02))
+        d = gradient_matrix(spec.grid)
+        k = 0.02 * biharmonic_clamped_dense(spec.grid) - 4.0 * d.T @ d
+        lam = spec.energy.lambda_conv
+        assert lam == pytest.approx(-0.5 * np.linalg.eigvalsh(k)[0], rel=1e-10)
+        assert lam == pytest.approx(64.39, abs=0.005)
+        assert tau_max(spec) == pytest.approx(1.0 / (2 * lam), rel=1e-15)
+
     def test_well_bottom_sawtooth_sticks(self):
         # Gradient at the well bottoms (Du = +/-1) kills the stress; with a
         # strong enough phase indicator the capillarity force stays inside
@@ -152,7 +164,6 @@ class TestP1:
             grid=g,
             energy=EnergySpec(
                 quad_op=band_of(p.mu / p.rho * biharmonic_clamped_dense(g)),
-                lambda_conv=spec.energy.lambda_conv,
                 quad_shift=band_of(-4.0 * lap),
                 site_quartic=1.0,
             ),
@@ -169,10 +180,14 @@ class TestP1:
 
     def test_alpha_zero_matches_hand_assembly(self):
         # Model-reduction consistency: the builder wiring for alpha = 0 must
-        # reproduce an independently assembled visco-capillarity problem.
-        p = P1Params(n_nodes=9, alpha=0.0, horizon=0.25)
+        # reproduce an independently assembled visco-capillarity problem,
+        # here one with a convexity defect (mu = 0.05: lambda ~ 15.1, tau_max
+        # ~ 0.033), which each derives from its own quadratic part.
+        p = P1Params(n_nodes=9, alpha=0.0, horizon=0.25, mu=0.05)
         spec = build_p1(p)
         manual = self._manual_alpha_zero(spec, p)
+        assert spec.energy.lambda_conv > 0.0
+        assert manual.energy.lambda_conv == pytest.approx(spec.energy.lambda_conv, rel=1e-12)
         tau = 0.0125
         t1 = run(spec, tau)
         t2 = run(manual, tau)
@@ -319,9 +334,35 @@ class TestP3:
         assert want == pytest.approx(fd, rel=1e-6)
 
     def test_tau_max_pinned(self):
+        # lambda = max(0, 2 scale - lambda_1(A)/2), lambda_1(A) = (4/h^2)
+        # sin^2(pi h/2) for unit stiffness: none at the default scale 1,
+        # 3.0662 at scale 4 (65 nodes).
         spec = build_p3(P3Params())
-        assert spec.energy.lambda_conv == 4.0
-        assert tau_max(spec) == pytest.approx(0.125)
+        assert spec.energy.lambda_conv == 0.0
+        assert tau_max(spec) == float("inf")
+        spec = build_p3(P3Params(well_scale=4.0))
+        h = spec.grid.h
+        lam1 = 4.0 / h**2 * np.sin(np.pi * h / 2) ** 2
+        assert spec.energy.lambda_conv == pytest.approx(8.0 - lam1 / 2, rel=1e-12)
+        assert spec.energy.lambda_conv == pytest.approx(3.0662, abs=5e-5)
+        assert tau_max(spec) == pytest.approx(0.16307, abs=5e-6)
+
+    @pytest.mark.parametrize("tau", [0.25, 0.5])
+    def test_large_steps_certify(self, tau):
+        # The default energy is convex (lambda = 0), so no step bound
+        # applies, and steps of T/4 and T/2 keep every certificate.
+        from proxdyn.diagnostics import edi_scan
+
+        spec = build_p3(P3Params())
+        traj = run(spec, tau)
+        assert max(r.fy_gap for r in traj.reports) <= 1e-8
+        assert all(r.passed for r in edi_scan(spec, traj))
+
+    def test_nan_well_scale_rejected(self):
+        # nan passes `well_scale <= 0`; the energy's finiteness check
+        # refuses it.
+        with pytest.raises(ConfigError, match="finite"):
+            build_p3(P3Params(n_nodes=17, well_scale=float("nan")))
 
     def test_heterogeneous_stiffness(self):
         spec = build_p3(P3Params(n_nodes=17, stiffness=lambda x: 1.0 + x))

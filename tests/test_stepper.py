@@ -34,14 +34,14 @@ from proxdyn.stepper import (
     step_operator,
 )
 
-from oracles import dense_of, phi_value, step_input, step_subgradient
+from oracles import defect_shift, dense_of, phi_value, step_input, step_subgradient
 
 
 def scalar_spec(psi_g=1.0):
     g = SpatialGrid(3, 1.0)
     return ProblemSpec(
         grid=g,
-        energy=EnergySpec(quad_op=SymBand(np.ones((1, 1))), lambda_conv=0.0),
+        energy=EnergySpec(quad_op=SymBand(np.ones((1, 1)))),
         dissipation=DissipationSpec(
             kind="separable",
             state_dep=lambda s: (np.zeros(1), np.full(1, psi_g)),
@@ -107,7 +107,7 @@ class TestIncrementalMinimize:
         m = g.n_interior
         spec = ProblemSpec(
             grid=g,
-            energy=EnergySpec(quad_op=SymBand(laplacian_band(g)), lambda_conv=0.0),
+            energy=EnergySpec(quad_op=SymBand(laplacian_band(g))),
             dissipation=DissipationSpec(
                 kind="separable",
                 state_dep=lambda s: (np.zeros(m), np.ones(m)),
@@ -134,7 +134,7 @@ class TestIncrementalMinimize:
         assert np.max(np.abs(drive)) <= 1.0  # nodewise subgradient condition
         spec = ProblemSpec(
             grid=g,
-            energy=EnergySpec(quad_op=k, lambda_conv=0.0),
+            energy=EnergySpec(quad_op=k),
             dissipation=DissipationSpec(
                 kind="separable",
                 state_dep=lambda s: (np.ones(m), np.ones(m)),
@@ -152,7 +152,8 @@ class TestIncrementalMinimize:
         spec = scalar_spec()
         spec = ProblemSpec(
             grid=spec.grid,
-            energy=EnergySpec(quad_op=SymBand(np.ones((1, 1))), lambda_conv=4.0),
+            # K = 1 - 9 = -8: the derived defect is 4, so tau <= 1/8.
+            energy=EnergySpec(quad_op=SymBand(np.ones((1, 1))), quad_shift=SymBand([[-9.0]])),
             dissipation=spec.dissipation,
             perturbation=spec.perturbation,
             force=None, horizon=1.0,
@@ -336,9 +337,10 @@ class TestRun:
     def test_tau_above_bound_rejected(self):
         g = SpatialGrid(5, 0.25)
         m = g.n_interior
+        quad = SymBand(laplacian_band(g))
         spec = ProblemSpec(
             grid=g,
-            energy=EnergySpec(quad_op=SymBand(laplacian_band(g)), lambda_conv=4.0),
+            energy=EnergySpec(quad_op=quad, quad_shift=defect_shift(quad, 4.0)),
             dissipation=DissipationSpec(
                 kind="separable",
                 state_dep=lambda s: (np.zeros(m), np.ones(m)),
@@ -370,7 +372,7 @@ class TestRun:
         m = g.n_interior
         spec = ProblemSpec(
             grid=g,
-            energy=EnergySpec(quad_op=SymBand(laplacian_band(g)), lambda_conv=0.0),
+            energy=EnergySpec(quad_op=SymBand(laplacian_band(g))),
             dissipation=DissipationSpec(
                 kind="separable",
                 state_dep=lambda s: (np.zeros(m), np.ones(m)),
