@@ -38,7 +38,7 @@ from typing import Optional
 import numpy as np
 
 from . import diagnostics, models, stepper
-from .core import ProblemSpec, check_step, energy_total, step_count, tau_max, validate_assumptions
+from .core import ProblemSpec, check_step, step_count, tau_max, validate_assumptions
 from .errors import ConfigError, ParseError, ProxdynError, ValidationError
 from .grid import h_norm
 
@@ -298,24 +298,12 @@ def run_and_emit(cfg: RunConfig) -> int:
         failures.append(f"assumption validation failed: {names}")
 
     kin0 = 0.5 * h_norm(traj.V[0].values, spec.grid.h) ** 2
-    rows = [[0, 0.0, kin0, energy_total(spec, 0.0, traj.U[0]), 0.0, 0.0, 0.0, 0.0]]
-    # Summed as apriori_monitor sums them, so the last row matches it.
-    psi_sum = psi_star_sum = 0.0
-    for rep, rec in zip(traj.reports, records):
-        psi_sum += rep.psi
-        psi_star_sum += rep.psi_star
-        rows.append(
-            [
-                rec.n,
-                traj.times[rec.n],
-                rep.kinetic_after,
-                rep.energy_after,
-                traj.tau * psi_sum,
-                traj.tau * psi_star_sum,
-                rep.fy_gap,
-                rec.residual,
-            ]
-        )
+    rows = [[0, 0.0, kin0, traj.energy0, 0.0, 0.0, 0.0, 0.0]]
+    rows += [
+        [rec.n, traj.times[rec.n], rep.kinetic_after, rep.energy_after,
+         rec.psi_accum, rec.psi_star_accum, rep.fy_gap, rec.residual]
+        for rep, rec in zip(traj.reports, records)
+    ]
     _write_csv(
         out / "trajectory.csv",
         ["n", "t", "kinetic", "energy", "psi_accum", "psi_star_accum", "fy_gap", "edi_residual"],
@@ -343,7 +331,7 @@ def run_and_emit(cfg: RunConfig) -> int:
             rows,
         )
 
-    monitors = diagnostics.apriori_monitor(spec, traj)
+    monitors = diagnostics.apriori_monitor(traj, records)
     summary.update(
         {
             "n_steps": traj.n_steps,

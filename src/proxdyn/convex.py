@@ -407,12 +407,13 @@ class SitePotential:
 
 @dataclass
 class PDReport:
-    """Inner-solve summary: iteration count and certified optimality gap."""
+    """Inner-solve summary: iteration count, certified optimality gap, and
+    for the ADMM its final penalty beta."""
 
     iterations: int
     gap: float
     resid_h: float
-    sched: Optional[tuple] = None
+    beta: Optional[float] = None
 
 
 def edge_conjugate_pair(a, w2, g, q, lam):
@@ -562,16 +563,16 @@ def _solve_quadratic(prob: StepProblem):
 _CHECK_EVERY = 4
 
 
-def solve_pd(prob: StepProblem, init, p0=None, sched=None):
+def solve_pd(prob: StepProblem, init, p0=None, beta=None):
     """Primal-dual splitting, meant for gradient-composite dissipation.
 
     Douglas-Rachford / ADMM form on min_u G(u) + F(y), Mu = y: the u-update
     is a banded Cholesky solve of Q + beta M^T M, factored once per
     penalty, the y-update the exact per-site prox (so kinks are hit
     exactly), and the scaled multiplier p = beta*lam is an exact
-    subgradient of F at y.  Residual balancing adapts beta; sched carries
-    beta between warm-started solves.  The stopping tests run every
-    _CHECK_EVERY iterations.
+    subgradient of F at y.  Residual balancing adapts beta; a warm-started
+    solve passes the previous solve's final beta (PDReport.beta) with its
+    multiplier p0.  The stopping tests run every _CHECK_EVERY iterations.
     Returns (u, p, PDReport).
     """
     u = np.asarray(getattr(init, "values", init), dtype=float).copy()
@@ -580,7 +581,8 @@ def solve_pd(prob: StepProblem, init, p0=None, sched=None):
         return _solve_quadratic(prob)
 
     lop = max(prob.op_norm, 1e-30)
-    beta = sched[0] if sched is not None else np.sqrt(prob.strong_convexity * prob.quad_op.max_eig) / lop**2
+    if beta is None:
+        beta = np.sqrt(prob.strong_convexity * prob.quad_op.max_eig) / lop**2
 
     mu = prob.sites(u)
     lam = np.zeros(mu.shape) if p0 is None else np.asarray(p0, dtype=float) / beta
@@ -588,7 +590,7 @@ def solve_pd(prob: StepProblem, init, p0=None, sched=None):
     p = beta * (mu + lam - y)
     gap, r_h, breg_h = _certify_admm(prob, u, mu, y, p)
     if gap <= prob.tol and r_h <= prob.resid_target and breg_h <= prob.fy_slack:
-        return u, p, PDReport(0, gap, r_h, sched=(beta,))
+        return u, p, PDReport(0, gap, r_h, beta=beta)
     lam = lam + mu - y
     mtm = prob.gram(np.ones(mu.shape))
     fac = prob.quad_op.factor_plus(beta * mtm)
@@ -604,7 +606,7 @@ def solve_pd(prob: StepProblem, init, p0=None, sched=None):
             p = beta * lam
             gap, r_h, breg_h = _certify_admm(prob, u, mu, y, p)
             if gap <= prob.tol and r_h <= prob.resid_target and breg_h <= prob.fy_slack:
-                return u, p, PDReport(k, gap, r_h, sched=(beta,))
+                return u, p, PDReport(k, gap, r_h, beta=beta)
             # Residual balancing keeps primal and dual progress comparable.
             r_prim = float(np.linalg.norm(mu - y))
             r_dual = beta * float(np.linalg.norm(prob.adjoint(y - y_old)))

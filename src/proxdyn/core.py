@@ -48,13 +48,14 @@ class EnergySpec:
 
     with M as for Psi (`ProblemSpec.sites`); E is defined up to a constant,
     which the energy-dissipation balance never sees.  lin_part is kept
-    with its last value: a call at the identical float t returns the same
-    array without calling it again, so a step, which asks for lin_part(t_n)
-    several times and for the previous step's t_n as its t_{n-1}, calls it
-    once (twice where the two times differ by an ulp); lin_part must
-    therefore be a pure function of t, and callers must not modify the
-    array it returns.  quad_op (A) and quad_shift are SymBands with finite
-    entries, and site_quartic is finite and >= 0 (else a ConfigError).
+    with its last value, each checked by `user_values` (m finite floats,
+    else an EvalError): a call at the identical float t returns the same
+    array without calling it again, so a run, which takes every time from
+    `Trajectory.times`, calls it once per time, N + 1 times in N steps;
+    lin_part must therefore be a pure function of t, and callers must not
+    modify the array it returns.  quad_op (A) and quad_shift are SymBands
+    with finite entries, and site_quartic is finite and >= 0 (else a
+    ConfigError).
     E_t is 0.5 <K u, u>_h (K = A + quad_shift) plus a convex quartic and a
     linear term, so its sharp convexity defect, the least lambda >= 0 with
 
@@ -84,7 +85,7 @@ class EnergySpec:
         if not (math.isfinite(self.site_quartic) and self.site_quartic >= 0):
             raise ConfigError("site_quartic must be finite and nonnegative")
         if self.lin_part is not None:
-            object.__setattr__(self, "lin_part", _LastValue(self.lin_part))
+            object.__setattr__(self, "lin_part", _LastValue(self.lin_part, order))
 
     @cached_property
     def quad_min_eig(self) -> float:
@@ -98,17 +99,31 @@ class EnergySpec:
 
 
 class _LastValue:
-    """f with its last value kept, keyed on the identical float t."""
+    """lin_part with its last value kept, keyed on the identical float t;
+    each new value is checked to be m finite floats."""
 
-    def __init__(self, f: Callable[[float], np.ndarray]):
+    def __init__(self, f: Callable[[float], np.ndarray], m: int):
         self.f = f
+        self.m = m
         self.last = None
 
     def __call__(self, t: float) -> np.ndarray:
         last = self.last
         if last is None or t != last[0]:
-            last = self.last = (t, self.f(t))
+            last = self.last = (t, user_values(self.f(t), self.m, "lin_part", t))
         return last[1]
+
+
+def user_values(out, m: int, name: str, t: float) -> np.ndarray:
+    """The output of the user callable `name` at time t as m finite floats,
+    a Field unwrapped; anything else raises EvalError naming name and t."""
+    try:
+        vals = np.asarray(getattr(out, "values", out), dtype=float)
+    except (TypeError, ValueError):
+        vals = None
+    if vals is None or vals.shape != (m,) or not np.isfinite(vals).all():
+        raise EvalError(f"{name} at t={t} must give {m} finite floats, got {out!r:.80}")
+    return vals
 
 
 DissipationKind = Literal["separable", "grad_composite"]
@@ -185,13 +200,7 @@ class PerturbationSpec:
     def __call__(self, t: float, u: Field, v: Field) -> np.ndarray:
         if self.eval is None:
             return np.zeros_like(u.values)
-        out = self.eval(t, u, v)
-        vals = np.asarray(getattr(out, "values", out), dtype=float)
-        if vals.shape != u.values.shape:
-            raise ConfigError("perturbation returned a wrong-sized vector")
-        if not np.all(np.isfinite(vals)):
-            raise EvalError("perturbation produced non-finite values")
-        return vals
+        return user_values(self.eval(t, u, v), u.values.size, "perturbation", t)
 
 
 @dataclass(frozen=True)
@@ -242,11 +251,7 @@ class ProblemSpec:
     def force_values(self, t: float) -> np.ndarray:
         if self.force is None:
             return np.zeros(self.grid.n_interior)
-        out = self.force(t)
-        vals = np.asarray(getattr(out, "values", out), dtype=float)
-        if not np.all(np.isfinite(vals)):
-            raise EvalError(f"force produced non-finite values at t={t}")
-        return vals
+        return user_values(self.force(t), self.grid.n_interior, "force", t)
 
     @property
     def site_op(self) -> Optional[ForwardDifference]:

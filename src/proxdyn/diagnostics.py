@@ -9,8 +9,10 @@ step n,
 
     S^k = f_avg^k - B(t_k, U^{k-1}, V^{k-1}).
 
-The stepper records each step's terms once, in its StepReport; the scan
-and the monitors here only sum them.  Psi*_k is the Fenchel-Young identity
+The stepper records each step's terms once, in its StepReport, and E_0(u0)
+once, as Trajectory.energy0.  `edi_scan` is the one pass that sums the
+reports; its records carry every running sum, and the monitors (and the
+CLI's trajectory.csv) read them.  Psi*_k is the Fenchel-Young identity
 at the step's subgradient, <eta^k, V^k>_h - Psi(V^k) + fy_gap_k, so no
 closed-form conjugate is needed; the inequality is exact for exact
 minimizers, and the tolerance budget is the accumulated per-step
@@ -20,11 +22,11 @@ Fenchel-Young gaps plus a relative floor.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import log2
+from math import log2, sqrt
 
 import numpy as np
 
-from .core import ProblemSpec, energy_total
+from .core import ProblemSpec
 from .errors import ConfigError, IncompleteTrajectory
 from .grid import h_norm, q_norm
 from .stepper import Trajectory, run
@@ -37,7 +39,8 @@ class EDIRecord:
     """Both sides of the discrete energy-dissipation inequality at step n.
 
     slack_h is the lambda*tau * sum tau |V|_h^2 term entering the right
-    side.
+    side; psi_accum and psi_star_accum are tau sum_{k<=n} Psi_k and
+    tau sum_{k<=n} Psi*_k.
     """
 
     n: int
@@ -45,7 +48,9 @@ class EDIRecord:
     rhs: float
     residual: float
     tol: float
-    slack_h: float = 0.0
+    slack_h: float
+    psi_accum: float
+    psi_star_accum: float
 
     @property
     def passed(self) -> bool:
@@ -69,10 +74,12 @@ def edi_scan(spec: ProblemSpec, traj: Trajectory) -> list[EDIRecord]:
     tau = traj.tau
     lam = spec.energy.lambda_conv
     h = spec.grid.h
-    base = 0.5 * h_norm(traj.V[0].values, h) ** 2 + energy_total(spec, 0.0, traj.U[0])
+    base = 0.5 * h_norm(traj.V[0].values, h) ** 2 + traj.energy0
     records = []
-    diss_acc = dt_acc = work_acc = slack_acc = fy_acc = 0.0
+    diss_acc = dt_acc = work_acc = slack_acc = fy_acc = psi_acc = psi_star_acc = 0.0
     for k, rep in enumerate(reports, start=1):
+        psi_acc += rep.psi
+        psi_star_acc += rep.psi_star
         diss_acc += tau * (rep.psi + rep.psi_star)
         dt_acc += rep.energy_rate
         work_acc += rep.work
@@ -82,7 +89,9 @@ def edi_scan(spec: ProblemSpec, traj: Trajectory) -> list[EDIRecord]:
         lhs = rep.kinetic_after + rep.energy_after + diss_acc
         rhs = base + dt_acc + work_acc + slack_acc
         tol = fy_acc + EDI_FLOOR * (1.0 + abs(rhs))
-        records.append(EDIRecord(k, lhs, rhs, lhs - rhs, tol, slack_acc))
+        records.append(
+            EDIRecord(k, lhs, rhs, lhs - rhs, tol, slack_acc, tau * psi_acc, tau * psi_star_acc)
+        )
     return records
 
 
@@ -115,24 +124,26 @@ class BoundsReport:
     all_finite: bool
 
 
-def apriori_monitor(spec: ProblemSpec, traj: Trajectory) -> BoundsReport:
-    """sup_n |V^n|_h, sup_n E_{t_n}(U^n), and both dissipation accumulators.
+def apriori_monitor(traj: Trajectory, records: list[EDIRecord]) -> BoundsReport:
+    """sup_n |V^n|_h, sup_n E_{t_n}(U^n), and both dissipation accumulators,
+    read from the trajectory's ledger and its `edi_scan` records.
 
-    Across a tau-halving family these stay bounded by a tau-independent
-    constant; the family check lives with the caller (acceptance suite).
+    |V^n|_h is sqrt(2 kinetic_after), which is exactly the h-norm the
+    stepper squared.  Across a tau-halving family these stay bounded by a
+    tau-independent constant; the family check lives with the caller
+    (acceptance suite).
     """
     reports = _reports(traj)
-    tau = traj.tau
-    sup_v = max(h_norm(v.values, spec.grid.h) for v in traj.V)
-    sup_e = max(
-        [energy_total(spec, 0.0, traj.U[0])] + [r.energy_after for r in reports]
+    if len(records) != len(reports):
+        raise IncompleteTrajectory("EDI records do not match the step reports")
+    v0 = h_norm(traj.V[0].values, traj.spec.grid.h)
+    bounds = (
+        max([v0] + [sqrt(2.0 * r.kinetic_after) for r in reports]),
+        max([traj.energy0] + [r.energy_after for r in reports]),
+        records[-1].psi_accum,
+        records[-1].psi_star_accum,
     )
-    psi_acc = tau * sum(r.psi for r in reports)
-    psi_star_acc = tau * sum(r.psi_star for r in reports)
-    finite = all(
-        np.isfinite(x) for x in (sup_v, sup_e, psi_acc, psi_star_acc)
-    )
-    return BoundsReport(sup_v, sup_e, psi_acc, psi_star_acc, finite)
+    return BoundsReport(*bounds, all_finite=bool(np.isfinite(bounds).all()))
 
 
 def deviation_norms(traj: Trajectory) -> tuple[float, float]:

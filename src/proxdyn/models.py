@@ -24,7 +24,7 @@ from typing import Callable, Literal, Optional
 import numpy as np
 
 from .convex import SymBand
-from .core import DissipationSpec, EnergySpec, PerturbationSpec, ProblemSpec
+from .core import DissipationSpec, EnergySpec, PerturbationSpec, ProblemSpec, user_values
 from .errors import ConfigError
 from .grid import (
     Field,
@@ -40,11 +40,6 @@ from .grid import (
 
 def _default_grid(n_nodes: int) -> SpatialGrid:
     return SpatialGrid(n_nodes, 1.0 / (n_nodes - 1))
-
-
-def _nodal(out) -> np.ndarray:
-    """Values of a user-supplied Field or array as a float ndarray."""
-    return np.asarray(getattr(out, "values", out), dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +119,7 @@ def build_p1(params: P1Params) -> ProblemSpec:
     force = None
     if p.force is not None:
         user_force = p.force
-        force = lambda t: Field(_nodal(user_force(t)) * inv_rho, grid)
+        force = lambda t: user_values(user_force(t), m, "force", t) * inv_rho
 
     return ProblemSpec(
         grid=grid,
@@ -221,10 +216,7 @@ def build_p2(params: P2Params) -> ProblemSpec:
         _, phi1 = first_eigenpair(laplacian_matrix(grid), grid.h)
         u0 = p.u0_amplitude * phi1
     v0 = np.zeros(m) if p.v0 is None else np.asarray(p.v0, dtype=float)
-    force = None
-    if p.force is not None:
-        user_force = p.force
-        force = lambda t: Field(_nodal(user_force(t)), grid)
+    force = p.force
 
     return ProblemSpec(
         grid=grid,
@@ -294,7 +286,7 @@ def build_p3(params: P3Params) -> ProblemSpec:
     scale = p.well_scale
     if p.force is not None:
         user_f = p.force
-        lin_part = lambda t: -_nodal(user_f(t))
+        lin_part = lambda t: -user_values(user_f(t), m, "force", t)
     else:
         amp, om = p.force_amplitude, p.force_frequency
         profile = np.sin(np.pi * x / big_l)

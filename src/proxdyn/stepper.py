@@ -14,9 +14,9 @@ Its stationarity reproduces the discrete inclusion
 and the subgradient is recovered by rearrangement:
 eta^n = f_avg - B - (V^n - V^{n-1})/tau - DE_{t_n}(U^n) = -grad(smooth Phi).
 So eta^n and the forcing S^n = f_avg - B are functions of the stored U: a
-Trajectory keeps U, V and the per-step reports, whose energy ledger holds
-every term of the energy-dissipation inequality.  Both dissipation kinds
-certify a step by one gap, Psi(V^n) + Psi*(eta^n) - <eta^n, V^n>_h.
+Trajectory keeps U, V, the per-step reports and E_0(u0), which together
+hold every term of the energy-dissipation inequality.  Both dissipation
+kinds certify a step by one gap, Psi(V^n) + Psi*(eta^n) - <eta^n, V^n>_h.
 
 E_{t_n} reaches the step only through `EnergySpec`'s exact decomposition:
 A and quad_shift join the inertia in the banded Q (`step_operator`),
@@ -107,19 +107,23 @@ def average_force(f: Callable, t_lo: float, t_hi: float):
 class StepInput:
     """Data of one incremental minimization.
 
-    v = U^{n-1}, w = U^{n-2}; zeta = B(t_n, U^{n-1}, V^{n-1}) - f_avg^n.
-    v also freezes the dissipation state.
+    t_prev and t_next are the step's ends t_{n-1} and t_n, in a run the
+    entries (n-1) tau and n tau of `Trajectory.times`; every term of the
+    step is evaluated at them.  v = U^{n-1}, w = U^{n-2};
+    zeta = B(t_n, U^{n-1}, V^{n-1}) - f_avg^n.  v also freezes the
+    dissipation state.
     """
 
     tau: float
     t_prev: float
+    t_next: float
     v: Field
     w: Field
     zeta: Field
 
     def __post_init__(self):
-        if not self.tau > 0:
-            raise ConfigError("step size must be positive")
+        if not (self.tau > 0 and self.t_next > self.t_prev):
+            raise ConfigError("a step needs tau > 0 and t_next > t_prev")
 
 
 @dataclass(frozen=True)
@@ -146,10 +150,11 @@ class Trajectory:
     """Per-step records of a run; the reports carry the energy ledger.
 
     U and V have N+1 entries (including the initial data), reports N
-    entries for steps 1..N.  V is reconstructed from stored U, so V[n]
-    equals (U[n]-U[n-1])/tau identically.  The subgradient eta^n and the
-    forcing S^n = f_avg^n - B^n are not stored; both follow from U (see
-    the module docstring).
+    entries for steps 1..N, and energy0 is E_0(u0), the ledger's initial
+    energy.  V is reconstructed from stored U, so V[n] equals
+    (U[n]-U[n-1])/tau identically.  The subgradient eta^n and the forcing
+    S^n = f_avg^n - B^n are not stored; both follow from U (see the module
+    docstring).
     """
 
     spec: ProblemSpec
@@ -158,6 +163,7 @@ class Trajectory:
     U: tuple
     V: tuple
     reports: tuple
+    energy0: float
 
     @property
     def n_steps(self) -> int:
@@ -193,7 +199,7 @@ def incremental_minimize(
 
     q_op is step_operator(spec, inp.tau); warm starts the inner solve
     (U^{n-1} if None).  For composite dissipation, carry is the solver's
-    final (multiplier, penalty) and dual_warm the previous step's carry;
+    final (multiplier, penalty beta) and dual_warm the previous step's carry;
     for separable dissipation carry is None.  The step is one
     convex.StepProblem: Q = q_op, whose linear vector takes E2's linear
     part, and whose site potential is the tau-scaled copy of
@@ -216,7 +222,7 @@ def incremental_minimize(
 
     grid = spec.grid
     h = grid.h
-    t_next = inp.t_prev + tau
+    t_next = inp.t_next
     en = spec.energy
     b = inp.zeta.values - (2.0 * inp.v.values - inp.w.values) / tau**2
     energy_rate = 0.0
@@ -285,16 +291,16 @@ def incremental_minimize(
     # Each attempt checks the exact gap of the returned (V^n, eta^n) pair and
     # re-solves with tighter tolerances while it exceeds fy_cap; a gap still
     # above the certified 10 inner_tol after the last attempt fails the step.
-    p_hat, sched = dual_warm if dual_warm is not None else (None, None)
+    p_hat, beta = dual_warm if dual_warm is not None else (None, None)
     for _ in range(3):
         try:
             if separable:
                 u_vals, p_hat, rep = convex.solve_prox_gradient(prob, warm_vals)
             else:
-                u_vals, p_hat, rep = convex.solve_pd(prob, warm_vals, p0=p_hat, sched=sched)
+                u_vals, p_hat, rep = convex.solve_pd(prob, warm_vals, p0=p_hat, beta=beta)
         except MaxIterExceeded as exc:
             raise InnerSolverFailed(str(exc), best=exc.best) from exc
-        sched = rep.sched
+        beta = rep.beta
         eta_vals, v_vel, psi, pairing, fy = certify(u_vals)
         if not np.isfinite(fy):
             # Psi* is infinite at eta^n (dry friction alone, |eta| > a):
@@ -325,7 +331,7 @@ def incremental_minimize(
         # S^n = f_avg^n - B^n = -zeta.
         work=tau * h_inner(-inp.zeta.values, v_vel, h),
     )
-    carry = (p_hat, sched) if not separable else None
+    carry = (p_hat, beta) if not separable else None
     return u_field, Field(eta_vals, grid), report, carry
 
 
@@ -340,54 +346,44 @@ def run(
 
     tau must divide the horizon (`core.step_count`) and pass
     `core.check_step`; the first step synthesizes U^{-1} = u0 - tau*v0 so
-    that V^0 = v0.  Solver failures propagate with the step index attached.
+    that V^0 = v0.  Step n runs from times[n-1] to times[n], and E_0(u0) is
+    evaluated once, before step 1, which then reuses lin_part(0).  Solver
+    failures propagate with the step index attached.
     """
     n_steps = step_count(spec.horizon, tau)
     check_step(spec, tau)
+    times = tau * np.arange(n_steps + 1)
+    t = times.tolist()
+    energy0 = energy_total(spec, t[0], spec.u0)
 
     grid = spec.grid
     u_list = [spec.u0]
     v_list = [spec.v0]
     reports = []
-    u_prev = spec.u0
     u_prev2 = Field(spec.u0.values - tau * spec.v0.values, grid)
-    v_prev = spec.v0
     q_op = step_operator(spec, tau)
     dual = None
     for n in range(1, n_steps + 1):
-        t_prev = (n - 1) * tau
-        t_n = n * tau
-        f_avg = average_force(spec.force_values, t_prev, t_n) if spec.force else np.zeros(grid.n_interior)
-        b_vals = spec.perturbation(t_n, u_prev, v_prev)
-        inp = StepInput(
-            tau=tau,
-            t_prev=t_prev,
-            v=u_prev,
-            w=u_prev2,
-            zeta=Field(b_vals - f_avg, grid),
-        )
+        u_prev = u_list[-1]
+        f_avg = average_force(spec.force_values, t[n - 1], t[n]) if spec.force else np.zeros(grid.n_interior)
+        b_vals = spec.perturbation(t[n], u_prev, v_list[-1])
+        inp = StepInput(tau=tau, t_prev=t[n - 1], t_next=t[n], v=u_prev, w=u_prev2,
+                        zeta=Field(b_vals - f_avg, grid))
         try:
             u_n, _, report, dual = incremental_minimize(
                 spec, inp, q_op, u_prev, dual, inner_tol=inner_tol, max_iter=max_iter
             )
         except InnerSolverFailed as exc:
             raise InnerSolverFailed(
-                f"step {n} (t = {t_n:.6g}): {exc}", best=exc.best, step_index=n
+                f"step {n} (t = {t[n]:.6g}): {exc}", best=exc.best, step_index=n
             ) from exc
-        v_n = Field((u_n.values - u_prev.values) / tau, grid)
         u_list.append(u_n)
-        v_list.append(v_n)
+        v_list.append(Field((u_n.values - u_prev.values) / tau, grid))
         reports.append(report)
-        u_prev2, u_prev, v_prev = u_prev, u_n, v_n
+        u_prev2 = u_prev
 
-    return Trajectory(
-        spec=spec,
-        tau=tau,
-        times=tau * np.arange(n_steps + 1),
-        U=tuple(u_list),
-        V=tuple(v_list),
-        reports=tuple(reports),
-    )
+    return Trajectory(spec=spec, tau=tau, times=times, U=tuple(u_list), V=tuple(v_list),
+                      reports=tuple(reports), energy0=energy0)
 
 
 def admissible_tau(spec: ProblemSpec, target: float) -> float:

@@ -214,7 +214,7 @@ def conjugate_numeric(psi, xi, search_box: float, steps: int):
 def phi_value(spec, inp, u):
     """Phi of the step described by inp at a candidate u (a Field)."""
     tau = inp.tau
-    t_next = inp.t_prev + tau
+    t_next = inp.t_next
     h = spec.grid.h
     inertia = 0.5 / tau**2 * h_norm(u.values - 2 * inp.v.values + inp.w.values, h) ** 2
     vel = (u.values - inp.v.values) / tau
@@ -231,7 +231,7 @@ def step_input(traj, n):
     w = traj.U[n - 2] if n >= 2 else Field(traj.U[0].values - tau * traj.V[0].values, g)
     f_avg = average_force(spec.force_values, t_prev, t_n) if spec.force else np.zeros(g.n_interior)
     b = spec.perturbation(t_n, traj.U[n - 1], traj.V[n - 1])
-    return StepInput(tau=tau, t_prev=t_prev, v=traj.U[n - 1], w=w, zeta=Field(b - f_avg, g))
+    return StepInput(tau=tau, t_prev=t_prev, t_next=t_n, v=traj.U[n - 1], w=w, zeta=Field(b - f_avg, g))
 
 
 def step_subgradient(traj, n):
@@ -242,7 +242,7 @@ def step_subgradient(traj, n):
     u = traj.U[n].values
     forcing = -inp.zeta.values
     accel = (u - 2.0 * inp.v.values + inp.w.values) / inp.tau**2
-    eta = forcing - accel - energy_grad(traj.spec, inp.t_prev + inp.tau, u)
+    eta = forcing - accel - energy_grad(traj.spec, inp.t_next, u)
     return eta, forcing
 
 

@@ -272,7 +272,7 @@ def test_criterion_08_apriori_stability(halving_families):
     details = []
     for model in MODELS:
         spec, runs = halving_families[model]
-        reports = [apriori_monitor(spec, traj) for _, traj in runs]
+        reports = [apriori_monitor(traj, edi_scan(spec, traj)) for _, traj in runs]
         base = reports[0]
         for rep in reports:
             for field in ("sup_velocity", "sup_energy", "psi_accum", "psi_star_accum"):

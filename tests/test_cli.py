@@ -486,6 +486,76 @@ class TestBuildOnce:
         assert peak < 16e6, f"traced peak {peak / 1e6:.1f} MB"
 
 
+class TestOneLedger:
+    """trajectory.csv, summary.json and the monitors read the records of
+    the one pass over the step reports, and E_0(u0) is evaluated once."""
+
+    def test_initial_energy_evaluated_once(self, tmp_path, monkeypatch):
+        from proxdyn import cli as cli_mod, core, diagnostics, stepper
+
+        at_zero = []
+        original = core.energy_total
+
+        def counting(spec, t, u):
+            if t == 0.0:
+                at_zero.append(t)
+            return original(spec, t, u)
+
+        for mod in (core, stepper, diagnostics, cli_mod):
+            if hasattr(mod, "energy_total"):
+                monkeypatch.setattr(mod, "energy_total", counting)
+        cfg = parse_config_dict(
+            {"model": "p3", "tau": 1 / 32, "n_nodes": 17, "horizon": 0.25,
+             "out_dir": str(tmp_path / "out")}
+        )
+        assert run_and_emit(cfg) == 0
+        assert len(at_zero) == 1
+
+    @pytest.mark.parametrize(
+        "raw",
+        [
+            {"model": "p3", "tau": 1 / 32, "n_nodes": 17, "horizon": 0.25},
+            {"model": "p2", "tau": 1 / 64, "n_nodes": 17, "horizon": 0.125, "q": 1.5},
+        ],
+        ids=["p3", "p2_q1.5"],
+    )
+    def test_outputs_are_the_records(self, tmp_path, monkeypatch, raw):
+        from proxdyn import diagnostics, stepper
+        from proxdyn.grid import h_norm
+
+        kept = {}
+        for mod, name in ((stepper, "run"), (diagnostics, "edi_scan")):
+            original = getattr(mod, name)
+
+            def keep(*args, _original=original, _name=name, **kwargs):
+                kept[_name] = _original(*args, **kwargs)
+                return kept[_name]
+
+            monkeypatch.setattr(mod, name, keep)
+        out = tmp_path / "out"
+        assert run_and_emit(parse_config_dict({**raw, "out_dir": str(out)})) == 0
+        traj, records = kept["run"], kept["edi_scan"]
+        lines = (out / "trajectory.csv").read_text().splitlines()
+        header = lines[0].split(",")
+        rows = [dict(zip(header, map(float, line.split(",")))) for line in lines[1:]]
+        assert len(rows) == len(records) + 1
+        assert rows[0]["energy"] == traj.energy0
+        assert rows[0]["psi_accum"] == rows[0]["psi_star_accum"] == 0.0
+        for row, rec in zip(rows[1:], records):
+            assert row["psi_accum"] == rec.psi_accum
+            assert row["psi_star_accum"] == rec.psi_star_accum
+            assert row["edi_residual"] == rec.residual
+        assert records[-1].psi_accum > 0.0
+        monitors = json.loads((out / "summary.json").read_text())["monitors"]
+        assert monitors["psi_accum"] == records[-1].psi_accum
+        assert monitors["psi_star_accum"] == records[-1].psi_star_accum
+        h = traj.spec.grid.h
+        assert monitors["sup_velocity"] == max(h_norm(v.values, h) for v in traj.V)
+        assert monitors["sup_energy"] == max(
+            [traj.energy0] + [r.energy_after for r in traj.reports]
+        )
+
+
 @pytest.mark.parametrize(
     "raw",
     [

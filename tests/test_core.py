@@ -526,3 +526,35 @@ class TestSpecValidation:
             kwargs[where].band[-1, 1] = bad
         with pytest.raises(ConfigError, match="finite"):
             EnergySpec(**kwargs)
+
+
+class TestUserCallableOutput:
+    """`core.user_values` checks what a user callable returns: m finite
+    floats (a Field unwrapped), else an EvalError naming it and t."""
+
+    def test_scalar_force_on_a_hand_built_spec_rejected(self):
+        g = SpatialGrid(9, 0.125)
+        spec = dataclasses.replace(make_spec(g, SymBand(laplacian_band(g))), force=lambda t: 1.0)
+        with pytest.raises(EvalError, match=r"force at t=0\.0"):
+            spec.force_values(0.0)
+        with pytest.raises(EvalError, match="force"):
+            run(spec, 0.25, max_iter=2)
+
+    def test_field_force_is_unwrapped(self):
+        g = SpatialGrid(9, 0.125)
+        m = g.n_interior
+        spec = dataclasses.replace(
+            make_spec(g, SymBand(laplacian_band(g))), force=lambda t: Field(np.full(m, t), g)
+        )
+        np.testing.assert_array_equal(spec.force_values(0.5), np.full(m, 0.5))
+
+    @pytest.mark.parametrize(
+        "out", [np.zeros(3), np.zeros((7, 1)), 0.5, "x", np.full(7, np.nan)],
+        ids=["short", "column", "scalar", "string", "nan"],
+    )
+    def test_wrong_perturbation_rejected(self, out):
+        g = SpatialGrid(9, 0.125)
+        m = g.n_interior
+        pert = PerturbationSpec(eval=lambda t, u, v: out)
+        with pytest.raises(EvalError, match=r"perturbation .*t=0\.25"):
+            pert(0.25, Field(np.zeros(m), g), Field(np.zeros(m), g))

@@ -2,8 +2,11 @@
 
 from dataclasses import replace
 
+from math import sqrt
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from proxdyn.core import (
     DissipationSpec,
@@ -21,7 +24,7 @@ from proxdyn.diagnostics import (
 )
 from proxdyn.convex import SymBand
 from proxdyn.errors import ConfigError, IncompleteTrajectory
-from proxdyn.grid import Field, SpatialGrid, h_inner, laplacian_band
+from proxdyn.grid import Field, SpatialGrid, h_inner, h_norm, laplacian_band
 from proxdyn.models import P2Params, P3Params, build_linear_wave, build_p2, build_p3
 from proxdyn.stepper import run
 
@@ -93,7 +96,7 @@ class TestEDIScan:
         with pytest.raises(IncompleteTrajectory):
             edi_scan(spec, broken)
         with pytest.raises(IncompleteTrajectory):
-            apriori_monitor(spec, broken)
+            apriori_monitor(broken, edi_scan(spec, traj))
 
     def test_p3_with_time_dependent_energy(self):
         spec = build_p3(P3Params(n_nodes=33))
@@ -189,7 +192,7 @@ class TestEnergyBalance:
 class TestAprioriMonitor:
     def test_zero_trajectory(self):
         traj = run(zero_spec(), 0.1)
-        rep = apriori_monitor(traj.spec, traj)
+        rep = apriori_monitor(traj, edi_scan(traj.spec, traj))
         assert rep.sup_velocity == 0.0
         assert rep.sup_energy == 0.0
         assert rep.psi_accum == 0.0
@@ -198,7 +201,8 @@ class TestAprioriMonitor:
 
     def test_p3_stable_under_halving(self):
         spec = build_p3(P3Params(n_nodes=17))
-        reports = [apriori_monitor(spec, run(spec, tau)) for tau in (1 / 16, 1 / 32, 1 / 64)]
+        trajs = [run(spec, tau) for tau in (1 / 16, 1 / 32, 1 / 64)]
+        reports = [apriori_monitor(traj, edi_scan(spec, traj)) for traj in trajs]
         base = reports[0]
         for rep in reports:
             assert rep.all_finite
@@ -206,6 +210,21 @@ class TestAprioriMonitor:
             assert rep.sup_energy <= 2 * base.sup_energy + 1
             assert rep.psi_accum <= 2 * base.psi_accum + 1
             assert rep.psi_star_accum <= 2 * base.psi_star_accum + 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.floats(-1e140, 1e140, allow_nan=False), min_size=1, max_size=40),
+    st.floats(1e-6, 1.0),
+)
+def test_velocity_norm_survives_the_kinetic_energy(values, h):
+    # The stepper keeps 1/2 |V^n|_h^2; apriori_monitor takes |V^n|_h back
+    # as sqrt(2 kinetic_after), which is exact away from under- and
+    # overflow: sqrt(RN(x^2)) = x in binary64.
+    x = h_norm(np.array(values), h)
+    assume(1e-150 < x < 1e150)
+    kinetic = 0.5 * x**2  # StepReport.kinetic_after
+    assert sqrt(2.0 * kinetic) == x
 
 
 class TestDeviationNorms:

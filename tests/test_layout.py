@@ -20,7 +20,7 @@ PACKAGE = ROOT / "src" / "proxdyn"
 ALLOWED = {
     ("cli", "parse_config"): "the file-reading API, parse_config_dict on a JSON file",
     ("diagnostics", "energy_balance_residual"): "the energy-dissipation equality defect, "
-    "which the exact energy ledger of ROADMAP item 4 builds on",
+    "which the energy-dissipation equality closure of ROADMAP item 6 builds on",
 }
 
 
@@ -164,3 +164,49 @@ def test_convexity_defect_guard_sees_a_planted_keyword():
                      "object.__setattr__(en, 'lambda_conv', 3.0)\nx = en.lambda_conv\n"
                      "y = getattr(en, 'lambda_conv')\n")
     assert sorted(_defect_writes(tree)) == [1, 2, 3, 4]
+
+
+# One energy ledger: `stepper` evaluates the energy (E_0(u0) once per run,
+# E_{t_n}(U^n) once per step) and `diagnostics.edi_scan` is the one pass
+# that sums the step reports' dissipation terms; every other output reads
+# its records.  `__init__.py` only re-exports energy_total.
+LEDGER_SUMS = {"psi", "psi_star"}
+
+
+def _ledger_strays(module, tree, scan_lines=range(0)):
+    """'module:line name' of each energy_total named outside core, stepper
+    and __init__, and of each read of a report's psi or psi_star attribute
+    on a line outside scan_lines."""
+    if module not in ("core", "stepper", "__init__"):
+        yield from (f"{module}:{line} {name}" for name, line in _named(tree) if name == "energy_total")
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr in LEDGER_SUMS
+            and isinstance(node.ctx, ast.Load)
+            and node.lineno not in scan_lines
+        ):
+            yield f"{module}:{node.lineno} .{node.attr}"
+
+
+def test_energy_ledger_has_one_pass():
+    _, first, last = _public_definitions()["diagnostics", "edi_scan"]
+    stray = [
+        found
+        for path in sorted(PACKAGE.glob("*.py"))
+        for found in _ledger_strays(
+            path.stem,
+            ast.parse(path.read_text(encoding="utf-8")),
+            range(first, last + 1) if path.stem == "diagnostics" else range(0),
+        )
+    ]
+    assert not stray, f"energy evaluated or step reports summed outside the ledger: {stray}"
+
+
+def test_energy_ledger_guard_sees_a_planted_sum():
+    tree = ast.parse("e0 = energy_total(spec, 0.0, traj.U[0])\n"
+                     "acc = tau * sum(r.psi + r.psi_star for r in reports)\n"
+                     "rep = StepReport(psi=psi, psi_star=pairing - psi)\nrep.psi = 0.0\n")
+    assert sorted(_ledger_strays("cli", tree)) == ["cli:1 energy_total", "cli:2 .psi", "cli:2 .psi_star"]
+    assert sorted(_ledger_strays("diagnostics", tree, range(2, 3))) == ["diagnostics:1 energy_total"]
+    assert list(_ledger_strays("stepper", tree, range(2, 3))) == []

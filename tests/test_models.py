@@ -23,7 +23,7 @@ from oracles import (
     p3_smooth_energy,
     phase_indicator,
 )
-from proxdyn.errors import ConfigError
+from proxdyn.errors import ConfigError, EvalError
 from proxdyn.grid import Field, h_inner, h_norm
 from proxdyn.models import (
     P1Params,
@@ -401,6 +401,19 @@ class TestUserForce:
         spec.energy.lin_part(0.25)
         spec.energy.lin_part(0.75)
         assert calls == [0.25, 0.75]
+
+    @pytest.mark.parametrize(
+        "bad", [np.full(7, np.nan), np.zeros(3), 1.0], ids=["nan", "short", "scalar"]
+    )
+    @pytest.mark.parametrize("build, params", [(build_p1, P1Params), (build_p2, P2Params),
+                                               (build_p3, P3Params)], ids=["p1", "p2", "p3"])
+    def test_malformed_force_fails_fast(self, build, params, bad):
+        # On p3 the force enters through E2's linear part: a NaN there used
+        # to pass the quartic prox as its shift and only fail the step after
+        # its inner iteration cap, with max_iter = 2 as an InnerSolverFailed.
+        spec = build(params(n_nodes=9, horizon=0.25, force=lambda t: bad))
+        with pytest.raises(EvalError, match=r"force.* t="):
+            run(spec, 1 / 32, max_iter=2)
 
 
 class TestLinearWave:

@@ -93,7 +93,7 @@ class TestIncrementalMinimize:
         spec = scalar_spec()
         g = spec.grid
         inp = StepInput(
-            tau=1.0, t_prev=0.0, v=Field(np.zeros(1), g), w=Field(np.zeros(1), g),
+            tau=1.0, t_prev=0.0, t_next=1.0, v=Field(np.zeros(1), g), w=Field(np.zeros(1), g),
             zeta=Field(np.array([-1.0]), g),
         )
         u, eta, rep, _ = incremental_minimize(spec, inp, step_operator(spec, inp.tau))
@@ -118,7 +118,7 @@ class TestIncrementalMinimize:
             u0=Field(np.zeros(m), g), v0=Field(np.zeros(m), g),
         )
         u0 = Field(np.zeros(m), g)
-        inp = StepInput(tau=0.1, t_prev=0.0, v=u0, w=u0, zeta=Field(np.zeros(m), g))
+        inp = StepInput(tau=0.1, t_prev=0.0, t_next=0.1, v=u0, w=u0, zeta=Field(np.zeros(m), g))
         u, eta, rep, _ = incremental_minimize(spec, inp, step_operator(spec, inp.tau))
         assert np.all(u.values == 0.0)
         assert eta.values == pytest.approx(np.zeros(m), abs=1e-12)
@@ -160,7 +160,7 @@ class TestIncrementalMinimize:
             u0=spec.u0, v0=spec.v0,
         )
         g = spec.grid
-        inp = StepInput(tau=0.25, t_prev=0.0, v=Field(np.zeros(1), g),
+        inp = StepInput(tau=0.25, t_prev=0.0, t_next=0.25, v=Field(np.zeros(1), g),
                         w=Field(np.zeros(1), g), zeta=Field(np.zeros(1), g))
         with pytest.raises(StepSizeTooLarge):
             incremental_minimize(spec, inp, step_operator(spec, inp.tau))
@@ -183,7 +183,7 @@ class TestIncrementalMinimize:
         m = g.n_interior
         tau = min(1.0 / (2 * spec.energy.lambda_conv + 1e-12), 0.01)
         inp = StepInput(
-            tau=tau, t_prev=0.0, v=spec.u0,
+            tau=tau, t_prev=0.0, t_next=tau, v=spec.u0,
             w=Field(spec.u0.values - tau * 0.3 * np.ones(m), g),
             zeta=Field(np.zeros(m), g),
         )
@@ -225,7 +225,7 @@ class TestStepOracle:
         rng = np.random.default_rng(1)
         v = Field(0.3 * rng.standard_normal(m), g)
         w = Field(v.values - tau * 0.2 * rng.standard_normal(m), g)
-        inp = StepInput(tau=tau, t_prev=0.0, v=v, w=w,
+        inp = StepInput(tau=tau, t_prev=0.0, t_next=tau, v=v, w=w,
                         zeta=Field(0.1 * rng.standard_normal(m), g))
         u, eta, rep, _ = incremental_minimize(spec, inp, step_operator(spec, tau))
         best = self._oracle_step(spec, inp, u.values)
@@ -242,7 +242,7 @@ class TestStepOracle:
         rng = np.random.default_rng(2)
         v = Field(0.4 * rng.standard_normal(m), g)
         w = Field(v.values - tau * 0.3 * rng.standard_normal(m), g)
-        inp = StepInput(tau=tau, t_prev=0.1, v=v, w=w,
+        inp = StepInput(tau=tau, t_prev=0.1, t_next=0.15, v=v, w=w,
                         zeta=Field(0.2 * rng.standard_normal(m), g))
         u, eta, rep, _ = incremental_minimize(spec, inp, step_operator(spec, tau))
         best = self._oracle_step(spec, inp, u.values)
@@ -493,9 +493,9 @@ class TestOnePsiPerStep:
 
 
 class TestOneForcePerStep:
-    """A step evaluates E2's linear part once, at t_n, for b, eta^n and the
-    ledger's energy, and reuses the previous step's value at t_{n-1} when
-    its time is the identical float."""
+    """A run evaluates E2's linear part once per time of `Trajectory.times`:
+    E_0 before step 1, and in step n at t_n for b, eta^n and the ledger's
+    energy, reusing the previous step's value at t_{n-1}."""
 
     @staticmethod
     def _recording_run(tau, horizon):
@@ -513,23 +513,14 @@ class TestOneForcePerStep:
         assert traj.n_steps == 8
         assert calls == [n / 32 for n in range(9)]
 
-    def test_reuse_only_at_the_identical_time(self):
-        # Step n starts at (n - 1) tau and ends at (n - 1) tau + tau; with
-        # tau = 0.1 the end of step 6 and the start of step 7 differ by an
-        # ulp, so the force is called at both.
+    def test_one_call_per_time_exactly_at_n_tau(self):
+        # With tau = 0.1, (n - 1) tau + tau and n tau differ by an ulp at
+        # n = 6; every term of step n is evaluated at n tau.
         tau = 0.1
-        starts = [(n - 1) * tau for n in range(1, 11)]
-        ends = [t + tau for t in starts]
-        assert ends[5] != starts[6]
-        want = []
-        for n, (t_prev, t_next) in enumerate(zip(starts, ends)):
-            if n == 0 or t_prev != ends[n - 1]:
-                want.append(t_prev)
-            want.append(t_next)
+        assert 5 * tau + tau != 6 * tau
         traj, calls = self._recording_run(tau, 1.0)
         assert traj.n_steps == 10
-        assert calls == want
-        assert len(calls) == 12
+        assert calls == [n * tau for n in range(11)] == traj.times.tolist()
 
 
 class TestAdmissibleTau:
