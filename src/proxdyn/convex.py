@@ -26,6 +26,15 @@ r = grad(smooth) + M^T p_hat, where p_hat is the dual iterate projected
 onto the subdifferential of the nonsmooth part at the current point: for
 a gamma-strongly convex objective, obj(u) - obj* <= |r|_h^2 / (2 gamma).
 
+The kernel's scalar roots take one of two root finders, elementwise: the
+power-law root w s + g s^(q-1) = t (`_power_solve`, the prox and the edge
+conjugate) is convex in s^(q-1) for q < 2 and in s for q > 2, and a
+monotone Newton from an upper bound solves it without a bracket
+(`_monotone_newton`); the two roots whose functions are not convex, the
+quartic branch and the cokernel shift of the composite conjugate, take the
+bracketed Newton-bisection (`_newton_bisect`).  Both raise MaxIterExceeded
+at their cap.
+
 Solvers work on plain ndarrays in the h-cancelled representation (the
 h-weighted pairing makes plain transposes adjoint, so h never appears in
 the iteration); reported norms and gaps are h-weighted energies.
@@ -112,19 +121,26 @@ def band_solve(fac: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 _ROOT_RTOL = 1e-15
 _ROOT_MAX_ITER = 200
+# A bracket this many ulp wide holds the root to rounding.
+_BRACKET_ULPS = 4
 
 
 def _newton_bisect(fun, lo, hi):
-    """Root of an increasing function on a guaranteed bracket, elementwise.
+    """Root of an increasing function on a guaranteed bracket, elementwise,
+    for functions that are not convex (`SitePotential._branch_root`,
+    `composite_conjugate`).
 
     fun(x) returns (f(x), f'(x)) with f(lo) <= 0 <= f(hi).  Starting at hi,
     each iterate shrinks the bracket by the sign of f; the Newton step is
-    taken when f' is finite and the step stays in the bracket, the midpoint
-    otherwise.  Stops when an update moves no entry by more than _ROOT_RTOL
-    relative, or leaves it in place (an entry at inf, where both bracket
-    ends overflow, is a fixed point).  Non-finite values of f or f' (at a
+    taken when f' is finite and the step lands strictly inside the bracket,
+    the midpoint otherwise.  Every evaluated point becomes a bracket end, so
+    a Newton step back to one (a 2-cycle of rounding near the root) bisects
+    instead and no iterate repeats.  Stops when an update moves no entry by
+    more than _ROOT_RTOL relative, leaves it in place (an entry at inf,
+    where both bracket ends overflow, is a fixed point), or the bracket is
+    at most _BRACKET_ULPS ulp wide.  Non-finite values of f or f' (at a
     bracket end where a power overflows, or f' at a zero with q < 2) fall
-    back to the midpoint.
+    back to the midpoint.  MaxIterExceeded after _ROOT_MAX_ITER iterations.
     """
     lo = np.array(lo, dtype=float)
     hi = np.array(hi, dtype=float)
@@ -135,47 +151,102 @@ def _newton_bisect(fun, lo, hi):
             lo = np.where(f <= 0.0, x, lo)
             hi = np.where(f >= 0.0, x, hi)
             newton = x - f / df
-            ok = np.isfinite(df) & (newton >= lo) & (newton <= hi)
+            ok = np.isfinite(df) & (((newton > lo) & (newton < hi)) | (newton == x))
             x_new = np.where(ok, newton, 0.5 * (lo + hi))
-            done = (x_new == x) | (np.abs(x_new - x) <= _ROOT_RTOL * np.abs(x_new))
+            width = _BRACKET_ULPS * np.spacing(np.maximum(np.abs(lo), np.abs(hi)))
+            close = np.abs(x_new - x) <= _ROOT_RTOL * np.abs(x_new)
+            done = (x_new == x) | close | (hi - lo <= width)
             if np.all(done):
                 return x_new
             x = x_new
-    return x
+    raise MaxIterExceeded(f"Newton-bisection stalled after {_ROOT_MAX_ITER} iterations", best=x)
 
 
+def _monotone_newton(fun, x):
+    """Root of a convex increasing function, elementwise, from a start x at
+    or above it: fun(x) returns (f(x), f'(x)).
+
+    From above the root Newton's iterates fall to it monotonically and need
+    no bracket (Ortega & Rheinboldt, Iterative Solution of Nonlinear
+    Equations in Several Variables, 1970, Sec. 13.3); x <- min(x, x - f/f')
+    keeps rounding from lifting an iterate.  Stops when no entry falls by
+    more than _ROOT_RTOL relative; monotone iterates cannot cycle.
+    MaxIterExceeded after _ROOT_MAX_ITER iterations (a NaN never stops).
+    """
+    for _ in range(_ROOT_MAX_ITER):
+        f, df = fun(x)
+        x_new = np.minimum(x, x - f / df)
+        if (x - x_new <= _ROOT_RTOL * x_new).all():
+            return x_new
+        x = x_new
+    raise MaxIterExceeded(f"monotone Newton stalled after {_ROOT_MAX_ITER} iterations", best=x)
+
+
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _power_solve(w, g, q, t):
     """Root s >= 0 of w s + g s^(q-1) = t for t > 0, elementwise.
 
-    Closed forms when g = 0 or w = 0 (infinite when both vanish); otherwise
-    the Newton-bisection on [0, min(t/w, k)], k = (t/g)^(1/(q-1)), whose
-    upper end bounds the root because either term alone reaches t there.
-    Where t/g overflows (a subnormal g), k is taken in logs, and if it is
-    finite the root is k y, with y the root of (w k/t) y + y^(q-1) = 1.
+    Closed forms when g = 0 or w = 0 (infinite when both vanish).
+    Otherwise `_monotone_newton` solves the equation in the variable in
+    which it is convex: y = s^(q-1) for q < 2, where w y^r + g y = t with
+    r = 1/(q-1) and s = y^r, and s itself for q > 2 (q = 2 never arrives:
+    `SitePotential` folds g into w2).  It starts at the bound at which
+    either term alone reaches t, min(t/w, k) with k = (t/g)^r, which in the
+    convex variable is within a factor 2 of the root; where that bound
+    overflows the root is left at inf.  For q > 2, where t/g overflows (a
+    subnormal g), k is taken from the exponents of t and g, and the root
+    is k x, with x the root of (w k/t) x + x^(q-1) = 1.
     """
     w, g, t = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in (w, g, t)))
     r = 1.0 / (q - 1.0)
-    with np.errstate(divide="ignore", over="ignore"):
-        k = (t / g) ** r
+    k = (t / g) ** r
+    tiny = None
+    if q > 2.0:
         over = np.isinf(k) & (g > 0.0)
-        if np.any(over):
-            k[over] = np.exp(r * (np.log(t[over]) - np.log(g[over])))
-        s = np.minimum(t / w, k)
-    tiny = over & np.isfinite(k)
-    if np.any(tiny):
-        kt = k[tiny]
-        s[tiny] = kt * _power_solve(w[tiny] * (kt / t[tiny]), 1.0, q, 1.0)
-    both = (w > 0.0) & (g > 0.0) & ~tiny
-    if np.any(both):
-        wb, gb, tb = w[both], g[both], t[both]
+        if over.any():
+            # k = ((mt/mg) 2^(et-eg))^r from the mantissas and exponents of
+            # t and g, so a subnormal g loses no digits and the power of 2
+            # overflows only with k.
+            mt, et = np.frexp(t[over])
+            mg, eg = np.frexp(g[over])
+            x = (et - eg) * r
+            xi = np.floor(x)
+            k[over] = np.ldexp((mt / mg) ** r * 2.0 ** (x - xi), xi.astype(int))
+            tiny = over
+    s = np.minimum(t / w, k)
+    both = (w > 0.0) & (g > 0.0) & np.isfinite(s)
+    if tiny is not None:
+        # g s^(q-1) overflows near the root before g scales it down unless
+        # w k/t does (then s < 1 at the root); solve in units of k.
+        c = w * (k / t)
+        tiny &= both & np.isfinite(c)
+        s[tiny] = k[tiny] * _power_solve(c[tiny], 1.0, q, 1.0)
+        both &= ~tiny
+    if not both.any():
+        return s
+    wb, gb, tb = w[both], g[both], t[both]
+    if q < 2.0:
+        wr = wb * r
+
+        def fun(y):
+            p = y ** (r - 1.0)
+            return wb * p * y + gb * y - tb, wr * p + gb
+
+        y = _monotone_newton(fun, np.minimum((tb / wb) ** (q - 1.0), tb / gb))
+        # y^r carries r times the rounding of y.  Where the w-term holds at
+        # least half of t, (t - g y)/w cancels at most one bit and is the
+        # root to a few ulp.
+        gy = gb * y
+        s_w = (tb - gy) / wb
+        s[both] = np.where((gy <= 0.5 * tb) & np.isfinite(s_w), s_w, y**r)
+    else:
+        gq = gb * (q - 1.0)
 
         def fun(x):
-            return (
-                wb * x + gb * x ** (q - 1.0) - tb,
-                wb + gb * (q - 1.0) * x ** (q - 2.0),
-            )
+            p = x ** (q - 2.0)
+            return wb * x + gb * p * x - tb, wb + gq * p
 
-        s[both] = _newton_bisect(fun, np.zeros_like(tb), s[both])
+        s[both] = _monotone_newton(fun, s[both])
     return s
 
 
@@ -421,8 +492,8 @@ def edge_conjugate_pair(a, w2, g, q, lam):
 
     Returns (psi*(lam), s*(lam)) elementwise, the latter being the
     conjugate's derivative.  With t = |lam| - a > 0 the maximizer solves
-    w2 s + g s^(q-1) = t: closed forms when g = 0 or w2 = 0, the
-    Newton-bisection otherwise; infinite where the potential is degenerate
+    w2 s + g s^(q-1) = t (`_power_solve`): closed forms when g = 0 or
+    w2 = 0, the monotone Newton otherwise; infinite where the potential is degenerate
     (a-only) and |lam| exceeds a.
     """
     lam = np.asarray(lam, dtype=float)

@@ -76,17 +76,16 @@ def edi_scan(spec: ProblemSpec, traj: Trajectory) -> list[EDIRecord]:
     h = spec.grid.h
     base = 0.5 * h_norm(traj.V[0].values, h) ** 2 + traj.energy0
     records = []
-    diss_acc = dt_acc = work_acc = slack_acc = fy_acc = psi_acc = psi_star_acc = 0.0
+    dt_acc = work_acc = slack_acc = fy_acc = psi_acc = psi_star_acc = 0.0
     for k, rep in enumerate(reports, start=1):
         psi_acc += rep.psi
         psi_star_acc += rep.psi_star
-        diss_acc += tau * (rep.psi + rep.psi_star)
         dt_acc += rep.energy_rate
         work_acc += rep.work
         # lambda tau^2 |V^k|_h^2, with kinetic_after = |V^k|_h^2 / 2.
         slack_acc += 2.0 * lam * tau * tau * rep.kinetic_after
         fy_acc += rep.fy_gap
-        lhs = rep.kinetic_after + rep.energy_after + diss_acc
+        lhs = rep.kinetic_after + rep.energy_after + tau * (psi_acc + psi_star_acc)
         rhs = base + dt_acc + work_acc + slack_acc
         tol = fy_acc + EDI_FLOOR * (1.0 + abs(rhs))
         records.append(

@@ -77,30 +77,22 @@ DEFAULT_INNER_TOL = 1e-9
 DEFAULT_MAX_ITER = 50_000
 
 
-def average_force(f: Callable, t_lo: float, t_hi: float):
-    """Interval average (1/(t_hi-t_lo)) * int f, by 5-point Gauss quadrature.
+def average_force(f: Callable, t_lo: float, t_hi: float) -> np.ndarray:
+    """Interval average (1/(t_hi-t_lo)) * int f, by 5-point Gauss quadrature,
+    of an ndarray-valued f (`ProblemSpec.force_values`).
 
     Exact for polynomial time dependence up to degree 9; in particular a
-    constant force averages to itself.  Returns the same type f produces
-    (Field or ndarray).
+    constant force averages to itself.
     """
     if not t_hi > t_lo:
         raise ConfigError(f"need t_hi > t_lo, got [{t_lo}, {t_hi}]")
-    grid = None
-
-    def values(t):
-        nonlocal grid
-        out = f(t)
-        grid = getattr(out, "grid", None)
-        return np.asarray(getattr(out, "values", out), dtype=float)
-
     mid = 0.5 * (t_lo + t_hi)
     half = 0.5 * (t_hi - t_lo)
     # The weights sum to 2.
-    acc = 0.5 * sum(w * values(mid + half * x) for x, w in zip(_GAUSS_X, _GAUSS_W))
+    acc = 0.5 * sum(w * f(mid + half * x) for x, w in zip(_GAUSS_X, _GAUSS_W))
     if not np.all(np.isfinite(acc)):
         raise EvalError(f"force non-finite on [{t_lo}, {t_hi}]")
-    return Field(acc, grid) if grid is not None else acc
+    return acc
 
 
 @dataclass(frozen=True)

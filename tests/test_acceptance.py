@@ -3,7 +3,7 @@
 Each test prints one `[acceptance NN] PASS/FAIL ...` line (visible with
 pytest -s or in the captured output on failure).  Shared runs live in
 module-scoped fixtures: the step-bound matrix (tau_max/4, /8, /16 per
-model, 65 nodes, T = 1) and a four-level halving family per model.
+model and for p2 at q = 1.1, 1.5 and 3, 65 nodes, T = 1) and a four-level halving family per model.
 """
 
 import json
@@ -51,15 +51,19 @@ def _build(model):
 
 
 MODELS = ("p1", "p2", "p3", "linear_wave")
+# p2's power-law branch, which the default p2 (q = 2) never reaches.
+P2_EXPONENTS = (1.1, 1.5, 3.0)
 
 
 @pytest.fixture(scope="module")
 def edi_runs():
-    """(model, frac) -> (spec, trajectory, EDI records) on the 65-node grid."""
+    """(model, frac) -> (spec, trajectory, EDI records) on the 65-node grid,
+    for each model and for p2 at each of P2_EXPONENTS (named "p2 q=...")."""
     t0 = time.perf_counter()
     out = {}
-    for model in MODELS:
-        spec = _build(model)
+    specs = [(model, _build(model)) for model in MODELS]
+    specs += [(f"p2 q={q}", build_p2(P2Params(q=q))) for q in P2_EXPONENTS]
+    for model, spec in specs:
         t_eff = min(tau_max(spec), spec.horizon)
         for frac in (4, 8, 16):
             tau = admissible_tau(spec, t_eff / frac)

@@ -8,22 +8,28 @@ are asserted against frozen oracle outputs.
 
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from proxdyn.errors import EvalError, NonFiniteIterate
+from proxdyn import convex
+from proxdyn.errors import EvalError, MaxIterExceeded, NonFiniteIterate
 from proxdyn.convex import (
     SitePotential,
     StepProblem,
     SymBand,
+    _monotone_newton,
     _newton_bisect,
+    _power_solve,
     band_solve,
     composite_conjugate,
     edge_conjugate_pair,
     solve_pd,
     solve_prox_gradient,
 )
+from proxdyn.models import P1Params, P2Params, P3Params, build_p1, build_p2, build_p3
+from proxdyn.stepper import run
 
 from oracles import (
     DenseSiteOp,
@@ -735,6 +741,150 @@ class TestNewtonBisect:
         x = _newton_bisect(fun, np.array([0.0]), np.array([np.inf]))
         assert x[0] == np.inf
         assert len(calls) <= 2
+
+    def test_two_cycle_of_rounding_stops(self):
+        # Newton alternates between a = c + 4 ulp and b = c - 4 ulp, 1.2e-15
+        # apart relative (above _ROOT_RTOL): from a it lands on b, and from b
+        # back on the bracket end a.  Two evaluations make the bracket
+        # [b, a]; the next may not repeat a.
+        c = 1.5
+        ulp = np.spacing(c)
+        a, b = c + 4.0 * ulp, c - 4.0 * ulp
+        calls = []
+
+        def fun(x):
+            calls.append(x.copy())
+            return x - c, np.full_like(x, 0.5)
+
+        x = _newton_bisect(fun, np.array([0.0]), np.array([a]))
+        assert [float(v[0]) for v in calls[:2]] == [a, b]
+        assert len(calls) <= 2 + 3
+        assert abs(x[0] - c) <= 4.0 * ulp
+
+    def test_cap_raises(self):
+        # A NaN slope forces bisection, which needs ~1060 halvings from
+        # [0, 1e300] to the root 1: the cap is reached and says so.
+        with pytest.raises(MaxIterExceeded):
+            _newton_bisect(
+                lambda x: (x - 1.0, np.full_like(x, np.nan)), np.array([0.0]), np.array([1e300])
+            )
+
+    @pytest.mark.parametrize("model, q", [("p1", None), ("p3", 2.5), ("p3", 3.0)])
+    def test_no_cap_hits_on_the_models(self, model, q, monkeypatch):
+        # The p1_admm config's cokernel shifts (composite_conjugate) and p3's
+        # quartic branches (_branch_root) at q = 2.5 and 3, 65 nodes.
+        evals = []
+
+        def counting(fun, lo, hi):
+            evals.append(0)
+
+            def counted(x):
+                evals[-1] += 1
+                return fun(x)
+
+            return _newton_bisect(counted, lo, hi)
+
+        monkeypatch.setattr(convex, "_newton_bisect", counting)
+        if model == "p1":
+            spec = build_p1(P1Params(n_nodes=33, horizon=0.5))
+        else:
+            spec = build_p3(P3Params(q=q, n_nodes=65, horizon=0.125))
+        traj = run(spec, 1.0 / 64.0, inner_tol=1e-9)
+        assert evals and max(evals) <= 10
+        assert max(r.fy_gap for r in traj.reports) <= 1e-8
+
+
+def _mp_power_root(w, g, q, t):
+    """The root of w s + g s^(q-1) = t at 50 digits, by bisection on [0, hi],
+    hi the bound at which either term alone reaches t."""
+    with mpmath.workdps(50):
+        w, g, q, t = (mpmath.mpf(c) for c in (w, g, q, t))
+        hi = min(t / w if w else mpmath.inf, (t / g) ** (1 / (q - 1)) if g else mpmath.inf)
+        lo = mpmath.mpf(0)
+        for _ in range(240):
+            mid = (lo + hi) / 2
+            if w * mid + g * mid ** (q - 1) > t:
+                hi = mid
+            else:
+                lo = mid
+        return (lo + hi) / 2
+
+
+_decades = st.floats(-6.0, 6.0).map(lambda e: 10.0**e)
+
+
+class TestPowerSolve:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        q=st.floats(1.01, 8.0),
+        w=st.one_of(_decades, st.just(0.0)),
+        g=st.one_of(_decades, st.sampled_from([0.0, 5e-324])),
+        t=st.floats(-12.0, 12.0).map(lambda e: 10.0**e),
+    )
+    def test_matches_a_50_digit_root(self, q, w, g, t):
+        assume(w > 0.0 or g > 0.0)
+        with np.errstate(over="ignore"):
+            s = float(_power_solve(np.array([w]), np.array([g]), q, np.array([t]))[0])
+        ref = _mp_power_root(w, g, q, t)
+        if ref > np.finfo(float).max:
+            assert s == np.inf
+        else:
+            # Subnormal roots carry no relative precision.  Where the
+            # w-term holds at least half of t the root is well conditioned
+            # and must be exact to a few ulp, also for q near 1.
+            rtol = 4.0 * np.finfo(float).eps if w * ref >= 0.5 * t else 1e-13
+            assert abs(s - ref) <= rtol * ref + _TINY
+
+    @pytest.mark.parametrize("w", [0.0, 1e-300])
+    def test_subnormal_power_weight_near_overflow(self, w):
+        # t/g overflows and k = (t/g)^r ~ 1.8e305 is finite, but k/t is
+        # not: the root in units of k must not be taken there (it gave NaN
+        # for w = 0 and 0 for w = 1e-300).
+        q, g, t = 2.01, 5e-324, 1e-15
+        with np.errstate(over="ignore"):
+            s = float(_power_solve(np.array([w]), np.array([g]), q, np.array([t]))[0])
+        ref = _mp_power_root(w, g, q, t)
+        assert abs(s - ref) <= 1e-13 * ref
+
+    def test_monotone_newton_raises_on_nan(self):
+        with pytest.raises(MaxIterExceeded):
+            _monotone_newton(lambda x: (x * np.nan, np.ones_like(x)), np.array([1.0]))
+
+    @pytest.mark.parametrize("q", [1.1, 3.0])
+    def test_few_evaluations_per_root_on_p2(self, q, monkeypatch):
+        # p2 at 65 nodes, tau = 1/64, T = 0.125: every root of _power_solve
+        # takes at most 8 evaluations of its function, whichever root
+        # finder it uses, and every step certifies.
+        active, per_call = [], []
+        power_solve = convex._power_solve
+
+        def counted_power_solve(*args):
+            active.append(0)
+            try:
+                return power_solve(*args)
+            finally:
+                per_call.append(active.pop())
+
+        def counting(finder):
+            def wrapped(fun, *args):
+                def counted(x):
+                    if active:
+                        active[-1] += 1
+                    return fun(x)
+
+                return finder(counted, *args)
+
+            return wrapped
+
+        monkeypatch.setattr(convex, "_power_solve", counted_power_solve)
+        for name in ("_newton_bisect", "_monotone_newton"):
+            finder = getattr(convex, name, None)
+            if finder is not None:
+                monkeypatch.setattr(convex, name, counting(finder))
+        traj = run(build_p2(P2Params(q=q, n_nodes=65, horizon=0.125)), 1.0 / 64.0, inner_tol=1e-9)
+        assert max(per_call) > 0
+        assert max(per_call) <= 8
+        assert max(r.fy_gap for r in traj.reports) <= 1e-8
 
 
 # Parameter ranges of the kernel properties: weights up to 1e3, exponents

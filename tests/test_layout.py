@@ -210,3 +210,58 @@ def test_energy_ledger_guard_sees_a_planted_sum():
     assert sorted(_ledger_strays("cli", tree)) == ["cli:1 energy_total", "cli:2 .psi", "cli:2 .psi_star"]
     assert sorted(_ledger_strays("diagnostics", tree, range(2, 3))) == ["diagnostics:1 energy_total"]
     assert list(_ledger_strays("stepper", tree, range(2, 3))) == []
+
+
+# The bracketed Newton-bisection serves only the roots whose functions are
+# not convex: the quartic branch (`SitePotential._branch_root`) and the
+# cokernel shift (`composite_conjugate`).  The power-law root is convex in
+# its own variable and takes the monotone Newton, which needs no bracket.
+NEWTON_BISECT_USERS = {"SitePotential._branch_root", "composite_conjugate"}
+
+
+def _functions(tree):
+    """{qualified name: (first line, last line)} of the top-level functions
+    and of the methods of top-level classes."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            out[node.name] = (node.lineno, node.end_lineno)
+        elif isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef):
+                    out[f"{node.name}.{item.name}"] = (item.lineno, item.end_lineno)
+    return out
+
+
+def _newton_bisect_callers(tree):
+    """{qualified function name or None (module level): lines} where
+    `_newton_bisect` is named."""
+    spans = _functions(tree)
+    out = {}
+    for name, line in _named(tree):
+        if name == "_newton_bisect":
+            owner = next((q for q, (a, b) in spans.items() if a <= line <= b), None)
+            out.setdefault(owner, []).append(line)
+    return out
+
+
+def test_newton_bisection_serves_only_non_convex_roots():
+    callers = {
+        (path.stem, owner)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for owner in _newton_bisect_callers(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert callers == {("convex", owner) for owner in NEWTON_BISECT_USERS}
+    convex = ast.parse((PACKAGE / "convex.py").read_text(encoding="utf-8"))
+    first, last = _functions(convex)["_power_solve"]
+    assert any(n == "_monotone_newton" and first <= line <= last for n, line in _named(convex))
+
+
+def test_newton_bisection_guard_sees_a_planted_call():
+    tree = ast.parse("def _power_solve(w, g, q, t):\n    return _newton_bisect(fun, 0.0, t)\n"
+                     "class SitePotential:\n    def _branch_root(self, z):\n"
+                     "        return _newton_bisect(fun, lo, hi)\n"
+                     "from .convex import _newton_bisect\n")
+    assert _newton_bisect_callers(tree) == {
+        "_power_solve": [2], "SitePotential._branch_root": [5], None: [6],
+    }
