@@ -15,7 +15,8 @@ constant is exactly lambda_max(Q).  Two inner solvers take it:
   0.95/lambda_max(Q), accelerated by semismooth Newton steps whose
   Jacobian is Q's band plus a diagonal, globalised by a line search on the
   forward-backward envelope (sites are nodes),
-* a primal-dual splitting with M as linear operator (either kind).
+* a primal-dual splitting with M as linear operator (either kind): an
+  over-relaxed ADMM whose y-update is the exact per-site prox.
 
 A non-finite iterate raises NonFiniteIterate.  When f is quadratic, both
 solve it in closed form: one banded Cholesky solve of Q + M^T diag(w2) M.
@@ -33,7 +34,10 @@ monotone Newton from an upper bound solves it without a bracket
 (`_monotone_newton`); the two roots whose functions are not convex, the
 quartic branch and the cokernel shift of the composite conjugate, take the
 bracketed Newton-bisection (`_newton_bisect`).  Both raise MaxIterExceeded
-at their cap.
+at their cap.  The closed form (t/g)^(1/(q-1)) takes one Newton step with
+the exact q - 1 (`_power_polish`).  The prox without a quartic keeps its
+per-penalty constants in one slot and runs on whole arrays where every site
+is active, so one call costs about its arithmetic.
 
 Solvers work on plain ndarrays in the h-cancelled representation (the
 h-weighted pairing makes plain transposes adjoint, so h never appears in
@@ -182,9 +186,25 @@ def _monotone_newton(fun, x):
     raise MaxIterExceeded(f"monotone Newton stalled after {_ROOT_MAX_ITER} iterations", best=x)
 
 
+def _power_polish(k, g, q, t):
+    """One Newton step on g s^(q-1) = t from s = k ~ (t/g)^(1/(q-1)),
+    elementwise; k where the step is not finite.
+
+    The power (t/g)^r carries the rounding of r = 1/(q-1) as a relative
+    error of about |ln k| eps; the step uses the exact q - 1 instead, and
+    forms g k^(q-1) as (g a) a with a = k^((q-1)/2), which neither
+    overflows nor loses a subnormal g's digits where t/g overflows.
+    """
+    a = k ** (0.5 * (q - 1.0))
+    e = (g * a) * a / t
+    s = k - k * ((e - 1.0) / e) / (q - 1.0)
+    return np.where(np.isfinite(s), s, k)
+
+
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _power_solve(w, g, q, t):
-    """Root s >= 0 of w s + g s^(q-1) = t for t > 0, elementwise.
+    """Root s >= 0 of w s + g s^(q-1) = t for t > 0, elementwise; g and t
+    are arrays of one shape, w is a scalar or an array of that shape.
 
     Closed forms when g = 0 or w = 0 (infinite when both vanish).
     Otherwise `_monotone_newton` solves the equation in the variable in
@@ -195,11 +215,14 @@ def _power_solve(w, g, q, t):
     convex variable is within a factor 2 of the root; where that bound
     overflows the root is left at inf.  For q > 2, where t/g overflows (a
     subnormal g), k is taken from the exponents of t and g, and the root
-    is k x, with x the root of (w k/t) x + x^(q-1) = 1.
+    is k x, with x the root of (w k/t) x + x^(q-1) = 1.  Where k is the
+    root (w = 0) or that unit, `_power_polish` refines it.  Where every
+    entry takes the general branch, it works on the arrays themselves, with
+    no gather or scatter.
     """
-    w, g, t = np.broadcast_arrays(*(np.asarray(c, dtype=float) for c in (w, g, t)))
     r = 1.0 / (q - 1.0)
     k = (t / g) ** r
+    polish = w == 0.0
     tiny = None
     if q > 2.0:
         over = np.isinf(k) & (g > 0.0)
@@ -213,6 +236,9 @@ def _power_solve(w, g, q, t):
             xi = np.floor(x)
             k[over] = np.ldexp((mt / mg) ** r * 2.0 ** (x - xi), xi.astype(int))
             tiny = over
+            polish = polish | over
+    if np.any(polish):
+        k = np.where(polish, _power_polish(k, g, q, t), k)
     s = np.minimum(t / w, k)
     both = (w > 0.0) & (g > 0.0) & np.isfinite(s)
     if tiny is not None:
@@ -220,11 +246,17 @@ def _power_solve(w, g, q, t):
         # w k/t does (then s < 1 at the root); solve in units of k.
         c = w * (k / t)
         tiny &= both & np.isfinite(c)
-        s[tiny] = k[tiny] * _power_solve(c[tiny], 1.0, q, 1.0)
+        ones = np.ones(np.count_nonzero(tiny))
+        s[tiny] = k[tiny] * _power_solve(c[tiny], ones, q, ones)
         both &= ~tiny
-    if not both.any():
+    every = both.all()
+    if every:
+        wb, gb, tb = w, g, t
+    elif both.any():
+        wb = w[both] if np.ndim(w) else w
+        gb, tb = g[both], t[both]
+    else:
         return s
-    wb, gb, tb = w[both], g[both], t[both]
     if q < 2.0:
         wr = wb * r
 
@@ -238,7 +270,7 @@ def _power_solve(w, g, q, t):
         # root to a few ulp.
         gy = gb * y
         s_w = (tb - gy) / wb
-        s[both] = np.where((gy <= 0.5 * tb) & np.isfinite(s_w), s_w, y**r)
+        sb = np.where((gy <= 0.5 * tb) & np.isfinite(s_w), s_w, y**r)
     else:
         gq = gb * (q - 1.0)
 
@@ -246,7 +278,10 @@ def _power_solve(w, g, q, t):
             p = x ** (q - 2.0)
             return wb * x + gb * p * x - tb, wb + gq * p
 
-        s[both] = _monotone_newton(fun, s[both])
+        sb = _monotone_newton(fun, s if every else s[both])
+    if every:
+        return sb
+    s[both] = sb
     return s
 
 
@@ -268,15 +303,18 @@ class SitePotential:
         self.w2 = np.broadcast_to(np.asarray(w2, dtype=float), self.a.shape).copy()
         self.shift = np.asarray(shift, dtype=float)
         self.k4 = float(k4)
-        if np.any(self.a < 0) or np.any(self.g < 0) or not self.q > 1.0 or not self.k4 >= 0:
+        # The negated forms reject a NaN weight, which every comparison fails.
+        weights_ok = (self.a >= 0).all() and (self.g >= 0).all() and self.k4 >= 0
+        if not weights_ok or not self.q > 1.0:
             raise EvalError("site potential needs a >= 0, g >= 0, q > 1, k4 >= 0")
         if self.q == 2.0:
             self.w2 = self.w2 + self.g
             self.g = np.zeros_like(self.g)
         self._no_power = bool(np.all(self.g == 0.0))
+        self._sigma_memo = (None, None)
         if self.k4 > 0.0:
             # The cubic's sigma-free subexpressions, each evaluated as its
-            # formula does (scalars as 0-d arrays, see _cubic_consts).
+            # formula does (scalars as 0-d arrays, see _sigma_consts).
             c = self.shift
             self._a3 = np.array(4.0 * self.k4)
             self._k12 = np.array(12.0 * self.k4)
@@ -285,7 +323,6 @@ class SitePotential:
             self._k12c2 = 12.0 * self.k4 * c**2
             self._off3x2 = 2.0 * self._off**3
             self._neg_a = -self.a
-            self._sigma_memo = (None, None)
 
     @property
     def is_quadratic(self) -> bool:
@@ -327,14 +364,15 @@ class SitePotential:
         """argmin (1/(2 sigma))(y - z)^2 + f(y), elementwise exact."""
         z = np.asarray(z, dtype=float)
         if self.k4 == 0.0:
-            d_in = (z - self.shift) / (1.0 + sigma * self.w2)
-            sig_eff = sigma / (1.0 + sigma * self.w2)
-            m = np.abs(d_in) - sig_eff * self.a
-            d = np.zeros_like(d_in)
+            den, sa, sg = self._sigma_consts(sigma)
+            d_in = (z - self.shift) / den
+            m = np.abs(d_in) - sa
             active = m > 0.0
-            if np.any(active):
-                gg = (sig_eff * self.g)[active]
-                d[active] = np.sign(d_in[active]) * _power_solve(1.0, gg, self.q, m[active])
+            if active.all():
+                return self.shift + np.sign(d_in) * _power_solve(1.0, sg, self.q, m)
+            d = np.zeros_like(d_in)
+            if active.any():
+                d[active] = np.sign(d_in[active]) * _power_solve(1.0, sg[active], self.q, m[active])
             return self.shift + d
         return self._prox_quartic(sigma, z)
 
@@ -370,23 +408,32 @@ class SitePotential:
             d = self._branch_root(sigma, z, np.where(take_pos, 1.0, -1.0))
         return self.shift + np.where(take_pos | take_neg, d, 0.0)
 
-    def _cubic_consts(self, sigma: float):
-        """(sigma, 1/sigma + w2, the sigma part of the depressed constant
-        term, -2 sqrt(p/3), p sqrt(p/3)), kept in one slot keyed on sigma,
-        which the ADMM changes only when residual balancing rescales its
-        penalty.  sigma is returned as a 0-d array, which numpy combines
-        with arrays without converting a Python float each time."""
+    def _sigma_consts(self, sigma: float):
+        """The prox's per-penalty constants, kept in one slot keyed on
+        sigma, which the ADMM changes only when residual balancing rescales
+        its penalty.  Without a quartic: (1 + sigma w2, sigma_eff a,
+        sigma_eff g) with sigma_eff = sigma/(1 + sigma w2).  With one, the
+        cubic's: (sigma, 1/sigma + w2, the sigma part of the depressed
+        constant term, -2 sqrt(p/3), p sqrt(p/3)), sigma as a 0-d array,
+        which numpy combines with arrays without converting a Python float
+        each time.  Each is evaluated as its formula does, so the prox is
+        bit for bit what it is without the slot."""
         key, consts = self._sigma_memo
         if key is None or key != sigma:
             with np.errstate(over="ignore", invalid="ignore"):
-                ws = 1.0 / sigma + self.w2
-                a1 = ws + self._k12c2
-                p = ws / self._a3
-                sq = np.sqrt(p / 3.0)
-                consts = (
-                    np.array(sigma), ws, self._off3x2 - a1 * self._off / self._a3,
-                    -2.0 * sq, p * sq,
-                )
+                if self.k4 == 0.0:
+                    den = 1.0 + sigma * self.w2
+                    sig_eff = sigma / den
+                    consts = (den, sig_eff * self.a, sig_eff * self.g)
+                else:
+                    ws = 1.0 / sigma + self.w2
+                    a1 = ws + self._k12c2
+                    p = ws / self._a3
+                    sq = np.sqrt(p / 3.0)
+                    consts = (
+                        np.array(sigma), ws, self._off3x2 - a1 * self._off / self._a3,
+                        -2.0 * sq, p * sq,
+                    )
             self._sigma_memo = (sigma, consts)
         return consts
 
@@ -401,7 +448,7 @@ class SitePotential:
         single-root hyperbolic formula applies.  Where k4 is tiny against
         1/sigma it overflows, by design, to nan, silently.
         """
-        sigma, ws, q_sigma, m2sq, psq = self._cubic_consts(sigma)
+        sigma, ws, q_sigma, m2sq, psq = self._sigma_consts(sigma)
         with np.errstate(over="ignore", invalid="ignore"):
             a0 = self._c3 + sa - zs
             q = q_sigma + a0 / self._a3
@@ -632,6 +679,9 @@ def _solve_quadratic(prob: StepProblem):
 
 
 _CHECK_EVERY = 4
+# The ADMM's over-relaxation factor alpha in (0, 2), the mid-range value of
+# Boyd et al., Found. Trends Mach. Learn. 3(1) (2011), Sec. 3.4.3.
+_RELAX = 1.6
 
 
 def solve_pd(prob: StepProblem, init, p0=None, beta=None):
@@ -641,10 +691,14 @@ def solve_pd(prob: StepProblem, init, p0=None, beta=None):
     is a banded Cholesky solve of Q + beta M^T M, factored once per
     penalty, the y-update the exact per-site prox (so kinks are hit
     exactly), and the scaled multiplier p = beta*lam is an exact
-    subgradient of F at y.  Residual balancing adapts beta; a warm-started
-    solve passes the previous solve's final beta (PDReport.beta) with its
-    multiplier p0.  The stopping tests run every _CHECK_EVERY iterations.
-    Returns (u, p, PDReport).
+    subgradient of F at y.  The y- and multiplier updates take the
+    over-relaxed mu_r = alpha Mu + (1 - alpha) y in place of Mu, alpha =
+    _RELAX (Eckstein & Bertsekas, Math. Program. 55 (1992) 293-318); since
+    y = prox(mu_r + lam), p stays an exact subgradient of F at y, and the
+    certificate still charges the true Mu.  Residual balancing adapts beta;
+    a warm-started solve passes the previous solve's final beta
+    (PDReport.beta) with its multiplier p0.  The stopping tests run every
+    _CHECK_EVERY iterations.  Returns (u, p, PDReport).
     """
     u = np.asarray(getattr(init, "values", init), dtype=float).copy()
     pot = prob.nonsmooth
@@ -670,8 +724,9 @@ def solve_pd(prob: StepProblem, init, p0=None, beta=None):
         u = band_solve(fac, neg_lin + beta * prob.adjoint(y - lam))
         mu = prob.sites(u)
         y_old = y
-        y = pot.prox(1.0 / beta, mu + lam)
-        lam = lam + mu - y
+        mu_r = _RELAX * mu + (1.0 - _RELAX) * y_old
+        y = pot.prox(1.0 / beta, mu_r + lam)
+        lam = lam + mu_r - y
 
         if k % _CHECK_EVERY == 0 or k == prob.max_iter:
             p = beta * lam

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -419,6 +420,36 @@ class TestRunAndEmit:
         assert len(rows) - 1 <= 200
 
 
+# Configs the parser accepts on which a composite step's Fenchel-Young gap
+# stayed above 10 inner_tol (a random sweep of p1/p2 configs).  R1
+# certifies; the others must certify or fail loudly, naming that bound.
+_SWEEP_REPRODUCERS = {
+    "R1": {"model": "p1", "n_nodes": 33, "tau": 0.0625, "horizon": 0.25, "mu": 0.2204,
+           "nu": 0.2889, "alpha": 0.6559, "rho": 5.609, "u0_amplitude": 10.2315,
+           "inner_tol": 1e-11},
+    "R2": {"model": "p2", "n_nodes": 5, "tau": 0.00390625, "horizon": 0.125, "q": 1.05,
+           "p": 2.0, "u0_amplitude": 25.8832},
+    "R3": {"model": "p1", "n_nodes": 33, "tau": 0.015625, "horizon": 0.5, "mu": 0.0922,
+           "nu": 1.6571, "alpha": 0.9133, "rho": 5.5203, "u0_amplitude": 28.5566},
+    "R4": {"model": "p1", "n_nodes": 33, "tau": 0.00390625, "horizon": 0.125, "mu": 0.3629,
+           "nu": 0.0292, "alpha": 1.7856, "rho": 3.699, "u0_amplitude": 17.8968},
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SWEEP_REPRODUCERS))
+def test_sweep_reproducer(name, tmp_path):
+    raw = {**_SWEEP_REPRODUCERS[name], "out_dir": str(tmp_path)}
+    code = run_and_emit(parse_config_dict(raw))
+    summary = strict_json(tmp_path / "summary.json")
+    fy_bound = 10.0 * raw.get("inner_tol", 1e-9)
+    if name == "R1" or code == 0:
+        assert code == 0 and summary["invariants_passed"]
+        assert summary["max_fy_gap"] <= fy_bound
+    else:
+        assert code == 1 and not summary["invariants_passed"]
+        assert re.search(r"Fenchel-Young gap \S+ above 10 inner_tol", summary["error"])
+
+
 class TestBuildOnce:
     """run_and_emit steps the spec that parse_config_dict built."""
 
@@ -645,6 +676,50 @@ class TestWorkloadOutputs:
         lines = capsys.readouterr().out.splitlines()
         assert lines[-2].split()[-1] == "summary.json"
         assert lines[-1].split()[-3:] == ["identical"] * 3
+
+
+class TestConfigSweep:
+    def test_draws_stay_in_the_domain(self, monkeypatch):
+        script = load_script(monkeypatch, "config_sweep")
+        rng = np.random.default_rng(0)
+        models = set()
+        for _ in range(200):
+            cfg = script.draw_config(rng)
+            models.add(cfg["model"])
+            assert cfg["n_nodes"] in (5, 9, 17, 33) and cfg["horizon"] in (0.125, 0.25)
+            assert 2 <= round(cfg["horizon"] / cfg["tau"]) <= 32
+            assert cfg["inner_tol"] in (1e-6, 1e-9, 1e-11)
+            assert 0.1 <= cfg["u0_amplitude"] <= 25.0
+            if cfg["model"] == "p2":
+                assert 1.05 <= cfg["q"] <= 4.0 and 1.05 <= cfg["p"] <= 2.0
+            else:
+                assert {"mu", "nu", "rho", "alpha"} <= set(cfg)
+        assert models == {"p1", "p2"}
+
+    def test_against_names_a_new_failure(self, tmp_path, monkeypatch, capsys):
+        script = load_script(monkeypatch, "config_sweep")
+        ok = {"model": "linear_wave", "tau": 0.25, "n_nodes": 9}
+        # tau does not divide the horizon: exit 2 before stepping.
+        bad = {**ok, "tau": 0.3}
+
+        def sweep(*args):
+            configs = iter([ok, bad])
+            monkeypatch.setattr(script, "draw_config", lambda rng: next(configs))
+            return script.main([*args, "--draws", "2"])
+
+        assert sweep(str(tmp_path / "a")) == 0
+        assert capsys.readouterr().out.splitlines()[-1].startswith("exit codes: 0: 1, 2: 1")
+        assert sweep(str(tmp_path / "b"), "--against", str(tmp_path / "a")) == 0
+        # An earlier run in which draw 1 exited 0.
+        earlier = json.loads((tmp_path / "a" / "sweep.json").read_text())
+        earlier["draws"][1]["exit"] = 0
+        (tmp_path / "c").mkdir()
+        (tmp_path / "c" / "sweep.json").write_text(json.dumps(earlier))
+        capsys.readouterr()
+        assert sweep(str(tmp_path / "d"), "--against", str(tmp_path / "c")) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-2] == f"draw   1: exit 0 in {tmp_path / 'c'} -> 2 here"
+        assert lines[-1].startswith("1 draw(s) exit 0")
 
 
 class TestMainEntry:

@@ -300,6 +300,28 @@ class TestRun:
         assert max(r.inner_iters for r in traj.reports) <= 20
         assert max(r.fy_gap for r in traj.reports) <= 1e-8
 
+    @pytest.mark.parametrize(
+        "model, n_nodes, horizon, q, bound",
+        [
+            # The plain ADMM's totals here, times 0.8 on p2 and 1.15 on p1;
+            # the over-relaxed one takes 2948 / 1596 / 5888 on p2 and
+            # 4648 / 8180 on p1.
+            pytest.param("p2", 65, 0.125, 1.1, 0.8 * 4704, id="p2-q1.1"),
+            pytest.param("p2", 65, 0.125, 1.5, 0.8 * 2568, id="p2-q1.5"),
+            pytest.param("p2", 65, 0.125, 3.0, 0.8 * 7756, id="p2-q3"),
+            pytest.param("p1", 17, 0.5, None, 1.15 * 4156, id="p1-17"),
+            pytest.param("p1", 33, 0.5, None, 1.15 * 9104, id="p1-33"),
+        ],
+    )
+    def test_composite_inner_iterations(self, model, n_nodes, horizon, q, bound):
+        if model == "p2":
+            spec = build_p2(P2Params(q=q, n_nodes=n_nodes, horizon=horizon))
+        else:
+            spec = build_p1(P1Params(n_nodes=n_nodes, horizon=horizon))
+        traj = run(spec, 1 / 64)
+        assert sum(r.inner_iters for r in traj.reports) <= bound
+        assert max(r.fy_gap for r in traj.reports) <= 1e-8
+
     def test_zero_data_stays_zero(self):
         spec = scalar_spec()
         traj = run(spec, 0.1)
