@@ -17,10 +17,12 @@ seconds, the error of a failed run, the config) and the count of draws
 per exit code, and writes OUT/sweep.json.
 
 With --against, OTHER is the OUT of an earlier run of this script (say,
-from a checkout of another commit) with the same seed; the script names
-every draw whose exit code differs between the two.  The exit status is 1
-when a draw that exits 0 in OTHER exits non-zero here, and 0 otherwise, so
-the script serves as a no-new-failure gate.
+from a checkout of another commit) with the same seed, the same number of
+draws and, draw by draw, the same configs; the script names every draw
+whose exit code differs between the two.  The exit status is 1 when the
+two runs drew differently (nothing is compared) or a draw that exits 0 in
+OTHER exits non-zero here, and 0 otherwise, so the script serves as a
+no-new-failure gate.
 The proxdyn imported is the one in this script's own checkout.
 """
 
@@ -109,8 +111,13 @@ def main(argv=None) -> int:
     if args.against is None:
         return 0
     other = json.loads((args.against / "sweep.json").read_text())
-    if other["seed"] != args.seed:
-        print(f"--against ran seed {other['seed']}, not {args.seed}: no draw compared")
+    if other["seed"] != args.seed or len(other["draws"]) != len(records):
+        print(f"--against ran seed {other['seed']} with {len(other['draws'])} draws, "
+              f"not seed {args.seed} with {len(records)}: no draw compared")
+        return 1
+    differ = [r["draw"] for r, o in zip(records, other["draws"]) if r["config"] != o["config"]]
+    if differ:
+        print(f"--against drew other configs at draw(s) {differ}: no draw compared")
         return 1
     new_failures = 0
     for mine, theirs in zip(records, other["draws"]):

@@ -35,9 +35,7 @@ monotone Newton from an upper bound solves it without a bracket
 quartic branch and the cokernel shift of the composite conjugate, take the
 bracketed Newton-bisection (`_newton_bisect`).  Both raise MaxIterExceeded
 at their cap.  The closed form (t/g)^(1/(q-1)) takes one Newton step with
-the exact q - 1 (`_power_polish`).  The prox without a quartic keeps its
-per-penalty constants in one slot and runs on whole arrays where every site
-is active, so one call costs about its arithmetic.
+the exact q - 1 (`_power_polish`).
 
 Solvers work on plain ndarrays in the h-cancelled representation (the
 h-weighted pairing makes plain transposes adjoint, so h never appears in
@@ -216,9 +214,7 @@ def _power_solve(w, g, q, t):
     overflows the root is left at inf.  For q > 2, where t/g overflows (a
     subnormal g), k is taken from the exponents of t and g, and the root
     is k x, with x the root of (w k/t) x + x^(q-1) = 1.  Where k is the
-    root (w = 0) or that unit, `_power_polish` refines it.  Where every
-    entry takes the general branch, it works on the arrays themselves, with
-    no gather or scatter.
+    root (w = 0) or that unit, `_power_polish` refines it.
     """
     r = 1.0 / (q - 1.0)
     k = (t / g) ** r
@@ -249,14 +245,10 @@ def _power_solve(w, g, q, t):
         ones = np.ones(np.count_nonzero(tiny))
         s[tiny] = k[tiny] * _power_solve(c[tiny], ones, q, ones)
         both &= ~tiny
-    every = both.all()
-    if every:
-        wb, gb, tb = w, g, t
-    elif both.any():
-        wb = w[both] if np.ndim(w) else w
-        gb, tb = g[both], t[both]
-    else:
+    if not both.any():
         return s
+    wb = w[both] if np.ndim(w) else w
+    gb, tb = g[both], t[both]
     if q < 2.0:
         wr = wb * r
 
@@ -270,7 +262,7 @@ def _power_solve(w, g, q, t):
         # root to a few ulp.
         gy = gb * y
         s_w = (tb - gy) / wb
-        sb = np.where((gy <= 0.5 * tb) & np.isfinite(s_w), s_w, y**r)
+        s[both] = np.where((gy <= 0.5 * tb) & np.isfinite(s_w), s_w, y**r)
     else:
         gq = gb * (q - 1.0)
 
@@ -278,10 +270,7 @@ def _power_solve(w, g, q, t):
             p = x ** (q - 2.0)
             return wb * x + gb * p * x - tb, wb + gq * p
 
-        sb = _monotone_newton(fun, s if every else s[both])
-    if every:
-        return sb
-    s[both] = sb
+        s[both] = _monotone_newton(fun, s[both])
     return s
 
 
@@ -314,7 +303,7 @@ class SitePotential:
         self._sigma_memo = (None, None)
         if self.k4 > 0.0:
             # The cubic's sigma-free subexpressions, each evaluated as its
-            # formula does (scalars as 0-d arrays, see _sigma_consts).
+            # formula does (scalars as 0-d arrays, see _cubic_consts).
             c = self.shift
             self._a3 = np.array(4.0 * self.k4)
             self._k12 = np.array(12.0 * self.k4)
@@ -364,14 +353,12 @@ class SitePotential:
         """argmin (1/(2 sigma))(y - z)^2 + f(y), elementwise exact."""
         z = np.asarray(z, dtype=float)
         if self.k4 == 0.0:
-            den, sa, sg = self._sigma_consts(sigma)
+            den, sa, sg = self._power_consts(sigma)
             d_in = (z - self.shift) / den
             m = np.abs(d_in) - sa
-            active = m > 0.0
-            if active.all():
-                return self.shift + np.sign(d_in) * _power_solve(1.0, sg, self.q, m)
             d = np.zeros_like(d_in)
-            if active.any():
+            active = m > 0.0
+            if np.any(active):
                 d[active] = np.sign(d_in[active]) * _power_solve(1.0, sg[active], self.q, m[active])
             return self.shift + d
         return self._prox_quartic(sigma, z)
@@ -408,32 +395,36 @@ class SitePotential:
             d = self._branch_root(sigma, z, np.where(take_pos, 1.0, -1.0))
         return self.shift + np.where(take_pos | take_neg, d, 0.0)
 
-    def _sigma_consts(self, sigma: float):
-        """The prox's per-penalty constants, kept in one slot keyed on
-        sigma, which the ADMM changes only when residual balancing rescales
-        its penalty.  Without a quartic: (1 + sigma w2, sigma_eff a,
-        sigma_eff g) with sigma_eff = sigma/(1 + sigma w2).  With one, the
-        cubic's: (sigma, 1/sigma + w2, the sigma part of the depressed
-        constant term, -2 sqrt(p/3), p sqrt(p/3)), sigma as a 0-d array,
-        which numpy combines with arrays without converting a Python float
-        each time.  Each is evaluated as its formula does, so the prox is
-        bit for bit what it is without the slot."""
+    def _power_consts(self, sigma: float):
+        """(1 + sigma w2, sigma_eff a, sigma_eff g), sigma_eff = sigma/(1 +
+        sigma w2): the prox's per-penalty constants without a quartic, kept
+        in the slot that `_cubic_consts` uses with one, and evaluated as
+        the prox's formula does."""
+        key, consts = self._sigma_memo
+        if key is None or key != sigma:
+            den = 1.0 + sigma * self.w2
+            sig_eff = sigma / den
+            consts = (den, sig_eff * self.a, sig_eff * self.g)
+            self._sigma_memo = (sigma, consts)
+        return consts
+
+    def _cubic_consts(self, sigma: float):
+        """(sigma, 1/sigma + w2, the sigma part of the depressed constant
+        term, -2 sqrt(p/3), p sqrt(p/3)), kept in one slot keyed on sigma,
+        which the ADMM changes only when residual balancing rescales its
+        penalty.  sigma is returned as a 0-d array, which numpy combines
+        with arrays without converting a Python float each time."""
         key, consts = self._sigma_memo
         if key is None or key != sigma:
             with np.errstate(over="ignore", invalid="ignore"):
-                if self.k4 == 0.0:
-                    den = 1.0 + sigma * self.w2
-                    sig_eff = sigma / den
-                    consts = (den, sig_eff * self.a, sig_eff * self.g)
-                else:
-                    ws = 1.0 / sigma + self.w2
-                    a1 = ws + self._k12c2
-                    p = ws / self._a3
-                    sq = np.sqrt(p / 3.0)
-                    consts = (
-                        np.array(sigma), ws, self._off3x2 - a1 * self._off / self._a3,
-                        -2.0 * sq, p * sq,
-                    )
+                ws = 1.0 / sigma + self.w2
+                a1 = ws + self._k12c2
+                p = ws / self._a3
+                sq = np.sqrt(p / 3.0)
+                consts = (
+                    np.array(sigma), ws, self._off3x2 - a1 * self._off / self._a3,
+                    -2.0 * sq, p * sq,
+                )
             self._sigma_memo = (sigma, consts)
         return consts
 
@@ -448,7 +439,7 @@ class SitePotential:
         single-root hyperbolic formula applies.  Where k4 is tiny against
         1/sigma it overflows, by design, to nan, silently.
         """
-        sigma, ws, q_sigma, m2sq, psq = self._sigma_consts(sigma)
+        sigma, ws, q_sigma, m2sq, psq = self._cubic_consts(sigma)
         with np.errstate(over="ignore", invalid="ignore"):
             a0 = self._c3 + sa - zs
             q = q_sigma + a0 / self._a3

@@ -721,6 +721,25 @@ class TestConfigSweep:
         assert lines[-2] == f"draw   1: exit 0 in {tmp_path / 'c'} -> 2 here"
         assert lines[-1].startswith("1 draw(s) exit 0")
 
+    @pytest.mark.parametrize("edit", ["draw_count", "config"])
+    def test_against_refuses_other_draws(self, edit, tmp_path, monkeypatch, capsys):
+        # Draws are paired by position, so a run with another draw count or
+        # other configs compares nothing and fails the gate.
+        script = load_script(monkeypatch, "config_sweep")
+        ok = {"model": "linear_wave", "tau": 0.25, "n_nodes": 9}
+        monkeypatch.setattr(script, "draw_config", lambda rng: dict(ok))
+        assert script.main([str(tmp_path / "a"), "--draws", "2"]) == 0
+        earlier = json.loads((tmp_path / "a" / "sweep.json").read_text())
+        if edit == "draw_count":
+            earlier["draws"].append(earlier["draws"][-1])
+        else:
+            earlier["draws"][1]["config"]["n_nodes"] = 17
+        (tmp_path / "c").mkdir()
+        (tmp_path / "c" / "sweep.json").write_text(json.dumps(earlier))
+        capsys.readouterr()
+        assert script.main([str(tmp_path / "b"), "--draws", "2", "--against", str(tmp_path / "c")]) == 1
+        assert capsys.readouterr().out.splitlines()[-1].endswith("no draw compared")
+
 
 class TestMainEntry:
     def test_solve_subcommand(self, tmp_path):

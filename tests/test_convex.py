@@ -103,20 +103,6 @@ class TestProxSeparable:
             want = prox_oracle(scalar_potential(a, g, q), gamma, s)
             assert abs(got - want) < 1e-5
 
-    @pytest.mark.parametrize("q", [1.5, 3.0])
-    def test_whole_array_path_matches_the_gathered_one(self, q):
-        # With every site active the prox works on the whole arrays; a stuck
-        # site appended sends it through the gather and scatter instead.
-        rng = np.random.default_rng(9)
-        m, sigma = 16, 0.7
-        a, g, w2, c = (rng.uniform(0.0, 1.0, m) for _ in range(4))
-        z = c + rng.choice([-1.0, 1.0], m) * (sigma * a + rng.uniform(0.1, 3.0, m))
-        full = SitePotential(a, g, q, w2, c).prox(sigma, z)
-        more = SitePotential(*(np.append(x, 1.0) for x in (a, g)), q, np.append(w2, 0.0),
-                             np.append(c, 0.0)).prox(sigma, np.append(z, 0.5))
-        assert np.all(full != c) and more[-1] == 0.0
-        assert np.array_equal(full, more[:-1])
-
     @given(
         s1=st.floats(-20, 20),
         s2=st.floats(-20, 20),
