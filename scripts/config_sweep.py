@@ -1,16 +1,19 @@
 #!/usr/bin/env python3
-"""Run random p1/p2 configs through `proxdyn solve` and count exit codes.
+"""Run random p1/p2/p3 configs through `proxdyn solve` and count exit codes.
 
 Usage:
     python scripts/config_sweep.py OUT [--seed S] [--draws N] [--against OTHER]
 
-Each draw is a p1 or p2 config, with equal odds, from this domain:
+Each draw is a p1, p2 or p3 config, with equal odds, from this domain:
   - n_nodes in {5, 9, 17, 33}, horizon T in {1/8, 1/4}, tau = T/k with k
     an integer from 2 to 32, inner_tol in {1e-6, 1e-9, 1e-11};
   - u0_amplitude log-uniform on [0.1, 25];
   - p1: mu log-uniform on [0.05, 0.5], nu on [0.02, 2] and rho on
     [0.5, 6], alpha uniform on [0, 2];
-  - p2: q uniform on [1.05, 4], p uniform on [1.05, 2].
+  - p2: q uniform on [1.05, 4], p uniform on [1.05, 2];
+  - p3: q uniform on [2, 4], well_scale log-uniform on [0.1, 4] and
+    stiffness on [0.5, 2], force_amplitude uniform on [0, 1] and
+    force_frequency on [0, 8].
 The draws are fixed by the seed.  Each runs through `cli.run_and_emit`
 into OUT/draw_<i>/; the script prints one line per draw (exit code,
 seconds, the error of a failed run, the config) and the count of draws
@@ -48,7 +51,7 @@ def log_uniform(rng, lo, hi):
 
 def draw_config(rng) -> dict:
     """One config of the sweep's domain (the module docstring)."""
-    model = str(rng.choice(["p1", "p2"]))
+    model = str(rng.choice(["p1", "p2", "p3"]))
     horizon = float(rng.choice([0.125, 0.25]))
     cfg = {
         "model": model,
@@ -65,8 +68,16 @@ def draw_config(rng) -> dict:
             rho=log_uniform(rng, 0.5, 6.0),
             alpha=float(rng.uniform(0.0, 2.0)),
         )
-    else:
+    elif model == "p2":
         cfg.update(q=float(rng.uniform(1.05, 4.0)), p=float(rng.uniform(1.05, 2.0)))
+    else:
+        cfg.update(
+            q=float(rng.uniform(2.0, 4.0)),
+            well_scale=log_uniform(rng, 0.1, 4.0),
+            stiffness=log_uniform(rng, 0.5, 2.0),
+            force_amplitude=float(rng.uniform(0.0, 1.0)),
+            force_frequency=float(rng.uniform(0.0, 8.0)),
+        )
     return cfg
 
 

@@ -26,6 +26,8 @@ Every solve certifies optimality through the stationarity residual
 r = grad(smooth) + M^T p_hat, where p_hat is the dual iterate projected
 onto the subdifferential of the nonsmooth part at the current point: for
 a gamma-strongly convex objective, obj(u) - obj* <= |r|_h^2 / (2 gamma).
+A solve stops where that gap is at most tol and `StepProblem.accept` takes
+the point with its multiplier.
 
 The kernel's scalar roots take one of two root finders, elementwise: the
 power-law root w s + g s^(q-1) = t (`_power_solve`, the prox and the edge
@@ -134,27 +136,33 @@ def _newton_bisect(fun, lo, hi):
 
     fun(x) returns (f(x), f'(x)) with f(lo) <= 0 <= f(hi).  Starting at hi,
     each iterate shrinks the bracket by the sign of f; the Newton step is
-    taken when f' is finite and the step lands strictly inside the bracket,
-    the midpoint otherwise.  Every evaluated point becomes a bracket end, so
-    a Newton step back to one (a 2-cycle of rounding near the root) bisects
-    instead and no iterate repeats.  Stops when an update moves no entry by
-    more than _ROOT_RTOL relative, leaves it in place (an entry at inf,
-    where both bracket ends overflow, is a fixed point), or the bracket is
-    at most _BRACKET_ULPS ulp wide.  Non-finite values of f or f' (at a
-    bracket end where a power overflows, or f' at a zero with q < 2) fall
-    back to the midpoint.  MaxIterExceeded after _ROOT_MAX_ITER iterations.
+    taken when f' is finite, the step lands strictly inside the bracket and
+    is at most half the step before the last (Press et al., Numerical
+    Recipes, `rtsafe`, so Newton steps that bounce between the bracket ends
+    bisect), the midpoint otherwise.  Every evaluated point becomes a
+    bracket end, so a Newton step back to one (a 2-cycle of rounding near
+    the root) bisects instead and no iterate repeats.  Stops
+    when an update moves no entry by more than _ROOT_RTOL relative, leaves
+    it in place (an entry at inf, where both bracket ends overflow, is a
+    fixed point), or the bracket is at most _BRACKET_ULPS ulp wide.
+    Non-finite values of f or f' (at a bracket end where a power overflows,
+    or f' at a zero with q < 2) fall back to the midpoint.  MaxIterExceeded
+    after _ROOT_MAX_ITER iterations.
     """
     lo = np.array(lo, dtype=float)
     hi = np.array(hi, dtype=float)
     x = hi.copy()
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        step = step_old = hi - lo
         for _ in range(_ROOT_MAX_ITER):
             f, df = fun(x)
             lo = np.where(f <= 0.0, x, lo)
             hi = np.where(f >= 0.0, x, hi)
             newton = x - f / df
-            ok = np.isfinite(df) & (((newton > lo) & (newton < hi)) | (newton == x))
+            inside = (newton > lo) & (newton < hi) & (np.abs(newton - x) <= 0.5 * step_old)
+            ok = np.isfinite(df) & (inside | (newton == x))
             x_new = np.where(ok, newton, 0.5 * (lo + hi))
+            step, step_old = np.abs(x_new - x), step
             width = _BRACKET_ULPS * np.spacing(np.maximum(np.abs(lo), np.abs(hi)))
             close = np.abs(x_new - x) <= _ROOT_RTOL * np.abs(x_new)
             done = (x_new == x) | close | (hi - lo <= width)
@@ -566,6 +574,15 @@ def edge_conjugate_pair(a, w2, g, q, lam):
     return val, s
 
 
+def feasible_multiplier(h: float, eta, lam):
+    """The solution of D^T lam' = eta nearest to the edge field lam:
+    lam' = lam0 + mean(lam - lam0), lam0 = (0, -cumsum(h eta)).  Every
+    lam0 + t is feasible in `composite_conjugate`'s dual characterization,
+    so h sum_e f_e*(lam'_e) bounds Psi*(eta) from above in closed form."""
+    lam0 = np.concatenate([[0.0], -np.cumsum(h * eta)])
+    return lam0 + np.mean(lam - lam0)
+
+
 def composite_conjugate(pot: SitePotential, h: float, eta):
     """Exact conjugate of Psi(v) = h * sum_e f_e((Dv)_e) at a nodal eta, for
     an unshifted edge potential pot without quartic.
@@ -579,8 +596,7 @@ def composite_conjugate(pot: SitePotential, h: float, eta):
     t = min(-lam0 - a) and >= 0 at t = max(-lam0 + a), which brackets the
     root for the Newton-bisection.
     """
-    eta = np.asarray(eta, dtype=float)
-    lam0 = np.concatenate([[0.0], -np.cumsum(h * eta)])
+    lam0 = np.concatenate([[0.0], -np.cumsum(h * np.asarray(eta, dtype=float))])
 
     def slope(t):
         lam = lam0 + t
@@ -603,12 +619,11 @@ class StepProblem:
     not a matrix: `lin_op @ u` gives M u, `lin_op.T @ p` gives M^T p, and
     `lin_op.gram_band(w)` the upper band form of M^T diag(w) M (the
     discrete gradient `grid.ForwardDifference` in the stepper).  A solve
-    stops once the certified gap is below tol, the stationarity residual
-    below resid_target, the splitting's Bregman feasibility term below
-    fy_slack, and accept(u), if given, holds (nodal sites only, where
-    `solve_prox_gradient` tests it at each forward-backward point);
-    max_iter caps the iterations: Newton steps for nodal sites, splitting
-    steps otherwise.
+    stops at the first point u, with multiplier p and stationarity residual
+    |r|_h, whose certified gap is at most tol and that accept(u, p, |r|_h)
+    takes (the stepper's: the step's Fenchel-Young gap, bounded from p, at
+    most 9 inner_tol).  max_iter caps the iterations: Newton steps for
+    nodal sites, splitting steps otherwise.
     """
 
     quad_op: SymBand
@@ -619,10 +634,8 @@ class StepProblem:
     lin_op: Optional[object] = None
     op_norm: float = 1.0
     tol: float = 1e-9
-    resid_target: float = np.inf
-    fy_slack: float = np.inf
     max_iter: int = 50_000
-    accept: Optional[Callable[[np.ndarray], bool]] = None
+    accept: Callable[[np.ndarray, np.ndarray, float], bool] = lambda u, p, r_h: True
 
     def sites(self, u):
         """M u."""
@@ -641,13 +654,12 @@ class StepProblem:
 
 
 def _certificate(prob: StepProblem, r, breg: float = 0.0):
-    """(gap, |r|_h, h*breg) for the stationarity residual r = grad G(u) +
-    M^T p: obj(u) - obj* <= |r|_h^2/(2 gamma) + h*breg, with breg the
-    splitting's Bregman term (0 when p is a subgradient of F at M u)."""
+    """(gap, |r|_h) for the stationarity residual r = grad G(u) + M^T p:
+    obj(u) - obj* <= |r|_h^2/(2 gamma) + h*breg, with breg the splitting's
+    Bregman term (0 when p is a subgradient of F at M u)."""
     rr = float(r @ r)
-    breg_h = prob.h * max(breg, 0.0)
-    gap = prob.h * rr / (2.0 * prob.strong_convexity) + breg_h
-    return gap, float(np.sqrt(prob.h * rr)), breg_h
+    gap = prob.h * rr / (2.0 * prob.strong_convexity) + prob.h * max(breg, 0.0)
+    return gap, float(np.sqrt(prob.h * rr))
 
 
 def _certify_admm(prob: StepProblem, u, mu, y, p):
@@ -665,7 +677,7 @@ def _solve_quadratic(prob: StepProblem):
     rhs = -prob.lin + prob.adjoint(pot.w2 * pot.shift)
     u = band_solve(prob.quad_op.factor_plus(prob.gram(pot.w2)), rhs)
     p = pot.w2 * (prob.sites(u) - pot.shift)
-    gap, r_h, _ = _certificate(prob, prob.smooth_full_grad(u) + prob.adjoint(p))
+    gap, r_h = _certificate(prob, prob.smooth_full_grad(u) + prob.adjoint(p))
     return u, p, PDReport(1, gap, r_h)
 
 
@@ -688,8 +700,8 @@ def solve_pd(prob: StepProblem, init, p0=None, beta=None):
     y = prox(mu_r + lam), p stays an exact subgradient of F at y, and the
     certificate still charges the true Mu.  Residual balancing adapts beta;
     a warm-started solve passes the previous solve's final beta
-    (PDReport.beta) with its multiplier p0.  The stopping tests run every
-    _CHECK_EVERY iterations.  Returns (u, p, PDReport).
+    (PDReport.beta) with its multiplier p0.  The stop test (StepProblem)
+    runs every _CHECK_EVERY iterations.  Returns (u, p, PDReport).
     """
     u = np.asarray(getattr(init, "values", init), dtype=float).copy()
     pot = prob.nonsmooth
@@ -704,8 +716,8 @@ def solve_pd(prob: StepProblem, init, p0=None, beta=None):
     lam = np.zeros(mu.shape) if p0 is None else np.asarray(p0, dtype=float) / beta
     y = pot.prox(1.0 / beta, mu + lam)
     p = beta * (mu + lam - y)
-    gap, r_h, breg_h = _certify_admm(prob, u, mu, y, p)
-    if gap <= prob.tol and r_h <= prob.resid_target and breg_h <= prob.fy_slack:
+    gap, r_h = _certify_admm(prob, u, mu, y, p)
+    if gap <= prob.tol and prob.accept(u, p, r_h):
         return u, p, PDReport(0, gap, r_h, beta=beta)
     lam = lam + mu - y
     mtm = prob.gram(np.ones(mu.shape))
@@ -721,8 +733,8 @@ def solve_pd(prob: StepProblem, init, p0=None, beta=None):
 
         if k % _CHECK_EVERY == 0 or k == prob.max_iter:
             p = beta * lam
-            gap, r_h, breg_h = _certify_admm(prob, u, mu, y, p)
-            if gap <= prob.tol and r_h <= prob.resid_target and breg_h <= prob.fy_slack:
+            gap, r_h = _certify_admm(prob, u, mu, y, p)
+            if gap <= prob.tol and prob.accept(u, p, r_h):
                 return u, p, PDReport(k, gap, r_h, beta=beta)
             # Residual balancing keeps primal and dual progress comparable.
             r_prim = float(np.linalg.norm(mu - y))
@@ -793,6 +805,7 @@ def solve_prox_gradient(prob: StepProblem, init):
     decreases by too little (Stella, Themelis & Patrinos 2017), and t = 0,
     the plain FB step, whose decrease is guaranteed, after the last
     halving.  Each Newton step is one banded Cholesky solve with Q's band.
+    The stop test (StepProblem) runs at each FB point, with multiplier p_hat.
     """
     if prob.lin_op is not None:
         raise EvalError("the forward-backward solver needs nodal sites (lin_op None)")
@@ -818,12 +831,8 @@ def solve_prox_gradient(prob: StepProblem, init):
             raise NonFiniteIterate(f"non-finite iterate at inner iteration {k}")
         grad = prob.smooth_full_grad(y)
         p_hat = pot.subgrad_project(y, -grad)
-        gap, r_h, _ = _certificate(prob, grad + p_hat)
-        if (
-            gap <= prob.tol
-            and r_h <= prob.resid_target
-            and (prob.accept is None or prob.accept(y))
-        ):
+        gap, r_h = _certificate(prob, grad + p_hat)
+        if gap <= prob.tol and prob.accept(y, p_hat, r_h):
             return y, p_hat, PDReport(k, gap, r_h)
 
         step = r + _newton_direction(prob, sigma, y, r)

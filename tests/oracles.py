@@ -79,7 +79,8 @@ def prox_gradient_reference(prob, init):
     1/lambda_max(Q) on a separable StepProblem (lin_op None): every step
     decreases the objective, since lambda_max(Q) is the exact Lipschitz
     constant of the quadratic part's gradient.  It stops on the problem's
-    own tests and returns (u, p_hat, PDReport), like the solver."""
+    own test (gap <= tol and `StepProblem.accept`) and returns (u, p_hat,
+    PDReport), like the solver."""
     u = np.asarray(init, dtype=float).copy()
     pot = prob.nonsmooth
     s = 1.0 / prob.quad_op.max_eig
@@ -88,12 +89,8 @@ def prox_gradient_reference(prob, init):
         u = pot.prox(s, u - s * grad)
         grad = prob.smooth_full_grad(u)
         p_hat = pot.subgrad_project(u, -grad)
-        gap, r_h, _ = _certificate(prob, grad + p_hat)
-        if (
-            gap <= prob.tol
-            and r_h <= prob.resid_target
-            and (prob.accept is None or prob.accept(u))
-        ):
+        gap, r_h = _certificate(prob, grad + p_hat)
+        if gap <= prob.tol and prob.accept(u, p_hat, r_h):
             return u, p_hat, PDReport(k, gap, r_h)
     raise MaxIterExceeded(f"reference proximal gradient stalled (gap {gap:.3e})", best=u)
 

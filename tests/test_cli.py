@@ -3,15 +3,15 @@
 import dataclasses
 import json
 import os
-import re
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from proxdyn.cli import (
     _write_csv,
@@ -420,9 +420,10 @@ class TestRunAndEmit:
         assert len(rows) - 1 <= 200
 
 
-# Configs the parser accepts on which a composite step's Fenchel-Young gap
-# stayed above 10 inner_tol (a random sweep of p1/p2 configs).  R1
-# certifies; the others must certify or fail loudly, naming that bound.
+# Configs the parser accepts that failed a step in a random sweep
+# (`scripts/config_sweep.py`): R1-R4 with a composite step's Fenchel-Young
+# gap above 10 inner_tol, R5 (draw 37 of the p1/p2 sweep at seed 7) with the
+# exact composite conjugate's root stalled.  Each must certify.
 _SWEEP_REPRODUCERS = {
     "R1": {"model": "p1", "n_nodes": 33, "tau": 0.0625, "horizon": 0.25, "mu": 0.2204,
            "nu": 0.2889, "alpha": 0.6559, "rho": 5.609, "u0_amplitude": 10.2315,
@@ -433,6 +434,9 @@ _SWEEP_REPRODUCERS = {
            "nu": 1.6571, "alpha": 0.9133, "rho": 5.5203, "u0_amplitude": 28.5566},
     "R4": {"model": "p1", "n_nodes": 33, "tau": 0.00390625, "horizon": 0.125, "mu": 0.3629,
            "nu": 0.0292, "alpha": 1.7856, "rho": 3.699, "u0_amplitude": 17.8968},
+    "R5": {"model": "p2", "n_nodes": 33, "tau": 0.25 / 23, "horizon": 0.25,
+           "q": 3.180039632133334, "p": 1.873909718193738, "u0_amplitude": 0.6088772330705541,
+           "inner_tol": 1e-11},
 }
 
 
@@ -441,13 +445,35 @@ def test_sweep_reproducer(name, tmp_path):
     raw = {**_SWEEP_REPRODUCERS[name], "out_dir": str(tmp_path)}
     code = run_and_emit(parse_config_dict(raw))
     summary = strict_json(tmp_path / "summary.json")
-    fy_bound = 10.0 * raw.get("inner_tol", 1e-9)
-    if name == "R1" or code == 0:
-        assert code == 0 and summary["invariants_passed"]
-        assert summary["max_fy_gap"] <= fy_bound
+    assert code == 0 and summary["invariants_passed"], summary.get("error")
+    assert summary["max_fy_gap"] <= 10.0 * raw.get("inner_tol", 1e-9)
+
+
+@settings(max_examples=30, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(seed=st.integers(0, 2**32 - 1))
+def test_sweep_draws_keep_the_exit_contract(seed, monkeypatch):
+    # Every config of the sweep's domain either certifies every step (exit
+    # 0, every FY gap <= 10 inner_tol), fails loudly with a typed error in
+    # summary.json (exit 1), or is refused with its key named (exit 2);
+    # anything else, a traceback included, fails the test.
+    raw = load_script(monkeypatch, "config_sweep").draw_config(np.random.default_rng(seed))
+    with tempfile.TemporaryDirectory() as out:
+        try:
+            cfg = parse_config_dict({**raw, "out_dir": out})
+        except (ParseError, ValidationError) as exc:
+            assert any(repr(key) in str(exc) or key in str(exc) for key in raw), str(exc)
+            return
+        code = run_and_emit(cfg)
+        summary = strict_json(Path(out) / "summary.json")
+        trajectory = (Path(out) / "trajectory.csv").read_text() if code == 0 else ""
+    assert code in (0, 1)
+    if code == 0:
+        assert summary["invariants_passed"]
+        fy = [float(row.split(",")[6]) for row in trajectory.splitlines()[1:]]
+        assert max(fy) <= 10.0 * raw["inner_tol"]
     else:
-        assert code == 1 and not summary["invariants_passed"]
-        assert re.search(r"Fenchel-Young gap \S+ above 10 inner_tol", summary["error"])
+        assert not summary["invariants_passed"] and (summary.get("error") or summary.get("failures"))
 
 
 class TestBuildOnce:
@@ -692,9 +718,13 @@ class TestConfigSweep:
             assert 0.1 <= cfg["u0_amplitude"] <= 25.0
             if cfg["model"] == "p2":
                 assert 1.05 <= cfg["q"] <= 4.0 and 1.05 <= cfg["p"] <= 2.0
+            elif cfg["model"] == "p3":
+                assert 2.0 <= cfg["q"] <= 4.0 and 0.1 <= cfg["well_scale"] <= 4.0
+                assert 0.5 <= cfg["stiffness"] <= 2.0 and 0.0 <= cfg["force_amplitude"] <= 1.0
+                assert 0.0 <= cfg["force_frequency"] <= 8.0
             else:
                 assert {"mu", "nu", "rho", "alpha"} <= set(cfg)
-        assert models == {"p1", "p2"}
+        assert models == {"p1", "p2", "p3"}
 
     def test_against_names_a_new_failure(self, tmp_path, monkeypatch, capsys):
         script = load_script(monkeypatch, "config_sweep")

@@ -265,3 +265,41 @@ def test_newton_bisection_guard_sees_a_planted_call():
     assert _newton_bisect_callers(tree) == {
         "_power_solve": [2], "SitePotential._branch_root": [5], None: [6],
     }
+
+
+# One inner solve per step: `stepper.incremental_minimize` calls its inner
+# solver once, and the solver stops on the step's own acceptance test
+# (`StepProblem.accept`), so no loop there re-solves with other tolerances.
+INNER_SOLVERS = {"solve_pd", "solve_prox_gradient"}
+LOOPS = (ast.For, ast.While, ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def _looped_solves(tree, function="incremental_minimize"):
+    """Sorted lines where a loop inside `function` names an inner solver."""
+    return sorted({
+        line
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == function
+        for loop in ast.walk(node)
+        if isinstance(loop, LOOPS)
+        for name, line in _named(loop)
+        if name in INNER_SOLVERS
+    })
+
+
+def test_each_step_calls_its_inner_solver_once():
+    tree = ast.parse((PACKAGE / "stepper.py").read_text(encoding="utf-8"))
+    _, first, last = _public_definitions()["stepper", "incremental_minimize"]
+    named = {name for name, line in _named(tree) if first <= line <= last}
+    assert INNER_SOLVERS <= named
+    assert _looped_solves(tree) == [], "an inner solve inside a loop of incremental_minimize"
+
+
+def test_one_solve_guard_sees_a_planted_loop():
+    tree = ast.parse("def incremental_minimize(spec):\n"
+                     "    for _ in range(3):\n        u = convex.solve_pd(prob, w)\n"
+                     "    while not ok:\n        ok = solve_prox_gradient(prob, w)[2]\n"
+                     "    reps = [convex.solve_pd(prob, w) for w in starts]\n"
+                     "    u = convex.solve_pd(prob, w)\n"
+                     "def run(spec):\n    for n in steps:\n        convex.solve_pd(prob, w)\n")
+    assert _looped_solves(tree) == [3, 5, 6]

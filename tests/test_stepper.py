@@ -1,9 +1,11 @@
 """Per-step minimization and trajectory runs."""
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from proxdyn.core import (
     DissipationSpec,
@@ -14,7 +16,7 @@ from proxdyn.core import (
 from proxdyn import convex
 from proxdyn.cli import parse_config_dict, run_and_emit
 from proxdyn.convex import SymBand
-from proxdyn.errors import ConfigError, InnerSolverFailed, StepSizeTooLarge
+from proxdyn.errors import ConfigError, InnerSolverFailed, MaxIterExceeded, StepSizeTooLarge
 from proxdyn.grid import Field, SpatialGrid, h_inner, laplacian_band
 from proxdyn.models import (
     P1Params,
@@ -262,10 +264,25 @@ class TestRun:
         assert "step 1" in str(exc.value)
         assert exc.value.best.shape == (15,)
 
+    def test_stalled_certificate_names_its_step(self, monkeypatch):
+        # The exact composite conjugate's root stalls after the ADMM has
+        # accepted the step: the run fails as a stalled solve does.
+        spec = build_p2(P2Params(q=1.5, n_nodes=17, horizon=0.25))
+
+        def stall(pot, h, eta):
+            raise MaxIterExceeded("Newton-bisection stalled after 200 iterations", best=np.zeros(1))
+
+        monkeypatch.setattr(convex, "composite_conjugate", stall)
+        with pytest.raises(InnerSolverFailed, match="Newton-bisection stalled") as exc:
+            run(spec, 1 / 16)
+        assert exc.value.step_index == 1
+        assert "step 1" in str(exc.value)
+        assert exc.value.best.shape == (15,)
+
     def test_uncertified_step_fails_loudly(self, tmp_path, monkeypatch):
         # An inner solver that reports convergence at a point off the
-        # minimizer: the gap stays large through every attempt, and the
-        # step must fail, not pass, in `run` and in the CLI.
+        # minimizer: the step certifies the point it gets back, whose gap is
+        # large, and must fail, not pass, in `run` and in the CLI.
         spec = build_p3(P3Params(n_nodes=17, horizon=0.25))
         solve = convex.solve_prox_gradient
         offsets = []
@@ -412,6 +429,55 @@ class TestRun:
             want = tau * h_inner(np.full(m, avg), v.values, g.h)
             slack = tau * g.h * 1e-15 * np.sum(np.abs(v.values))
             assert abs(rep.work - want) <= slack + 1e-15 * abs(want)
+
+
+@functools.lru_cache(maxsize=None)
+def _composite_step(model, q):
+    """(spec, psi_pot, eta^n, lam) of step 2 of a 17-node run at tau = 1/64,
+    lam the ADMM's multiplier less the site quartic's gradient, re-solved
+    from the run's own inputs."""
+    if model == "p1":
+        spec = build_p1(P1Params(n_nodes=17, horizon=0.125))
+    else:
+        spec = build_p2(P2Params(q=q, n_nodes=17, horizon=0.125))
+    traj = run(spec, 1 / 64)
+    inp = step_input(traj, 2)
+    u, eta, _, (p, _) = incremental_minimize(spec, inp, step_operator(spec, inp.tau))
+    lam = p - 4.0 * spec.energy.site_quartic * spec.sites(u.values) ** 3
+    return spec, spec.dissipation.potential(inp.v), eta.values, lam
+
+
+class TestMultiplierBound:
+    """h sum_e psi*(lam'), lam' = `convex.feasible_multiplier`, the
+    closed-form bound on Psi* that the composite step's stop rule reads from
+    the solver's multiplier, is an upper bound of the exact
+    `ProblemSpec.psi_conjugate` for every multiplier, and equal to it, to
+    rounding, at the ADMM's own."""
+
+    CASES = [("p1", None), ("p2", 1.5), ("p2", 3.0)]
+
+    @staticmethod
+    def _bound(spec, pot, eta, lam):
+        return spec.grid.h * pot.conjugate_sum(convex.feasible_multiplier(spec.grid.h, eta, lam))
+
+    @pytest.mark.parametrize("model, q", CASES)
+    def test_matches_the_exact_conjugate_at_the_solver_multiplier(self, model, q):
+        spec, pot, eta, lam = _composite_step(model, q)
+        exact = spec.psi_conjugate(pot, eta)
+        assert abs(self._bound(spec, pot, eta, lam) - exact) <= 1e-12 * (1.0 + abs(exact))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        case=st.sampled_from(CASES),
+        shift=st.floats(-50.0, 50.0),
+        noise=st.floats(0.0, 10.0),
+        seed=st.integers(0, 2**16),
+    )
+    def test_bounds_the_exact_conjugate_for_any_multiplier(self, case, shift, noise, seed):
+        spec, pot, eta, lam = _composite_step(*case)
+        other = lam + shift + noise * np.random.default_rng(seed).standard_normal(lam.shape)
+        exact = spec.psi_conjugate(pot, eta)
+        assert self._bound(spec, pot, eta, other) >= exact - 1e-12 * (1.0 + abs(exact))
 
 
 class TestStepOperator:
