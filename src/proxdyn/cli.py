@@ -297,7 +297,7 @@ def run_and_emit(cfg: RunConfig) -> int:
         names = ", ".join(c.name for c in report.failures())
         failures.append(f"assumption validation failed: {names}")
 
-    kin0 = 0.5 * h_norm(traj.V[0].values, spec.grid.h) ** 2
+    kin0 = 0.5 * h_norm(spec.v0.values, spec.grid.h) ** 2
     rows = [[0, 0.0, kin0, traj.energy0, 0.0, 0.0, 0.0, 0.0]]
     rows += [
         [rec.n, traj.times[rec.n], rep.kinetic_after, rep.energy_after,

@@ -703,7 +703,7 @@ def solve_pd(prob: StepProblem, init, p0=None, beta=None):
     (PDReport.beta) with its multiplier p0.  The stop test (StepProblem)
     runs every _CHECK_EVERY iterations.  Returns (u, p, PDReport).
     """
-    u = np.asarray(getattr(init, "values", init), dtype=float).copy()
+    u = np.array(init, dtype=float)
     pot = prob.nonsmooth
     if pot.is_quadratic:
         return _solve_quadratic(prob)
@@ -809,7 +809,7 @@ def solve_prox_gradient(prob: StepProblem, init):
     """
     if prob.lin_op is not None:
         raise EvalError("the forward-backward solver needs nodal sites (lin_op None)")
-    u = np.asarray(getattr(init, "values", init), dtype=float).copy()
+    u = np.array(init, dtype=float)
     pot = prob.nonsmooth
     if pot.is_quadratic:
         return _solve_quadratic(prob)

@@ -192,15 +192,15 @@ class DissipationSpec:
 
 @dataclass(frozen=True)
 class PerturbationSpec:
-    """Non-variational perturbation B(t, u, v), stored as a nodal vector;
-    eval = None is the zero map."""
+    """Non-variational perturbation B(t, u, v) of nodal arrays on a grid, as
+    a nodal vector; eval gets u and v as Fields, and None is the zero map."""
 
     eval: Optional[Callable[[float, Field, Field], Field]] = None
 
-    def __call__(self, t: float, u: Field, v: Field) -> np.ndarray:
+    def __call__(self, t: float, u: np.ndarray, v: np.ndarray, grid: SpatialGrid) -> np.ndarray:
         if self.eval is None:
-            return np.zeros_like(u.values)
-        return user_values(self.eval(t, u, v), u.values.size, "perturbation", t)
+            return np.zeros_like(u)
+        return user_values(self.eval(t, Field(u, grid), Field(v, grid)), u.size, "perturbation", t)
 
 
 @dataclass(frozen=True)
@@ -307,11 +307,10 @@ def step_count(horizon: float, tau: float) -> int:
     return n
 
 
-def energy_total(spec: ProblemSpec, t: float, u: Field) -> float:
+def energy_total(spec: ProblemSpec, t: float, vals: np.ndarray) -> float:
     """E_t(u) = 0.5 <(A + quad_shift) u, u>_h + site_quartic h sum (M u)^4
-    + <lin_part(t), u>_h."""
+    + <lin_part(t), u>_h, of the nodal values vals of u."""
     en = spec.energy
-    vals = u.values
     h = spec.grid.h
     out = 0.5 * h * float(vals @ _quad_part(en, vals))
     if en.site_quartic > 0.0:
@@ -413,12 +412,12 @@ def validate_assumptions(
             t = rng.uniform(0.0, spec.horizon)
             u = rng.standard_normal(m)
             v = rng.standard_normal(m)
-            base = spec.perturbation(t, Field(u, grid), Field(v, grid))
+            base = spec.perturbation(t, u, v, grid)
             ratios = []
             for eps in (1e-3, 1e-6):
                 du = eps * rng.standard_normal(m)
                 dv = eps * rng.standard_normal(m)
-                out = spec.perturbation(t, Field(u + du, grid), Field(v + dv, grid))
+                out = spec.perturbation(t, u + du, v + dv, grid)
                 denom = h_norm(du, h) + h_norm(dv, h)
                 ratios.append(h_norm(out - base, h) / denom)
             if not all(np.isfinite(r) for r in ratios):

@@ -74,12 +74,6 @@ class Field:
         if not np.all(np.isfinite(v)):
             raise ConfigError("field contains non-finite entries")
 
-    def padded(self) -> np.ndarray:
-        """Nodal values on all nodes, boundary zeros included."""
-        out = np.zeros(self.grid.n_nodes)
-        out[1:-1] = self.values
-        return out
-
 
 def h_inner(a: np.ndarray, b: np.ndarray, h: float) -> float:
     """h-weighted Euclidean pairing; works for nodal and edge vectors alike."""

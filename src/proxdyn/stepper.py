@@ -13,10 +13,10 @@ Its stationarity reproduces the discrete inclusion
 
 and the subgradient is recovered by rearrangement:
 eta^n = f_avg - B - (V^n - V^{n-1})/tau - DE_{t_n}(U^n) = -grad(smooth Phi).
-So eta^n and the forcing S^n = f_avg - B are functions of the stored U: a
-Trajectory keeps U, V, the per-step reports and E_0(u0), which together
-hold every term of the energy-dissipation inequality.  Both dissipation
-kinds certify a step by one gap, Psi(V^n) + Psi*(eta^n) - <eta^n, V^n>_h.
+So eta^n, S^n = f_avg - B and V^n are functions of the stored U: a
+Trajectory keeps U on its time grid, the reports (each with its tau_n) and
+E_0(u0), which hold every term of the energy-dissipation inequality.  Both
+dissipation kinds certify a step by one gap, Psi(V^n) + Psi*(eta^n) - <eta^n, V^n>_h.
 
 E_{t_n} reaches the step only through `EnergySpec`'s exact decomposition:
 A and quad_shift join the inertia in the banded Q (`step_operator`),
@@ -75,6 +75,8 @@ _GAUSS_W = np.array(
 
 DEFAULT_INNER_TOL = 1e-9
 DEFAULT_MAX_ITER = 50_000
+_FY_FLOOR_ULPS = 4.0  # the FY gap's rounding floor, in ulp of its terms' sum
+_EPS = np.finfo(float).eps
 
 
 def average_force(f: Callable, t_lo: float, t_hi: float) -> np.ndarray:
@@ -101,17 +103,17 @@ class StepInput:
 
     t_prev and t_next are the step's ends t_{n-1} and t_n, in a run the
     entries (n-1) tau and n tau of `Trajectory.times`; every term of the
-    step is evaluated at them.  v = U^{n-1}, w = U^{n-2};
-    zeta = B(t_n, U^{n-1}, V^{n-1}) - f_avg^n.  v also freezes the
-    dissipation state.
+    step is evaluated at them.  v = U^{n-1}, w = U^{n-1} - tau V^{n-1}
+    (U^{n-2} on equal steps) and zeta = B(t_n, U^{n-1}, V^{n-1}) - f_avg^n
+    are arrays of the m interior values; v also freezes the dissipation state.
     """
 
     tau: float
     t_prev: float
     t_next: float
-    v: Field
-    w: Field
-    zeta: Field
+    v: np.ndarray
+    w: np.ndarray
+    zeta: np.ndarray
 
     def __post_init__(self):
         if not (self.tau > 0 and self.t_next > self.t_prev):
@@ -121,11 +123,12 @@ class StepInput:
 @dataclass(frozen=True)
 class StepReport:
     """Solver telemetry and the energy-dissipation terms of step n:
-    psi = Psi_{U^{n-1}}(V^n), psi_star = <eta^n, V^n>_h - psi + fy_gap,
-    energy_rate = int dE_t(U^{n-1})/dt over the step (exact), work =
-    tau <S^n, V^n>_h.
+    tau = tau_n, the step's length; psi = Psi_{U^{n-1}}(V^n), psi_star =
+    <eta^n, V^n>_h - psi + fy_gap, energy_rate = int dE_t(U^{n-1})/dt over
+    the step (exact), work = tau_n <S^n, V^n>_h.
     """
 
+    tau: float
     fy_gap: float
     el_residual: float
     inner_iters: int
@@ -139,21 +142,19 @@ class StepReport:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Per-step records of a run; the reports carry the energy ledger.
+    """Per-step records of a run on its time grid; the reports carry the
+    energy ledger.
 
-    U and V have N+1 entries (including the initial data), reports N
-    entries for steps 1..N, and energy0 is E_0(u0), the ledger's initial
-    energy.  V is reconstructed from stored U, so V[n] equals
-    (U[n]-U[n-1])/tau identically.  The subgradient eta^n and the forcing
-    S^n = f_avg^n - B^n are not stored; both follow from U (see the module
-    docstring).
+    times and U (one Field per node) have N+1 entries, the initial data
+    included; reports has N, for steps 1..N, report n with the length tau_n
+    of the step from times[n-1] to times[n]; energy0 is E_0(u0).  V^0 =
+    spec.v0 and V^n = (U[n] - U[n-1])/tau_n, bit for bit the step's V^n; it
+    is not stored, nor are eta^n and S^n (see the module docstring).
     """
 
     spec: ProblemSpec
-    tau: float
     times: np.ndarray
     U: tuple
-    V: tuple
     reports: tuple
     energy0: float
 
@@ -180,14 +181,14 @@ def incremental_minimize(
     spec: ProblemSpec,
     inp: StepInput,
     q_op: convex.SymBand,
-    warm: Optional[Field] = None,
+    warm: Optional[np.ndarray] = None,
     dual_warm: Optional[tuple] = None,
     *,
     inner_tol: float = DEFAULT_INNER_TOL,
     max_iter: int = DEFAULT_MAX_ITER,
 ):
     """One incremental minimization step: returns (U^n, eta^n, StepReport,
-    carry).
+    carry), U^n and eta^n arrays.
 
     q_op is step_operator(spec, inp.tau); warm starts the inner solve
     (U^{n-1} if None).  For composite dissipation, carry is the solver's
@@ -210,27 +211,27 @@ def incremental_minimize(
     reported gap is the exact one, at most that bound.
     Raises StepSizeTooLarge if tau breaks `core.check_step`'s rule and
     InnerSolverFailed (carrying the best iterate) if the inner solve or
-    the exact conjugate's root stalls, or the gap is above 10 inner_tol or
-    not finite.
+    the exact conjugate's root stalls, if the gap is above 10 inner_tol or
+    not finite, or at once if a gap above 9 inner_tol stops falling within
+    its rounding floor, _FY_FLOOR_ULPS ulp of |Psi| + |Psi*| + |<eta, V>_h|.
     """
     tau = inp.tau
     gamma = check_step(spec, tau)
 
-    grid = spec.grid
-    h = grid.h
+    h = spec.grid.h
     t_next = inp.t_next
     en = spec.energy
-    b = inp.zeta.values - (2.0 * inp.v.values - inp.w.values) / tau**2
+    b = inp.zeta - (2.0 * inp.v - inp.w) / tau**2
     energy_rate = 0.0
     if en.lin_part is not None:
         # t_{n-1} first: lin_part keeps one value, the previous step's t_n.
         lin_prev = en.lin_part(inp.t_prev)
         lin_next = en.lin_part(t_next)
         b = b + lin_next
-        energy_rate = h_inner(lin_next - lin_prev, inp.v.values, h)
+        energy_rate = h_inner(lin_next - lin_prev, inp.v, h)
     separable = spec.site_op is None
-    psi_pot = spec.dissipation.potential(inp.v)
-    pot = psi_pot.step_copy(tau, spec.sites(inp.v.values), en.site_quartic)
+    psi_pot = spec.dissipation.potential(Field(inp.v, spec.grid))
+    pot = psi_pot.step_copy(tau, spec.sites(inp.v), en.site_quartic)
     # Certified strong convexity of Psi_state in |.|_h, 0 if none: the site
     # potential carries Psi's quadratic weights over tau, and on edges
     # |Dv|_h^2 >= lap_min_eig |v|_h^2.
@@ -239,58 +240,65 @@ def incremental_minimize(
         m_psi *= spec.ops.lap_min_eig
 
     def certify(u_vals, p, r_h, exact):
-        """(eta^n, V^n, Psi(V^n), <eta^n, V^n>_h, FY gap) at a candidate U^n
-        with the solver's multiplier p and residual r_h; eta^n = -grad(smooth
-        Phi).  On edges Psi*(eta^n) is exact, or with exact False bounded
-        from p less the quartic's gradient.  Zero dissipation (Psi* the
-        indicator of {0}) has the gap |pairing|."""
-        eta = -(
-            (u_vals - 2.0 * inp.v.values + inp.w.values) / tau**2
-            + energy_grad(spec, t_next, u_vals)
-            + inp.zeta.values
-        )
-        v_vel = (u_vals - inp.v.values) / tau
+        """(eta^n, V^n, Psi(V^n), <eta^n, V^n>_h, FY gap, its rounding floor)
+        at a candidate U^n with the solver's multiplier p and residual r_h;
+        eta^n = -grad(smooth Phi).  On edges Psi*(eta^n) is exact, or with
+        exact False bounded from p less the quartic's gradient.  Zero
+        dissipation (Psi* the indicator of {0}) has the gap |pairing|; the
+        floor is 0 where the gap is not the sum psi + conj - pairing."""
+        eta = -((u_vals - 2.0 * inp.v + inp.w) / tau**2 + energy_grad(spec, t_next, u_vals)
+                + inp.zeta)
+        v_vel = (u_vals - inp.v) / tau
         psi = h * psi_pot.value(spec.sites(v_vel))
         pairing = h_inner(eta, v_vel, h)
         if pot.is_zero:
-            return eta, v_vel, psi, pairing, abs(pairing)
+            return eta, v_vel, psi, pairing, abs(pairing), 0.0
         if exact or separable:
             conj = spec.psi_conjugate(psi_pot, eta)
         else:
             lam = convex.feasible_multiplier(h, eta, p - 4.0 * pot.k4 * spec.sites(u_vals) ** 3)
             conj = h * psi_pot.conjugate_sum(lam)
         fy = psi + conj - pairing
+        floor = _FY_FLOOR_ULPS * _EPS * (abs(psi) + abs(conj) + abs(pairing))
         if not np.isfinite(fy):
             # Psi* is infinite at eta^n (dry friction alone, |eta| > a):
             # charge the gap to the strong convexity, or to the pairing.
-            fy = r_h**2 / (2.0 * m_psi) if m_psi > 0.0 else abs(pairing)
-        return eta, v_vel, psi, pairing, fy
+            fy, floor = (r_h**2 / (2.0 * m_psi) if m_psi > 0.0 else abs(pairing)), 0.0
+        return eta, v_vel, psi, pairing, fy, floor
 
     # A NaN bound stops the solve too, and fails the step below.  On nodes
-    # the bound is the gap itself, so the accepted point's certificate is kept.
+    # the bound is the gap itself, so the accepted point's certificate is
+    # kept.  A converging bound crosses its rounding floor on its way down;
+    # one that stops falling there fails the step at once.
     accepted = {}
 
     def accept(u_vals, p, r_h):
+        last_fy = accepted["cert"][-2] if accepted else np.inf
         accepted["u"], accepted["cert"] = u_vals, certify(u_vals, p, r_h, exact=False)
-        return not accepted["cert"][-1] > 9.0 * inner_tol
+        fy, floor = accepted["cert"][-2:]
+        if 9.0 * inner_tol < fy <= floor and fy >= last_fy:
+            raise InnerSolverFailed(
+                f"Fenchel-Young gap {fy:.3e} above 9 inner_tol stalls within its rounding floor "
+                f"{floor:.3e} ({_FY_FLOOR_ULPS:g} ulp of |Psi| + |Psi*| + |<eta, V>_h|)", best=u_vals)
+        return not fy > 9.0 * inner_tol
 
     prob = convex.StepProblem(
         quad_op=q_op, lin=b, nonsmooth=pot, h=h, strong_convexity=gamma, lin_op=spec.site_op,
         op_norm=1.0 if separable else spec.ops.grad_norm, tol=inner_tol, max_iter=max_iter,
         accept=accept,
     )
-    warm_vals = inp.v.values if warm is None else warm.values
+    warm = inp.v if warm is None else warm
     p_hat, beta = dual_warm if dual_warm is not None else (None, None)
     u_vals = None
     try:
         if separable:
-            u_vals, p_hat, rep = convex.solve_prox_gradient(prob, warm_vals)
+            u_vals, p_hat, rep = convex.solve_prox_gradient(prob, warm)
         else:
-            u_vals, p_hat, rep = convex.solve_pd(prob, warm_vals, p0=p_hat, beta=beta)
+            u_vals, p_hat, rep = convex.solve_pd(prob, warm, p0=p_hat, beta=beta)
         if separable and accepted.get("u") is u_vals:
-            eta_vals, v_vel, psi, pairing, fy = accepted["cert"]
+            eta, v_vel, psi, pairing, fy, _ = accepted["cert"]
         else:
-            eta_vals, v_vel, psi, pairing, fy = certify(u_vals, p_hat, rep.resid_h, exact=True)
+            eta, v_vel, psi, pairing, fy, _ = certify(u_vals, p_hat, rep.resid_h, exact=True)
     except MaxIterExceeded as exc:
         # A stall of the solve, or of the exact conjugate's root at its point.
         raise InnerSolverFailed(str(exc), best=exc.best if u_vals is None else u_vals) from exc
@@ -300,21 +308,21 @@ def incremental_minimize(
             best=u_vals,
         )
 
-    u_field = Field(u_vals, grid)
     report = StepReport(
+        tau=tau,
         fy_gap=fy,
         el_residual=rep.resid_h,
         inner_iters=rep.iterations,
-        energy_after=energy_total(spec, t_next, u_field),
+        energy_after=energy_total(spec, t_next, u_vals),
         kinetic_after=0.5 * h_norm(v_vel, h) ** 2,
         psi=psi,
         psi_star=pairing - psi + fy,
         energy_rate=energy_rate,
         # S^n = f_avg^n - B^n = -zeta.
-        work=tau * h_inner(-inp.zeta.values, v_vel, h),
+        work=tau * h_inner(-inp.zeta, v_vel, h),
     )
     carry = (p_hat, rep.beta) if not separable else None
-    return u_field, Field(eta_vals, grid), report, carry
+    return u_vals, eta, report, carry
 
 
 def run(
@@ -329,28 +337,26 @@ def run(
     tau must divide the horizon (`core.step_count`) and pass
     `core.check_step`; the first step synthesizes U^{-1} = u0 - tau*v0 so
     that V^0 = v0.  Step n runs from times[n-1] to times[n], and E_0(u0) is
-    evaluated once, before step 1, which then reuses lin_part(0).  Solver
-    failures propagate with the step index attached.
+    evaluated once, before step 1, which then reuses lin_part(0).  Only U^n
+    is wrapped, in a Field for the Trajectory.  Solver failures propagate
+    with the step index attached.
     """
     n_steps = step_count(spec.horizon, tau)
     check_step(spec, tau)
     times = tau * np.arange(n_steps + 1)
     t = times.tolist()
-    energy0 = energy_total(spec, t[0], spec.u0)
-
     grid = spec.grid
-    u_list = [spec.u0]
-    v_list = [spec.v0]
-    reports = []
-    u_prev2 = Field(spec.u0.values - tau * spec.v0.values, grid)
+    u_prev, v_prev = spec.u0.values, spec.v0.values
+    u_prev2 = u_prev - tau * v_prev
+    energy0 = energy_total(spec, t[0], u_prev)
+
+    u_list, reports = [spec.u0], []
     q_op = step_operator(spec, tau)
     dual = None
     for n in range(1, n_steps + 1):
-        u_prev = u_list[-1]
         f_avg = average_force(spec.force_values, t[n - 1], t[n]) if spec.force else np.zeros(grid.n_interior)
-        b_vals = spec.perturbation(t[n], u_prev, v_list[-1])
-        inp = StepInput(tau=tau, t_prev=t[n - 1], t_next=t[n], v=u_prev, w=u_prev2,
-                        zeta=Field(b_vals - f_avg, grid))
+        zeta = spec.perturbation(t[n], u_prev, v_prev, grid) - f_avg
+        inp = StepInput(tau=tau, t_prev=t[n - 1], t_next=t[n], v=u_prev, w=u_prev2, zeta=zeta)
         try:
             u_n, _, report, dual = incremental_minimize(
                 spec, inp, q_op, u_prev, dual, inner_tol=inner_tol, max_iter=max_iter
@@ -359,13 +365,12 @@ def run(
             raise InnerSolverFailed(
                 f"step {n} (t = {t[n]:.6g}): {exc}", best=exc.best, step_index=n
             ) from exc
-        u_list.append(u_n)
-        v_list.append(Field((u_n.values - u_prev.values) / tau, grid))
+        u_list.append(Field(u_n, grid))
         reports.append(report)
-        u_prev2 = u_prev
+        u_prev2, u_prev, v_prev = u_prev, u_n, (u_n - u_prev) / tau
 
-    return Trajectory(spec=spec, tau=tau, times=times, U=tuple(u_list), V=tuple(v_list),
-                      reports=tuple(reports), energy0=energy0)
+    return Trajectory(spec=spec, times=times, U=tuple(u_list), reports=tuple(reports),
+                      energy0=energy0)
 
 
 def admissible_tau(spec: ProblemSpec, target: float) -> float:

@@ -2,9 +2,10 @@
 
 * `phi_value` evaluates the step functional Phi from the model's own
   dissipation and energy, with no solver splitting.
-* `step_input` and `step_subgradient` rebuild the data of step n of a run
-  from its stored U: the scheme's subgradient eta^n and forcing S^n are
-  functions of U, so a trajectory does not store them.
+* `velocities`, `step_input` and `step_subgradient` rebuild the data of
+  step n of a run from its stored U: the velocity V^n, the scheme's
+  subgradient eta^n and forcing S^n are functions of U, so a trajectory
+  does not store them.
 * `scalar_potential` is a|s| + (g/q)|s|^q, elementwise, for grid-search
   oracles of the per-site kernel, and `conjugate_numeric` is such an
   oracle for the scalar conjugate.
@@ -209,26 +210,38 @@ def conjugate_numeric(psi, xi, search_box: float, steps: int):
 
 
 def phi_value(spec, inp, u):
-    """Phi of the step described by inp at a candidate u (a Field)."""
+    """Phi of the step described by inp at a candidate u (an array)."""
     tau = inp.tau
     t_next = inp.t_next
     h = spec.grid.h
-    inertia = 0.5 / tau**2 * h_norm(u.values - 2 * inp.v.values + inp.w.values, h) ** 2
-    vel = (u.values - inp.v.values) / tau
-    diss = tau * spec.psi_value(inp.v, vel)
-    return inertia + diss + energy_total(spec, t_next, u) + h_inner(inp.zeta.values, u.values, h)
+    inertia = 0.5 / tau**2 * h_norm(u - 2 * inp.v + inp.w, h) ** 2
+    vel = (u - inp.v) / tau
+    diss = tau * spec.psi_value(Field(inp.v, spec.grid), vel)
+    return inertia + diss + energy_total(spec, t_next, u) + h_inner(inp.zeta, u, h)
+
+
+def velocities(traj):
+    """[V^0, ..., V^N] of a trajectory: V^0 = v0 and
+    V^n = (U^n - U^{n-1})/tau_n, tau_n the step length of report n."""
+    out = [traj.spec.v0.values]
+    for n, rep in enumerate(traj.reports, start=1):
+        out.append((traj.U[n].values - traj.U[n - 1].values) / rep.tau)
+    return out
 
 
 def step_input(traj, n):
-    """The StepInput of step n of a run: v = U^{n-1}, w = U^{n-2} (u0 - tau v0
-    for n = 1) and zeta = B(t_n, U^{n-1}, V^{n-1}) - f_avg^n."""
-    spec, tau = traj.spec, traj.tau
+    """The StepInput of step n of an equal-step run: v = U^{n-1},
+    w = U^{n-2} (u0 - tau v0 for n = 1) and
+    zeta = B(t_n, U^{n-1}, V^{n-1}) - f_avg^n."""
+    spec, tau = traj.spec, traj.reports[n - 1].tau
     g = spec.grid
     t_prev, t_n = traj.times[n - 1], traj.times[n]
-    w = traj.U[n - 2] if n >= 2 else Field(traj.U[0].values - tau * traj.V[0].values, g)
+    u_prev = traj.U[n - 1].values
+    v_prev = velocities(traj)[n - 1]
+    w = traj.U[n - 2].values if n >= 2 else u_prev - tau * v_prev
     f_avg = average_force(spec.force_values, t_prev, t_n) if spec.force else np.zeros(g.n_interior)
-    b = spec.perturbation(t_n, traj.U[n - 1], traj.V[n - 1])
-    return StepInput(tau=tau, t_prev=t_prev, t_next=t_n, v=traj.U[n - 1], w=w, zeta=Field(b - f_avg, g))
+    b = spec.perturbation(t_n, u_prev, v_prev, g)
+    return StepInput(tau=tau, t_prev=t_prev, t_next=t_n, v=u_prev, w=w, zeta=b - f_avg)
 
 
 def step_subgradient(traj, n):
@@ -237,8 +250,8 @@ def step_subgradient(traj, n):
     eta^n = S^n - (U^n - 2 U^{n-1} + U^{n-2})/tau^2 - DE_{t_n}(U^n)."""
     inp = step_input(traj, n)
     u = traj.U[n].values
-    forcing = -inp.zeta.values
-    accel = (u - 2.0 * inp.v.values + inp.w.values) / inp.tau**2
+    forcing = -inp.zeta
+    accel = (u - 2.0 * inp.v + inp.w) / inp.tau**2
     eta = forcing - accel - energy_grad(traj.spec, inp.t_next, u)
     return eta, forcing
 
@@ -261,7 +274,7 @@ def gradient_consistency_error(spec, samples=5, seed=0, eps=1e-6):
             up[i] += eps
             dn[i] -= eps
             fd[i] = (
-                energy_total(spec, t, Field(up, grid)) - energy_total(spec, t, Field(dn, grid))
+                energy_total(spec, t, up) - energy_total(spec, t, dn)
             ) / (2 * eps * grid.h)
         scale = max(1.0, float(np.max(np.abs(g))))
         worst = max(worst, float(np.max(np.abs(g - fd))) / scale)

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -25,6 +26,8 @@ from proxdyn.convex import SymBand
 from proxdyn.grid import SpatialGrid, laplacian_band
 from proxdyn.models import P3Params, build_p3
 from proxdyn.stepper import run
+
+from oracles import velocities
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -423,7 +426,10 @@ class TestRunAndEmit:
 # Configs the parser accepts that failed a step in a random sweep
 # (`scripts/config_sweep.py`): R1-R4 with a composite step's Fenchel-Young
 # gap above 10 inner_tol, R5 (draw 37 of the p1/p2 sweep at seed 7) with the
-# exact composite conjugate's root stalled.  Each must certify.
+# exact composite conjugate's root stalled.  R7 (draw 18 of the p1/p2/p3
+# sweep at seed 7) has a composite step whose Fenchel-Young bound passes
+# 3.4 ulp of its terms on its way under 9 inner_tol, so a rounding floor
+# that failed a step on the value alone would fail it.  Each must certify.
 _SWEEP_REPRODUCERS = {
     "R1": {"model": "p1", "n_nodes": 33, "tau": 0.0625, "horizon": 0.25, "mu": 0.2204,
            "nu": 0.2889, "alpha": 0.6559, "rho": 5.609, "u0_amplitude": 10.2315,
@@ -437,6 +443,9 @@ _SWEEP_REPRODUCERS = {
     "R5": {"model": "p2", "n_nodes": 33, "tau": 0.25 / 23, "horizon": 0.25,
            "q": 3.180039632133334, "p": 1.873909718193738, "u0_amplitude": 0.6088772330705541,
            "inner_tol": 1e-11},
+    "R7": {"model": "p1", "n_nodes": 5, "tau": 0.25 / 17, "horizon": 0.25, "mu": 0.2765269238971518,
+           "nu": 0.2899584191844144, "alpha": 1.756375718836561, "rho": 1.4434513383142569,
+           "u0_amplitude": 14.120510276629437, "inner_tol": 1e-11},
 }
 
 
@@ -447,6 +456,30 @@ def test_sweep_reproducer(name, tmp_path):
     summary = strict_json(tmp_path / "summary.json")
     assert code == 0 and summary["invariants_passed"], summary.get("error")
     assert summary["max_fy_gap"] <= 10.0 * raw.get("inner_tol", 1e-9)
+
+
+# R6, draw 51 of the p1/p2/p3 sweep at seed 7: step 2's Fenchel-Young gap,
+# 2.3e-10, is one ulp of its pairing <eta, V>_h ~ 1.3e6 at every point, so
+# no iteration brings it under 9 inner_tol (the forward-backward solve spun
+# to its 50,000-iteration cap in ~26 s).  The step fails at once, naming
+# that rounding floor.
+_ROUNDING_FLOOR_REPRODUCER = {
+    "model": "p3", "n_nodes": 5, "tau": 0.125 / 18, "horizon": 0.125, "inner_tol": 1e-11,
+    "q": 2.461334364602205, "well_scale": 3.579728743546085, "stiffness": 0.6669429823285974,
+    "force_amplitude": 0.5064760161881308, "force_frequency": 3.979080353756122,
+    "u0_amplitude": 18.10837405629574,
+}
+
+
+def test_sweep_reproducer_r6_fails_at_the_rounding_floor(tmp_path):
+    cfg = parse_config_dict({**_ROUNDING_FLOOR_REPRODUCER, "out_dir": str(tmp_path)})
+    start = time.perf_counter()
+    code = run_and_emit(cfg)
+    elapsed = time.perf_counter() - start
+    summary = strict_json(tmp_path / "summary.json")
+    assert code == 1 and not summary["invariants_passed"]
+    assert "step 2" in summary["error"] and "rounding floor" in summary["error"]
+    assert elapsed < 2.0
 
 
 @settings(max_examples=30, deadline=None, derandomize=True,
@@ -607,7 +640,7 @@ class TestOneLedger:
         assert monitors["psi_accum"] == records[-1].psi_accum
         assert monitors["psi_star_accum"] == records[-1].psi_star_accum
         h = traj.spec.grid.h
-        assert monitors["sup_velocity"] == max(h_norm(v.values, h) for v in traj.V)
+        assert monitors["sup_velocity"] == max(h_norm(v, h) for v in velocities(traj))
         assert monitors["sup_energy"] == max(
             [traj.energy0] + [r.energy_after for r in traj.reports]
         )

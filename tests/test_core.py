@@ -206,13 +206,13 @@ class TestEnergyTotal:
     def test_zero_state(self):
         g = SpatialGrid(5, 0.25)
         spec = make_spec(g, band_of(2.0 * np.eye(3)))
-        assert energy_total(spec, 0.0, Field(np.zeros(3), g)) == 0.0
+        assert energy_total(spec, 0.0, np.zeros(3)) == 0.0
 
     def test_laplacian_hand_assembly(self):
         # 1 interior node, h = 0.5: K = 2/h^2 = 8, E = 0.5*h*K = 2.0.
         g = SpatialGrid(3, 0.5)
         spec = make_spec(g, SymBand(laplacian_band(g)))
-        val = energy_total(spec, 0.0, Field(np.array([1.0]), g))
+        val = energy_total(spec, 0.0, np.array([1.0]))
         assert val == pytest.approx(0.5 * (2.0 / 0.25) * 1.0 * 0.5)
         assert val == pytest.approx(2.0)
 
@@ -221,7 +221,7 @@ class TestEnergyTotal:
         g = SpatialGrid(12, 0.1)
         m = g.n_interior
         spec = make_spec(g, band_of(np.zeros((m, m))), smooth=double_well_parts(m))
-        assert energy_total(spec, 0.0, Field(np.ones(m), g)) == pytest.approx(-g.h * m)
+        assert energy_total(spec, 0.0, np.ones(m)) == pytest.approx(-g.h * m)
 
     def test_symmetry_pairing_property(self):
         g = SpatialGrid(9, 0.125)
@@ -339,10 +339,10 @@ class TestValidateAssumptions:
             u = rng.standard_normal(m)
             v = rng.standard_normal(m)
             th = rng.uniform()
-            e_mid = energy_total(spec, 0.0, Field(th * u + (1 - th) * v, g))
+            e_mid = energy_total(spec, 0.0, th * u + (1 - th) * v)
             bound = (
-                th * energy_total(spec, 0.0, Field(u, g))
-                + (1 - th) * energy_total(spec, 0.0, Field(v, g))
+                th * energy_total(spec, 0.0, u)
+                + (1 - th) * energy_total(spec, 0.0, v)
                 + th * (1 - th) * lam * h * np.sum((u - v) ** 2)
             )
             assert e_mid <= bound + 1e-10
@@ -393,8 +393,8 @@ class TestDerivedDefect:
 
         u = evecs[:, 0]
         w2 = g.h * np.sum((2.0 * u) ** 2)
-        mid = energy_total(spec, 0.0, Field((2 * th - 1) * u, g))
-        ends = energy_total(spec, 0.0, Field(u, g))  # E(-u) = E(u)
+        mid = energy_total(spec, 0.0, (2 * th - 1) * u)
+        ends = energy_total(spec, 0.0, u)  # E(-u) = E(u)
 
         def excess(lam_):
             return mid - (ends + th * (1 - th) * lam_ * w2)
@@ -557,4 +557,4 @@ class TestUserCallableOutput:
         m = g.n_interior
         pert = PerturbationSpec(eval=lambda t, u, v: out)
         with pytest.raises(EvalError, match=r"perturbation .*t=0\.25"):
-            pert(0.25, Field(np.zeros(m), g), Field(np.zeros(m), g))
+            pert(0.25, np.zeros(m), np.zeros(m), g)

@@ -26,9 +26,16 @@ from proxdyn.convex import SymBand
 from proxdyn.errors import ConfigError, IncompleteTrajectory
 from proxdyn.grid import Field, SpatialGrid, h_inner, h_norm, laplacian_band
 from proxdyn.models import P2Params, P3Params, build_linear_wave, build_p2, build_p3
-from proxdyn.stepper import run
+from proxdyn.stepper import (
+    StepInput,
+    Trajectory,
+    average_force,
+    incremental_minimize,
+    run,
+    step_operator,
+)
 
-from oracles import step_subgradient
+from oracles import step_subgradient, velocities
 
 
 def zero_spec(n=9):
@@ -80,7 +87,7 @@ class TestEDIScan:
         # Scaling eta^k by 1.1 raises Psi*_k = <eta^k, V^k>_h - Psi_k + fy_k
         # by 0.1 <eta^k, V^k>_h; the ledger carries Psi*_k, so corrupt it.
         eta, _ = step_subgradient(traj, k_bad + 1)
-        pair = h_inner(eta, traj.V[k_bad + 1].values, spec.grid.h)
+        pair = h_inner(eta, velocities(traj)[k_bad + 1], spec.grid.h)
         reports = list(traj.reports)
         reports[k_bad] = replace(
             reports[k_bad], psi_star=reports[k_bad].psi_star + 0.1 * pair
@@ -103,6 +110,45 @@ class TestEDIScan:
         traj = run(spec, 1.0 / 64)
         assert all(r.passed for r in edi_scan(spec, traj))
 
+    def test_variable_steps_weigh_each_step_by_its_length(self):
+        # Two steps of p3, at tau and then tau/2, each from its own
+        # V^{n-1}: the ledger weighs a step's dissipation by its own length
+        # and its convexity slack by that length squared (a soft spring
+        # leaves p3's double well nonconvex, lambda > 0).
+        spec = build_p3(P3Params(n_nodes=9, horizon=0.25, stiffness=0.01))
+        lam, g = spec.energy.lambda_conv, spec.grid
+        assert lam > 0.0
+        times, U, reports = [0.0], [spec.u0], []
+        u_prev, v_prev = spec.u0.values, spec.v0.values
+        for tau in (1 / 16, 1 / 32):
+            t_prev, t_next = times[-1], times[-1] + tau
+            f_avg = average_force(spec.force_values, t_prev, t_next) if spec.force else 0.0
+            inp = StepInput(tau=tau, t_prev=t_prev, t_next=t_next, v=u_prev,
+                            w=u_prev - tau * v_prev,
+                            zeta=spec.perturbation(t_next, u_prev, v_prev, g) - f_avg)
+            u, _, step, _ = incremental_minimize(spec, inp, step_operator(spec, tau))
+            assert step.tau == tau
+            times.append(t_next)
+            U.append(Field(u, g))
+            reports.append(step)
+            u_prev, v_prev = u, (u - u_prev) / tau
+        traj = Trajectory(spec=spec, times=np.array(times), U=tuple(U), reports=tuple(reports),
+                          energy0=energy_total(spec, 0.0, spec.u0.values))
+        r1, r2 = reports
+        records = edi_scan(spec, traj)
+        assert records[-1].psi_accum == r1.tau * r1.psi + r2.tau * r2.psi
+        assert records[-1].psi_star_accum == r1.tau * r1.psi_star + r2.tau * r2.psi_star
+        assert records[-1].slack_h == sum(2.0 * lam * r.tau * r.tau * r.kinetic_after for r in reports)
+        assert all(rec.passed for rec in records)
+        rec = records[-1]
+        assert energy_balance_residual(spec, traj, 3 / 32) == abs(rec.residual + rec.slack_h)
+        v1 = (U[1].values - U[0].values) / r1.tau
+        v2 = (U[2].values - U[1].values) / r2.tau
+        want = max(h_norm(v1 - spec.v0.values, g.h), h_norm(v2 - v1, g.h))
+        assert deviation_norms(traj)[1] == want
+        with pytest.raises(ConfigError, match="equal steps"):
+            convergence_study(traj, 1)
+
 
 class TestLedger:
     """The stepper's per-step terms against a recomputation from the stored
@@ -123,16 +169,17 @@ class TestLedger:
         traj = run(spec, tau)
         assert any(getattr(rep, live) != 0.0 for rep in traj.reports)
         h = spec.grid.h
+        vel = velocities(traj)
         for k, rep in enumerate(traj.reports, start=1):
             state = traj.U[k - 1]
-            v_k = traj.V[k].values
+            v_k = vel[k]
             psi = spec.psi_value(state, v_k)
             eta, forcing = step_subgradient(traj, k)
             psi_star = h_inner(eta, v_k, h) - psi + rep.fy_gap
             # E_t depends on t through lin_part only, so the integral of
             # dE_t(U^{k-1})/dt over the step is this difference.
-            energy_rate = energy_total(spec, traj.times[k], state) - energy_total(
-                spec, traj.times[k - 1], state
+            energy_rate = energy_total(spec, traj.times[k], state.values) - energy_total(
+                spec, traj.times[k - 1], state.values
             )
             work = tau * h_inner(forcing, v_k, h)
             for got, want in (

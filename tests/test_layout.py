@@ -4,9 +4,11 @@ Every public top-level function and class of `src/proxdyn/*.py`, and every
 public method (properties included) of those classes, must be referenced
 in src/proxdyn, scripts/ or bench/ outside its own definition.  A
 reference is a name, an attribute, or a string constant equal to the
-name (bench/ patches callables by attribute name); methods are matched by
-name alone, so a method counts as called when any attribute of that name
-is.  The re-exports of `proxdyn/__init__.py` do not count.  Helpers that
+name (bench/ patches callables by attribute name); a method is reached
+through an attribute or a string constant only, so a local variable of
+the method's name does not count.  Methods are matched by name alone, so
+a method counts as called when any attribute of that name is.  The
+re-exports of `proxdyn/__init__.py` do not count.  Helpers that
 only tests call belong in `tests/oracles.py`.
 """
 
@@ -45,10 +47,10 @@ def _public_definitions():
     return out
 
 
-def _references():
+def _references(names=True):
     """{name: [(module or None, line)]} of the names referenced in
     src/proxdyn (but __init__), scripts/ and bench/; the module is None
-    outside src/proxdyn."""
+    outside src/proxdyn.  With names False, plain names do not count."""
     files = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
     files += sorted((ROOT / "scripts").glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
     refs = {}
@@ -56,16 +58,16 @@ def _references():
         module = path.stem if path.parent == PACKAGE else None
         # An import alone does not call anything: a used import has its
         # Name or Attribute elsewhere.
-        for name, line in _named(ast.parse(path.read_text(encoding="utf-8")), imports=False):
+        for name, line in _named(ast.parse(path.read_text(encoding="utf-8")), False, names):
             refs.setdefault(name, []).append((module, line))
     return refs
 
 
-def _named(tree, imports=True):
-    """(name, line) of every name, attribute, string constant and (with
-    imports) imported name in a module's syntax tree."""
+def _named(tree, imports=True, names=True):
+    """(name, line) of every name (with names), attribute, string constant
+    and (with imports) imported name in a module's syntax tree."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and names:
             yield node.id, node.lineno
         elif isinstance(node, ast.Attribute):
             yield node.attr, node.lineno
@@ -76,11 +78,12 @@ def _named(tree, imports=True):
 
 
 def test_every_public_definition_has_a_program_caller():
-    refs = _references()
+    refs, attribute_refs = _references(), _references(names=False)
     unused = []
     for (mod, qual), (name, first, last) in _public_definitions().items():
+        pool = attribute_refs if "." in qual else refs
         called = any(
-            ref_mod != mod or not first <= line <= last for ref_mod, line in refs.get(name, ())
+            ref_mod != mod or not first <= line <= last for ref_mod, line in pool.get(name, ())
         )
         if not called and (mod, qual) not in ALLOWED:
             unused.append(f"{mod}.{qual}")
@@ -89,6 +92,13 @@ def test_every_public_definition_has_a_program_caller():
 
 def test_allowlist_names_existing_definitions():
     assert set(ALLOWED) <= set(_public_definitions())
+
+
+def test_a_local_variable_does_not_call_a_method():
+    tree = ast.parse("padded = np.zeros(n)\nx = field.padded()\ny = getattr(f, 'padded')\n")
+    assert sorted(_named(tree, names=False)) == [
+        ("padded", 2), ("padded", 3), ("zeros", 1),
+    ]
 
 
 # The banded Cholesky has one owner: `SymBand.factor` calls LAPACK's dpbtrf
@@ -204,7 +214,7 @@ def test_energy_ledger_has_one_pass():
 
 
 def test_energy_ledger_guard_sees_a_planted_sum():
-    tree = ast.parse("e0 = energy_total(spec, 0.0, traj.U[0])\n"
+    tree = ast.parse("e0 = energy_total(spec, 0.0, traj.U[0].values)\n"
                      "acc = tau * sum(r.psi + r.psi_star for r in reports)\n"
                      "rep = StepReport(psi=psi, psi_star=pairing - psi)\nrep.psi = 0.0\n")
     assert sorted(_ledger_strays("cli", tree)) == ["cli:1 energy_total", "cli:2 .psi", "cli:2 .psi_star"]
@@ -303,3 +313,43 @@ def test_one_solve_guard_sees_a_planted_loop():
                      "    u = convex.solve_pd(prob, w)\n"
                      "def run(spec):\n    for n in steps:\n        convex.solve_pd(prob, w)\n")
     assert _looped_solves(tree) == [3, 5, 6]
+
+
+# A run is arrays on its time grid: `Trajectory` keeps U (one Field per
+# node of `times`, which bench/ reads by `.values`), the step reports, each
+# with its own step length, and E_0(u0); the velocity is derived from U and
+# the reports where it is read.  `diagnostics` works on arrays and names no
+# Field.
+TRAJECTORY_FIELDS = ["spec", "times", "U", "reports", "energy0"]
+
+
+def _class_fields(tree, name="Trajectory"):
+    """The annotated fields of the top-level class `name`, in order."""
+    return [
+        item.target.id
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name == name
+        for item in node.body
+        if isinstance(item, ast.AnnAssign)
+    ]
+
+
+def _field_lines(tree):
+    """Sorted lines where `Field` is named, imported or referenced."""
+    return sorted(line for name, line in _named(tree) if name == "Field")
+
+
+def test_a_run_is_arrays_on_its_time_grid():
+    stepper = ast.parse((PACKAGE / "stepper.py").read_text(encoding="utf-8"))
+    assert _class_fields(stepper) == TRAJECTORY_FIELDS
+    diagnostics = ast.parse((PACKAGE / "diagnostics.py").read_text(encoding="utf-8"))
+    assert _field_lines(diagnostics) == [], "diagnostics names grid.Field"
+
+
+def test_time_grid_guard_sees_planted_names():
+    tree = ast.parse("from .grid import Field, h_norm\n"
+                     "class Trajectory:\n    spec: ProblemSpec\n    tau: float\n"
+                     "    V: tuple\n    n_steps = property(len)\n"
+                     "v0 = grid.Field(x, g)\nw = Field(y, g)\n")
+    assert _class_fields(tree) == ["spec", "tau", "V"]
+    assert _field_lines(tree) == [1, 7, 8]
