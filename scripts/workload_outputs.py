@@ -7,10 +7,12 @@ Usage:
 Each config of `bench/workloads.py` (imported read-only) runs through
 `cli.run_and_emit` into OUT/<workload>/, which also gets `U.npy` (every
 U^n of the run).  Per workload the script prints the inner-iteration
-total, the most inner iterations of any one step, and the max
-Fenchel-Young gap.  With --against, OTHER is the OUT of
-an earlier run of this script (say, from a checkout of another commit);
-it adds the max |U^n - U^n_other| and, for trajectory.csv and
+total, the most inner iterations of any one step, the max
+Fenchel-Young gap, and for a composite workload (an ADMM run) the first
+step's starting penalty (`convex.start_penalty`) and the last step's
+final penalty (`StepReport.penalty`), `-` for the others.  With
+--against, OTHER is the OUT of an earlier run of this script (say, from
+a checkout of another commit); it adds the max |U^n - U^n_other| and, for trajectory.csv and
 snapshots.csv, `identical` when the files are byte-identical and the max
 relative difference over their numeric cells otherwise (`shape` when the
 two differ in rows or columns).  A cell's difference is taken relative to
@@ -41,22 +43,27 @@ ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "bench"))
 
-from proxdyn import cli, stepper  # noqa: E402
+from proxdyn import cli, convex, stepper  # noqa: E402
 from proxdyn.errors import ParseError, ValidationError  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 
 def run_workload(config: dict, out: Path):
-    """run_and_emit on one config; returns (exit code, trajectory), the
-    trajectory None when the run failed before it stepped."""
-    runs = []
-    original = stepper.run
+    """run_and_emit on one config; returns (exit code, trajectory, first
+    starting penalty), the trajectory None when the run failed before it
+    stepped and the penalty None when no ADMM solve started cold."""
+    runs, starts = [], []
+    original, original_start = stepper.run, convex.start_penalty
 
     def keep(*args, **kwargs):
         runs.append(original(*args, **kwargs))
         return runs[-1]
 
-    stepper.run = keep
+    def keep_start(*args, **kwargs):
+        starts.append(original_start(*args, **kwargs))
+        return starts[-1]
+
+    stepper.run, convex.start_penalty = keep, keep_start
     try:
         cfg = cli.parse_config_dict({**config, "seed": 0, "out_dir": str(out)})
         code = cli.run_and_emit(cfg)
@@ -64,8 +71,12 @@ def run_workload(config: dict, out: Path):
         print(f"config error: {exc}", file=sys.stderr)
         code = 2
     finally:
-        stepper.run = original
-    return code, runs[0] if runs else None
+        stepper.run, convex.start_penalty = original, original_start
+    return code, runs[0] if runs else None, starts[0] if starts else None
+
+
+def _penalty(value) -> str:
+    return "-" if value is None else f"{value:.4g}"
 
 
 def csv_drift(path: Path, other: Path) -> str:
@@ -134,23 +145,25 @@ def main():
     out = Path(args.out)
     other = Path(args.against) if args.against else None
 
-    header = f"{'workload':<12} {'exit':>4} {'inner_iters':>11} {'max/step':>8} {'max_fy_gap':>10}"
+    header = (f"{'workload':<12} {'exit':>4} {'inner_iters':>11} {'max/step':>8} {'max_fy_gap':>10}"
+              f" {'beta_start':>10} {'beta_end':>10}")
     if other:
         header += f" {'max_dU':>9}  {'trajectory.csv':<38}  {'snapshots.csv':<38}  summary.json"
     print(header)
     failed = False
     for name, work in WORKLOADS.items():
         wdir = out / name
-        code, traj = run_workload(work.config, wdir)
+        code, traj, start = run_workload(work.config, wdir)
         failed = failed or code != 0
         if traj is None:
-            print(f"{name:<12} {code:>4} {'-':>11} {'-':>8} {'-':>10}", flush=True)
+            print(f"{name:<12} {code:>4} {'-':>11} {'-':>8} {'-':>10} {'-':>10} {'-':>10}", flush=True)
             continue
         u = np.array([f.values for f in traj.U])
         np.save(wdir / "U.npy", u)
         iters = [r.inner_iters for r in traj.reports]
         fy = max(r.fy_gap for r in traj.reports)
-        line = f"{name:<12} {code:>4} {sum(iters):>11} {max(iters):>8} {fy:>10.3e}"
+        line = (f"{name:<12} {code:>4} {sum(iters):>11} {max(iters):>8} {fy:>10.3e}"
+                f" {_penalty(start):>10} {_penalty(traj.reports[-1].penalty):>10}")
         if other and not (other / name / "U.npy").exists():
             line += "  (no stepped run in OTHER)"
         elif other:

@@ -79,6 +79,10 @@ class SymBand:
         return float(scipy.linalg.eigvals_banded(self.band, select="i", select_range=(i, i))[0])
 
     @cached_property
+    def min_eig(self) -> float:
+        return self.eigenvalue(0)
+
+    @cached_property
     def max_eig(self) -> float:
         return self.eigenvalue(self.band.shape[1] - 1)
 
@@ -687,6 +691,19 @@ _CHECK_EVERY = 4
 _RELAX = 1.6
 
 
+def start_penalty(prob: StepProblem, mtm: np.ndarray) -> float:
+    """The ADMM's first penalty, sqrt(lambda_min(Q) lambda_max(Q) /
+    (lambda_min(M^T M) lambda_max(M^T M))), mtm the band of M^T M and
+    lambda_max(M^T M) = op_norm^2.  Where Q and M^T M commute (p2: Q =
+    I/tau^2 + D^T D) it is the optimum 1/sqrt(lambda_min lambda_max) of
+    Q^-1 M^T M of Giselsson & Boyd, IEEE TAC 62 (2017) 532-544; elsewhere
+    it is the product of the eigenvalue bounds.  M must be injective, as
+    the Dirichlet gradient is."""
+    quad = prob.quad_op
+    mtm_bounds = SymBand(mtm).eigenvalue(0) * prob.op_norm**2
+    return float(np.sqrt(quad.min_eig * quad.max_eig / mtm_bounds))
+
+
 def solve_pd(prob: StepProblem, init, p0=None, beta=None):
     """Primal-dual splitting, meant for gradient-composite dissipation.
 
@@ -698,7 +715,8 @@ def solve_pd(prob: StepProblem, init, p0=None, beta=None):
     over-relaxed mu_r = alpha Mu + (1 - alpha) y in place of Mu, alpha =
     _RELAX (Eckstein & Bertsekas, Math. Program. 55 (1992) 293-318); since
     y = prox(mu_r + lam), p stays an exact subgradient of F at y, and the
-    certificate still charges the true Mu.  Residual balancing adapts beta;
+    certificate still charges the true Mu.  A cold start takes beta =
+    start_penalty(prob, band of M^T M); residual balancing adapts beta, and
     a warm-started solve passes the previous solve's final beta
     (PDReport.beta) with its multiplier p0.  The stop test (StepProblem)
     runs every _CHECK_EVERY iterations.  Returns (u, p, PDReport).
@@ -708,11 +726,11 @@ def solve_pd(prob: StepProblem, init, p0=None, beta=None):
     if pot.is_quadratic:
         return _solve_quadratic(prob)
 
-    lop = max(prob.op_norm, 1e-30)
-    if beta is None:
-        beta = np.sqrt(prob.strong_convexity * prob.quad_op.max_eig) / lop**2
-
     mu = prob.sites(u)
+    mtm = prob.gram(np.ones(mu.shape))
+    if beta is None:
+        beta = start_penalty(prob, mtm)
+
     lam = np.zeros(mu.shape) if p0 is None else np.asarray(p0, dtype=float) / beta
     y = pot.prox(1.0 / beta, mu + lam)
     p = beta * (mu + lam - y)
@@ -720,7 +738,6 @@ def solve_pd(prob: StepProblem, init, p0=None, beta=None):
     if gap <= prob.tol and prob.accept(u, p, r_h):
         return u, p, PDReport(0, gap, r_h, beta=beta)
     lam = lam + mu - y
-    mtm = prob.gram(np.ones(mu.shape))
     fac = prob.quad_op.factor_plus(beta * mtm)
     neg_lin = -prob.lin
     for k in range(1, prob.max_iter + 1):

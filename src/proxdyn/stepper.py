@@ -125,7 +125,8 @@ class StepReport:
     """Solver telemetry and the energy-dissipation terms of step n:
     tau = tau_n, the step's length; psi = Psi_{U^{n-1}}(V^n), psi_star =
     <eta^n, V^n>_h - psi + fy_gap, energy_rate = int dE_t(U^{n-1})/dt over
-    the step (exact), work = tau_n <S^n, V^n>_h.
+    the step (exact), work = tau_n <S^n, V^n>_h; penalty is the composite
+    solver's final penalty beta, None for separable and closed-form steps.
     """
 
     tau: float
@@ -138,6 +139,7 @@ class StepReport:
     psi_star: float
     energy_rate: float
     work: float
+    penalty: Optional[float]
 
 
 @dataclass(frozen=True)
@@ -320,6 +322,7 @@ def incremental_minimize(
         energy_rate=energy_rate,
         # S^n = f_avg^n - B^n = -zeta.
         work=tau * h_inner(-inp.zeta, v_vel, h),
+        penalty=rep.beta,
     )
     carry = (p_hat, rep.beta) if not separable else None
     return u_vals, eta, report, carry

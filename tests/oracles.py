@@ -19,6 +19,9 @@
   `lin_op`, with the band of M^T diag(w) M read from the matrix.
 * `gradient_matrix` assembles the forward difference D entry by entry,
   the reference for `grid.ForwardDifference`.
+* `admm_optimal_penalty` is Giselsson & Boyd's optimal ADMM penalty
+  from the dense generalized eigenproblem, the reference for
+  `convex.start_penalty`.
 * `dense_of` unpacks a `convex.SymBand` into the full symmetric matrix,
   and `band_of` packs a dense reference matrix into one.
 * `defect_shift` is the quad_shift that gives an energy
@@ -35,6 +38,7 @@
 """
 
 import numpy as np
+import scipy.linalg
 
 from proxdyn.convex import PDReport, SymBand, _certificate
 from proxdyn.core import energy_grad, energy_total
@@ -139,6 +143,14 @@ def gradient_matrix(grid):
         if e < m:
             d[e, e] += inv
     return d
+
+
+def admm_optimal_penalty(quad, mtm):
+    """1/sqrt(lambda_min lambda_max) over the eigenvalues of Q^-1 M^T M, Q
+    and M^T M dense, from scipy.linalg.eigh(M^T M, Q): the optimal penalty
+    of Giselsson & Boyd, IEEE TAC 62 (2017) 532-544."""
+    w = scipy.linalg.eigh(mtm, quad, eigvals_only=True)
+    return float(1.0 / np.sqrt(w[0] * w[-1]))
 
 
 def second_diff_clamped(grid):

@@ -14,8 +14,10 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from proxdyn import convex
 from proxdyn.cli import (
     _write_csv,
+    build_problem,
     main,
     parse_config,
     parse_config_dict,
@@ -690,18 +692,36 @@ class TestWorkloadOutputs:
 
         script = load_script(monkeypatch, "workload_outputs")
         config = {"model": "linear_wave", "tau": 0.25, "n_nodes": 9}
+        composite = {"model": "p2", "q": 1.5, "n_nodes": 9, "tau": 1 / 16, "horizon": 0.125}
         monkeypatch.setattr(script, "WORKLOADS", {
             "ok": SimpleNamespace(config=config),
             "bad": SimpleNamespace(config=config),
+            "admm": SimpleNamespace(config=composite),
         })
         # A file where the output directory should be: run_and_emit exits
         # 2 before it steps.
         (tmp_path / "bad").write_text("")
+        starts = []
+        start_penalty = convex.start_penalty
+
+        def recording_start(*args):
+            starts.append(start_penalty(*args))
+            return starts[-1]
+
+        monkeypatch.setattr(convex, "start_penalty", recording_start)
         monkeypatch.setattr(sys, "argv", ["workload_outputs.py", str(tmp_path)])
         assert script.main() == 1
         lines = capsys.readouterr().out.splitlines()
-        assert lines[1].split()[:2] == ["ok", "0"]
-        assert lines[2].split() == ["bad", "2", "-", "-", "-"]
+        assert lines[0].split()[-2:] == ["beta_start", "beta_end"]
+        # linear_wave's closed-form steps have no penalty.
+        assert lines[1].split()[:2] == ["ok", "0"] and lines[1].split()[-2:] == ["-", "-"]
+        assert lines[2].split() == ["bad", "2"] + ["-"] * 5
+        # The ADMM run prints its first start and its last step's penalty.
+        admm = lines[3].split()
+        assert admm[:2] == ["admm", "0"] and len(starts) == 1
+        assert float(admm[-2]) == pytest.approx(starts[0], rel=1e-3)
+        traj = run(build_problem(parse_config_dict(composite))[0], 1 / 16)
+        assert float(admm[-1]) == pytest.approx(traj.reports[-1].penalty, rel=1e-3)
 
     def test_summary_column(self, tmp_path, monkeypatch, capsys):
         from types import SimpleNamespace

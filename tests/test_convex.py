@@ -27,14 +27,18 @@ from proxdyn.convex import (
     edge_conjugate_pair,
     solve_pd,
     solve_prox_gradient,
+    start_penalty,
 )
+from proxdyn.grid import ForwardDifference, SpatialGrid
 from proxdyn.models import P1Params, P2Params, P3Params, build_p1, build_p2, build_p3
 from proxdyn.stepper import run
 
 from oracles import (
     DenseSiteOp,
+    admm_optimal_penalty,
     band_of,
     conjugate_numeric,
+    gradient_matrix,
     objective,
     prox_gradient_reference,
     scalar_potential,
@@ -287,6 +291,32 @@ class TestSolvePD:
         dual = -0.5 * float(w @ np.linalg.solve(q_mat, w)) - pot.conjugate_sum(p)
         assert primal - dual >= -1e-12
         assert primal - dual <= 1e-9
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m=st.integers(2, 130),
+        c=st.floats(1e-3, 1e6),
+        k=st.floats(0.0, 1e3),
+    )
+    def test_cold_start_is_the_optimal_penalty_of_a_commuting_pencil(self, m, c, k):
+        # Q = c I + k D^T D commutes with D^T D, so the start is Giselsson
+        # & Boyd's optimum exactly.  Zero data returns before the first
+        # iteration, so the report's penalty is the start.
+        grid = SpatialGrid(m + 2, 1.0 / (m + 1))
+        d = gradient_matrix(grid)
+        dtd = d.T @ d
+        quad = c * np.eye(m) + k * dtd
+        pot = SitePotential(np.full(m + 1, 0.5), np.full(m + 1, 1.0), 1.5,
+                            np.zeros(m + 1), np.zeros(m + 1))
+        prob = StepProblem(
+            quad_op=band_of(quad), lin=np.zeros(m), lin_op=ForwardDifference(m, grid.h),
+            nonsmooth=pot, h=grid.h, strong_convexity=c,
+            op_norm=np.sqrt(np.linalg.eigvalsh(dtd)[-1]),
+        )
+        u, p, rep = solve_pd(prob, np.zeros(m))
+        assert rep.iterations == 0
+        assert rep.beta == start_penalty(prob, prob.gram(np.ones(m + 1)))
+        assert rep.beta == pytest.approx(admm_optimal_penalty(quad, dtd), rel=1e-10)
 
     @pytest.mark.parametrize("q, k4", [(1.5, 0.0), (3.0, 0.0), (2.0, 0.7)])
     def test_multiplier_is_a_subgradient_at_every_return(self, q, k4):
