@@ -272,11 +272,8 @@ def run_and_emit(cfg: RunConfig) -> int:
 
     lam = spec.energy.lambda_conv
     summary = {"config": cfg.to_dict(), "lambda_conv": lam, "tau_max": tau_max(spec)}
-    failures = []
     try:
-        traj = stepper.run(
-            spec, cfg.tau, inner_tol=cfg.inner_tol
-        )
+        return _run_and_write(cfg, spec, out, summary, t_start)
     except ProxdynError as exc:
         summary["error"] = str(exc)
         summary["invariants_passed"] = False
@@ -285,6 +282,14 @@ def run_and_emit(cfg: RunConfig) -> int:
         print(f"run failed: {exc}", file=sys.stderr)
         return 1
 
+
+def _run_and_write(cfg: RunConfig, spec, out: Path, summary: dict, t_start: float) -> int:
+    """The run, its checks, the refinement study and the outputs of
+    `run_and_emit`; a ProxdynError raised anywhere here (a failed step, at
+    tau or at a refined tau, or a failed user callable in the assumption
+    checks) is the caller's run failure."""
+    failures = []
+    traj = stepper.run(spec, cfg.tau, inner_tol=cfg.inner_tol)
     records = diagnostics.edi_scan(spec, traj)
     if not all(r.passed for r in records):
         worst = max(records, key=lambda r: r.residual - r.tol)

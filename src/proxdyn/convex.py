@@ -32,7 +32,8 @@ the point with its multiplier.
 The kernel's scalar roots take one of two root finders, elementwise: the
 power-law root w s + g s^(q-1) = t (`_power_solve`, the prox and the edge
 conjugate) is convex in s^(q-1) for q < 2 and in s for q > 2, and a
-monotone Newton from an upper bound solves it without a bracket
+monotone Newton from an upper bound, or from one Newton step off a guess
+such as the ADMM's previous prox output, solves it without a bracket
 (`_monotone_newton`); the two roots whose functions are not convex, the
 quartic branch and the cokernel shift of the composite conjugate, take the
 bracketed Newton-bisection (`_newton_bisect`).  Both raise MaxIterExceeded
@@ -176,21 +177,45 @@ def _newton_bisect(fun, lo, hi):
     raise MaxIterExceeded(f"Newton-bisection stalled after {_ROOT_MAX_ITER} iterations", best=x)
 
 
-def _monotone_newton(fun, x):
-    """Root of a convex increasing function, elementwise, from a start x at
-    or above it: fun(x) returns (f(x), f'(x)).
+def _monotone_newton(fun, x, c=math.inf, start=None):
+    """Root of a convex increasing function on x > 0, elementwise, from a
+    start x at or above it: fun(x) returns (f(x), f'(x)).
 
     From above the root Newton's iterates fall to it monotonically and need
     no bracket (Ortega & Rheinboldt, Iterative Solution of Nonlinear
     Equations in Several Variables, 1970, Sec. 13.3); x <- min(x, x - f/f')
-    keeps rounding from lifting an iterate.  Stops when no entry falls by
-    more than _ROOT_RTOL relative; monotone iterates cannot cycle.
-    MaxIterExceeded after _ROOT_MAX_ITER iterations (a NaN never stops).
+    keeps rounding from lifting an iterate.  A guess start >= 0 (NaN where
+    there is none), capped at x, takes one Newton step first, whose landing
+    lies at or above the root by convexity and replaces x where it is
+    lower.  Rounding can leave that landing a few ulp below the root, so
+    the next step is not held down; a rise there stops the iteration.
+
+    Stops when no entry falls by more than _ROOT_RTOL relative, or, given
+    f''/f' <= c/x on the way, when Newton's quadratic error bound proves
+    the next fall below that: a fall of rho x_new from x bounds the next
+    one by (c/2) rho^2 (1 + rho)^c x_new (Taylor at x, then
+    f'(xi)/f'(x_new) <= (xi/x_new)^c), so 2 c rho^2 <= _ROOT_RTOL with
+    c rho <= 1/2 leaves it below 0.41 _ROOT_RTOL x_new, and x_new is the
+    point the plain stop returns one evaluation later, to that fall.  Falls
+    above half the point do not stop, so that the last step's own rounding
+    stays a few ulp (c = 0, a linear function, stops on the first such
+    fall).  Monotone iterates cannot cycle.  MaxIterExceeded after
+    _ROOT_MAX_ITER iterations (a NaN never stops).
     """
+    bound = math.sqrt(_ROOT_RTOL / (2.0 * c)) if c > 0.0 else math.inf
+    tol = min(max(bound, _ROOT_RTOL), 0.5)
+    held = start is None
+    if not held:
+        start = np.fmin(start, x)
+        f, df = fun(start)
+        x = np.fmin(x, start - f / df)
     for _ in range(_ROOT_MAX_ITER):
         f, df = fun(x)
-        x_new = np.minimum(x, x - f / df)
-        if (x - x_new <= _ROOT_RTOL * x_new).all():
+        x_new = x - f / df
+        if held:
+            x_new = np.minimum(x, x_new)
+        held = True
+        if (x - x_new <= tol * x_new).all():
             return x_new
         x = x_new
     raise MaxIterExceeded(f"monotone Newton stalled after {_ROOT_MAX_ITER} iterations", best=x)
@@ -212,9 +237,11 @@ def _power_polish(k, g, q, t):
 
 
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
-def _power_solve(w, g, q, t):
+def _power_solve(w, g, q, t, start=None):
     """Root s >= 0 of w s + g s^(q-1) = t for t > 0, elementwise; g and t
-    are arrays of one shape, w is a scalar or an array of that shape.
+    are arrays of one shape, w is a scalar or an array of that shape, and
+    start, if given, an array of that shape of guesses >= 0 (NaN or inf
+    where there is none).
 
     Closed forms when g = 0 or w = 0 (infinite when both vanish).
     Otherwise `_monotone_newton` solves the equation in the variable in
@@ -222,45 +249,63 @@ def _power_solve(w, g, q, t):
     r = 1/(q-1) and s = y^r, and s itself for q > 2 (q = 2 never arrives:
     `SitePotential` folds g into w2).  It starts at the bound at which
     either term alone reaches t, min(t/w, k) with k = (t/g)^r, which in the
-    convex variable is within a factor 2 of the root; where that bound
-    overflows the root is left at inf.  For q > 2, where t/g overflows (a
-    subnormal g), k is taken from the exponents of t and g, and the root
-    is k x, with x the root of (w k/t) x + x^(q-1) = 1.  Where k is the
-    root (w = 0) or that unit, `_power_polish` refines it.
+    convex variable is within a factor 2 of the root, or one Newton step
+    from start where that lands lower; where the bound overflows the root
+    is left at inf.  For q > 2, where t/g overflows (a subnormal g), k is
+    taken from the exponents of t and g, and the root is k x, with x the
+    root of (w k/t) x + x^(q-1) = 1.  Where k is the root (w = 0) or that
+    unit, `_power_polish` refines it.  When every w and g is positive and
+    t/w and, for q > 2, k are finite (the prox's call), every site takes
+    the Newton root and none of these cases is looked for.
     """
     r = 1.0 / (q - 1.0)
-    k = (t / g) ** r
-    polish = w == 0.0
-    tiny = None
-    if q > 2.0:
-        over = np.isinf(k) & (g > 0.0)
-        if over.any():
-            # k = ((mt/mg) 2^(et-eg))^r from the mantissas and exponents of
-            # t and g, so a subnormal g loses no digits and the power of 2
-            # overflows only with k.
-            mt, et = np.frexp(t[over])
-            mg, eg = np.frexp(g[over])
-            x = (et - eg) * r
-            xi = np.floor(x)
-            k[over] = np.ldexp((mt / mg) ** r * 2.0 ** (x - xi), xi.astype(int))
-            tiny = over
-            polish = polish | over
-    if np.any(polish):
-        k = np.where(polish, _power_polish(k, g, q, t), k)
-    s = np.minimum(t / w, k)
-    both = (w > 0.0) & (g > 0.0) & np.isfinite(s)
-    if tiny is not None:
-        # g s^(q-1) overflows near the root before g scales it down unless
-        # w k/t does (then s < 1 at the root); solve in units of k.
-        c = w * (k / t)
-        tiny &= both & np.isfinite(c)
-        ones = np.ones(np.count_nonzero(tiny))
-        s[tiny] = k[tiny] * _power_solve(c[tiny], ones, q, ones)
-        both &= ~tiny
-    if not both.any():
-        return s
-    wb = w[both] if np.ndim(w) else w
-    gb, tb = g[both], t[both]
+    tw = t / w
+    k = None if q < 2.0 else (t / g) ** r
+    every = (
+        (w > 0.0 if np.ndim(w) == 0 else (w > 0.0).all())
+        and g.all() and _all_finite(tw) and (k is None or _all_finite(k))
+    )
+    if every:
+        wb, gb, tb, twb, sb = w, g, t, tw, start
+        if k is not None:
+            s0 = np.minimum(tw, k)
+    else:
+        if k is None:
+            k = (t / g) ** r
+        polish = w == 0.0
+        tiny = None
+        if q > 2.0:
+            over = np.isinf(k) & (g > 0.0)
+            if over.any():
+                # k = ((mt/mg) 2^(et-eg))^r from the mantissas and
+                # exponents of t and g, so a subnormal g loses no digits and
+                # the power of 2 overflows only with k.
+                mt, et = np.frexp(t[over])
+                mg, eg = np.frexp(g[over])
+                x = (et - eg) * r
+                xi = np.floor(x)
+                k[over] = np.ldexp((mt / mg) ** r * 2.0 ** (x - xi), xi.astype(int))
+                tiny = over
+                polish = polish | over
+        if np.any(polish):
+            k = np.where(polish, _power_polish(k, g, q, t), k)
+        s = np.minimum(tw, k)
+        both = (w > 0.0) & (g > 0.0) & np.isfinite(s)
+        if tiny is not None:
+            # g s^(q-1) overflows near the root before g scales it down
+            # unless w k/t does (then s < 1 at the root); solve in units of
+            # k.
+            c = w * (k / t)
+            tiny &= both & np.isfinite(c)
+            ones = np.ones(np.count_nonzero(tiny))
+            s[tiny] = k[tiny] * _power_solve(c[tiny], ones, q, ones)
+            both &= ~tiny
+        if not both.any():
+            return s
+        wb = w[both] if np.ndim(w) else w
+        gb, tb, twb = g[both], t[both], tw[both]
+        sb = None if start is None else start[both]
+        s0 = s[both]
     if q < 2.0:
         wr = wb * r
 
@@ -268,13 +313,16 @@ def _power_solve(w, g, q, t):
             p = y ** (r - 1.0)
             return wb * p * y + gb * y - tb, wr * p + gb
 
-        y = _monotone_newton(fun, np.minimum((tb / wb) ** (q - 1.0), tb / gb))
+        y = _monotone_newton(
+            fun, np.minimum(twb ** (q - 1.0), tb / gb), r - 1.0,
+            None if sb is None else sb ** (q - 1.0),
+        )
         # y^r carries r times the rounding of y.  Where the w-term holds at
         # least half of t, (t - g y)/w cancels at most one bit and is the
         # root to a few ulp.
         gy = gb * y
         s_w = (tb - gy) / wb
-        s[both] = np.where((gy <= 0.5 * tb) & np.isfinite(s_w), s_w, y**r)
+        root = np.where((gy <= 0.5 * tb) & np.isfinite(s_w), s_w, y**r)
     else:
         gq = gb * (q - 1.0)
 
@@ -282,7 +330,10 @@ def _power_solve(w, g, q, t):
             p = x ** (q - 2.0)
             return wb * x + gb * p * x - tb, wb + gq * p
 
-        s[both] = _monotone_newton(fun, s[both])
+        root = _monotone_newton(fun, s0, q - 2.0, sb)
+    if every:
+        return root
+    s[both] = root
     return s
 
 
@@ -315,7 +366,8 @@ class SitePotential:
         self._sigma_memo = (None, None)
         if self.k4 > 0.0:
             # The cubic's sigma-free subexpressions, each evaluated as its
-            # formula does (scalars as 0-d arrays, see _cubic_consts).
+            # formula does (scalars as 0-d arrays, which numpy combines with
+            # arrays without converting a Python float each time).
             c = self.shift
             self._a3 = np.array(4.0 * self.k4)
             self._k12 = np.array(12.0 * self.k4)
@@ -323,7 +375,6 @@ class SitePotential:
             self._c3 = 4.0 * self.k4 * c**3
             self._k12c2 = 12.0 * self.k4 * c**2
             self._off3x2 = 2.0 * self._off**3
-            self._neg_a = -self.a
 
     @property
     def is_quadratic(self) -> bool:
@@ -361,8 +412,14 @@ class SitePotential:
             out += self.k4 * float((y**4).sum())
         return out
 
-    def prox(self, sigma: float, z):
-        """argmin (1/(2 sigma))(y - z)^2 + f(y), elementwise exact."""
+    def prox(self, sigma: float, z, start=None):
+        """argmin (1/(2 sigma))(y - z)^2 + f(y), elementwise exact.
+
+        start, a guess of the output such as the previous prox output of an
+        iteration, only speeds up the power-law root: |start - shift| starts
+        it on the active sites (`_power_solve`), and the output does not
+        depend on it beyond that root's stop.
+        """
         z = np.asarray(z, dtype=float)
         if self.k4 == 0.0:
             den, sa, sg = self._power_consts(sigma)
@@ -370,8 +427,11 @@ class SitePotential:
             m = np.abs(d_in) - sa
             d = np.zeros_like(d_in)
             active = m > 0.0
-            if np.any(active):
-                d[active] = np.sign(d_in[active]) * _power_solve(1.0, sg[active], self.q, m[active])
+            if active.any():
+                guess = None if start is None else np.abs(start - self.shift)[active]
+                d[active] = np.sign(d_in[active]) * _power_solve(
+                    1.0, sg[active], self.q, m[active], guess
+                )
             return self.shift + d
         return self._prox_quartic(sigma, z)
 
@@ -388,24 +448,23 @@ class SitePotential:
     def _prox_quartic(self, sigma: float, z):
         """Branch-wise monotone root find for the quartic-augmented prox;
         at most one branch is taken per site, so one root solve serves both."""
-        zc = z - self.shift
-        zs = zc / sigma
+        zs = (z - self.shift) / sigma
         # The branch derivative at d = 0, where the power term vanishes, is
-        # base + sgn * a.
+        # base + sgn * a, so the branch sgn = -sign(base) is taken where
+        # |base| > a, and d = 0 elsewhere.
         base = self._c3 - zs
-        take_pos = base + self.a < 0.0
-        take_neg = base - self.a > 0.0
+        sa = -np.copysign(self.a, base)
         if self._no_power:
-            d = self._cubic_root(sigma, zc, zs, np.where(take_pos, self.a, self._neg_a))
+            d = self._cubic_root(sigma, base + sa, sa - zs)
             # The closed form overflows to nan where k4 is tiny against
             # 1/sigma (k4 ~ 1e-300 and below); the root search takes those
             # sites.
             if not _all_finite(d):
-                sgn = np.where(take_pos, 1.0, -1.0)
+                sgn = -np.copysign(1.0, base)
                 d = np.where(np.isfinite(d), d, self._branch_root(sigma, z, sgn))
         else:
-            d = self._branch_root(sigma, z, np.where(take_pos, 1.0, -1.0))
-        return self.shift + np.where(take_pos | take_neg, d, 0.0)
+            d = self._branch_root(sigma, z, -np.copysign(1.0, base))
+        return self.shift + np.where(np.abs(base) > self.a, d, 0.0)
 
     def _power_consts(self, sigma: float):
         """(1 + sigma w2, sigma_eff a, sigma_eff g), sigma_eff = sigma/(1 +
@@ -421,11 +480,10 @@ class SitePotential:
         return consts
 
     def _cubic_consts(self, sigma: float):
-        """(sigma, 1/sigma + w2, the sigma part of the depressed constant
-        term, -2 sqrt(p/3), p sqrt(p/3)), kept in one slot keyed on sigma,
-        which the ADMM changes only when residual balancing rescales its
-        penalty.  sigma is returned as a 0-d array, which numpy combines
-        with arrays without converting a Python float each time."""
+        """(1/sigma + w2, the sigma part of the depressed constant term,
+        -2 sqrt(p/3), p sqrt(p/3)), kept in one slot keyed on sigma, which
+        the ADMM changes only when residual balancing rescales its
+        penalty."""
         key, consts = self._sigma_memo
         if key is None or key != sigma:
             with np.errstate(over="ignore", invalid="ignore"):
@@ -433,35 +491,31 @@ class SitePotential:
                 a1 = ws + self._k12c2
                 p = ws / self._a3
                 sq = np.sqrt(p / 3.0)
-                consts = (
-                    np.array(sigma), ws, self._off3x2 - a1 * self._off / self._a3,
-                    -2.0 * sq, p * sq,
-                )
+                consts = (ws, self._off3x2 - a1 * self._off / self._a3, -2.0 * sq, p * sq)
             self._sigma_memo = (sigma, consts)
         return consts
 
-    def _cubic_root(self, sigma: float, zc, zs, sa):
+    def _cubic_root(self, sigma: float, a0, c0):
         """Closed-form root of the g = 0 branch derivative (monotone cubic)
-        on the branch sign(d) = sgn, given zc = z - c, zs = zc / sigma and
-        sa = sgn * a, with sgn = +-1 per site.
+        ws d + 4 k4 (c + d)^3 + c0 on the branch sign(d) = sgn, given its
+        value a0 = 4 k4 c^3 + c0 at d = 0, c0 = sgn a - (z - c)/sigma and
+        ws = 1/sigma + w2, with sgn = +-1 per site.
 
-        The cubic 4 k4 d^3 + 12 k4 c d^2 + (1/sigma + w2 + 12 k4 c^2) d + A0
-        is strictly increasing, so its depressed form t^3 + p t + q has
-        p = a1/a3 - 3 off^2 = (1/sigma + w2)/(4 k4) > 0 and the stable
-        single-root hyperbolic formula applies.  Where k4 is tiny against
-        1/sigma it overflows, by design, to nan, silently.
+        The cubic 4 k4 d^3 + 12 k4 c d^2 + (ws + 12 k4 c^2) d + a0 is
+        strictly increasing, so its depressed form t^3 + p t + q has
+        p = a1/a3 - 3 off^2 = ws/(4 k4) > 0 and the stable single-root
+        hyperbolic formula applies; two Newton steps polish it.  Where k4
+        is tiny against 1/sigma it overflows, by design, to nan, silently.
         """
-        sigma, ws, q_sigma, m2sq, psq = self._cubic_consts(sigma)
+        ws, q_sigma, m2sq, psq = self._cubic_consts(sigma)
         with np.errstate(over="ignore", invalid="ignore"):
-            a0 = self._c3 + sa - zs
             q = q_sigma + a0 / self._a3
             t = m2sq * np.sinh(np.arcsinh(1.5 * q / psq) / 3.0)
             d = t - self._off
             for _ in range(2):
                 y = self.shift + d
-                f = (d - zc) / sigma + self.w2 * d + self._a3 * y**3 + sa
-                df = ws + self._k12 * y**2
-                d = d - f / df
+                y2 = y * y
+                d = d - (ws * d + self._a3 * y2 * y + c0) / (ws + self._k12 * y2)
         return d
 
     def _branch_root(self, sigma: float, z, sgn):
@@ -666,11 +720,12 @@ def _certificate(prob: StepProblem, r, breg: float = 0.0):
     return gap, float(np.sqrt(prob.h * rr))
 
 
-def _certify_admm(prob: StepProblem, u, mu, y, p):
-    """Certificate at (u, y, p), mu = M u, with p in dF(y) exactly: the
-    Bregman term F(Mu) - F(y) - <p, Mu - y> is nonnegative by convexity and
-    vanishes with the splitting feasibility gap Mu - y."""
-    breg = prob.nonsmooth.value(mu) - prob.nonsmooth.value(y) - float(p @ (mu - y))
+def _certify_admm(prob: StepProblem, u, mu, y, p, mu_y):
+    """Certificate at (u, y, p), mu = M u and mu_y = mu - y, with p in
+    dF(y) exactly: the Bregman term F(Mu) - F(y) - <p, Mu - y> is
+    nonnegative by convexity and vanishes with the splitting feasibility
+    gap Mu - y."""
+    breg = prob.nonsmooth.value(mu) - prob.nonsmooth.value(y) - float(p @ mu_y)
     return _certificate(prob, prob.smooth_full_grad(u) + prob.adjoint(p), breg)
 
 
@@ -734,7 +789,7 @@ def solve_pd(prob: StepProblem, init, p0=None, beta=None):
     lam = np.zeros(mu.shape) if p0 is None else np.asarray(p0, dtype=float) / beta
     y = pot.prox(1.0 / beta, mu + lam)
     p = beta * (mu + lam - y)
-    gap, r_h = _certify_admm(prob, u, mu, y, p)
+    gap, r_h = _certify_admm(prob, u, mu, y, p, mu - y)
     if gap <= prob.tol and prob.accept(u, p, r_h):
         return u, p, PDReport(0, gap, r_h, beta=beta)
     lam = lam + mu - y
@@ -745,16 +800,17 @@ def solve_pd(prob: StepProblem, init, p0=None, beta=None):
         mu = prob.sites(u)
         y_old = y
         mu_r = _RELAX * mu + (1.0 - _RELAX) * y_old
-        y = pot.prox(1.0 / beta, mu_r + lam)
+        y = pot.prox(1.0 / beta, mu_r + lam, start=y_old)
         lam = lam + mu_r - y
 
         if k % _CHECK_EVERY == 0 or k == prob.max_iter:
             p = beta * lam
-            gap, r_h = _certify_admm(prob, u, mu, y, p)
+            mu_y = mu - y
+            gap, r_h = _certify_admm(prob, u, mu, y, p, mu_y)
             if gap <= prob.tol and prob.accept(u, p, r_h):
                 return u, p, PDReport(k, gap, r_h, beta=beta)
             # Residual balancing keeps primal and dual progress comparable.
-            r_prim = float(np.linalg.norm(mu - y))
+            r_prim = math.sqrt(float(mu_y @ mu_y))
             r_dual = beta * float(np.linalg.norm(prob.adjoint(y - y_old)))
             if r_prim > 10.0 * r_dual and beta < 1e12:
                 beta *= 2.0
@@ -765,7 +821,7 @@ def solve_pd(prob: StepProblem, init, p0=None, beta=None):
                 lam *= 2.0
                 fac = prob.quad_op.factor_plus(beta * mtm)
 
-    gap = _certify_admm(prob, u, mu, y, beta * lam)[0]
+    gap = _certify_admm(prob, u, mu, y, beta * lam, mu - y)[0]
     raise MaxIterExceeded(
         f"primal-dual solve stalled after {prob.max_iter} iterations "
         f"(gap {gap:.3e}, target {prob.tol:.3e})",

@@ -76,6 +76,7 @@ _GAUSS_W = np.array(
 DEFAULT_INNER_TOL = 1e-9
 DEFAULT_MAX_ITER = 50_000
 _FY_FLOOR_ULPS = 4.0  # the FY gap's rounding floor, in ulp of its terms' sum
+_STALL_TESTS = 2  # tests in a row at which a bound within its floor does not fall
 _EPS = np.finfo(float).eps
 
 
@@ -214,8 +215,9 @@ def incremental_minimize(
     Raises StepSizeTooLarge if tau breaks `core.check_step`'s rule and
     InnerSolverFailed (carrying the best iterate) if the inner solve or
     the exact conjugate's root stalls, if the gap is above 10 inner_tol or
-    not finite, or at once if a gap above 9 inner_tol stops falling within
-    its rounding floor, _FY_FLOOR_ULPS ulp of |Psi| + |Psi*| + |<eta, V>_h|.
+    not finite, or as soon as a gap above 9 inner_tol stops falling within
+    its rounding floor, _FY_FLOOR_ULPS ulp of |Psi| + |Psi*| + |<eta, V>_h|,
+    for _STALL_TESTS tests in a row.
     """
     tau = inp.tau
     gamma = check_step(spec, tau)
@@ -270,15 +272,19 @@ def incremental_minimize(
 
     # A NaN bound stops the solve too, and fails the step below.  On nodes
     # the bound is the gap itself, so the accepted point's certificate is
-    # kept.  A converging bound crosses its rounding floor on its way down;
-    # one that stops falling there fails the step at once.
-    accepted = {}
+    # kept.  A converging bound crosses its rounding floor on its way down,
+    # in steps of its rounding, so it may hold its value at one test; one
+    # that stops falling there for _STALL_TESTS tests in a row fails the
+    # step.
+    accepted = {"stalls": 0}
 
     def accept(u_vals, p, r_h):
-        last_fy = accepted["cert"][-2] if accepted else np.inf
+        last_fy = accepted["cert"][-2] if "cert" in accepted else np.inf
         accepted["u"], accepted["cert"] = u_vals, certify(u_vals, p, r_h, exact=False)
         fy, floor = accepted["cert"][-2:]
-        if 9.0 * inner_tol < fy <= floor and fy >= last_fy:
+        stalled = 9.0 * inner_tol < fy <= floor and fy >= last_fy
+        accepted["stalls"] = accepted["stalls"] + 1 if stalled else 0
+        if accepted["stalls"] >= _STALL_TESTS:
             raise InnerSolverFailed(
                 f"Fenchel-Young gap {fy:.3e} above 9 inner_tol stalls within its rounding floor "
                 f"{floor:.3e} ({_FY_FLOOR_ULPS:g} ulp of |Psi| + |Psi*| + |<eta, V>_h|)", best=u_vals)

@@ -306,6 +306,28 @@ class TestRunAndEmit:
         assert taus == [0.0625, 0.03125, 0.015625]
         assert len((tmp_path / "out" / "convergence.csv").read_text().splitlines()) == 4
 
+    def test_failed_refined_run_exits_one_with_a_summary(self, tmp_path, monkeypatch, capsys):
+        # A step that fails at a refined tau of the --halvings study is a
+        # run failure: exit 1 and a summary naming the error, not a
+        # traceback after the trajectory files.
+        from proxdyn import diagnostics
+
+        def fail_refined(spec, tau, **kwargs):
+            raise InnerSolverFailed(f"forced failure at tau {tau}", step_index=3)
+
+        monkeypatch.setattr(diagnostics, "run", fail_refined)
+        out = tmp_path / "out"
+        cfg = parse_config_dict(
+            {"model": "p3", "tau": 0.0625, "n_nodes": 9, "horizon": 0.25, "halvings": 1,
+             "out_dir": str(out)}
+        )
+        assert run_and_emit(cfg) == 1
+        summary = strict_json(out / "summary.json")
+        assert summary["invariants_passed"] is False
+        assert "forced failure at tau 0.03125" in summary["error"]
+        assert "run failed: forced failure" in capsys.readouterr().err
+        assert not (out / "convergence.csv").exists()
+
     def test_seventeen_digit_serialization(self, tmp_path):
         cfg = parse_config_dict(
             {"model": "linear_wave", "tau": 0.125, "out_dir": str(tmp_path / "out"),
@@ -431,7 +453,11 @@ class TestRunAndEmit:
 # exact composite conjugate's root stalled.  R7 (draw 18 of the p1/p2/p3
 # sweep at seed 7) has a composite step whose Fenchel-Young bound passes
 # 3.4 ulp of its terms on its way under 9 inner_tol, so a rounding floor
-# that failed a step on the value alone would fail it.  Each must certify.
+# that failed a step on the value alone would fail it.  R8 (draw 10 of the
+# sweep at seed 7) has a composite step whose bound, within its floor,
+# falls in steps of its rounding and holds 1.746e-10 at two tests in a
+# row on its way under 9 inner_tol, so a stall rule of one test would fail
+# it.  Each must certify.
 _SWEEP_REPRODUCERS = {
     "R1": {"model": "p1", "n_nodes": 33, "tau": 0.0625, "horizon": 0.25, "mu": 0.2204,
            "nu": 0.2889, "alpha": 0.6559, "rho": 5.609, "u0_amplitude": 10.2315,
@@ -448,6 +474,9 @@ _SWEEP_REPRODUCERS = {
     "R7": {"model": "p1", "n_nodes": 5, "tau": 0.25 / 17, "horizon": 0.25, "mu": 0.2765269238971518,
            "nu": 0.2899584191844144, "alpha": 1.756375718836561, "rho": 1.4434513383142569,
            "u0_amplitude": 14.120510276629437, "inner_tol": 1e-11},
+    "R8": {"model": "p1", "n_nodes": 17, "tau": 0.25 / 6, "horizon": 0.25, "mu": 0.4007622373868393,
+           "nu": 0.27572001368801613, "alpha": 0.38492698993666474, "rho": 0.7177077873488837,
+           "u0_amplitude": 18.447139233849814, "inner_tol": 1e-11},
 }
 
 
@@ -488,11 +517,24 @@ def test_sweep_reproducer_r6_fails_at_the_rounding_floor(tmp_path):
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(seed=st.integers(0, 2**32 - 1))
 def test_sweep_draws_keep_the_exit_contract(seed, monkeypatch):
-    # Every config of the sweep's domain either certifies every step (exit
-    # 0, every FY gap <= 10 inner_tol), fails loudly with a typed error in
-    # summary.json (exit 1), or is refused with its key named (exit 2);
-    # anything else, a traceback included, fails the test.
     raw = load_script(monkeypatch, "config_sweep").draw_config(np.random.default_rng(seed))
+    assert_exit_contract(raw)
+
+
+@pytest.mark.slow
+def test_full_domain_sweep_keeps_the_exit_contract(monkeypatch):
+    # The draws of `config_sweep.py --seed 7 --draws 200`, in its order.
+    rng = np.random.default_rng(7)
+    draw_config = load_script(monkeypatch, "config_sweep").draw_config
+    for _ in range(200):
+        assert_exit_contract(draw_config(rng))
+
+
+def assert_exit_contract(raw):
+    """Every config of the sweep's domain either certifies every step (exit
+    0, every FY gap <= 10 inner_tol), fails loudly with a typed error in
+    summary.json (exit 1), or is refused with its key named (exit 2);
+    anything else, a traceback included, fails."""
     with tempfile.TemporaryDirectory() as out:
         try:
             cfg = parse_config_dict({**raw, "out_dir": out})
@@ -502,11 +544,11 @@ def test_sweep_draws_keep_the_exit_contract(seed, monkeypatch):
         code = run_and_emit(cfg)
         summary = strict_json(Path(out) / "summary.json")
         trajectory = (Path(out) / "trajectory.csv").read_text() if code == 0 else ""
-    assert code in (0, 1)
+    assert code in (0, 1), raw
     if code == 0:
         assert summary["invariants_passed"]
         fy = [float(row.split(",")[6]) for row in trajectory.splitlines()[1:]]
-        assert max(fy) <= 10.0 * raw["inner_tol"]
+        assert max(fy) <= 10.0 * raw["inner_tol"], raw
     else:
         assert not summary["invariants_passed"] and (summary.get("error") or summary.get("failures"))
 
