@@ -9,6 +9,7 @@ Usage:
 """
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -27,6 +28,15 @@ from proxdyn.models import (
 )
 from proxdyn.stepper import admissible_tau, run
 
+
+def positive_float(text: str) -> float:
+    """argparse type of --frac: a finite number > 0."""
+    value = float(text)
+    if not (value > 0.0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text}")
+    return value
+
+
 BUILDERS = {
     "p1": lambda n: build_p1(P1Params(n_nodes=n)),
     "p2": lambda n: build_p2(P2Params(n_nodes=n)),
@@ -39,7 +49,7 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--halvings", type=int, default=3)
     ap.add_argument("--n-nodes", type=int, default=65)
-    ap.add_argument("--frac", type=float, default=16.0,
+    ap.add_argument("--frac", type=positive_float, default=16.0,
                     help="starting step tau_max/frac")
     args = ap.parse_args()
 

@@ -8,6 +8,7 @@ Usage:
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -25,11 +26,19 @@ from proxdyn.core import tau_max
 from proxdyn.stepper import admissible_tau
 
 
+def positive_float(text: str) -> float:
+    """argparse type of --frac: a finite number > 0."""
+    value = float(text)
+    if not (value > 0.0 and math.isfinite(value)):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text}")
+    return value
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("model", choices=["p1", "p2", "p3", "linear_wave"])
     ap.add_argument("--tau", type=float, default=None)
-    ap.add_argument("--frac", type=float, default=8.0,
+    ap.add_argument("--frac", type=positive_float, default=8.0,
                     help="use tau = tau_max/frac when --tau is absent")
     ap.add_argument("--halvings", type=int, default=0)
     ap.add_argument("--n-nodes", type=int, default=65)

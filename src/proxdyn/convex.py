@@ -34,11 +34,12 @@ power-law root w s + g s^(q-1) = t (`_power_solve`, the prox and the edge
 conjugate) is convex in s^(q-1) for q < 2 and in s for q > 2, and a
 monotone Newton from an upper bound, or from one Newton step off a guess
 such as the ADMM's previous prox output, solves it without a bracket
-(`_monotone_newton`); the two roots whose functions are not convex, the
-quartic branch and the cokernel shift of the composite conjugate, take the
-bracketed Newton-bisection (`_newton_bisect`).  Both raise MaxIterExceeded
-at their cap.  The closed form (t/g)^(1/(q-1)) takes one Newton step with
-the exact q - 1 (`_power_polish`).
+(`_monotone_newton`); the quartic branch, whose function is not convex,
+takes the bracketed Newton-bisection (`_newton_bisect`).  Both raise
+MaxIterExceeded at their cap.  The closed form (t/g)^(1/(q-1)) takes one
+Newton step with the exact q - 1 (`_power_polish`).  The composite
+conjugate needs no root: `composite_conjugate` bounds it in closed form
+from a multiplier.
 
 Solvers work on plain ndarrays in the h-cancelled representation (the
 h-weighted pairing makes plain transposes adjoint, so h never appears in
@@ -136,8 +137,7 @@ _BRACKET_ULPS = 4
 
 def _newton_bisect(fun, lo, hi):
     """Root of an increasing function on a guaranteed bracket, elementwise,
-    for functions that are not convex (`SitePotential._branch_root`,
-    `composite_conjugate`).
+    for functions that are not convex (`SitePotential._branch_root`).
 
     fun(x) returns (f(x), f'(x)) with f(lo) <= 0 <= f(hi).  Starting at hi,
     each iterate shrinks the bracket by the sign of f; the Newton step is
@@ -318,10 +318,13 @@ def _power_solve(w, g, q, t, start=None):
             None if sb is None else sb ** (q - 1.0),
         )
         # y^r carries r times the rounding of y.  Where the w-term holds at
-        # least half of t, (t - g y)/w cancels at most one bit and is the
-        # root to a few ulp.
+        # least half of t, (t - g y)/w cancels at most one bit, but y solves
+        # the equation with r rounded, which moves it by about |ln y| eps;
+        # one Newton step in s with the exact q - 1, on the residual
+        # g s^(q-1) - g y, makes it the root to an ulp.
         gy = gb * y
         s_w = (tb - gy) / wb
+        s_w = s_w - (gb * s_w ** (q - 1.0) - gy) / (wb + (q - 1.0) * gy / s_w)
         root = np.where((gy <= 0.5 * tb) & np.isfinite(s_w), s_w, y**r)
     else:
         gq = gb * (q - 1.0)
@@ -632,38 +635,21 @@ def edge_conjugate_pair(a, w2, g, q, lam):
     return val, s
 
 
-def feasible_multiplier(h: float, eta, lam):
-    """The solution of D^T lam' = eta nearest to the edge field lam:
-    lam' = lam0 + mean(lam - lam0), lam0 = (0, -cumsum(h eta)).  Every
-    lam0 + t is feasible in `composite_conjugate`'s dual characterization,
-    so h sum_e f_e*(lam'_e) bounds Psi*(eta) from above in closed form."""
-    lam0 = np.concatenate([[0.0], -np.cumsum(h * eta)])
-    return lam0 + np.mean(lam - lam0)
+def composite_conjugate(pot: SitePotential, h: float, eta, lam):
+    """Upper bound of the conjugate of Psi(v) = h * sum_e f_e((Dv)_e) at a
+    nodal eta, for an unshifted edge potential pot without quartic, read in
+    closed form from an edge multiplier lam.
 
-
-def composite_conjugate(pot: SitePotential, h: float, eta):
-    """Exact conjugate of Psi(v) = h * sum_e f_e((Dv)_e) at a nodal eta, for
-    an unshifted edge potential pot without quartic.
-
-    Uses the dual characterization Psi*(eta) = h * min over edge fields
-    lam with D^T lam = eta of sum f_e*(lam_e); in 1D the constraint set
-    is a one-parameter family lam0 + t (ker D^T is the constants), so the
-    minimization is a scalar convex problem.  Its derivative
-    sum_e s*(lam0_e + t) increases in t, with slope sum_e 1/f_e''(s*_e)
-    over the edges where |lam0_e + t| > a_e; every s* is <= 0 at
-    t = min(-lam0 - a) and >= 0 at t = max(-lam0 + a), which brackets the
-    root for the Newton-bisection.
+    By the dual characterization Psi*(eta) = h * min over edge fields lam'
+    with D^T lam' = eta of sum_e f_e*(lam'_e) (Bauschke & Combettes,
+    Convex Analysis and Monotone Operator Theory, 2017); in 1D those lam'
+    are lam0 + t, lam0 = (0, -cumsum(h eta)) (ker D^T is the constants).
+    Any t bounds Psi*(eta) from above; t = mean(lam - lam0) takes the
+    feasible field nearest lam, so at a solver's multiplier the bound is
+    the exact conjugate to rounding.
     """
     lam0 = np.concatenate([[0.0], -np.cumsum(h * np.asarray(eta, dtype=float))])
-
-    def slope(t):
-        lam = lam0 + t
-        _, s = edge_conjugate_pair(pot.a, pot.w2, pot.g, pot.q, lam)
-        curv = pot.w2 + pot.g * (pot.q - 1.0) * np.abs(s) ** (pot.q - 2.0)
-        return np.sum(s), np.sum(np.where(np.abs(lam) > pot.a, 1.0 / curv, 0.0))
-
-    t_star = _newton_bisect(slope, np.min(-lam0 - pot.a), np.max(-lam0 + pot.a))
-    val, _ = edge_conjugate_pair(pot.a, pot.w2, pot.g, pot.q, lam0 + t_star)
+    val, _ = edge_conjugate_pair(pot.a, pot.w2, pot.g, pot.q, lam0 + np.mean(lam - lam0))
     return h * float(np.sum(val))
 
 

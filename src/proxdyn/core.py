@@ -8,7 +8,7 @@ The energy's operators are `convex.SymBand`s, which the builders assemble
 as bands; `EnergySpec` takes no other format.
 The dissipation Psi_u is one per-site kernel: DissipationSpec.potential(u)
 returns its `convex.SitePotential`, which every evaluation of Psi_u
-(`ProblemSpec.psi_value`), of its conjugate (`ProblemSpec.psi_conjugate`)
+(`ProblemSpec.psi_value`), of its conjugate (the stepper's certificate)
 and of the step potential uses.
 
 Specs are immutable after construction and safe to share across runs; all
@@ -24,7 +24,6 @@ from typing import Callable, Literal, Optional
 
 import numpy as np
 
-from . import convex
 from .convex import SitePotential, SymBand
 from .errors import ConfigError, EvalError, StepSizeTooLarge
 from .grid import (
@@ -265,14 +264,6 @@ class ProblemSpec:
     def psi_value(self, state: Field, v: np.ndarray) -> float:
         z = self.sites(np.asarray(v, dtype=float))
         return self.grid.h * self.dissipation.potential(state).value(z)
-
-    def psi_conjugate(self, pot: SitePotential, eta: np.ndarray) -> float:
-        """Psi*(eta) for Psi(v) = h * sum_site pot((Mv)_site), pot unshifted
-        and without quartic: per node in closed form, on edges by
-        `convex.composite_conjugate`; infinite for dry friction alone."""
-        if self.site_op is None:
-            return self.grid.h * pot.conjugate_sum(eta)
-        return convex.composite_conjugate(pot, self.grid.h, eta)
 
 
 def tau_max(spec: ProblemSpec) -> float:

@@ -204,20 +204,20 @@ def incremental_minimize(
     h-pairing except in the quartic energy coefficient, which carries it
     explicitly.  eta^n is the rearrangement of the discrete inclusion (it
     satisfies the equation identically); the Fenchel-Young gap measures
-    its distance from an exact subgradient, through
-    `ProblemSpec.psi_conjugate`; where that is infinite, the gap is
-    resid^2/(2 m_psi) (m_psi Psi's strong convexity), or |<eta^n, V^n>_h|
-    if m_psi = 0.  The inner solver runs once, and stops at the first point
-    whose own gap is at most inner_tol and whose Fenchel-Young gap, bounded
-    in closed form from the solver's multiplier
-    (`convex.feasible_multiplier`), is at most 9 inner_tol; the
-    reported gap is the exact one, at most that bound.
+    its distance from an exact subgradient, with Psi*(eta^n) in closed form
+    per node and, on edges, bounded from above in closed form from the
+    solver's multiplier (`convex.composite_conjugate`); where that is
+    infinite, the gap is resid^2/(2 m_psi) (m_psi Psi's strong convexity),
+    or |<eta^n, V^n>_h| if m_psi = 0.  The inner solver runs once, and
+    stops at the first point whose own gap is at most inner_tol and whose
+    Fenchel-Young gap is at most 9 inner_tol; that point's certificate is
+    the reported one.
     Raises StepSizeTooLarge if tau breaks `core.check_step`'s rule and
-    InnerSolverFailed (carrying the best iterate) if the inner solve or
-    the exact conjugate's root stalls, if the gap is above 10 inner_tol or
-    not finite, or as soon as a gap above 9 inner_tol stops falling within
-    its rounding floor, _FY_FLOOR_ULPS ulp of |Psi| + |Psi*| + |<eta, V>_h|,
-    for _STALL_TESTS tests in a row.
+    InnerSolverFailed (carrying the best iterate) if the inner solve
+    stalls, if the gap is above 10 inner_tol or not finite, or as soon as
+    a gap above 9 inner_tol stops falling within its rounding floor,
+    _FY_FLOOR_ULPS ulp of |Psi| + |Psi*| + |<eta, V>_h|, for _STALL_TESTS
+    tests in a row.
     """
     tau = inp.tau
     gamma = check_step(spec, tau)
@@ -243,13 +243,13 @@ def incremental_minimize(
     if not separable:
         m_psi *= spec.ops.lap_min_eig
 
-    def certify(u_vals, p, r_h, exact):
+    def certify(u_vals, p, r_h):
         """(eta^n, V^n, Psi(V^n), <eta^n, V^n>_h, FY gap, its rounding floor)
         at a candidate U^n with the solver's multiplier p and residual r_h;
-        eta^n = -grad(smooth Phi).  On edges Psi*(eta^n) is exact, or with
-        exact False bounded from p less the quartic's gradient.  Zero
-        dissipation (Psi* the indicator of {0}) has the gap |pairing|; the
-        floor is 0 where the gap is not the sum psi + conj - pairing."""
+        eta^n = -grad(smooth Phi).  On edges Psi*(eta^n) is bounded from p
+        less the quartic's gradient.  Zero dissipation (Psi* the indicator
+        of {0}) has the gap |pairing|; the floor is 0 where the gap is not
+        the sum psi + conj - pairing."""
         eta = -((u_vals - 2.0 * inp.v + inp.w) / tau**2 + energy_grad(spec, t_next, u_vals)
                 + inp.zeta)
         v_vel = (u_vals - inp.v) / tau
@@ -257,11 +257,11 @@ def incremental_minimize(
         pairing = h_inner(eta, v_vel, h)
         if pot.is_zero:
             return eta, v_vel, psi, pairing, abs(pairing), 0.0
-        if exact or separable:
-            conj = spec.psi_conjugate(psi_pot, eta)
+        if separable:
+            conj = h * psi_pot.conjugate_sum(eta)
         else:
-            lam = convex.feasible_multiplier(h, eta, p - 4.0 * pot.k4 * spec.sites(u_vals) ** 3)
-            conj = h * psi_pot.conjugate_sum(lam)
+            lam = p - 4.0 * pot.k4 * spec.sites(u_vals) ** 3
+            conj = convex.composite_conjugate(psi_pot, h, eta, lam)
         fy = psi + conj - pairing
         floor = _FY_FLOOR_ULPS * _EPS * (abs(psi) + abs(conj) + abs(pairing))
         if not np.isfinite(fy):
@@ -270,17 +270,16 @@ def incremental_minimize(
             fy, floor = (r_h**2 / (2.0 * m_psi) if m_psi > 0.0 else abs(pairing)), 0.0
         return eta, v_vel, psi, pairing, fy, floor
 
-    # A NaN bound stops the solve too, and fails the step below.  On nodes
-    # the bound is the gap itself, so the accepted point's certificate is
-    # kept.  A converging bound crosses its rounding floor on its way down,
-    # in steps of its rounding, so it may hold its value at one test; one
-    # that stops falling there for _STALL_TESTS tests in a row fails the
-    # step.
+    # A NaN bound stops the solve too, and fails the step below.  The
+    # accepted point's certificate is the step's.  A converging bound
+    # crosses its rounding floor on its way down, in steps of its rounding,
+    # so it may hold its value at one test; one that stops falling there
+    # for _STALL_TESTS tests in a row fails the step.
     accepted = {"stalls": 0}
 
     def accept(u_vals, p, r_h):
         last_fy = accepted["cert"][-2] if "cert" in accepted else np.inf
-        accepted["u"], accepted["cert"] = u_vals, certify(u_vals, p, r_h, exact=False)
+        accepted["u"], accepted["cert"] = u_vals, certify(u_vals, p, r_h)
         fy, floor = accepted["cert"][-2:]
         stalled = 9.0 * inner_tol < fy <= floor and fy >= last_fy
         accepted["stalls"] = accepted["stalls"] + 1 if stalled else 0
@@ -297,19 +296,18 @@ def incremental_minimize(
     )
     warm = inp.v if warm is None else warm
     p_hat, beta = dual_warm if dual_warm is not None else (None, None)
-    u_vals = None
     try:
         if separable:
             u_vals, p_hat, rep = convex.solve_prox_gradient(prob, warm)
         else:
             u_vals, p_hat, rep = convex.solve_pd(prob, warm, p0=p_hat, beta=beta)
-        if separable and accepted.get("u") is u_vals:
-            eta, v_vel, psi, pairing, fy, _ = accepted["cert"]
-        else:
-            eta, v_vel, psi, pairing, fy, _ = certify(u_vals, p_hat, rep.resid_h, exact=True)
     except MaxIterExceeded as exc:
-        # A stall of the solve, or of the exact conjugate's root at its point.
-        raise InnerSolverFailed(str(exc), best=exc.best if u_vals is None else u_vals) from exc
+        raise InnerSolverFailed(str(exc), best=exc.best) from exc
+    # A point that accept did not take is certified here: the closed-form
+    # solve of a quadratic potential calls no accept, and its exact
+    # multiplier certifies it with no root.
+    cert = accepted["cert"] if accepted.get("u") is u_vals else certify(u_vals, p_hat, rep.resid_h)
+    eta, v_vel, psi, pairing, fy, _ = cert
     if not fy <= 10.0 * inner_tol:
         raise InnerSolverFailed(
             f"Fenchel-Young gap {fy:.3e} above 10 inner_tol = {10.0 * inner_tol:.3e}",
@@ -383,7 +381,10 @@ def run(
 
 
 def admissible_tau(spec: ProblemSpec, target: float) -> float:
-    """Largest step <= target that divides the horizon exactly."""
+    """Largest step <= target that divides the horizon exactly; ConfigError
+    unless target > 0 and horizon/target is finite."""
+    if not (target > 0.0 and np.isfinite(spec.horizon / target)):
+        raise ConfigError(f"need a target step > 0 with a finite horizon/target, got {target}")
     n = max(1, int(np.ceil(spec.horizon / target - 1e-12)))
     return spec.horizon / n
 

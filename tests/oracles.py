@@ -9,6 +9,9 @@
 * `scalar_potential` is a|s| + (g/q)|s|^q, elementwise, for grid-search
   oracles of the per-site kernel, and `conjugate_numeric` is such an
   oracle for the scalar conjugate.
+* `exact_composite_conjugate` is the exact conjugate of a gradient-composite
+  dissipation by its 1D dual characterization, the reference for the
+  closed-form bound `convex.composite_conjugate`.
 * `objective` evaluates a `convex.StepProblem`'s objective
   0.5 u^T Q u + b^T u + sum_sites f((M u)_site), the primal value of a
   duality check.
@@ -40,7 +43,7 @@
 import numpy as np
 import scipy.linalg
 
-from proxdyn.convex import PDReport, SymBand, _certificate
+from proxdyn.convex import PDReport, SymBand, _certificate, _newton_bisect, edge_conjugate_pair
 from proxdyn.core import energy_grad, energy_total
 from proxdyn.errors import MaxIterExceeded
 from proxdyn.grid import Field, h_inner, h_norm
@@ -219,6 +222,32 @@ def conjugate_numeric(psi, xi, search_box: float, steps: int):
     if np.isscalar(xi) or np.ndim(xi) == 0:
         return float(out[0])
     return out
+
+
+def exact_composite_conjugate(pot, h, eta):
+    """(Psi*(eta), lam*) for Psi(v) = h * sum_e f_e((Dv)_e) at a nodal eta,
+    pot an unshifted edge potential without quartic.
+
+    Psi*(eta) = h * min over edge fields lam with D^T lam = eta of
+    sum_e f_e*(lam_e), and in 1D those lam are lam0 + t, lam0 =
+    (0, -cumsum(h eta)) (ker D^T is the constants), so the minimization is
+    a scalar convex problem.  Its derivative sum_e s*(lam0_e + t) increases
+    in t, with slope sum_e 1/f_e''(s*_e) over the edges where
+    |lam0_e + t| > a_e; every s* is <= 0 at t = min(-lam0 - a) and >= 0 at
+    t = max(-lam0 + a), which brackets the root t* for the
+    Newton-bisection.  lam* = lam0 + t* is the minimizing multiplier.
+    """
+    lam0 = np.concatenate([[0.0], -np.cumsum(h * np.asarray(eta, dtype=float))])
+
+    def slope(t):
+        lam = lam0 + t
+        _, s = edge_conjugate_pair(pot.a, pot.w2, pot.g, pot.q, lam)
+        curv = pot.w2 + pot.g * (pot.q - 1.0) * np.abs(s) ** (pot.q - 2.0)
+        return np.sum(s), np.sum(np.where(np.abs(lam) > pot.a, 1.0 / curv, 0.0))
+
+    lam_star = lam0 + _newton_bisect(slope, np.min(-lam0 - pot.a), np.max(-lam0 + pot.a))
+    val, _ = edge_conjugate_pair(pot.a, pot.w2, pot.g, pot.q, lam_star)
+    return h * float(np.sum(val)), lam_star
 
 
 def phi_value(spec, inp, u):

@@ -943,3 +943,15 @@ class TestMainEntry:
         assert "invariants_passed True" in out
         assert "max_fy_gap" in out and "max_edi_residual/tol" in out
         assert strict_json(tmp_path / "p3" / "summary.json")["config"]["well_scale"] == 4.0
+
+    @pytest.mark.parametrize("frac", ["0", "-8", "nan", "inf"])
+    @pytest.mark.parametrize("script", ["run_model", "convergence_report"])
+    def test_scripts_reject_a_frac_without_a_step(self, script, frac, monkeypatch, capsys):
+        # tau_max/frac must be a step > 0: the argument is refused with a
+        # usage error before any model is built.
+        model = ["p3"] if script == "run_model" else []
+        monkeypatch.setattr(sys, "argv", [f"{script}.py", *model, "--frac", frac])
+        with pytest.raises(SystemExit) as exc:
+            load_script(monkeypatch, script).main()
+        assert exc.value.code == 2
+        assert f"--frac: must be a finite number > 0, got {frac}" in capsys.readouterr().err

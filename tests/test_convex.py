@@ -11,7 +11,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from proxdyn import convex
 from proxdyn.errors import EvalError, MaxIterExceeded, NonFiniteIterate
@@ -30,7 +30,7 @@ from proxdyn.convex import (
     start_penalty,
 )
 from proxdyn.grid import ForwardDifference, SpatialGrid
-from proxdyn.models import P1Params, P2Params, P3Params, build_p1, build_p2, build_p3
+from proxdyn.models import P2Params, P3Params, build_p2, build_p3
 from proxdyn.stepper import run
 
 from oracles import (
@@ -38,6 +38,7 @@ from oracles import (
     admm_optimal_penalty,
     band_of,
     conjugate_numeric,
+    exact_composite_conjugate,
     gradient_matrix,
     objective,
     prox_gradient_reference,
@@ -469,7 +470,20 @@ class TestCurvature:
         np.testing.assert_allclose(pot.curvature(y), slope, rtol=1e-7)
 
 
+def _assert_bound_is_exact_at_the_optimal_multiplier(pot, h, eta):
+    """The closed-form bound equals the exact conjugate at the exact
+    dual's own multiplier, and returns that conjugate."""
+    exact, lam_star = exact_composite_conjugate(pot, h, eta)
+    bound = composite_conjugate(pot, h, eta, lam_star)
+    assert abs(bound - exact) <= 1e-12 * (1.0 + abs(exact))
+    return exact
+
+
 class TestCompositeConjugate:
+    """The exact dual characterization (the oracle) against a
+    Nelder-Mead sup of the primal, and the closed-form bound at the
+    oracle's optimal multiplier against the oracle."""
+
     def test_matches_bruteforce_sup(self):
         m, h = 5, 0.2
         d = _edge_grad(m, h)
@@ -484,7 +498,7 @@ class TestCompositeConjugate:
                 return h * np.sum(a * np.abs(y) + 0.5 * visc * y**2)
 
             pot = SitePotential(a, np.zeros(m + 1), 2.0, visc, 0.0)
-            got = composite_conjugate(pot, h, eta)
+            got = _assert_bound_is_exact_at_the_optimal_multiplier(pot, h, eta)
             # brute force over a fine random search refined by the smooth
             # unconstrained maximum of the differentiable majorant
             import scipy.optimize
@@ -517,7 +531,8 @@ class TestCompositeConjugate:
             y = d @ v
             return h * np.sum(a * np.abs(y) + g / q * np.abs(y) ** q)
 
-        got = composite_conjugate(SitePotential(a, g, q, 0.0, 0.0), h, eta)
+        pot = SitePotential(a, g, q, 0.0, 0.0)
+        got = _assert_bound_is_exact_at_the_optimal_multiplier(pot, h, eta)
         import scipy.optimize
 
         best = None
@@ -849,10 +864,9 @@ class TestNewtonBisect:
                 lambda x: (x - 1.0, np.full_like(x, np.nan)), np.array([0.0]), np.array([1e300])
             )
 
-    @pytest.mark.parametrize("model, q", [("p1", None), ("p3", 2.5), ("p3", 3.0)])
-    def test_no_cap_hits_on_the_models(self, model, q, monkeypatch):
-        # The p1_admm config's cokernel shifts (composite_conjugate) and p3's
-        # quartic branches (_branch_root) at q = 2.5 and 3, 65 nodes.
+    @pytest.mark.parametrize("q", [2.5, 3.0], ids=["p3-2.5", "p3-3.0"])
+    def test_no_cap_hits_on_the_models(self, q, monkeypatch):
+        # p3's quartic branches (_branch_root) at q = 2.5 and 3, 65 nodes.
         evals = []
 
         def counting(fun, lo, hi):
@@ -865,10 +879,7 @@ class TestNewtonBisect:
             return _newton_bisect(counted, lo, hi)
 
         monkeypatch.setattr(convex, "_newton_bisect", counting)
-        if model == "p1":
-            spec = build_p1(P1Params(n_nodes=33, horizon=0.5))
-        else:
-            spec = build_p3(P3Params(q=q, n_nodes=65, horizon=0.125))
+        spec = build_p3(P3Params(q=q, n_nodes=65, horizon=0.125))
         traj = run(spec, 1.0 / 64.0, inner_tol=1e-9)
         assert evals and max(evals) <= 10
         assert max(r.fy_gap for r in traj.reports) <= 1e-8
@@ -935,6 +946,9 @@ class TestPowerSolve:
         g=st.one_of(_decades, st.sampled_from([0.0, 5e-324])),
         t=st.floats(-12.0, 12.0).map(lambda e: 10.0**e),
     )
+    # The w-term holds 66 % of t at a root y = s^(q-1) ~ 2.7e9, where the
+    # rounding of r = 1/(q-1) put (t - g y)/w 4.04 eps off.
+    @example(q=1.9704260757475955, w=1.0, g=1.0, t=10.0**9.90625)
     def test_matches_a_50_digit_root(self, q, w, g, t):
         assume(w > 0.0 or g > 0.0)
         with np.errstate(over="ignore"):
@@ -949,6 +963,7 @@ class TestPowerSolve:
         t=st.floats(-12.0, 12.0).map(lambda e: 10.0**e),
         kind=_starts,
     )
+    @example(q=1.9704260757475955, w=1.0, g=1.0, t=10.0**9.90625, kind=0.0)
     def test_a_start_keeps_the_50_digit_root(self, q, w, g, t, kind):
         # A guess anywhere, or none, starts the root without moving it: one
         # Newton step from a guess below the root lands above it.

@@ -222,11 +222,12 @@ def test_energy_ledger_guard_sees_a_planted_sum():
     assert list(_ledger_strays("stepper", tree, range(2, 3))) == []
 
 
-# The bracketed Newton-bisection serves only the roots whose functions are
-# not convex: the quartic branch (`SitePotential._branch_root`) and the
-# cokernel shift (`composite_conjugate`).  The power-law root is convex in
-# its own variable and takes the monotone Newton, which needs no bracket.
-NEWTON_BISECT_USERS = {"SitePotential._branch_root", "composite_conjugate"}
+# The bracketed Newton-bisection serves only the root whose function is
+# not convex: the quartic branch (`SitePotential._branch_root`).  The
+# power-law root is convex in its own variable and takes the monotone
+# Newton, which needs no bracket, and the composite conjugate is bounded in
+# closed form.
+NEWTON_BISECT_USERS = {"SitePotential._branch_root"}
 
 
 def _functions(tree):

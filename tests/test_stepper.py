@@ -16,7 +16,7 @@ from proxdyn.core import (
 from proxdyn import convex
 from proxdyn.cli import parse_config_dict, run_and_emit
 from proxdyn.convex import SymBand
-from proxdyn.errors import ConfigError, InnerSolverFailed, MaxIterExceeded, StepSizeTooLarge
+from proxdyn.errors import ConfigError, InnerSolverFailed, StepSizeTooLarge
 from proxdyn.grid import Field, SpatialGrid, h_inner, h_norm, laplacian_band
 from proxdyn.models import (
     P1Params,
@@ -36,7 +36,15 @@ from proxdyn.stepper import (
     step_operator,
 )
 
-from oracles import defect_shift, dense_of, phi_value, step_input, step_subgradient, velocities
+from oracles import (
+    defect_shift,
+    dense_of,
+    exact_composite_conjugate,
+    phi_value,
+    step_input,
+    step_subgradient,
+    velocities,
+)
 
 
 def scalar_spec(psi_g=1.0):
@@ -256,21 +264,6 @@ class TestRun:
         assert "step 1" in str(exc.value)
         assert exc.value.best.shape == (15,)
 
-    def test_stalled_certificate_names_its_step(self, monkeypatch):
-        # The exact composite conjugate's root stalls after the ADMM has
-        # accepted the step: the run fails as a stalled solve does.
-        spec = build_p2(P2Params(q=1.5, n_nodes=17, horizon=0.25))
-
-        def stall(pot, h, eta):
-            raise MaxIterExceeded("Newton-bisection stalled after 200 iterations", best=np.zeros(1))
-
-        monkeypatch.setattr(convex, "composite_conjugate", stall)
-        with pytest.raises(InnerSolverFailed, match="Newton-bisection stalled") as exc:
-            run(spec, 1 / 16)
-        assert exc.value.step_index == 1
-        assert "step 1" in str(exc.value)
-        assert exc.value.best.shape == (15,)
-
     def test_uncertified_step_fails_loudly(self, tmp_path, monkeypatch):
         # An inner solver that reports convergence at a point off the
         # minimizer: the step certifies the point it gets back, whose gap is
@@ -458,22 +451,22 @@ def _composite_step(model, q):
 
 
 class TestMultiplierBound:
-    """h sum_e psi*(lam'), lam' = `convex.feasible_multiplier`, the
-    closed-form bound on Psi* that the composite step's stop rule reads from
-    the solver's multiplier, is an upper bound of the exact
-    `ProblemSpec.psi_conjugate` for every multiplier, and equal to it, to
-    rounding, at the ADMM's own."""
+    """`convex.composite_conjugate`, the closed-form bound on Psi* that a
+    composite step reads from the solver's multiplier, both its stop test
+    and its reported gap, is an upper bound of the exact conjugate (the
+    oracle `exact_composite_conjugate`) for every multiplier, and equal to
+    it, to rounding, at the ADMM's own."""
 
     CASES = [("p1", None), ("p2", 1.5), ("p2", 3.0)]
 
     @staticmethod
     def _bound(spec, pot, eta, lam):
-        return spec.grid.h * pot.conjugate_sum(convex.feasible_multiplier(spec.grid.h, eta, lam))
+        return convex.composite_conjugate(pot, spec.grid.h, eta, lam)
 
     @pytest.mark.parametrize("model, q", CASES)
     def test_matches_the_exact_conjugate_at_the_solver_multiplier(self, model, q):
         spec, pot, eta, lam = _composite_step(model, q)
-        exact = spec.psi_conjugate(pot, eta)
+        exact, _ = exact_composite_conjugate(pot, spec.grid.h, eta)
         assert abs(self._bound(spec, pot, eta, lam) - exact) <= 1e-12 * (1.0 + abs(exact))
 
     @settings(max_examples=60, deadline=None)
@@ -486,8 +479,33 @@ class TestMultiplierBound:
     def test_bounds_the_exact_conjugate_for_any_multiplier(self, case, shift, noise, seed):
         spec, pot, eta, lam = _composite_step(*case)
         other = lam + shift + noise * np.random.default_rng(seed).standard_normal(lam.shape)
-        exact = spec.psi_conjugate(pot, eta)
+        exact, _ = exact_composite_conjugate(pot, spec.grid.h, eta)
         assert self._bound(spec, pot, eta, other) >= exact - 1e-12 * (1.0 + abs(exact))
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            build_p1(P1Params(n_nodes=33, horizon=0.5)),
+            build_p2(P2Params(q=1.1, n_nodes=17, horizon=0.125)),
+            build_p2(P2Params(q=1.5, n_nodes=17, horizon=0.125)),
+            build_p2(P2Params(q=3.0, n_nodes=17, horizon=0.125)),
+            build_linear_wave(1.0, n_nodes=17, damping="gradient")[0],
+        ],
+        ids=["p1", "p2-1.1", "p2-1.5", "p2-3.0", "wave_gradient"],
+    )
+    def test_every_reported_gap_is_the_exact_gap(self, spec):
+        # The reported gap is the bound at the accepted point's multiplier;
+        # linear_wave's gradient damping is quadratic, so its closed-form
+        # solve certifies after the solve, from its exact multiplier.
+        traj = run(spec, 1 / 64)
+        h = spec.grid.h
+        vel = velocities(traj)
+        for n, rep in enumerate(traj.reports, start=1):
+            eta, _ = step_subgradient(traj, n)
+            pot = spec.dissipation.potential(traj.U[n - 1])
+            exact, _ = exact_composite_conjugate(pot, h, eta)
+            gap = rep.psi + exact - h_inner(eta, vel[n], h)
+            assert abs(rep.fy_gap - gap) <= 1e-12 * (1.0 + abs(exact)), n
 
 
 class TestStepOperator:
@@ -629,4 +647,16 @@ class TestAdmissibleTau:
         assert tau <= 0.3 + 1e-15
         n = round(spec.horizon / tau)
         assert abs(n * tau - spec.horizon) < 1e-12
+
+    @pytest.mark.parametrize("target", [-0.1, -0.0, 0.0, np.nan, -np.inf, 1e-320])
+    def test_rejects_a_target_without_a_step(self, target):
+        # No step > 0 is <= a target <= 0, and a subnormal target leaves
+        # horizon/target infinite.
+        spec = build_p3(P3Params(n_nodes=9))
+        with pytest.raises(ConfigError, match="target step > 0"):
+            admissible_tau(spec, target)
+
+    def test_infinite_target_takes_the_horizon(self):
+        spec = build_p3(P3Params(n_nodes=9))
+        assert admissible_tau(spec, np.inf) == spec.horizon
 
