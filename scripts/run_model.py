@@ -23,6 +23,7 @@ from proxdyn.cli import (
     run_and_emit,
 )
 from proxdyn.core import tau_max
+from proxdyn.errors import ParseError, ValidationError
 from proxdyn.stepper import admissible_tau
 
 
@@ -64,15 +65,19 @@ def main():
         tau = admissible_tau(spec, min(tau_max(spec), spec.horizon) / args.frac)
         print(f"tau_max = {tau_max(spec):.6g}, using tau = {tau:.6g}")
 
-    cfg = parse_config_dict(
-        {
-            "model": args.model,
-            "tau": tau,
-            "halvings": args.halvings,
-            "n_nodes": args.n_nodes,
-            "out_dir": args.out or f"runs/{args.model}",
-        }
-    )
+    try:
+        cfg = parse_config_dict(
+            {
+                "model": args.model,
+                "tau": tau,
+                "halvings": args.halvings,
+                "n_nodes": args.n_nodes,
+                "out_dir": args.out or f"runs/{args.model}",
+            }
+        )
+    except (ParseError, ValidationError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     code = run_and_emit(cfg)
     summary = Path(cfg.out_dir) / "summary.json"
     print(f"exit {code}; outputs in {cfg.out_dir} (see {summary})")

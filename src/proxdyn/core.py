@@ -276,9 +276,14 @@ def tau_max(spec: ProblemSpec) -> float:
 
 def check_step(spec: ProblemSpec, tau: float) -> float:
     """The strong convexity gamma = 1/tau^2 - 2*lambda of a step's functional;
-    StepSizeTooLarge unless tau <= 1/(2*lambda) (within 1e-12) and gamma > 0."""
+    StepSizeTooLarge unless tau <= 1/(2*lambda) (within 1e-12) and gamma > 0,
+    ConfigError if 1/tau^2 is not a finite number (tau^2 underflows)."""
     lam = spec.energy.lambda_conv
-    gamma = 1.0 / tau**2 - 2.0 * lam
+    sq = tau**2
+    inv_sq = 1.0 / sq if sq else math.inf
+    if not math.isfinite(inv_sq):
+        raise ConfigError(f"tau = {tau} is too small: 1/tau^2 = {inv_sq} is not a finite number")
+    gamma = inv_sq - 2.0 * lam
     if (lam > 0.0 and tau > 1.0 / (2.0 * lam) * (1 + 1e-12)) or not gamma > 0.0:
         raise StepSizeTooLarge(
             f"tau = {tau} breaks the unique-minimizer step rule tau <= 1/(2*lambda), "

@@ -13,9 +13,9 @@ factors on both sides cancel.
 The discrete gradient is `ForwardDifference`, an O(m) operator (`D @ u`,
 `D.T @ p`, and the band of D^T diag(w) D); with `biharmonic_band`, the
 clamped fourth difference in closed form, it gives every operator of the
-models in band form.  The one dense matrix, `laplacian_matrix`, serves the
-spectral constants only (`ProblemSpec`'s eigenvalues and the p2/linear_wave
-initial mode).
+models in band form.  The lowest Dirichlet eigenpair, the p2/linear_wave
+initial mode, is known in closed form (`dirichlet_mode`).  The one dense
+matrix, `laplacian_matrix`, serves `ProblemSpec`'s spectral constants only.
 """
 
 from __future__ import annotations
@@ -163,6 +163,17 @@ def laplacian_matrix(grid: SpatialGrid) -> np.ndarray:
     constants."""
     band = laplacian_band(grid)
     return np.diag(band[1]) + np.diag(band[0, 1:], 1) + np.diag(band[0, 1:], -1)
+
+
+def dirichlet_mode(grid: SpatialGrid) -> tuple[float, np.ndarray]:
+    """Lowest eigenvalue and h-normalized, positive eigenvector of the
+    Dirichlet D^T D on a uniform grid of length L (LeVeque, *Finite
+    Difference Methods for ODEs and PDEs*, SIAM 2007, sec. 2.10):
+    lam1 = (4/h^2) sin^2(pi h/(2L)) and phi1_i = sqrt(2/L) sin(pi x_i/L)."""
+    h, big_l = grid.h, grid.length
+    lam1 = (2.0 / h * np.sin(0.5 * np.pi * h / big_l)) ** 2
+    phi1 = np.sqrt(2.0 / big_l) * np.sin(np.pi * grid.interior_x / big_l)
+    return float(lam1), phi1
 
 
 def edge_average(grid: SpatialGrid, values: np.ndarray) -> np.ndarray:

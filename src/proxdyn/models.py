@@ -31,10 +31,9 @@ from .grid import (
     ForwardDifference,
     SpatialGrid,
     biharmonic_band,
+    dirichlet_mode,
     edge_average,
-    first_eigenpair,
     laplacian_band,
-    laplacian_matrix,
 )
 
 
@@ -213,7 +212,7 @@ def build_p2(params: P2Params) -> ProblemSpec:
     if p.u0 is not None:
         u0 = np.asarray(p.u0, dtype=float)
     else:
-        _, phi1 = first_eigenpair(laplacian_matrix(grid), grid.h)
+        _, phi1 = dirichlet_mode(grid)
         u0 = p.u0_amplitude * phi1
     v0 = np.zeros(m) if p.v0 is None else np.asarray(p.v0, dtype=float)
     force = p.force
@@ -367,8 +366,9 @@ def build_linear_wave(
 
     Psi = (nu/2)|v|_h^2 for mass damping (the default) or (nu/2)|Dv|_h^2
     for the gradient variant that the degenerate P2 reduction produces;
-    E = 0.5 <K u, u>_h with the Dirichlet Laplacian; u0 is the first
-    discrete eigenvector (h-normalized), v0 = 0, f = 0.  Returns
+    E = 0.5 <K u, u>_h with the Dirichlet Laplacian; u0 is its lowest
+    eigenvector in closed form (`grid.dirichlet_mode`, h-normalized),
+    v0 = 0, f = 0.  Returns
     (spec, exact_solution) with exact_solution(t) the modal ODE solution
     u(t) = c(t) * phi1, underdamped/critical/overdamped branches included.
     """
@@ -377,7 +377,7 @@ def build_linear_wave(
     if grid is None:
         grid = _default_grid(n_nodes)
     m = grid.n_interior
-    omega_sq, phi1 = first_eigenpair(laplacian_matrix(grid), grid.h)
+    omega_sq, phi1 = dirichlet_mode(grid)
 
     if damping == "mass":
         dissipation = DissipationSpec(

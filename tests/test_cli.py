@@ -23,7 +23,13 @@ from proxdyn.cli import (
     parse_config_dict,
     run_and_emit,
 )
-from proxdyn.errors import InnerSolverFailed, ParseError, StepSizeTooLarge, ValidationError
+from proxdyn.errors import (
+    ConfigError,
+    InnerSolverFailed,
+    ParseError,
+    StepSizeTooLarge,
+    ValidationError,
+)
 from proxdyn.convex import SymBand
 from proxdyn.grid import SpatialGrid, laplacian_band
 from proxdyn.models import P3Params, build_p3
@@ -165,6 +171,22 @@ class TestStepRule:
         # tau_max = min(1/(2*0.4), 1/sqrt(2*0.4)) = 1/sqrt(0.8).
         assert "tau_max" in err and f"{1 / np.sqrt(0.8):.6g}" in err
         assert not (tmp_path / "o").exists()
+
+
+    @pytest.mark.parametrize(
+        "tau", [1e-200, 2.0**-600, 1e-160], ids=["1e-200", "2^-600", "subnormal_square"]
+    )
+    def test_a_tau_whose_square_underflows_is_a_config_error(self, tau):
+        # 1/tau^2 overflows (tau^2 is 0, or subnormal for 1e-160): the parser
+        # names tau, and `run` refuses before it lays out its 1/tau steps.
+        assert tau**2 < np.finfo(float).tiny
+        raw = {"model": "p3", "n_nodes": 9, "tau": tau, "horizon": 4 * tau}
+        with pytest.raises(ValidationError, match=r"tau = .* is too small: 1/tau\^2"):
+            parse_config_dict(raw)
+        spec = build_p3(P3Params(n_nodes=9))
+        with pytest.raises(ConfigError, match="too small") as exc:
+            run(spec, tau)
+        assert not isinstance(exc.value, StepSizeTooLarge)
 
 
 class TestStrictTypes:
@@ -704,7 +726,6 @@ class TestOneLedger:
 def test_models_reject_dense_operators(raw):
     # EnergySpec takes bands only: each model's operators, handed over as
     # the dense matrices they stand for, are refused.
-    from proxdyn.errors import ConfigError
     from oracles import dense_of
 
     energy = parse_config_dict(raw).spec.energy
@@ -955,3 +976,21 @@ class TestMainEntry:
             load_script(monkeypatch, script).main()
         assert exc.value.code == 2
         assert f"--frac: must be a finite number > 0, got {frac}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "args, reason",
+        [
+            (["p1", "--tau", "0.3"], "tau = 0.3 does not divide the horizon"),
+            # tau_max/1e308 = 1e-308, whose square underflows to 0.
+            (["p3", "--frac", "1e308"], "tau = 1e-308 is too small: 1/tau^2"),
+        ],
+        ids=["tau_not_dividing", "tau_squared_underflows"],
+    )
+    def test_run_model_config_error_exit_two(self, args, reason, tmp_path, monkeypatch, capsys):
+        # As `proxdyn solve`: a config the parser refuses is exit 2 with
+        # the reason on stderr, and nothing is written.
+        out = tmp_path / "o"
+        monkeypatch.setattr(sys, "argv", ["run_model.py", *args, "--out", str(out)])
+        assert load_script(monkeypatch, "run_model").main() == 2
+        assert f"config error: {reason}" in capsys.readouterr().err
+        assert not out.exists()

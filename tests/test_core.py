@@ -32,6 +32,7 @@ from proxdyn.grid import (
     ForwardDifference,
     SpatialGrid,
     biharmonic_band,
+    dirichlet_mode,
     h_norm,
     laplacian_band,
     laplacian_matrix,
@@ -191,6 +192,37 @@ class TestBiharmonicBand:
                 np.testing.assert_allclose(
                     got, want, rtol=4 * _EPS, atol=0.0, err_msg=f"n_nodes {n_nodes}"
                 )
+
+
+class TestDirichletMode:
+    """The closed-form lowest eigenpair of the Dirichlet D^T D against the
+    dense eigensolver, on grids of any length L = (n_nodes - 1) h."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(n_nodes=st.integers(3, 400), h=st.floats(1e-3, 10.0))
+    def test_matches_the_dense_eigenpair(self, n_nodes, h):
+        g = SpatialGrid(n_nodes, h)
+        a = laplacian_matrix(g)
+        w, v = np.linalg.eigh(a)
+        lam1, phi1 = dirichlet_mode(g)
+        tol = 64 * _EPS * w[-1]
+        assert abs(lam1 - w[0]) <= tol
+        assert abs(h_norm(phi1, h) - 1.0) <= 1e-14
+        assert np.all(phi1 > 0)
+        assert h_norm(a @ phi1 - lam1 * phi1, h) <= tol
+        if n_nodes > 3:
+            # Both vectors are h-normalised and positive; each is within its
+            # residual over the spectral gap of the true eigenvector.
+            dense = v[:, 0] * np.sign(np.sum(v[:, 0])) / np.sqrt(h)
+            assert h_norm(phi1 - dense, h) <= tol / (w[1] - w[0])
+
+    @pytest.mark.parametrize("h", [0.25, 1.0, 3.0])
+    def test_one_unknown(self, h):
+        # D^T D is the 1 x 1 matrix 2/h^2, whose h-normalised eigenvector
+        # is 1/sqrt(h); L = 2h differs from 1 (and from 2 but at h = 1).
+        lam1, phi1 = dirichlet_mode(SpatialGrid(3, h))
+        assert lam1 == pytest.approx(2.0 / h**2, rel=4 * _EPS, abs=0.0)
+        np.testing.assert_allclose(phi1, [1.0 / np.sqrt(h)], rtol=4 * _EPS, atol=0.0)
 
 
 class TestDenseEnergyInput:

@@ -176,6 +176,37 @@ def test_convexity_defect_guard_sees_a_planted_keyword():
     assert sorted(_defect_writes(tree)) == [1, 2, 3, 4]
 
 
+# The builders hold no dense matrix and call no eigensolver: the one
+# eigenpair they need, the lowest Dirichlet mode, is `grid.dirichlet_mode`
+# in closed form.  The dense helpers serve `ProblemSpec` alone until ROADMAP
+# item 2 replaces them too.
+DENSE_SPECTRAL = {"first_eigenpair", "laplacian_matrix", "operator_norm", "linalg"}
+
+
+def _dense_spectral_names(tree):
+    """Sorted (line, name) of each dense helper or `linalg` named in a tree."""
+    return sorted((line, name) for name, line in _named(tree) if name in DENSE_SPECTRAL)
+
+
+def test_builders_call_no_dense_eigensolver():
+    models = ast.parse((PACKAGE / "models.py").read_text(encoding="utf-8"))
+    stray = _dense_spectral_names(models)
+    assert not stray, (
+        f"models.py names a dense spectral helper or linalg: {stray}; the builders take "
+        "grid.dirichlet_mode, and the dense helpers wait for ROADMAP item 2's closed forms"
+    )
+
+
+def test_dense_eigensolver_guard_sees_planted_names():
+    tree = ast.parse("from .grid import first_eigenpair, laplacian_matrix\n"
+                     "w = np.linalg.eigvalsh(a)\nn = operator_norm(a)\n"
+                     "from scipy import linalg\n")
+    assert _dense_spectral_names(tree) == [
+        (1, "first_eigenpair"), (1, "laplacian_matrix"), (2, "linalg"), (3, "operator_norm"),
+        (4, "linalg"),
+    ]
+
+
 # One energy ledger: `stepper` evaluates the energy (E_0(u0) once per run,
 # E_{t_n}(U^n) once per step) and `diagnostics.edi_scan` is the one pass
 # that sums the step reports' dissipation terms; every other output reads
